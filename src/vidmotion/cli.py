@@ -28,8 +28,8 @@ from . import tensor as T
 
 _INPUT_ERRORS = (C.ConfigError, N.ConfigError, P.JobError, SK.EmptyMaskError,
                  SK.RasterError, SK.KeypointError, D.ScheduleError,
-                 T.ShapeError, I.MaskError, I.CacheError, I.GateError,
-                 FileNotFoundError, NotADirectoryError)
+                 T.ShapeError, T.FormatError, I.MaskError, I.CacheError,
+                 I.GateError, FileNotFoundError, NotADirectoryError)
 
 
 # ---------------------------------------------------------------------------
@@ -335,18 +335,24 @@ def _selftest_checks(seed: int, corrupt_gradient: bool):
         return True, "50 fixtures within 1e-5"
 
     def check_injection_layout():
-        n, d = 4, 8
-        k_r, v_r = T.Tensor(gen((2 * n, d))), T.Tensor(gen((2 * n, d)))
-        mask = rng.integers(0, 2, 2 * n).astype(np.float32)
+        frames, n, d = 3, 4, 8
+        k_r = T.Tensor(gen((frames, 2 * n, d)))
+        v_r = T.Tensor(gen((frames, 2 * n, d)))
+        mask = rng.integers(0, 2, (frames, 2 * n)).astype(np.float32)
         recon = I.decouple_kv(k_r, v_r, mask)
-        cur = (T.Tensor(gen((n, d))), T.Tensor(gen((n, d))))
+        cur = (T.Tensor(gen((frames, n, d))), T.Tensor(gen((frames, n, d))))
         k_inj, v_inj = I.build_injected_kv(recon, cur)
-        ok = (k_inj.shape == (5 * n, d)
-              and (k_inj.data[:2 * n] == recon[0].data).all()
-              and (k_inj.data[2 * n:4 * n] == recon[2].data).all()
-              and (k_inj.data[4 * n:] == cur[0].data).all()
-              and (v_inj.data[4 * n:] == cur[1].data).all())
-        return ok, "5N layout, slices recover constituents"
+        if k_inj.shape != (frames, 5 * n, d) or v_inj.shape != k_inj.shape:
+            return False, f"stack shape {k_inj.shape}"
+        for i in range(frames):
+            if not ((k_inj.data[i, :2 * n] == recon[0].data[i]).all()
+                    and (k_inj.data[i, 2 * n:4 * n] == recon[2].data[i]).all()
+                    and (k_inj.data[i, 4 * n:] == cur[0].data[i]).all()
+                    and (v_inj.data[i, :2 * n] == recon[1].data[i]).all()
+                    and (v_inj.data[i, 2 * n:4 * n] == recon[3].data[i]).all()
+                    and (v_inj.data[i, 4 * n:] == cur[1].data[i]).all()):
+                return False, f"frame {i} slices do not recover constituents"
+        return True, f"5N layout on {frames} frames, slices recover constituents"
 
     def check_ddim_identity():
         s = D.make_schedule()

@@ -32,7 +32,6 @@ class NoiseSchedule:
     beta_min: float
     beta_max: float
     alpha_bar: np.ndarray  # float64, strictly decreasing, in (0, 1]
-    sigma: float = 0.0  # posterior noise scale; fixed at zero (deterministic)
 
     def alpha_bar_at(self, t: int) -> float:
         if t == CLEAN_STEP:

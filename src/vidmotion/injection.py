@@ -29,10 +29,16 @@ class GateError(KeyError):
     """Layer id is not registered in the network topology."""
 
 
-def _check_mask(mask: np.ndarray, n: int) -> np.ndarray:
-    mask = np.asarray(mask, dtype=np.float32).reshape(-1)
-    if mask.shape[0] != n:
-        raise MaskError(f"mask length {mask.shape[0]} != token count {n}")
+def _check_mask(mask, shape: tuple[int, ...]) -> np.ndarray:
+    """Validate a binary token mask against the token axes of a key stack:
+    ``(n,)`` for one frame (any mask with n entries), ``(F, n)`` for F frames."""
+    mask = np.asarray(mask, dtype=np.float32)
+    if len(shape) == 1:
+        mask = mask.reshape(-1)
+        if mask.shape[0] != shape[0]:
+            raise MaskError(f"mask length {mask.shape[0]} != token count {shape[0]}")
+    elif mask.shape != shape:
+        raise MaskError(f"mask shape {mask.shape} != (frames, tokens) {shape}")
     if not np.isin(mask, (0.0, 1.0)).all():
         raise MaskError("mask values must be exactly 0 or 1")
     return mask
@@ -41,14 +47,16 @@ def _check_mask(mask: np.ndarray, n: int) -> np.ndarray:
 def decouple_kv(k: Tensor, v: Tensor, mask) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """Split keys/values rowwise into (K_fg, V_fg, K_bg, V_bg).
 
-    A token's whole d-vector is kept or zeroed, so K_fg + K_bg == K exactly.
+    Keys/values are n x d, or F x n x d with an (F, n) mask for all frames at
+    once. A token's whole d-vector is kept or zeroed, so K_fg + K_bg == K
+    exactly.
     """
-    if k.shape != v.shape or k.data.ndim != 2:
-        raise T.ShapeError(f"keys/values must be matching n x d, got {k.shape} "
-                           f"and {v.shape}")
-    m = _check_mask(mask, k.shape[0])
-    col = Tensor(m.reshape(-1, 1))
-    inv = Tensor(1.0 - m.reshape(-1, 1))
+    if k.shape != v.shape or k.data.ndim not in (2, 3):
+        raise T.ShapeError(f"keys/values must be matching [F x] n x d, got "
+                           f"{k.shape} and {v.shape}")
+    m = _check_mask(mask, k.shape[:-1])[..., None]
+    col = Tensor(m)
+    inv = Tensor(1.0 - m)
     return T.mul(k, col), T.mul(v, col), T.mul(k, inv), T.mul(v, inv)
 
 
@@ -56,35 +64,50 @@ def build_injected_kv(recon: tuple[Tensor, Tensor, Tensor, Tensor],
                       edit_cur: tuple[Tensor, Tensor],
                       drop_masked_tokens: bool = False,
                       mask=None) -> tuple[Tensor, Tensor]:
-    """Stack [K_fg, K_bg, K_cur] (and likewise for values).
+    """Stack [K_fg, K_bg, K_cur] (and likewise for values) along the token
+    axis, for one frame (n x d blocks) or all frames (F x n x d blocks).
 
     Default keeps zeroed rows, giving exactly 5N tokens for N-token frames.
     With ``drop_masked_tokens`` the zeroed rows are removed instead (3N
-    tokens), which needs the mask to know which rows survive.
+    tokens), which needs the mask to know which rows survive: one stable
+    gather takes the foreground rows, then the background rows, in token
+    order from K_fg + K_bg, which equals the undecoupled keys bit for bit.
     """
     k_fg, v_fg, k_bg, v_bg = recon
     k_cu, v_cu = edit_cur
-    widths = {t.shape[1] for t in (k_fg, v_fg, k_bg, v_bg, k_cu, v_cu)}
+    widths = {t.shape[-1] for t in (k_fg, v_fg, k_bg, v_bg, k_cu, v_cu)}
     if len(widths) != 1:
         raise T.ShapeError(f"key/value widths disagree: {sorted(widths)}")
     if k_fg.shape != k_bg.shape or v_fg.shape != v_bg.shape:
         raise T.ShapeError("foreground/background blocks must match shapes")
+    axis = k_fg.data.ndim - 2
     if not drop_masked_tokens:
-        return (T.concat([k_fg, k_bg, k_cu], axis=0),
-                T.concat([v_fg, v_bg, v_cu], axis=0))
-    m = _check_mask(mask, k_fg.shape[0]).astype(bool)
-    fg_rows = [i for i in range(len(m)) if m[i]]
-    bg_rows = [i for i in range(len(m)) if not m[i]]
+        return (T.concat([k_fg, k_bg, k_cu], axis=axis),
+                T.concat([v_fg, v_bg, v_cu], axis=axis))
+    m = _check_mask(mask, k_fg.shape[:-1])
+    rows = np.argsort(1.0 - m, axis=-1, kind="stable")  # foreground first
+    return (T.concat([T.gather_rows(T.add(k_fg, k_bg), rows), k_cu], axis=axis),
+            T.concat([T.gather_rows(T.add(v_fg, v_bg), rows), v_cu], axis=axis))
 
-    def take(t, rows):
-        return T.concat([T.slice_axis(t, 0, i, i + 1) for i in rows], axis=0)
 
-    parts_k = [take(k_fg, fg_rows)] if fg_rows else []
-    parts_k += [take(k_bg, bg_rows)] if bg_rows else []
-    parts_v = [take(v_fg, fg_rows)] if fg_rows else []
-    parts_v += [take(v_bg, bg_rows)] if bg_rows else []
-    return (T.concat(parts_k + [k_cu], axis=0),
-            T.concat(parts_v + [v_cu], axis=0))
+def injected_cs_kv(cache: ReconCache, layer: str, t: int, mask: np.ndarray,
+                   k_edit: Tensor, v_edit: Tensor,
+                   drop_masked_tokens: bool) -> tuple[Tensor, Tensor]:
+    """All frames' injected cross-frame key/value stacks for one gated layer.
+
+    Reads the reconstruction keys/values of every frame from ``cache``,
+    decouples them with the (F, 2N) ``mask`` and stacks them with the editing
+    branch's current-frame block, the second half of ``k_edit``/``v_edit``
+    (F x 2N x d, [preceding, current]). The intermediates die on return.
+    """
+    frames, two_n, _ = k_edit.shape
+    entries = [cache.get_cs(layer, t, i) for i in range(frames)]
+    k_r = Tensor(np.stack([k.data for k, _ in entries]))
+    v_r = Tensor(np.stack([v.data for _, v in entries]))
+    recon = decouple_kv(k_r, v_r, mask)
+    n = two_n // 2
+    cur = (T.slice_axis(k_edit, 1, n, two_n), T.slice_axis(v_edit, 1, n, two_n))
+    return build_injected_kv(recon, cur, drop_masked_tokens, mask)
 
 
 def inject_temporal(recon_k: Tensor, recon_v: Tensor, edit_q: Tensor) -> Tensor:
@@ -169,6 +192,12 @@ class LatentMask:
         """2N mask aligned with [preceding, current] keys (frame 0 clamps)."""
         prev = self.levels[level][max(frame - 1, 0)]
         return np.concatenate([prev, self.levels[level][frame]])
+
+    def cs_mask(self, level: int) -> np.ndarray:
+        """cs_tokens for every frame at once: (frames, 2N)."""
+        cur = self.levels[level]
+        prev = cur[np.maximum(np.arange(cur.shape[0]) - 1, 0)]
+        return np.concatenate([prev, cur], axis=1)
 
 
 class ReconCache:

@@ -290,34 +290,19 @@ def _frame_shifted(x: Tensor) -> Tensor:
 def _cs_sub_block(x: Tensor, model: ModelWeights, lid: str, t: int, role: str,
                   cache: I.ReconCache | None, masks: I.LatentMask | None,
                   inj: I.InjectionSettings | None, injecting: bool) -> Tensor:
-    level = BLOCK_LEVEL[lid]
     pset = model.pset(f"unet.{lid}.cs")
     a_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_cs"))
-    frames, n, d = a_in.shape
     q = A.project_tokens(a_in, pset.w_q)
     kv_in = T.concat([_frame_shifted(a_in), a_in], axis=1)  # (F, 2N, d)
     k = A.project_tokens(kv_in, pset.w_k)
     v = A.project_tokens(kv_in, pset.w_v)
     if role == "recon" and injecting:
-        for i in range(frames):
+        for i in range(a_in.shape[0]):
             cache.put_cs(lid, t, i, k.data[i], v.data[i])
     if role == "edit" and injecting:
-        outs = []
-        for i in range(frames):
-            k_r, v_r = cache.get_cs(lid, t, i)
-            mask2n = masks.cs_tokens(level, i)
-            recon = I.decouple_kv(k_r, v_r, mask2n)
-            k_i = T.reshape(T.slice_axis(k, 0, i, i + 1), (2 * n, d))
-            v_i = T.reshape(T.slice_axis(v, 0, i, i + 1), (2 * n, d))
-            cur = (T.slice_axis(k_i, 0, n, 2 * n), T.slice_axis(v_i, 0, n, 2 * n))
-            k_inj, v_inj = I.build_injected_kv(
-                recon, cur, drop_masked_tokens=inj.drop_masked_tokens, mask=mask2n)
-            q_i = T.reshape(T.slice_axis(q, 0, i, i + 1), (n, d))
-            outs.append(T.reshape(A.attend(q_i, k_inj, v_inj), (1, n, d)))
-        att = T.concat(outs, axis=0)
-    else:
-        att = A.attend_batched(q, k, v)
-    return A.project_tokens(att, pset.w_out)
+        mask = masks.cs_mask(BLOCK_LEVEL[lid])
+        k, v = I.injected_cs_kv(cache, lid, t, mask, k, v, inj.drop_masked_tokens)
+    return A.project_tokens(A.attend_batched(q, k, v), pset.w_out)
 
 
 def _cross_sub_block(x: Tensor, model: ModelWeights, lid: str,

@@ -7,6 +7,7 @@ record once, accumulating gradients per node.
 """
 from __future__ import annotations
 
+import math
 import struct
 from typing import Callable, Sequence
 
@@ -19,6 +20,10 @@ class ShapeError(ValueError):
 
 class TapeError(RuntimeError):
     """Gradient bookkeeping misuse: wrong tape, non-scalar loss, mixed tapes."""
+
+
+class FormatError(ValueError):
+    """Serialized tensor bytes are malformed; the message names the byte offset."""
 
 
 class Node:
@@ -293,6 +298,35 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _result("slice", (a,), np.ascontiguousarray(a.data[sl]), bwd)
 
 
+def gather_rows(a: Tensor, index) -> Tensor:
+    """Take rows along axis -2: ``out[..., j, :] = a[..., index[..., j], :]``.
+
+    ``index`` is an integer array whose leading axes match or broadcast to
+    ``a``'s leading axes; rows may repeat, and their gradients accumulate.
+    """
+    a = _as_tensor(a)
+    index = np.asarray(index)
+    rows = a.shape[-2] if a.data.ndim >= 2 else 0
+    if (index.ndim < 1 or not np.issubdtype(index.dtype, np.integer)
+            or not (0 <= index.min() and index.max() < rows)):
+        raise ShapeError(f"cannot gather rows {index.shape} of {index.dtype} "
+                         f"from shape {a.shape}")
+    try:
+        index = np.broadcast_to(index, a.shape[:-2] + index.shape[-1:])
+    except ValueError:
+        raise ShapeError(f"gather index {index.shape} does not fit {a.shape}") from None
+    in_shape = a.shape
+
+    def bwd(g):
+        full = np.zeros(in_shape, dtype=np.float32)
+        lead_idx = np.indices(index.shape, sparse=True)[:-1]
+        np.add.at(full, (*lead_idx, index), g)
+        return (full,)
+
+    out = np.take_along_axis(a.data, index[..., None], axis=-2)
+    return _result("gather_rows", (a,), out, bwd)
+
+
 def repeat_axis(a: Tensor, axis: int, times: int) -> Tensor:
     """Repeat each element ``times`` times along ``axis`` (nearest upsample)."""
     a = _as_tensor(a)
@@ -346,9 +380,10 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     rank = a.data.ndim
     if not -rank <= axis < rank:
         raise ShapeError(f"softmax axis {axis} out of range for rank {rank}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    # one buffer for shift, exp and normalise keeps batched score stacks small
+    out = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def bwd(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
@@ -543,16 +578,26 @@ def tensor_bytes(t: Tensor) -> bytes:
 
 
 def tensor_from_bytes(raw: bytes) -> Tensor:
+    """Parse a MELT container; malformed bytes raise FormatError."""
+    if len(raw) < 10:
+        raise FormatError(f"MELT header truncated at byte {len(raw)}: "
+                          f"needs 10 bytes")
     if raw[:4] != _MAGIC:
-        raise ValueError("not a MELT container (bad magic)")
+        raise FormatError("not a MELT container: bad magic at byte 0")
     if raw[4] != _VERSION:
-        raise ValueError(f"unsupported MELT version {raw[4]}")
+        raise FormatError(f"unsupported MELT version {raw[4]} at byte 4")
     if raw[5] != _DTYPE_F32:
-        raise ValueError(f"unsupported dtype code {raw[5]}")
+        raise FormatError(f"unsupported MELT dtype code {raw[5]} at byte 5")
     (rank,) = struct.unpack_from("<I", raw, 6)
-    dims = struct.unpack_from(f"<{rank}I", raw, 10)
     offset = 10 + 4 * rank
-    count = int(np.prod(dims)) if rank else 1
+    if len(raw) < offset:
+        raise FormatError(f"MELT dims truncated at byte {len(raw)}: rank {rank} "
+                          f"needs {offset} header bytes")
+    dims = struct.unpack_from(f"<{rank}I", raw, 10)
+    count = math.prod(dims)
+    if len(raw) < offset + 4 * count:
+        raise FormatError(f"MELT payload truncated at byte {len(raw)}: shape "
+                          f"{tuple(dims)} needs {offset + 4 * count} bytes")
     data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
     return Tensor(data.reshape(dims).astype(np.float32))
 
@@ -564,4 +609,8 @@ def save_tensor(path, t: Tensor) -> None:
 
 def load_tensor(path) -> Tensor:
     with open(path, "rb") as fh:
-        return tensor_from_bytes(fh.read())
+        raw = fh.read()
+    try:
+        return tensor_from_bytes(raw)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None

@@ -209,6 +209,23 @@ class TestEditCommand:
         mid_report = json.loads((out_mid / "edit_report.json").read_text())
         assert mid_report["cache"]["reads_cs"] > base_report["cache"]["reads_cs"]
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda raw: b"NOPE" + raw[4:],
+        lambda raw: raw[:-7],
+        lambda raw: raw[:9],
+    ], ids=["bad-magic", "truncated-payload", "short-header"])
+    def test_malformed_video_melt_exits_2_with_one_line(self, tmp_path, capsys,
+                                                        corrupt):
+        root, cfg = make_job_dir(tmp_path)
+        video = root / "video.melt"
+        video.write_bytes(corrupt(video.read_bytes()))
+        assert main(["edit", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "video.melt" in err and "byte" in err
+        assert "Traceback" not in err
+
     def test_empty_ref_mask_exits_2_with_frame(self, tmp_path, capsys):
         root, cfg = make_job_dir(tmp_path)
         blank = np.zeros((32, 32), dtype=np.float32)

@@ -123,6 +123,51 @@ class TestBuildInjectedKv:
         np.testing.assert_array_equal(k_inj.data[3], k_r.data[3])
 
 
+class TestFrameAxis:
+    F, N, D = 3, 4, 5
+
+    def frame_masks(self):
+        two_n = 2 * self.N
+        return np.stack([np.ones(two_n), np.zeros(two_n), rmask(two_n, 40)]
+                        ).astype(np.float32)
+
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_rank3_stack_equals_per_frame_stacking(self, drop):
+        f, n, d = self.F, self.N, self.D
+        k, v = rnd((f, 2 * n, d), 41), rnd((f, 2 * n, d), 42)
+        k_cu, v_cu = rnd((f, n, d), 43), rnd((f, n, d), 44)
+        masks = self.frame_masks()
+        recon = I.decouple_kv(T.Tensor(k), T.Tensor(v), masks)
+        k_inj, v_inj = I.build_injected_kv(
+            recon, (T.Tensor(k_cu), T.Tensor(v_cu)), drop, masks)
+        for i in range(f):
+            recon_i = I.decouple_kv(T.Tensor(k[i]), T.Tensor(v[i]), masks[i])
+            for batched, single in zip(recon, recon_i):
+                np.testing.assert_array_equal(batched.data[i], single.data)
+            k_i, v_i = I.build_injected_kv(
+                recon_i, (T.Tensor(k_cu[i]), T.Tensor(v_cu[i])), drop, masks[i])
+            np.testing.assert_array_equal(k_inj.data[i], k_i.data)
+            np.testing.assert_array_equal(v_inj.data[i], v_i.data)
+            fg = masks[i].astype(bool)
+            if drop:
+                want = np.concatenate([k[i][fg], k[i][~fg], k_cu[i]])
+            else:
+                want = np.concatenate([k[i] * fg[:, None], k[i] * ~fg[:, None],
+                                       k_cu[i]])
+            np.testing.assert_array_equal(k_inj.data[i], want)
+
+    def test_frame_count_mismatch_rejected(self):
+        f, n, d = self.F, self.N, self.D
+        k = T.zeros((f, 2 * n, d))
+        short = self.frame_masks()[:2]
+        with pytest.raises(I.MaskError):
+            I.decouple_kv(k, k, short)
+        recon = I.decouple_kv(k, k, self.frame_masks())
+        cur = (T.zeros((f, n, d)), T.zeros((f, n, d)))
+        with pytest.raises(I.MaskError):
+            I.build_injected_kv(recon, cur, drop_masked_tokens=True, mask=short)
+
+
 class TestInjectTemporal:
     def test_recon_equals_edit_is_identity_with_plain_attention(self):
         f, d = 4, 8
@@ -201,6 +246,15 @@ class TestMasks:
         np.testing.assert_array_equal(two_n[64:], lm.tokens(0, 2))
         # frame 0 clamps the preceding mask to itself
         np.testing.assert_array_equal(lm.cs_tokens(0, 0)[:64], lm.tokens(0, 0))
+
+    def test_cs_mask_stacks_cs_tokens_of_every_frame(self):
+        masks = (rnd((3, 32, 32), 39) > 0).astype(np.float32)
+        lm = I.LatentMask.from_rasters(masks, {0: (8, 8), 1: (4, 4)})
+        for level in (0, 1):
+            stacked = lm.cs_mask(level)
+            for frame in range(3):
+                np.testing.assert_array_equal(stacked[frame],
+                                              lm.cs_tokens(level, frame))
 
 
 class TestReconCache:

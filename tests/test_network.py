@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vidmotion import attention as A
 from vidmotion import injection as I
 from vidmotion import network as N
 from vidmotion import tensor as T
@@ -33,6 +34,62 @@ def mask_pyramid(seed=3):
     masks = (np.random.default_rng(seed).uniform(size=(CFG.frames, 32, 32)) > 0.5
              ).astype(np.float32)
     return I.LatentMask.from_rasters(masks, CFG.level_shapes())
+
+
+def mixed_mask_pyramid(seed=4):
+    """Random masks, except frame 2 is all foreground and frame 5 all
+    background."""
+    masks = (np.random.default_rng(seed).uniform(size=(CFG.frames, 32, 32)) > 0.5
+             ).astype(np.float32)
+    masks[2] = 1.0
+    masks[5] = 0.0
+    return I.LatentMask.from_rasters(masks, CFG.level_shapes())
+
+
+def per_frame_cs_edit(x, model, lid, t, cache, masks, drop):
+    """Reference: the editing branch's cross-frame sub-block, one frame at a
+    time, each frame's injected stack built and attended on its own."""
+    level = N.BLOCK_LEVEL[lid]
+    pset = model.pset(f"unet.{lid}.cs")
+    a_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_cs"))
+    frames, n, d = a_in.shape
+    q = A.project_tokens(a_in, pset.w_q)
+    kv_in = T.concat([N._frame_shifted(a_in), a_in], axis=1)
+    k = A.project_tokens(kv_in, pset.w_k)
+    v = A.project_tokens(kv_in, pset.w_v)
+    outs = []
+    for i in range(frames):
+        k_r, v_r = cache.get_cs(lid, t, i)
+        mask2n = masks.cs_tokens(level, i)
+        recon = I.decouple_kv(k_r, v_r, mask2n)
+        k_i = T.reshape(T.slice_axis(k, 0, i, i + 1), (2 * n, d))
+        v_i = T.reshape(T.slice_axis(v, 0, i, i + 1), (2 * n, d))
+        cur = (T.slice_axis(k_i, 0, n, 2 * n), T.slice_axis(v_i, 0, n, 2 * n))
+        k_inj, v_inj = I.build_injected_kv(recon, cur, drop_masked_tokens=drop,
+                                           mask=mask2n)
+        q_i = T.reshape(T.slice_axis(q, 0, i, i + 1), (n, d))
+        outs.append(T.reshape(A.attend(q_i, k_inj, v_inj), (1, n, d)))
+    return A.project_tokens(T.concat(outs, axis=0), pset.w_out)
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["5n", "drop"])
+@pytest.mark.parametrize("lid", ["dec0", "mid"])
+def test_batched_cs_injection_equals_per_frame_reference(model, lid, drop):
+    level = N.BLOCK_LEVEL[lid]
+    shape = (CFG.frames, CFG.level_tokens(level), CFG.widths[level])
+    inj = I.InjectionSettings(inject_mid=True, drop_masked_tokens=drop)
+    assert I.gate(lid, N.TOPOLOGY, inj.inject_mid)
+    cache = I.ReconCache()
+    N._cs_sub_block(T.Tensor(rnd(shape, seed=70)), model, lid, 21, "recon",
+                    cache, None, inj, injecting=True)
+    cache.freeze()
+    masks = mixed_mask_pyramid()
+    x = T.Tensor(rnd(shape, seed=71))
+    got = N._cs_sub_block(x, model, lid, 21, "edit", cache, masks, inj,
+                          injecting=True)
+    want = per_frame_cs_edit(x, model, lid, 21, cache, masks, drop)
+    np.testing.assert_array_equal(got.data, want.data)
+    assert cache.reads_cs == 2 * CFG.frames
 
 
 class TestUnetForward:

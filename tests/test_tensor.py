@@ -13,6 +13,21 @@ def rnd(shape, seed=0, scale=1.0):
     return (np.random.default_rng(seed).normal(0, scale, shape)).astype(np.float32)
 
 
+class TestGatherRows:
+    def test_takes_rows_per_frame_and_shared(self):
+        a = rnd((2, 4, 3), seed=95)
+        idx = np.array([[3, 0, 0], [1, 2, 1]])
+        out = T.gather_rows(T.Tensor(a), idx).data
+        for f in range(2):
+            np.testing.assert_array_equal(out[f], a[f][idx[f]])
+        shared = T.gather_rows(T.Tensor(a), np.array([1, 1])).data
+        np.testing.assert_array_equal(shared, a[:, [1, 1]])
+
+    def test_out_of_range_index_rejected(self):
+        with pytest.raises(T.ShapeError):
+            T.gather_rows(T.zeros((2, 3)), np.array([0, 2]))
+
+
 class TestMatmul:
     def test_identity(self):
         a = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -210,6 +225,9 @@ class TestBackward:
     ("layer_norm", lambda x: T.mean(T.mul(
         T.layer_norm(x, T.Tensor(rnd((4,), 35, 0.3) + 1), T.Tensor(rnd((4,), 36, 0.3))),
         T.Tensor(rnd((3, 4), 37)))), (3, 4)),
+    ("gather_rows", lambda x: T.mean(T.mul(
+        T.gather_rows(x, np.array([[2, 0, 2, 1], [1, 1, 0, 2]])),
+        T.Tensor(rnd((2, 4, 3), 38)))), (2, 3, 3)),
 ])
 def test_primitive_gradients_match_finite_differences(name, f, shape):
     x0 = rnd(shape, seed=hash(name) % 1000, scale=0.8)
@@ -339,6 +357,16 @@ class TestMeltContainer:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             T.tensor_from_bytes(b"NOPE" + bytes(20))
+
+    @pytest.mark.parametrize("raw,where", [
+        (b"NOPE" + bytes(20), "byte 0"),
+        (b"MELT\x01\x00\x02", "byte 7"),
+        (b"MELT\x01\x00" + (2).to_bytes(4, "little") + bytes(4), "byte 14"),
+        (T.tensor_bytes(T.zeros((2, 3)))[:-1], "byte 41"),
+    ], ids=["bad-magic", "short-header", "truncated-dims", "truncated-payload"])
+    def test_malformed_bytes_raise_format_error_naming_offset(self, raw, where):
+        with pytest.raises(T.FormatError, match=where):
+            T.tensor_from_bytes(raw)
 
 
 def test_numeric_gradient_oracle_on_known_function():
