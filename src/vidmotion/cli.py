@@ -7,11 +7,13 @@ a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
 import sys
 import time
+import weakref
 
 import numpy as np
 
@@ -309,6 +311,24 @@ def _selftest_checks(seed: int, corrupt_gradient: bool):
         ok, err = G.directional_check(f, model.params[name].data, v, h=5e-3)
         return ok, f"directional relative error {err:.2e}"
 
+    def check_tape_refcount():
+        # with the cyclic collector off, only reference counting can free
+        # the tape; a Node -> Tape back-reference would keep it alive
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tape = T.Tape()
+            x = tape.watch(T.Tensor(gen((3, 4))))
+            T.backward(tape, T.mean(T.silu(T.matmul(x, T.Tensor(gen((4, 2)))))))
+            freed = weakref.ref(tape)
+            del tape, x
+            alive = freed() is not None
+        finally:
+            if enabled:
+                gc.enable()
+        return not alive, ("tape outlived its tensors: a reference cycle"
+                           if alive else "tape freed with its last tensor")
+
     def check_partition():
         for i in range(100):
             n = int(rng.integers(1, 65))
@@ -440,6 +460,7 @@ def _selftest_checks(seed: int, corrupt_gradient: bool):
         ("gradient-attention", check_attention_gradients),
         ("gradient-adapter", check_adapter_gradients),
         ("gradient-unet", check_unet_gradient),
+        ("tape-refcount", check_tape_refcount),
         ("partition-identity", check_partition),
         ("duplication-reduction", check_duplication),
         ("injection-layout", check_injection_layout),

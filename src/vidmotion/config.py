@@ -6,7 +6,8 @@ loudly instead of silently running defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from . import injection as I
 from . import network as N
@@ -72,6 +73,49 @@ def _check_keys(section: str, blob: dict) -> None:
         raise ConfigError(f"unknown key(s) in {section!r}: {sorted(unknown)}")
 
 
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number",
+               str: "a string", tuple: "a list of integers"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _field(blob: dict, section: str, name: str, default, minimum: int | None = None):
+    """``blob[name]`` (``default`` when absent), of the type of ``default``.
+
+    An int field takes only a JSON integer and a float field any finite
+    number; ``minimum`` bounds an integer field or every entry of a list.
+    ConfigError names ``section.name``.
+    """
+    value = blob.get(name, default)
+    kind = type(default)
+    if kind is float:
+        ok = _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+    elif kind is tuple:
+        ok = isinstance(value, (list, tuple)) and all(_is_int(v) for v in value)
+        value = tuple(value) if ok else value
+    elif kind is int:
+        ok = _is_int(value)
+    else:
+        ok = isinstance(value, kind)
+    where = f"{section}.{name}" if section else name
+    if not ok:
+        raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    if minimum is not None and min(value if kind is tuple else (value,)) < minimum:
+        raise ConfigError(f"{where} must be >= {minimum}, got {value!r}")
+    return value
+
+
+def _section(blob: dict, section: str, cls):
+    """Build dataclass ``cls`` from ``blob[section]``, field by field."""
+    _check_keys(section, blob[section])
+    defaults = cls()
+    return cls(**{f.name: _field(blob[section], section, f.name,
+                                 getattr(defaults, f.name))
+                  for f in fields(cls)})
+
+
 def config_from_dict(blob: dict) -> Config:
     if not isinstance(blob, dict):
         raise ConfigError("config root must be a JSON object")
@@ -79,44 +123,31 @@ def config_from_dict(blob: dict) -> Config:
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
     cfg = Config()
-    cfg.seed = int(blob.get("seed", 0))
-    if "model" in blob:
-        _check_keys("model", blob["model"])
-        m = blob["model"]
-        cfg.model = N.NetConfig(
-            frames=int(m.get("frames", 8)),
-            image_size=int(m.get("image_size", 32)),
-            channels=int(m.get("channels", 4)),
-            widths=tuple(m.get("widths", (32, 64))),
-            time_width=int(m.get("time_width", 32)),
-            pool=int(m.get("pool", 4)),
-            schedule_steps=int(blob.get("schedule", {}).get("timesteps", 1000)),
-        )
-    elif "schedule" in blob:
-        cfg.model = N.NetConfig(
-            schedule_steps=int(blob["schedule"].get("timesteps", 1000)))
-    for section, target in (("schedule", ScheduleConfig),
-                            ("training", TrainingConfig),
-                            ("sampler", SamplerConfig)):
+    cfg.seed = _field(blob, "", "seed", 0, minimum=0)
+    for section, cls in (("schedule", ScheduleConfig),
+                         ("training", TrainingConfig),
+                         ("sampler", SamplerConfig),
+                         ("injection", I.InjectionSettings)):
         if section in blob:
-            _check_keys(section, blob[section])
-            setattr(cfg, section, target(**blob[section]))
-    if "injection" in blob:
-        _check_keys("injection", blob["injection"])
-        cfg.injection = I.InjectionSettings(**blob["injection"])
-    if "alignment" in blob:
-        _check_keys("alignment", blob["alignment"])
-        cfg.align_first_frame_only = bool(
-            blob["alignment"].get("first_frame_only", False))
-        cfg.control_on_recon = bool(
-            blob["alignment"].get("control_on_recon", True))
-    if "prompts" in blob:
-        _check_keys("prompts", blob["prompts"])
-        cfg.prompt_source = str(blob["prompts"].get("source", ""))
-        cfg.prompt_target = str(blob["prompts"].get("target", ""))
-    if "paths" in blob:
-        _check_keys("paths", blob["paths"])
-        cfg.paths = {k: str(v) for k, v in blob["paths"].items()}
+            setattr(cfg, section, _section(blob, section, cls))
+    m = blob.get("model", {})
+    _check_keys("model", m)
+    net = N.NetConfig()
+    cfg.model = N.NetConfig(
+        **{name: _field(m, "model", name, getattr(net, name), minimum=1)
+           for name in sorted(_SECTION_FIELDS["model"])},
+        schedule_steps=cfg.schedule.timesteps)
+    a = blob.get("alignment", {})
+    _check_keys("alignment", a)
+    cfg.align_first_frame_only = _field(a, "alignment", "first_frame_only", False)
+    cfg.control_on_recon = _field(a, "alignment", "control_on_recon", True)
+    prompts = blob.get("prompts", {})
+    _check_keys("prompts", prompts)
+    cfg.prompt_source = _field(prompts, "prompts", "source", "")
+    cfg.prompt_target = _field(prompts, "prompts", "target", "")
+    paths = blob.get("paths", {})
+    _check_keys("paths", paths)
+    cfg.paths = {k: _field(paths, "paths", k, "") for k in paths}
     _validate(cfg)
     return cfg
 
@@ -127,6 +158,12 @@ def _validate(cfg: Config) -> None:
                           f"by pool {cfg.model.pool}")
     if len(cfg.model.widths) != 2:
         raise ConfigError("widths must list exactly two level widths")
+    if cfg.model.latent_size % 2 != 0:
+        raise ConfigError(f"latent size {cfg.model.latent_size} (image_size / "
+                          f"pool) must be even for the second level")
+    if cfg.model.time_width % 2 != 0:
+        raise ConfigError(f"time_width {cfg.model.time_width} must be even "
+                          f"(sin and cos halves)")
     if cfg.training.steps < 0 or cfg.training.lr <= 0:
         raise ConfigError("training needs steps >= 0 and lr > 0")
     if cfg.sampler.steps < 1:

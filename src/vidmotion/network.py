@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -463,12 +463,11 @@ def _control_block(x: Tensor, model: ModelWeights, lid: str, t: int) -> Tensor:
     return T.add(x, att)
 
 
-def controlnet_forward(model: ModelWeights, z: Tensor, t: int,
-                       skeletons: np.ndarray) -> dict[str, Tensor]:
-    """Per-block conditioning features from pose maps; zero at construction.
+def pose_features(model: ModelWeights, skeletons: np.ndarray) -> dict[int, Tensor]:
+    """Pose pyramid of a skeleton stack, per U-Net level: (F, N_l, d_l).
 
-    Returns one feature block per conditioned U-Net layer, shaped like that
-    layer's activations.
+    The pose encoder is frozen and a run's skeletons are fixed, so callers
+    build this once and hand it to every controlnet_forward of the run.
     """
     cfg = model.cfg
     skeletons = np.asarray(skeletons)
@@ -476,16 +475,27 @@ def controlnet_forward(model: ModelWeights, z: Tensor, t: int,
         raise ConfigError(f"got {skeletons.shape[0]} pose maps for "
                           f"{cfg.frames} frames")
     pyramids = [pose_encode(model, sk) for sk in skeletons]
-    pose0 = T.concat([T.reshape(py[0], (1,) + py[0].shape) for py in pyramids], axis=0)
-    pose1 = T.concat([T.reshape(py[1], (1,) + py[1].shape) for py in pyramids], axis=0)
+    return {level: T.concat([T.reshape(py[level], (1,) + py[level].shape)
+                             for py in pyramids], axis=0)
+            for level in (0, 1)}
 
+
+def controlnet_forward(model: ModelWeights, z: Tensor, t: int,
+                       pose: dict[int, Tensor]) -> dict[str, Tensor]:
+    """Per-block conditioning features from pose_features; zero at
+    construction.
+
+    Returns one feature block per conditioned U-Net layer, shaped like that
+    layer's activations.
+    """
+    cfg = model.cfg
     h0 = w0 = cfg.latent_size
     x = A.project_tokens(_tokens_from_latent(z, cfg), model.params["control.in_proj"])
-    x = T.add(x, pose0)
+    x = T.add(x, pose[0])
     x = _control_block(x, model, "c_enc0", t)
     f0 = x
     x = A.project_tokens(_pool2_tokens(x, h0, w0), model.params["control.down_proj"])
-    x = T.add(x, pose1)
+    x = T.add(x, pose[1])
     x = _control_block(x, model, "c_enc1", t)
     x = _control_block(x, model, "c_mid", t)
     return {
@@ -521,19 +531,54 @@ def save_checkpoint(directory, model: ModelWeights) -> None:
         json.dump(manifest, fh, indent=1, sort_keys=True)
 
 
+def _manifest_config(c, path) -> NetConfig:
+    """NetConfig from the ``config`` entry of manifest ``path``: every size a
+    positive integer and two positive level widths."""
+    if not isinstance(c, dict):
+        raise ConfigError(f"{path}: manifest needs a 'config' object")
+    sizes = {f.name: c.get(f.name) for f in fields(NetConfig) if f.name != "widths"}
+    widths = c.get("widths")
+    if not isinstance(widths, list) or len(widths) != 2:
+        raise ConfigError(f"{path}: config widths must list two level "
+                          f"widths, got {widths!r}")
+    for key, value in [*sizes.items(), *(("widths", w) for w in widths)]:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{path}: config {key} must be a positive "
+                              f"integer, got {value!r}")
+    return NetConfig(widths=tuple(widths), **sizes)
+
+
 def load_checkpoint(directory) -> ModelWeights:
+    """Read a save_checkpoint directory; a manifest whose config, tensor
+    names or shapes do not describe an init_model of that config raises
+    ConfigError."""
     import json
     import os
 
-    with open(os.path.join(directory, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    c = manifest["config"]
-    cfg = NetConfig(frames=c["frames"], image_size=c["image_size"],
-                    channels=c["channels"], widths=tuple(c["widths"]),
-                    time_width=c["time_width"], pool=c["pool"],
-                    schedule_steps=c["schedule_steps"])
+    path = os.path.join(directory, "manifest.json")
+    with open(path) as fh:
+        try:
+            manifest = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{path}: manifest must be a JSON object")
+    cfg = _manifest_config(manifest.get("config"), path)
+    tensors = manifest.get("tensors")
+    if not isinstance(tensors, dict):
+        raise ConfigError(f"{path}: manifest needs a 'tensors' object")
+    want = {name: list(t.shape)
+            for name, t in init_model(cfg, seed=0).params.items()}
+    if set(tensors) != set(want):
+        raise ConfigError(f"{path}: tensor names differ from the model: "
+                          f"missing {sorted(set(want) - set(tensors))}, "
+                          f"unexpected {sorted(set(tensors) - set(want))}")
     params = {}
-    for name, meta in manifest["tensors"].items():
+    for name, meta in tensors.items():
+        if (not isinstance(meta, dict) or not isinstance(meta.get("file"), str)
+                or meta.get("shape") != want[name]):
+            raise ConfigError(f"{path}: tensor {name} entry {meta!r} does not "
+                              f"name a file of shape {want[name]}")
         t = T.load_tensor(os.path.join(directory, meta["file"]))
         if list(t.shape) != meta["shape"]:
             raise ConfigError(f"checkpoint tensor {name} has shape "

@@ -83,7 +83,7 @@ def one_shot_train(model: N.ModelWeights, video: Tensor,
     params = {n: model.params[n] for n in names}
     state = T.AdamState(lr=lr)
     losses: list[float] = []
-    skeletons = np.asarray(skeletons)
+    pose = N.pose_features(model, skeletons)
     for step in range(steps):
         t = rng.integer(0, schedule.timesteps)
         eps = rng.normal(z0.shape)
@@ -91,7 +91,7 @@ def one_shot_train(model: N.ModelWeights, video: Tensor,
         tape = T.Tape()
         watched = {n: tape.watch(p) for n, p in params.items()}
         m = model.replace(watched)
-        feats = N.controlnet_forward(m, x_t, t, skeletons)
+        feats = N.controlnet_forward(m, x_t, t, pose)
         eps_pred = N.unet_forward(m, x_t, t, prompt, control_feats=feats)
         loss = D.training_loss(eps_pred, eps)
         value = loss.item()
@@ -108,31 +108,30 @@ def one_shot_train(model: N.ModelWeights, video: Tensor,
 def invert(model: N.ModelWeights, z0: Tensor, steps: int,
            schedule: D.NoiseSchedule | None = None,
            eps_fn: D.EpsFn | None = None,
-           skeletons: np.ndarray | None = None,
+           pose: dict[int, Tensor] | None = None,
            prompt: str | None = None) -> D.Trajectory:
     """DDIM inversion at guidance scale 1 (no extrapolation; the null-text
     stage is deliberately absent and ``eps_fn`` overrides the predictor for
     oracle tests).
 
     By default the predictor runs on the unconditional embedding; passing the
-    branches' ``prompt`` and ``skeletons`` makes the inversion share their
-    conditioning, so reconstruction undoes it without a predictor mismatch.
+    branches' ``prompt`` and ``pose`` (from N.pose_features) makes the
+    inversion share their conditioning, so reconstruction undoes it without a
+    predictor mismatch.
     """
     schedule = schedule or D.make_schedule(model.cfg.schedule_steps)
     ts = D.subsequence(schedule.timesteps, steps)
     if eps_fn is None:
-        skels = None if skeletons is None else np.asarray(skeletons)
-
         def eps_fn(x, t):
-            feats = (N.controlnet_forward(model, x, t, skels)
-                     if skels is not None else None)
+            feats = (N.controlnet_forward(model, x, t, pose)
+                     if pose is not None else None)
             return N.unet_forward(model, x, t, prompt, control_feats=feats)
     return D.ddim_invert(eps_fn, z0, ts, schedule)
 
 
 def _denoise(model: N.ModelWeights, x_start: Tensor, ts: list[int],
              schedule: D.NoiseSchedule, prompt: str,
-             skeletons: np.ndarray | None, guidance: float, role: str,
+             pose: dict[int, Tensor] | None, guidance: float, role: str,
              cache: I.ReconCache | None, masks: I.LatentMask | None,
              inj: I.InjectionSettings, eps_fn: D.EpsFn | None = None,
              ) -> D.Trajectory:
@@ -146,8 +145,8 @@ def _denoise(model: N.ModelWeights, x_start: Tensor, ts: list[int],
             eps = eps_fn(x, t)
         else:
             step_role = role if inj.active_at(idx, total) else "plain"
-            feats = (N.controlnet_forward(model, x, t, skeletons)
-                     if skeletons is not None else None)
+            feats = (N.controlnet_forward(model, x, t, pose)
+                     if pose is not None else None)
             eps_c = N.unet_forward(model, x, t, prompt, control_feats=feats,
                                    role=step_role, cache=cache, masks=masks,
                                    inj=inj)
@@ -180,12 +179,11 @@ def reconstruct(model: N.ModelWeights, video: Tensor, skeletons: np.ndarray,
     condition at guidance 1, with no injection."""
     schedule = schedule or D.make_schedule(model.cfg.schedule_steps)
     z0 = N.encode_video(video, model.cfg)
-    inv = invert(model, z0, steps, schedule, eps_fn=eps_fn,
-                 skeletons=np.asarray(skeletons) if control_on_recon else None,
+    pose = N.pose_features(model, skeletons) if control_on_recon else None
+    inv = invert(model, z0, steps, schedule, eps_fn=eps_fn, pose=pose,
                  prompt=prompt)
     ts = D.subsequence(schedule.timesteps, steps)
-    traj = _denoise(model, inv.final, ts, schedule, prompt,
-                    np.asarray(skeletons) if control_on_recon else None,
+    traj = _denoise(model, inv.final, ts, schedule, prompt, pose,
                     guidance=1.0, role="plain", cache=None, masks=None,
                     inj=I.InjectionSettings(enabled=False), eps_fn=eps_fn)
     return ReconstructResult(traj.final, inv, traj)
@@ -235,24 +233,23 @@ def edit(job: EditJob, model: N.ModelWeights,
     aligned, reports = align_job_skeletons(job)
 
     z0 = N.encode_video(job.video, cfg)
-    inv = invert(model, z0, job.steps, schedule,
-                 skeletons=np.asarray(job.source_skeletons)
-                 if job.control_on_recon else None,
+    source_pose = (N.pose_features(model, job.source_skeletons)
+                   if job.control_on_recon else None)
+    inv = invert(model, z0, job.steps, schedule, pose=source_pose,
                  prompt=job.prompt_source)
     ts = D.subsequence(schedule.timesteps, job.steps)
 
     cache = I.ReconCache()
     recon_traj = _denoise(model, inv.final, ts, schedule, job.prompt_source,
-                          np.asarray(job.source_skeletons)
-                          if job.control_on_recon else None,
-                          guidance=1.0, role="recon", cache=cache, masks=None,
-                          inj=job.injection)
+                          source_pose, guidance=1.0, role="recon",
+                          cache=cache, masks=None, inj=job.injection)
     cache.freeze()
 
     masks = I.LatentMask.from_rasters(np.asarray(job.source_masks),
                                       cfg.level_shapes())
     edit_traj = _denoise(model, inv.final, ts, schedule, job.prompt_target,
-                         aligned, guidance=job.guidance, role="edit",
-                         cache=cache, masks=masks, inj=job.injection)
+                         N.pose_features(model, aligned),
+                         guidance=job.guidance, role="edit", cache=cache,
+                         masks=masks, inj=job.injection)
     return EditResult(edit_traj.final, recon_traj.final, aligned, reports,
                       inv, cache)

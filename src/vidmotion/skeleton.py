@@ -280,6 +280,8 @@ def write_pgm(path, img: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
+    """Binary (P5) 8-bit PGM; a malformed file raises RasterError naming the
+    path and the byte offset."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:2] != b"P5":
@@ -296,11 +298,22 @@ def read_pgm(path) -> np.ndarray:
         start = pos
         while pos < len(raw) and not raw[pos:pos + 1].isspace():
             pos += 1
-        fields.append(int(raw[start:pos]))
+        token = raw[start:pos]
+        if not token:
+            raise RasterError(f"{path}: PGM header truncated at byte {start}")
+        if not token.isdigit():
+            raise RasterError(f"{path}: PGM header field {token!r} at byte "
+                              f"{start} is not a decimal integer")
+        fields.append(int(token))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
     if maxval != 255:
         raise RasterError(f"{path}: unsupported maxval {maxval}")
+    if w < 1 or h < 1:
+        raise RasterError(f"{path}: PGM size {w}x{h} is empty")
+    if len(raw) < pos + h * w:
+        raise RasterError(f"{path}: PGM payload truncated at byte {len(raw)}: "
+                          f"{w}x{h} needs {pos + h * w} bytes")
     data = np.frombuffer(raw, dtype=np.uint8, count=h * w, offset=pos)
     return data.reshape(h, w).copy()
 

@@ -3,12 +3,15 @@
 Tensors are immutable numpy-backed values; every public operation returns a
 new tensor. Gradient tracking is opt-in: a Tape records primitive
 applications in construction (= topological) order, and backward() walks the
-record once, accumulating gradients per node.
+record once, accumulating gradients per node. Nodes point back at their tape
+only weakly, so a tape and its graph are freed by reference counting as soon
+as the caller drops the tape and the tensors recorded on it.
 """
 from __future__ import annotations
 
 import math
 import struct
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,14 +32,24 @@ class FormatError(ValueError):
 class Node:
     """One recorded primitive application."""
 
-    __slots__ = ("tape", "idx", "op", "parents", "backward_fn")
+    __slots__ = ("_tape", "idx", "op", "parents", "backward_fn")
 
     def __init__(self, tape, idx, op, parents, backward_fn):
-        self.tape = tape
+        # weak, or Tape.nodes -> Node -> Tape is a cycle that only the
+        # cyclic garbage collector frees, long after the step that built it
+        self._tape = weakref.ref(tape)
         self.idx = idx
         self.op = op
         self.parents = parents
         self.backward_fn = backward_fn
+
+    @property
+    def tape(self) -> "Tape":
+        """The tape this node was recorded on; TapeError once it is freed."""
+        tape = self._tape()
+        if tape is None:
+            raise TapeError(f"node {self.idx} ({self.op}) outlived its tape")
+        return tape
 
 
 class Tensor:
@@ -108,22 +121,29 @@ class Tape:
         return node
 
     def grad(self, t: Tensor) -> Tensor | None:
-        """Gradient of the last backward() for ``t``, or None if unreached."""
-        if t.node is None or t.node.tape is not self:
+        """Gradient of the last backward() for the watched leaf ``t``.
+
+        None if ``t`` is not a leaf of this tape or the loss did not reach
+        it. Interior gradients are dropped as backward() propagates them.
+        """
+        if t.node is None or t.node._tape() is not self:
             return None
         return self.gradients.get(t.node.idx)
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
-    """Populate tape.gradients for every node reachable from a scalar loss."""
-    if loss.node is None or loss.node.tape is not tape:
+    """Populate tape.gradients for every watched leaf reachable from a
+    scalar loss."""
+    if loss.node is None or loss.node._tape() is not tape:
         raise TapeError("loss is not recorded on this tape")
     if loss.data.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {loss.node.idx: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        g = grads.get(node.idx)
-        if g is None or node.backward_fn is None:
+        if node.backward_fn is None:
+            continue
+        g = grads.pop(node.idx, None)
+        if g is None:
             continue
         for parent, pg in zip(node.parents, node.backward_fn(g)):
             if parent is None or pg is None:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import synth_masks, synth_skeletons, synth_video
+from vidmotion import network as N
 from vidmotion import skeleton as SK
 from vidmotion import tensor as T
 from vidmotion.cli import frame_metrics, main
@@ -47,6 +48,14 @@ def make_job_dir(tmp_path, *, ref_shift=3.0, config_extra=None):
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps(blob, indent=1))
     return root, cfg_path
+
+
+def assert_one_line_error(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err, err
 
 
 def tree_bytes(directory):
@@ -118,6 +127,19 @@ class TestAlignCommand:
         assert main(["align", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw,needle", [
+        (b"P5\n32 32\n255\n", "truncated at byte 13"),
+        (b"P5\n32 x2\n255\n", "at byte 6"),
+        (b"P5\n32 32", "truncated at byte 8"),
+    ], ids=["header-only", "non-numeric-field", "short-header"])
+    def test_malformed_pgm_exits_2_with_one_line(self, tmp_path, capsys,
+                                                 raw, needle):
+        root, cfg = make_job_dir(tmp_path)
+        (root / "src_skeletons" / "frame_003.pgm").write_bytes(raw)
+        assert main(["align", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_error(capsys, "frame_003.pgm", needle)
 
 
 class TestTrainCommand:
@@ -234,6 +256,28 @@ class TestEditCommand:
                      "--out", str(tmp_path / "o")]) == 2
         assert "frame 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: {},
+        lambda m: {**m, "config": {**m["config"], "pool": "4"}},
+        lambda m: {**m, "config": {**m["config"], "channels": 0}},
+        lambda m: {**m, "tensors": []},
+        lambda m: {**m, "tensors": {k: v for k, v in m["tensors"].items()
+                                    if k != "unet.out_b"}},
+        lambda m: {**m, "tensors": {**m["tensors"], "unet.out_b": {
+            **m["tensors"]["unet.out_b"], "shape": [5]}}},
+    ], ids=["empty", "config-ill-typed", "config-zero-size", "tensors-not-object",
+            "tensor-missing", "tensor-shape"])
+    def test_malformed_checkpoint_manifest_exits_2_with_one_line(
+            self, tmp_path, capsys, corrupt):
+        _, cfg = make_job_dir(tmp_path)
+        ckpt = tmp_path / "ckpt"
+        N.save_checkpoint(ckpt, N.init_model(N.NetConfig(), seed=7))
+        manifest = ckpt / "manifest.json"
+        manifest.write_text(json.dumps(corrupt(json.loads(manifest.read_text()))))
+        assert main(["edit", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_error(capsys, "manifest.json")
+
 
 class TestReconstructCommand:
     def test_writes_reconstruction_and_report(self, tmp_path):
@@ -269,6 +313,25 @@ class TestConfigHandling:
                      "--out", str(tmp_path / "o")]) == 2
         assert "giudance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blob,needle", [
+        ({"model": {"pool": 0}}, "model.pool"),
+        ({"model": {"frames": "eight"}}, "model.frames"),
+        ({"training": {"steps": "2"}}, "training.steps"),
+        ({"injection": {"window_fraction": "x"}}, "injection.window_fraction"),
+        ({"model": {"widths": [32, "64"]}}, "model.widths"),
+        ({"seed": 1.5}, "seed"),
+        ({"model": {"image_size": 20}}, "latent size"),
+        ({"model": {"time_width": 31}}, "time_width"),
+    ], ids=["pool-zero", "frames-string", "steps-string", "window-string",
+            "widths-string", "seed-float", "odd-latent", "odd-time-width"])
+    def test_ill_typed_or_out_of_range_field_exits_2(self, tmp_path, capsys,
+                                                     blob, needle):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(blob))
+        assert main(["align", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_error(capsys, needle)
+
     def test_seed_override_applies(self, tmp_path):
         _, cfg = make_job_dir(tmp_path)
         out_a = tmp_path / "a"
@@ -287,7 +350,7 @@ class TestSelftestCommand:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 12
+        assert out.count("PASS") == 13
 
     def test_corrupted_gradient_mode_fails_specific_check(self, capsys):
         assert main(["selftest", "--corrupt-gradient"]) == 1

@@ -200,7 +200,8 @@ class TestUnetForward:
 class TestZeroConditioningNeutrality:
     def test_conditioned_equals_unconditioned_at_zero_init(self, latent):
         pristine = N.init_model(CFG, seed=11, pretrained_control=False)
-        feats = N.controlnet_forward(pristine, latent, 4, skeleton_stack())
+        feats = N.controlnet_forward(pristine, latent, 4,
+                                     N.pose_features(pristine, skeleton_stack()))
         for f in feats.values():
             assert (f.data == 0).all()
         eps_cond = N.unet_forward(pristine, latent, 4, "p", control_feats=feats)
@@ -208,7 +209,8 @@ class TestZeroConditioningNeutrality:
         np.testing.assert_array_equal(eps_cond.data, eps_plain.data)
 
     def test_pretrained_control_produces_signal(self, model, latent):
-        feats = N.controlnet_forward(model, latent, 4, skeleton_stack())
+        feats = N.controlnet_forward(model, latent, 4,
+                                     N.pose_features(model, skeleton_stack()))
         assert any((f.data != 0).any() for f in feats.values())
         eps_cond = N.unet_forward(model, latent, 4, "p", control_feats=feats)
         eps_plain = N.unet_forward(model, latent, 4, "p")
@@ -217,20 +219,22 @@ class TestZeroConditioningNeutrality:
 
 class TestControlnetForward:
     def test_residual_shapes_match_block_activations(self, model, latent):
-        feats = N.controlnet_forward(model, latent, 3, skeleton_stack())
+        feats = N.controlnet_forward(model, latent, 3,
+                                     N.pose_features(model, skeleton_stack()))
         assert feats["dec1"].shape == (CFG.frames, 16, 64)
         assert feats["dec0"].shape == (CFG.frames, 64, 32)
 
     def test_frame_count_mismatch_rejected(self, model, latent):
         with pytest.raises(N.ConfigError):
-            N.controlnet_forward(model, latent, 3, skeleton_stack()[:4])
+            N.controlnet_forward(model, latent, 3,
+                                 N.pose_features(model, skeleton_stack()[:4]))
 
     def test_perturbing_one_pose_map_keeps_outputs_finite(self, model, latent):
         sk = skeleton_stack()
-        base = N.controlnet_forward(model, latent, 3, sk)
+        base = N.controlnet_forward(model, latent, 3, N.pose_features(model, sk))
         sk2 = sk.copy()
         sk2[3] = 255.0 - sk2[3]
-        bumped = N.controlnet_forward(model, latent, 3, sk2)
+        bumped = N.controlnet_forward(model, latent, 3, N.pose_features(model, sk2))
         for key in base:
             assert np.isfinite(bumped[key].data).all()
         assert not np.array_equal(base["dec1"].data, bumped["dec1"].data)

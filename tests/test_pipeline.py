@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,8 @@ class TestOneShotTrain:
         names = sorted(N.trainable_names(base_model))
         watched = {n: tape.watch(base_model.params[n]) for n in names}
         m = base_model.replace(watched)
-        feats = N.controlnet_forward(m, x_t, t, synth_skeletons())
+        feats = N.controlnet_forward(m, x_t, t,
+                                     N.pose_features(m, synth_skeletons()))
         loss = D.training_loss(
             N.unet_forward(m, x_t, t, "p", control_feats=feats), eps)
         T.backward(tape, loss)
@@ -38,6 +41,27 @@ class TestOneShotTrain:
         watched_ids = {w.node.idx for w in watched.values()}
         leaf_ids = {node.idx for node in tape.nodes if node.op == "leaf"}
         assert leaf_ids == watched_ids
+
+    def test_training_steps_leave_no_cyclic_garbage(self, base_model, schedule):
+        # with the cyclic collector off, every step's tape and nodes must be
+        # freed by reference counting; DEBUG_SAVEALL keeps whatever a later
+        # collection finds unreachable in gc.garbage, where it can be seen
+        gc.collect()
+        enabled, flags, start = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+        gc.disable()
+        try:
+            P.one_shot_train(base_model, synth_video(), synth_skeletons(), "p",
+                             steps=2, schedule=schedule, rng=T.Rng(0))
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = [type(o).__name__ for o in gc.garbage[start:]
+                      if isinstance(o, (T.Tape, T.Node))]
+        finally:
+            gc.set_debug(flags)
+            del gc.garbage[start:]
+            if enabled:
+                gc.enable()
+        assert leaked == []
 
     def test_training_descends_and_freezes(self, base_model, schedule, training_run):
         frozen = set(base_model.params) - N.trainable_names(base_model)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -196,6 +198,82 @@ class TestBackward:
         T.backward(tape, T.mean(T.matmul(x, w)))
         assert tape.grad(x).shape == (3, 5)
         assert tape.grad(w).shape == (5, 2)
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Run a test with the cyclic collector off, so that only reference
+    counting frees objects."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def keep_all_backward(tape, loss):
+    """Reference walk that keeps every reached node's gradient (the walk
+    before interior gradients were dropped); returns {node idx: array}."""
+    grads = {loss.node.idx: np.ones_like(loss.data)}
+    for node in reversed(tape.nodes):
+        g = grads.get(node.idx)
+        if g is None or node.backward_fn is None:
+            continue
+        for parent, pg in zip(node.parents, node.backward_fn(g)):
+            if parent is None or pg is None:
+                continue
+            acc = grads.get(parent.idx)
+            grads[parent.idx] = pg if acc is None else acc + pg
+    return grads
+
+
+class TestTapeLifetime:
+    def test_tape_freed_by_refcount_after_backward(self, no_cyclic_gc):
+        tape = T.Tape()
+        x = tape.watch(T.Tensor(rnd((3, 4), seed=60)))
+        loss = T.mean(T.silu(T.matmul(x, T.Tensor(rnd((4, 2), seed=61)))))
+        T.backward(tape, loss)
+        grad = tape.grad(x)
+        freed = weakref.ref(tape)
+        del tape, x, loss
+        assert freed() is None
+        assert grad.shape == (3, 4)
+
+    def test_tensor_of_collected_tape_raises(self, no_cyclic_gc):
+        old = T.Tape()
+        stale = T.silu(old.watch(T.Tensor(rnd((2, 2), seed=62))))
+        del old
+        live = T.Tape()
+        y = live.watch(T.Tensor(rnd((2, 2), seed=63)))
+        with pytest.raises(T.TapeError):
+            T.add(stale, y)
+        with pytest.raises(T.TapeError):
+            T.add(y, stale)
+        with pytest.raises(T.TapeError):
+            T.silu(stale)
+        assert live.grad(stale) is None
+        with pytest.raises(T.TapeError):
+            T.backward(live, T.sum(stale))
+
+    def test_only_leaf_gradients_kept_and_equal_keep_all_walk(self):
+        tape = T.Tape()
+        x = tape.watch(T.Tensor(rnd((2, 3, 4), seed=64)))
+        w = tape.watch(T.Tensor(rnd((4, 4), seed=65, scale=0.5)))
+        gamma = tape.watch(T.Tensor(rnd((4,), seed=66)))
+        beta = tape.watch(T.Tensor(rnd((4,), seed=67)))
+        h = T.reshape(T.matmul(T.reshape(x, (6, 4)), w), (2, 3, 4))
+        n = T.layer_norm(T.add(h, x), gamma, beta)
+        g = T.gather_rows(T.softmax(n, axis=-1), np.array([[2, 0, 2], [1, 1, 0]]))
+        s = T.concat([T.silu(g), T.mul(h, x)], axis=1)
+        loss = T.mean(T.mul(s, T.Tensor(rnd((2, 6, 4), seed=68))))
+        T.backward(tape, loss)
+        want = keep_all_backward(tape, loss)
+        leaves = (x, w, gamma, beta)
+        assert set(tape.gradients) == {t.node.idx for t in leaves}
+        for t in (h, n, g, s, loss):
+            assert tape.grad(t) is None
+        for t in leaves:
+            np.testing.assert_array_equal(tape.grad(t).data, want[t.node.idx])
 
 
 @pytest.mark.parametrize("name,f,shape", [
