@@ -60,23 +60,20 @@ class AdapterWeights:
         out[f"{prefix}.out_proj"] = self.out_proj
         return out
 
-    def replace(self, named: dict[str, Tensor], prefix: str = "adapter") -> "AdapterWeights":
-        """Rebuild with any tensors present in ``named`` swapped in."""
-        cur = self.named(prefix)
-        merged = {k: named.get(k, v) for k, v in cur.items()}
+    @classmethod
+    def from_named(cls, named: dict[str, Tensor],
+                   prefix: str = "adapter") -> "AdapterWeights":
+        """The weights that ``named(prefix)`` would list, read from ``named``."""
+        def ln(sub):
+            return LayerNormParams(named[f"{prefix}.{sub}.gamma"],
+                                   named[f"{prefix}.{sub}.beta"])
 
-        def pick(name):
-            return merged[f"{prefix}.{name}"]
-
-        return AdapterWeights(
-            ln_cross=LayerNormParams(pick("ln_cross.gamma"), pick("ln_cross.beta")),
-            ln_temporal=LayerNormParams(pick("ln_temporal.gamma"),
-                                        pick("ln_temporal.beta")),
-            cross=A.ProjectionSet(pick("cross.w_q"), pick("cross.w_k"),
-                                  pick("cross.w_v"), pick("cross.w_out")),
-            temporal=A.ProjectionSet(pick("temporal.w_q"), pick("temporal.w_k"),
-                                     pick("temporal.w_v"), pick("temporal.w_out")),
-            conv1=pick("conv1"), conv2=pick("conv2"), out_proj=pick("out_proj"),
+        return cls(
+            ln_cross=ln("ln_cross"), ln_temporal=ln("ln_temporal"),
+            cross=A.ProjectionSet.from_named(named, f"{prefix}.cross"),
+            temporal=A.ProjectionSet.from_named(named, f"{prefix}.temporal"),
+            conv1=named[f"{prefix}.conv1"], conv2=named[f"{prefix}.conv2"],
+            out_proj=named[f"{prefix}.out_proj"],
         )
 
 
@@ -97,10 +94,10 @@ def adapter_global_path(m: Tensor, z: Tensor, w: AdapterWeights) -> Tensor:
     """Cross-attention (pose queries over latents) followed by temporal
     attention, each preceded by layer norm of the adapter stream."""
     q_in = T.layer_norm(m, w.ln_cross.gamma, w.ln_cross.beta)
-    g1 = A.content_cross_attention_batched(q_in, z, w.cross)
+    g1 = A.content_cross_attention(q_in, z, w.cross)
     t_in = T.transpose(T.layer_norm(g1, w.ln_temporal.gamma, w.ln_temporal.beta),
                        (1, 0, 2))
-    g2 = A.temporal_attention_batched(t_in, w.temporal)
+    g2 = A.temporal_attention(t_in, w.temporal)
     return T.transpose(g2, (1, 0, 2))
 
 
@@ -139,13 +136,13 @@ def adapter_grad_check(w: AdapterWeights, rng: T.Rng | None = None,
     m0 = rng.normal((frames, tokens, d), 0.7)
     z0 = rng.normal((frames, tokens, d), 0.7)
     probe = rng.normal((frames, tokens, d), 1.0)
-    names = sorted(w.named().keys())
+    named = w.named()
     report: dict[str, dict] = {}
     all_ok = True
-    for name in names:
+    for name in sorted(named):
         tape = T.Tape()
-        watched = {name: tape.watch(w.named()[name])}
-        w_t = w.replace(watched)
+        watched = {name: tape.watch(named[name])}
+        w_t = AdapterWeights.from_named({**named, **watched})
         loss = T.mean(T.mul(adapter_forward(m0, z0, w_t), probe))
         T.backward(tape, loss)
         analytic = tape.grad(watched[name]).data
@@ -153,10 +150,10 @@ def adapter_grad_check(w: AdapterWeights, rng: T.Rng | None = None,
             analytic = grad_transform(name, analytic)
 
         def forward(arr: np.ndarray, _name=name) -> float:
-            w_n = w.replace({_name: Tensor(arr)})
+            w_n = AdapterWeights.from_named({**named, _name: Tensor(arr)})
             return T.mean(T.mul(adapter_forward(m0, z0, w_n), probe)).item()
 
-        numeric = numeric_gradient(forward, w.named()[name].data.copy(), h=h)
+        numeric = numeric_gradient(forward, named[name].data.copy(), h=h)
         err = relative_error(analytic, numeric)
         ok = err <= tol
         all_ok &= ok

@@ -1,7 +1,9 @@
 """Attention kernels: scaled-dot attention, cross-frame (preceding+current)
 attention, per-location temporal attention, and pose-query cross-attention.
 
-Single head throughout; tokens are rows, projections right-multiply.
+Single head throughout; tokens are rows, projections right-multiply. Every
+kernel takes one rank-2 token matrix (n, d) or a rank-3 stack (B, n, d) whose
+leading axis is attended independently.
 """
 from __future__ import annotations
 
@@ -29,6 +31,12 @@ class ProjectionSet:
         return {f"{prefix}.w_q": self.w_q, f"{prefix}.w_k": self.w_k,
                 f"{prefix}.w_v": self.w_v, f"{prefix}.w_out": self.w_out}
 
+    @classmethod
+    def from_named(cls, named: dict[str, Tensor], prefix: str) -> "ProjectionSet":
+        """The projections that ``named(prefix)`` would list, read from ``named``."""
+        return cls(named[f"{prefix}.w_q"], named[f"{prefix}.w_k"],
+                   named[f"{prefix}.w_v"], named[f"{prefix}.w_out"])
+
 
 def init_projection_set(rng: T.Rng, d: int, out_std: float | None = None) -> ProjectionSet:
     std = 1.0 / math.sqrt(d)
@@ -41,28 +49,24 @@ def init_projection_set(rng: T.Rng, d: int, out_std: float | None = None) -> Pro
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q kT / sqrt(d)) v for 2-D token matrices."""
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise T.ShapeError("attend expects 2-D token matrices")
-    if q.shape[1] != k.shape[1]:
-        raise T.ShapeError(f"query width {q.shape[1]} != key width {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise T.ShapeError(f"key count {k.shape[0]} != value count {v.shape[0]}")
-    if k.shape[0] == 0:
+    """softmax(q kT / sqrt(d)) v for rank-2 token matrices, or for rank-3
+    stacks (B,nq,d) x (B,nk,d) -> (B,nq,d) with one softmax per batch entry."""
+    rank = q.data.ndim
+    if rank not in (2, 3) or k.data.ndim != rank or v.data.ndim != rank:
+        raise T.ShapeError(f"attend expects three rank-2 or three rank-3 "
+                           f"stacks, got {q.shape}, {k.shape}, {v.shape}")
+    if not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
+        raise T.ShapeError(f"attend batch sizes differ: {q.shape}, {k.shape}, "
+                           f"{v.shape}")
+    if q.shape[-1] != k.shape[-1]:
+        raise T.ShapeError(f"query width {q.shape[-1]} != key width {k.shape[-1]}")
+    if k.shape[-2] != v.shape[-2]:
+        raise T.ShapeError(f"key count {k.shape[-2]} != value count {v.shape[-2]}")
+    if k.shape[-2] == 0:
         raise T.ShapeError("attend needs at least one key")
-    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(q.shape[1]))
-    return T.matmul(T.softmax(scores, axis=1), v)
-
-
-def attend_batched(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """attend over a leading batch axis: (B,nq,d) x (B,nk,d) -> (B,nq,d)."""
-    if q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2] or k.shape[:2] != v.shape[:2]:
-        raise T.ShapeError(f"batched attend shapes disagree: {q.shape}, "
-                           f"{k.shape}, {v.shape}")
-    if k.shape[1] == 0:
-        raise T.ShapeError("attend needs at least one key")
-    scores = T.scale(T.bmm(q, T.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(q.shape[2]))
-    return T.bmm(T.softmax(scores, axis=2), v)
+    k_t = T.transpose(k, (*range(rank - 2), rank - 1, rank - 2))
+    scores = T.scale(T.matmul(q, k_t), 1.0 / math.sqrt(q.shape[-1]))
+    return T.matmul(T.softmax(scores, axis=rank - 1), v)
 
 
 def project_tokens(tokens: Tensor, w: Tensor) -> Tensor:
@@ -76,57 +80,31 @@ def project_tokens(tokens: Tensor, w: Tensor) -> Tensor:
     raise T.ShapeError(f"cannot project tokens of rank {tokens.data.ndim}")
 
 
+def attention(q_src: Tensor, kv_src: Tensor, p: ProjectionSet) -> Tensor:
+    """Queries projected from ``q_src``, keys and values from ``kv_src``,
+    attended, then projected out."""
+    q = project_tokens(q_src, p.w_q)
+    k = project_tokens(kv_src, p.w_k)
+    v = project_tokens(kv_src, p.w_v)
+    return project_tokens(attend(q, k, v), p.w_out)
+
+
 def cs_attention(z_prev: Tensor, z_cur: Tensor, p: ProjectionSet) -> Tensor:
     """Cross-frame attention: queries from the current frame, keys/values from
     the concatenated preceding+current frames (frame 0 passes itself twice)."""
     if z_prev.shape != z_cur.shape:
         raise T.ShapeError(f"frame token shapes differ: {z_prev.shape} "
                            f"vs {z_cur.shape}")
-    kv_src = T.concat([z_prev, z_cur], axis=0)
-    q = project_tokens(z_cur, p.w_q)
-    k = project_tokens(kv_src, p.w_k)
-    v = project_tokens(kv_src, p.w_v)
-    return project_tokens(attend(q, k, v), p.w_out)
+    return attention(z_cur, T.concat([z_prev, z_cur], axis=z_cur.data.ndim - 2), p)
 
 
 def temporal_attention(stack: Tensor, p: ProjectionSet) -> Tensor:
-    """Self-attention across the frame axis for one spatial location (F x d)."""
-    if stack.data.ndim != 2:
-        raise T.ShapeError(f"temporal stack must be F x d, got {stack.shape}")
-    if stack.shape[0] < 1:
-        raise T.ShapeError("temporal attention needs at least one frame")
-    q = project_tokens(stack, p.w_q)
-    k = project_tokens(stack, p.w_k)
-    v = project_tokens(stack, p.w_v)
-    return project_tokens(attend(q, k, v), p.w_out)
-
-
-def temporal_attention_batched(stacks: Tensor, p: ProjectionSet) -> Tensor:
-    """temporal_attention applied independently over a leading location axis."""
-    if stacks.data.ndim != 3:
-        raise T.ShapeError(f"expected (locations, frames, width), got {stacks.shape}")
-    q = project_tokens(stacks, p.w_q)
-    k = project_tokens(stacks, p.w_k)
-    v = project_tokens(stacks, p.w_v)
-    return project_tokens(attend_batched(q, k, v), p.w_out)
+    """Self-attention across the frame axis: one location's (F, d) stack, or
+    (locations, F, d)."""
+    return attention(stack, stack, p)
 
 
 def content_cross_attention(m: Tensor, z: Tensor, p: ProjectionSet) -> Tensor:
     """Pose-feature queries attend over the frame latent; one output row per
     pose token."""
-    if m.shape[-1] != z.shape[-1]:
-        raise T.ShapeError(f"pose width {m.shape[-1]} != latent width {z.shape[-1]}")
-    q = project_tokens(m, p.w_q)
-    k = project_tokens(z, p.w_k)
-    v = project_tokens(z, p.w_v)
-    return project_tokens(attend(q, k, v), p.w_out)
-
-
-def content_cross_attention_batched(m: Tensor, z: Tensor, p: ProjectionSet) -> Tensor:
-    """content_cross_attention per frame over a leading frame axis."""
-    if m.shape[0] != z.shape[0] or m.shape[-1] != z.shape[-1]:
-        raise T.ShapeError(f"pose/latent stacks disagree: {m.shape} vs {z.shape}")
-    q = project_tokens(m, p.w_q)
-    k = project_tokens(z, p.w_k)
-    v = project_tokens(z, p.w_v)
-    return project_tokens(attend_batched(q, k, v), p.w_out)
+    return attention(m, z, p)

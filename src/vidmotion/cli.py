@@ -268,20 +268,23 @@ def _selftest_checks(seed: int, corrupt_gradient: bool):
 
     def check_attention_gradients():
         p = A.init_projection_set(T.Rng(seed), 6)
-        other = T.Tensor(gen((3, 6)))
-        probe = T.Tensor(gen((3, 6)))
-        kernels = {
-            "attend": lambda x: A.attend(x, other, other),
-            "cs": lambda x: A.cs_attention(other, x, p),
-            "temporal": lambda x: A.temporal_attention(x, p),
-            "cross": lambda x: A.content_cross_attention(x, other, p),
-        }
-        for name, k in kernels.items():
-            ok, err = G.check_gradient(
-                lambda x, k=k: T.mean(T.mul(k(x), probe)), gen((3, 6), 0.7))
-            if not ok:
-                return False, f"{name} relative error {err:.2e}"
-        return True, "all four kernels within 1e-3"
+        # one token matrix, and a stack of two as the network calls them
+        for shape in ((3, 6), (2, 3, 6)):
+            other = T.Tensor(gen(shape))
+            probe = T.Tensor(gen(shape))
+            kernels = {
+                "attend": lambda x: A.attend(x, other, other),
+                "cs": lambda x: A.cs_attention(other, x, p),
+                "temporal": lambda x: A.temporal_attention(x, p),
+                "cross": lambda x: A.content_cross_attention(x, other, p),
+            }
+            for name, k in kernels.items():
+                ok, err = G.check_gradient(
+                    lambda x, k=k: T.mean(T.mul(k(x), probe)), gen(shape, 0.7))
+                if not ok:
+                    return False, (f"{name} rank {len(shape)} relative error "
+                                   f"{err:.2e}")
+        return True, "all four kernels within 1e-3 on rank 2 and rank 3"
 
     def check_adapter_gradients():
         w = AD.init_adapter(T.Rng(seed + 1), 6)
@@ -534,32 +537,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: C.Config, args) -> C.Config:
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "steps", None) is not None:
-        if args.command == "train":
-            cfg.training.steps = args.steps
-        else:
-            cfg.sampler.steps = args.steps
-    if getattr(args, "guidance", None) is not None:
-        cfg.sampler.guidance = args.guidance
+def _flag_fields(args) -> list[tuple[str, str, object]]:
+    """(section, field, value) of every config field a command-line flag
+    sets; section "" is the top level."""
+    steps_section = "training" if args.command == "train" else "sampler"
+    fields = [("", "seed", args.seed),
+              (steps_section, "steps", getattr(args, "steps", None)),
+              ("sampler", "guidance", getattr(args, "guidance", None))]
     if getattr(args, "no_injection", False):
-        cfg.injection.enabled = False
+        fields.append(("injection", "enabled", False))
     if getattr(args, "inject_mid", False):
-        cfg.injection.inject_mid = True
+        fields.append(("injection", "inject_mid", True))
     if getattr(args, "drop_masked_tokens", False):
-        cfg.injection.drop_masked_tokens = True
-    return cfg
+        fields.append(("injection", "drop_masked_tokens", True))
+    return [f for f in fields if f[2] is not None]
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "selftest":
-        return cmd_selftest(seed=args.seed,
-                            corrupt_gradient=args.corrupt_gradient)
     try:
-        cfg = _apply_overrides(C.load_config(args.config), args)
+        if args.command == "selftest":
+            seed = C.config_from_dict({"seed": args.seed}).seed
+            return cmd_selftest(seed=seed, corrupt_gradient=args.corrupt_gradient)
+        cfg = C.load_config(args.config, _flag_fields(args))
         if args.command == "align":
             return cmd_align(cfg, args.out)
         if args.command == "train":

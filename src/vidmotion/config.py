@@ -174,8 +174,19 @@ def _validate(cfg: Config) -> None:
         raise ConfigError("injection window_fraction must lie in [0, 1]")
 
 
-def load_config(path) -> Config:
-    with open(path) as fh:
-        text = fh.read()
+def load_config(path, overrides=()) -> Config:
+    """Config from the JSON file at ``path``, with each ``(section, field,
+    value)`` of ``overrides`` written over the file's before decoding, so an
+    override is checked like the file (section "" is the top level)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     blob = json.loads(text)  # json.JSONDecodeError carries line/column
+    if isinstance(blob, dict):  # config_from_dict rejects any other root
+        for section, name, value in overrides:
+            target = blob.setdefault(section, {}) if section else blob
+            if isinstance(target, dict):  # else config_from_dict rejects it
+                target[name] = value
     return config_from_dict(blob)

@@ -3,8 +3,8 @@
 The reconstruction branch's keys/values are split rowwise by a binary token
 mask, then stacked together with the editing branch's current-frame block;
 the editing branch's preceding-frame block is dropped. Temporal attention is
-injected wholesale: queries from the editing branch, keys/values from the
-reconstruction branch.
+injected wholesale: the network attends its editing-branch queries over the
+cached reconstruction keys/values.
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import attention as A
 from . import tensor as T
 from .tensor import Tensor
 
@@ -110,25 +109,6 @@ def injected_cs_kv(cache: ReconCache, layer: str, t: int, mask: np.ndarray,
     return build_injected_kv(recon, cur, drop_masked_tokens, mask)
 
 
-def inject_temporal(recon_k: Tensor, recon_v: Tensor, edit_q: Tensor) -> Tensor:
-    """Temporal attention with editing queries over reconstruction keys/values."""
-    if recon_k.shape != recon_v.shape:
-        raise T.ShapeError(f"recon key/value shapes differ: {recon_k.shape} "
-                           f"vs {recon_v.shape}")
-    if edit_q.shape[-1] != recon_k.shape[-1]:
-        raise T.ShapeError(f"query width {edit_q.shape[-1]} != recon width "
-                           f"{recon_k.shape[-1]}")
-    if edit_q.data.ndim == 3:
-        if edit_q.shape[:2] != recon_k.shape[:2]:
-            raise T.ShapeError(f"frame layout differs: {edit_q.shape} "
-                               f"vs {recon_k.shape}")
-        return A.attend_batched(edit_q, recon_k, recon_v)
-    if edit_q.shape[0] != recon_k.shape[0]:
-        raise T.ShapeError(f"frame count {edit_q.shape[0]} != recon "
-                           f"{recon_k.shape[0]}")
-    return A.attend(edit_q, recon_k, recon_v)
-
-
 def gate(layer_id: str, topology: dict[str, str], inject_mid: bool = False) -> bool:
     """True iff injection is active for this layer (decoder half only)."""
     try:
@@ -185,16 +165,9 @@ class LatentMask:
             levels[level] = np.stack(per_frame, axis=0)
         return cls(levels)
 
-    def tokens(self, level: int, frame: int) -> np.ndarray:
-        return self.levels[level][frame]
-
-    def cs_tokens(self, level: int, frame: int) -> np.ndarray:
-        """2N mask aligned with [preceding, current] keys (frame 0 clamps)."""
-        prev = self.levels[level][max(frame - 1, 0)]
-        return np.concatenate([prev, self.levels[level][frame]])
-
     def cs_mask(self, level: int) -> np.ndarray:
-        """cs_tokens for every frame at once: (frames, 2N)."""
+        """(frames, 2N) masks aligned with each frame's [preceding, current]
+        keys; frame 0 is its own preceding frame."""
         cur = self.levels[level]
         prev = cur[np.maximum(np.arange(cur.shape[0]) - 1, 0)]
         return np.concatenate([prev, cur], axis=1)
@@ -214,7 +187,6 @@ class ReconCache:
         self.temporal: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
         self.frozen = False
         self.writes = 0
-        self.reads = 0
         self.reads_cs = 0
         self.reads_temporal = 0
 
@@ -246,7 +218,6 @@ class ReconCache:
         except KeyError:
             raise CacheError(f"cache miss: cross-frame entry "
                              f"({layer!r}, t={t}, frame={frame})") from None
-        self.reads += 1
         self.reads_cs += 1
         return Tensor(k), Tensor(v)
 
@@ -256,7 +227,6 @@ class ReconCache:
         except KeyError:
             raise CacheError(f"cache miss: temporal entry "
                              f"({layer!r}, t={t})") from None
-        self.reads += 1
         self.reads_temporal += 1
         return Tensor(k), Tensor(v)
 

@@ -85,24 +85,10 @@ class ModelWeights:
         return ModelWeights(self.cfg, merged)
 
     def pset(self, prefix: str) -> A.ProjectionSet:
-        p = self.params
-        return A.ProjectionSet(p[f"{prefix}.w_q"], p[f"{prefix}.w_k"],
-                               p[f"{prefix}.w_v"], p[f"{prefix}.w_out"])
+        return A.ProjectionSet.from_named(self.params, prefix)
 
     def ln(self, prefix: str) -> tuple[Tensor, Tensor]:
         return self.params[f"{prefix}.gamma"], self.params[f"{prefix}.beta"]
-
-    def adapter_weights(self, level: int) -> AD.AdapterWeights:
-        p = self.params
-        pre = f"adapter{level}"
-        return AD.AdapterWeights(
-            ln_cross=AD.LayerNormParams(*self.ln(f"{pre}.ln_cross")),
-            ln_temporal=AD.LayerNormParams(*self.ln(f"{pre}.ln_temporal")),
-            cross=self.pset(f"{pre}.cross"),
-            temporal=self.pset(f"{pre}.temporal"),
-            conv1=p[f"{pre}.conv1"], conv2=p[f"{pre}.conv2"],
-            out_proj=p[f"{pre}.out_proj"],
-        )
 
 
 def sinusoidal_table(steps: int, width: int) -> Tensor:
@@ -302,7 +288,7 @@ def _cs_sub_block(x: Tensor, model: ModelWeights, lid: str, t: int, role: str,
     if role == "edit" and injecting:
         mask = masks.cs_mask(BLOCK_LEVEL[lid])
         k, v = I.injected_cs_kv(cache, lid, t, mask, k, v, inj.drop_masked_tokens)
-    return A.project_tokens(A.attend_batched(q, k, v), pset.w_out)
+    return A.project_tokens(A.attend(q, k, v), pset.w_out)
 
 
 def _cross_sub_block(x: Tensor, model: ModelWeights, lid: str,
@@ -316,7 +302,7 @@ def _cross_sub_block(x: Tensor, model: ModelWeights, lid: str,
     n_tok, d = k.shape
     k3 = T.repeat_axis(T.reshape(k, (1, n_tok, d)), 0, frames)
     v3 = T.repeat_axis(T.reshape(v, (1, n_tok, d)), 0, frames)
-    return A.project_tokens(A.attend_batched(q, k3, v3), pset.w_out)
+    return A.project_tokens(A.attend(q, k3, v3), pset.w_out)
 
 
 def _temporal_sub_block(x: Tensor, model: ModelWeights, lid: str, t: int,
@@ -331,24 +317,26 @@ def _temporal_sub_block(x: Tensor, model: ModelWeights, lid: str, t: int,
     if role == "recon" and injecting:
         cache.put_temporal(lid, t, k.data, v.data)
     if role == "edit" and injecting:
-        k_r, v_r = cache.get_temporal(lid, t)
-        att = I.inject_temporal(k_r, v_r, q)
-    else:
-        att = A.attend_batched(q, k, v)
+        k, v = cache.get_temporal(lid, t)
+    att = A.attend(q, k, v)
     return A.project_tokens(T.transpose(att, (1, 0, 2)), pset.w_out)
+
+
+def _conv_time_residual(x: Tensor, model: ModelWeights, pre: str, t: int) -> Tensor:
+    """x + silu(conv(x) + time embedding), the opening of every U-Net and
+    ControlNet block."""
+    p = model.params
+    h = T.add(A.project_tokens(x, p[f"{pre}.conv_w"]), p[f"{pre}.conv_b"])
+    t_emb = _time_vector(model, t, p[f"{pre}.time_proj"])
+    h = T.silu(T.add(h, T.reshape(t_emb, (1, 1, h.shape[2]))))
+    return T.add(x, h)
 
 
 def _unet_block(x: Tensor, model: ModelWeights, lid: str, t: int, text: Tensor,
                 role: str, cache, masks, inj, probe) -> Tensor:
-    pre = f"unet.{lid}"
-    p = model.params
     gated = inj is not None and I.gate(lid, TOPOLOGY, inj.inject_mid)
     injecting = gated and (role == "recon" or (role == "edit" and inj.enabled))
-
-    h = T.add(A.project_tokens(x, p[f"{pre}.conv_w"]), p[f"{pre}.conv_b"])
-    t_emb = _time_vector(model, t, p[f"{pre}.time_proj"])
-    h = T.silu(T.add(h, T.reshape(t_emb, (1, 1, h.shape[2]))))
-    x = T.add(x, h)
+    x = _conv_time_residual(x, model, f"unet.{lid}", t)
 
     cs_out = _cs_sub_block(x, model, lid, t, role, cache, masks, inj, injecting)
     if probe is not None:
@@ -408,15 +396,15 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
     x = _unet_block(x, model, "mid", t, text1, role, cache, masks, inj, probe)
     x = T.add(x, skip1)
     if control_feats is not None:
-        x = T.add(x, AD.adapter_forward(control_feats["dec1"], x,
-                                        model.adapter_weights(1)))
+        w = AD.AdapterWeights.from_named(model.params, "adapter1")
+        x = T.add(x, AD.adapter_forward(control_feats["dec1"], x, w))
     x = _unet_block(x, model, "dec1", t, text1, role, cache, masks, inj, probe)
     x = _upsample2_tokens(A.project_tokens(x, model.params["unet.up_proj"]),
                           h0 // 2, w0 // 2)
     x = T.add(x, skip0)
     if control_feats is not None:
-        x = T.add(x, AD.adapter_forward(control_feats["dec0"], x,
-                                        model.adapter_weights(0)))
+        w = AD.AdapterWeights.from_named(model.params, "adapter0")
+        x = T.add(x, AD.adapter_forward(control_feats["dec0"], x, w))
     x = _unet_block(x, model, "dec0", t, text0, role, cache, masks, inj, probe)
     eps = T.add(A.project_tokens(x, model.params["unet.out_proj"]),
                 model.params["unet.out_b"])
@@ -449,18 +437,9 @@ def pose_encode(model: ModelWeights, raster: np.ndarray) -> dict[int, Tensor]:
 
 def _control_block(x: Tensor, model: ModelWeights, lid: str, t: int) -> Tensor:
     pre = f"control.{lid}"
-    p = model.params
-    h = T.add(A.project_tokens(x, p[f"{pre}.conv_w"]), p[f"{pre}.conv_b"])
-    t_emb = _time_vector(model, t, p[f"{pre}.time_proj"])
-    h = T.silu(T.add(h, T.reshape(t_emb, (1, 1, h.shape[2]))))
-    x = T.add(x, h)
-    pset = model.pset(f"{pre}.spatial")
+    x = _conv_time_residual(x, model, pre, t)
     a_in = T.layer_norm(x, *model.ln(f"{pre}.ln_sp"))
-    q = A.project_tokens(a_in, pset.w_q)
-    k = A.project_tokens(a_in, pset.w_k)
-    v = A.project_tokens(a_in, pset.w_v)
-    att = A.project_tokens(A.attend_batched(q, k, v), pset.w_out)
-    return T.add(x, att)
+    return T.add(x, A.attention(a_in, a_in, model.pset(f"{pre}.spatial")))
 
 
 def pose_features(model: ModelWeights, skeletons: np.ndarray) -> dict[int, Tensor]:

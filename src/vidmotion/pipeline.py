@@ -135,32 +135,24 @@ def _denoise(model: N.ModelWeights, x_start: Tensor, ts: list[int],
              cache: I.ReconCache | None, masks: I.LatentMask | None,
              inj: I.InjectionSettings, eps_fn: D.EpsFn | None = None,
              ) -> D.Trajectory:
-    order = list(reversed(ts))
-    total = len(order)
-    traj = D.Trajectory()
-    x = x_start
-    traj.append(ts[-1], x)
-    for idx, t in enumerate(order):
-        if eps_fn is not None:
-            eps = eps_fn(x, t)
-        else:
-            step_role = role if inj.active_at(idx, total) else "plain"
-            feats = (N.controlnet_forward(model, x, t, pose)
-                     if pose is not None else None)
-            eps_c = N.unet_forward(model, x, t, prompt, control_feats=feats,
-                                   role=step_role, cache=cache, masks=masks,
-                                   inj=inj)
-            if guidance == 1.0:
-                eps = eps_c
-            else:
-                eps_u = N.unet_forward(model, x, t, None, control_feats=feats,
-                                       role=step_role, cache=cache, masks=masks,
-                                       inj=inj)
-                eps = D.cfg_combine(eps_u, eps_c, guidance)
-        t_prev = order[idx + 1] if idx + 1 < total else D.CLEAN_STEP
-        x = D.ddim_step(x, eps, t, t_prev, schedule)
-        traj.append(t_prev, x)
-    return traj
+    """DDIM-sample from ``x_start`` with a guided predictor that runs ``role``
+    inside the injection window and "plain" before it (``eps_fn`` overrides
+    the predictor for oracle tests)."""
+    step_index = {t: idx for idx, t in enumerate(reversed(ts))}
+
+    def guided(x: Tensor, t: int) -> Tensor:
+        step_role = role if inj.active_at(step_index[t], len(ts)) else "plain"
+        feats = (N.controlnet_forward(model, x, t, pose)
+                 if pose is not None else None)
+        eps_c = N.unet_forward(model, x, t, prompt, control_feats=feats,
+                               role=step_role, cache=cache, masks=masks, inj=inj)
+        if guidance == 1.0:
+            return eps_c
+        eps_u = N.unet_forward(model, x, t, None, control_feats=feats,
+                               role=step_role, cache=cache, masks=masks, inj=inj)
+        return D.cfg_combine(eps_u, eps_c, guidance)
+
+    return D.ddim_sample(eps_fn or guided, x_start, ts, schedule)
 
 
 @dataclass

@@ -230,24 +230,16 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of two rank-2 tensors, or of two rank-3 stacks with the
+    same leading batch: (B,m,k) x (B,k,n) -> (B,m,n)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    if (a.data.ndim not in (2, 3) or b.data.ndim != a.data.ndim
+            or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]):
         raise ShapeError(f"cannot matmul shapes {a.shape} and {b.shape}")
     out = a.data @ b.data
     return _result("matmul", (a, b), out,
-                   lambda g: (g @ b.data.T, a.data.T @ g))
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul over one leading axis: (B,m,k) x (B,k,n) -> (B,m,n)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if (a.data.ndim != 3 or b.data.ndim != 3 or a.shape[0] != b.shape[0]
-            or a.shape[2] != b.shape[1]):
-        raise ShapeError(f"cannot bmm shapes {a.shape} and {b.shape}")
-    out = a.data @ b.data
-    return _result("bmm", (a, b), out,
-                   lambda g: (g @ b.data.transpose(0, 2, 1),
-                              a.data.transpose(0, 2, 1) @ g))
+                   lambda g: (g @ b.data.swapaxes(-1, -2),
+                              a.data.swapaxes(-1, -2) @ g))
 
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:

@@ -65,6 +65,17 @@ class TestAttend:
         with pytest.raises(T.ShapeError):
             A.attend(T.zeros((2, 4)), T.zeros((3, 5)), T.zeros((3, 5)))
 
+    @pytest.mark.parametrize("q,k,v", [
+        ((2, 4), (2, 3, 4), (2, 3, 4)),
+        ((2, 2, 4), (3, 4), (3, 4)),
+        ((2, 2, 4), (2, 3, 4), (3, 4)),
+        ((2, 2, 4), (3, 3, 4), (3, 3, 4)),
+        ((2, 2, 4), (2, 3, 4), (1, 3, 4)),
+    ], ids=["q-rank2", "kv-rank2", "v-rank2", "kv-batch", "v-batch"])
+    def test_mixed_ranks_or_batch_sizes_rejected(self, q, k, v):
+        with pytest.raises(T.ShapeError):
+            A.attend(T.zeros(q), T.zeros(k), T.zeros(v))
+
     def test_matches_brute_force(self):
         q, k, v = rnd((6, 8), 10), rnd((4, 8), 11), rnd((4, 8), 12)
         out = A.attend(T.Tensor(q), T.Tensor(k), T.Tensor(v))
@@ -98,7 +109,7 @@ class TestAttend:
 
     def test_batched_matches_loop(self):
         q, k, v = rnd((3, 4, 8), 18), rnd((3, 5, 8), 19), rnd((3, 5, 8), 20)
-        batched = A.attend_batched(T.Tensor(q), T.Tensor(k), T.Tensor(v)).data
+        batched = A.attend(T.Tensor(q), T.Tensor(k), T.Tensor(v)).data
         for b in range(3):
             single = A.attend(T.Tensor(q[b]), T.Tensor(k[b]), T.Tensor(v[b])).data
             np.testing.assert_allclose(batched[b], single, atol=1e-6)
@@ -179,7 +190,7 @@ class TestTemporalAttention:
         d = 8
         p = pset(39, d)
         stacks = rnd((6, 4, d), 40)
-        batched = A.temporal_attention_batched(T.Tensor(stacks), p).data
+        batched = A.temporal_attention(T.Tensor(stacks), p).data
         for loc in range(6):
             single = A.temporal_attention(T.Tensor(stacks[loc]), p).data
             np.testing.assert_allclose(batched[loc], single, atol=1e-6)
@@ -218,6 +229,15 @@ class TestContentCrossAttention:
     def test_width_mismatch_rejected(self):
         with pytest.raises(T.ShapeError):
             A.content_cross_attention(T.zeros((2, 4)), T.zeros((3, 8)), pset(49, 8))
+
+    def test_batched_matches_per_frame_loop(self):
+        d = 8
+        p = pset(57, d)
+        m, z = rnd((3, 6, d), 58), rnd((3, 4, d), 59)
+        batched = A.content_cross_attention(T.Tensor(m), T.Tensor(z), p).data
+        for f in range(3):
+            single = A.content_cross_attention(T.Tensor(m[f]), T.Tensor(z[f]), p).data
+            np.testing.assert_allclose(batched[f], single, atol=1e-6)
 
 
 @pytest.mark.parametrize("kernel", ["attend", "cs", "temporal", "cross"])

@@ -332,6 +332,28 @@ class TestConfigHandling:
                      "--out", str(tmp_path / "o")]) == 2
         assert_one_line_error(capsys, needle)
 
+    def test_invalid_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b'{"prompts": {"source": "\xff\xfe"}}')
+        assert main(["align", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_error(capsys, "UTF-8")
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["edit", "--seed", "-1"], "seed"),
+        (["edit", "--guidance", "nan"], "sampler.guidance"),
+        (["train", "--steps", "-4"], "steps"),
+        (["selftest", "--seed", "-1"], "seed"),
+    ], ids=["edit-seed", "edit-guidance-nan", "train-steps", "selftest-seed"])
+    def test_out_of_range_flag_exits_2_with_one_line(self, tmp_path, capsys,
+                                                    argv, needle):
+        if argv[0] != "selftest":
+            _, cfg = make_job_dir(tmp_path)
+            argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert_one_line_error(capsys, needle)
+        assert not (tmp_path / "o").exists()
+
     def test_seed_override_applies(self, tmp_path):
         _, cfg = make_job_dir(tmp_path)
         out_a = tmp_path / "a"

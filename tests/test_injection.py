@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vidmotion import attention as A
 from vidmotion import injection as I
 from vidmotion import tensor as T
 
@@ -168,41 +167,6 @@ class TestFrameAxis:
             I.build_injected_kv(recon, cur, drop_masked_tokens=True, mask=short)
 
 
-class TestInjectTemporal:
-    def test_recon_equals_edit_is_identity_with_plain_attention(self):
-        f, d = 4, 8
-        q = T.Tensor(rnd((f, d), 19))
-        k = T.Tensor(rnd((f, d), 20))
-        v = T.Tensor(rnd((f, d), 21))
-        injected = I.inject_temporal(k, v, q)
-        plain = A.attend(q, k, v)
-        np.testing.assert_array_equal(injected.data, plain.data)
-
-    def test_single_frame_returns_recon_value_row(self):
-        q = T.Tensor(rnd((1, 4), 22))
-        k = T.Tensor(rnd((1, 4), 23))
-        v = T.Tensor(rnd((1, 4), 24))
-        out = I.inject_temporal(k, v, q)
-        np.testing.assert_allclose(out.data, v.data, rtol=1e-6)
-
-    def test_matches_brute_force_attend(self):
-        f, d = 4, 6
-        q, k, v = rnd((f, d), 25), rnd((f, d), 26), rnd((f, d), 27)
-        out = I.inject_temporal(T.Tensor(k), T.Tensor(v), T.Tensor(q))
-        want = A.attend(T.Tensor(q), T.Tensor(k), T.Tensor(v))
-        np.testing.assert_array_equal(out.data, want.data)
-
-    def test_batched_location_stacks(self):
-        locs, f, d = 5, 3, 4
-        q, k, v = rnd((locs, f, d), 28), rnd((locs, f, d), 29), rnd((locs, f, d), 30)
-        out = I.inject_temporal(T.Tensor(k), T.Tensor(v), T.Tensor(q))
-        assert out.shape == (locs, f, d)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(T.ShapeError):
-            I.inject_temporal(T.zeros((3, 4)), T.zeros((3, 4)), T.zeros((3, 5)))
-
-
 class TestGate:
     TOPOLOGY = {"enc0": "encoder", "enc1": "encoder", "mid": "mid",
                 "dec1": "decoder", "dec0": "decoder"}
@@ -240,12 +204,12 @@ class TestMasks:
         lm = I.LatentMask.from_rasters(masks, {0: (8, 8), 1: (4, 4)})
         assert lm.levels[0].shape == (3, 64)
         assert lm.levels[1].shape == (3, 16)
-        two_n = lm.cs_tokens(0, 2)
+        two_n = lm.cs_mask(0)[2]
         assert two_n.shape == (128,)
-        np.testing.assert_array_equal(two_n[:64], lm.tokens(0, 1))
-        np.testing.assert_array_equal(two_n[64:], lm.tokens(0, 2))
+        np.testing.assert_array_equal(two_n[:64], lm.levels[0][1])
+        np.testing.assert_array_equal(two_n[64:], lm.levels[0][2])
         # frame 0 clamps the preceding mask to itself
-        np.testing.assert_array_equal(lm.cs_tokens(0, 0)[:64], lm.tokens(0, 0))
+        np.testing.assert_array_equal(lm.cs_mask(0)[0][:64], lm.levels[0][0])
 
     def test_cs_mask_stacks_cs_tokens_of_every_frame(self):
         masks = (rnd((3, 32, 32), 39) > 0).astype(np.float32)
@@ -253,8 +217,9 @@ class TestMasks:
         for level in (0, 1):
             stacked = lm.cs_mask(level)
             for frame in range(3):
-                np.testing.assert_array_equal(stacked[frame],
-                                              lm.cs_tokens(level, frame))
+                prev = lm.levels[level][max(frame - 1, 0)]
+                np.testing.assert_array_equal(
+                    stacked[frame], np.concatenate([prev, lm.levels[level][frame]]))
 
 
 class TestReconCache:
@@ -263,7 +228,7 @@ class TestReconCache:
         c.put_cs("dec0", 5, 1, rnd((4, 3), 33), rnd((4, 3), 34))
         k, v = c.get_cs("dec0", 5, 1)
         assert k.shape == (4, 3)
-        assert c.writes == 1 and c.reads == 1
+        assert c.writes == 1 and c.reads_cs == 1
 
     def test_duplicate_write_rejected(self):
         c = I.ReconCache()

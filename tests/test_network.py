@@ -60,7 +60,7 @@ def per_frame_cs_edit(x, model, lid, t, cache, masks, drop):
     outs = []
     for i in range(frames):
         k_r, v_r = cache.get_cs(lid, t, i)
-        mask2n = masks.cs_tokens(level, i)
+        mask2n = masks.cs_mask(level)[i]
         recon = I.decouple_kv(k_r, v_r, mask2n)
         k_i = T.reshape(T.slice_axis(k, 0, i, i + 1), (2 * n, d))
         v_i = T.reshape(T.slice_axis(v, 0, i, i + 1), (2 * n, d))
@@ -177,7 +177,7 @@ class TestUnetForward:
         N._cs_sub_block(stream, model, "dec0", 21, "recon", cache, None,
                         I.InjectionSettings(), injecting=True)
         k_r, v_r = cache.get_cs("dec0", 21, 3)
-        mask2n = full_fg.cs_tokens(0, 3)
+        mask2n = full_fg.cs_mask(0)[3]
         recon_parts = I.decouple_kv(k_r, v_r, mask2n)
         assert (recon_parts[2].data == 0).all()  # background block all zero
         np.testing.assert_array_equal(recon_parts[0].data, k_r.data)

@@ -46,6 +46,14 @@ class TestMatmul:
             T.matmul(T.zeros((3, 5)), T.zeros((4, 2)))
         assert "(3, 5)" in str(exc.value) and "(4, 2)" in str(exc.value)
 
+    @pytest.mark.parametrize("a,b", [((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5)),
+                                     ((2, 3, 4), (3, 4, 5)), ((4,), (4, 2))],
+                             ids=["rank3-rank2", "rank2-rank3", "batch-2-3",
+                                  "rank1"])
+    def test_mixed_ranks_or_batch_sizes_rejected(self, a, b):
+        with pytest.raises(T.ShapeError):
+            T.matmul(T.zeros(a), T.zeros(b))
+
 
 class TestSoftmax:
     def test_uniform(self):
@@ -282,7 +290,8 @@ class TestTapeLifetime:
     ("mul", lambda x: T.sum(T.mul(x, T.Tensor(rnd((3, 4), 23)))), (3, 4)),
     ("scale", lambda x: T.sum(T.scale(x, -2.5)), (3, 4)),
     ("matmul", lambda x: T.mean(T.matmul(x, T.Tensor(rnd((4, 2), 24)))), (3, 4)),
-    ("bmm", lambda x: T.mean(T.bmm(x, T.Tensor(rnd((2, 4, 3), 25)))), (2, 3, 4)),
+    ("matmul_rank3", lambda x: T.mean(T.matmul(x, T.Tensor(rnd((2, 4, 3), 25)))),
+     (2, 3, 4)),
     ("transpose", lambda x: T.mean(T.mul(T.transpose(x, (1, 0, 2)),
                                          T.Tensor(rnd((4, 2, 3), 26)))), (2, 4, 3)),
     ("reshape", lambda x: T.mean(T.mul(T.reshape(x, (6, 2)),
