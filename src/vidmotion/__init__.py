@@ -8,8 +8,11 @@ all on a from-scratch float32 tensor library with reverse-mode autodiff.
 
 __version__ = "0.1.0"
 
-from . import (adapter, attention, cli, config, diffusion, gradcheck,
-               injection, network, pipeline, skeleton, tensor)
+# cli is left to load on first use (``from vidmotion import cli`` or
+# ``import *``): imported here, ``python -m vidmotion.cli`` would find it
+# already in sys.modules and warn before running it a second time.
+from . import (adapter, attention, config, diffusion, gradcheck, injection,
+               network, pipeline, skeleton, tensor)
 
 __all__ = ["adapter", "attention", "cli", "config", "diffusion", "gradcheck",
            "injection", "network", "pipeline", "skeleton", "tensor",

@@ -117,7 +117,7 @@ def adapter_forward(m: Tensor, z: Tensor, w: AdapterWeights) -> Tensor:
     if m.data.ndim != 3:
         raise T.ShapeError(f"expected (frames, tokens, width), got {m.shape}")
     fused = T.add(adapter_global_path(m, z, w), adapter_local_path(m, w))
-    return T.add(A.project_tokens(fused, w.out_proj), m)
+    return T.add(T.matmul(fused, w.out_proj), m)
 
 
 def adapter_grad_check(w: AdapterWeights, rng: T.Rng | None = None,

@@ -69,24 +69,13 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return T.matmul(T.softmax(scores, axis=rank - 1), v)
 
 
-def project_tokens(tokens: Tensor, w: Tensor) -> Tensor:
-    """Right-multiply every token row by w, for rank-2 or rank-3 stacks."""
-    if tokens.data.ndim == 2:
-        return T.matmul(tokens, w)
-    if tokens.data.ndim == 3:
-        b, n, d = tokens.shape
-        flat = T.reshape(tokens, (b * n, d))
-        return T.reshape(T.matmul(flat, w), (b, n, w.shape[1]))
-    raise T.ShapeError(f"cannot project tokens of rank {tokens.data.ndim}")
-
-
 def attention(q_src: Tensor, kv_src: Tensor, p: ProjectionSet) -> Tensor:
     """Queries projected from ``q_src``, keys and values from ``kv_src``,
     attended, then projected out."""
-    q = project_tokens(q_src, p.w_q)
-    k = project_tokens(kv_src, p.w_k)
-    v = project_tokens(kv_src, p.w_v)
-    return project_tokens(attend(q, k, v), p.w_out)
+    q = T.matmul(q_src, p.w_q)
+    k = T.matmul(kv_src, p.w_k)
+    v = T.matmul(kv_src, p.w_v)
+    return T.matmul(attend(q, k, v), p.w_out)
 
 
 def cs_attention(z_prev: Tensor, z_cur: Tensor, p: ProjectionSet) -> Tensor:

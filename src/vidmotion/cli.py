@@ -74,7 +74,6 @@ def _load_job(cfg: C.Config) -> P.EditJob:
         prompt_target=cfg.prompt_target,
         steps=cfg.sampler.steps,
         guidance=cfg.sampler.guidance,
-        seed=cfg.seed,
         injection=cfg.injection,
         align_first_frame_only=cfg.align_first_frame_only,
         control_on_recon=cfg.control_on_recon,
@@ -246,20 +245,23 @@ def _selftest_checks(seed: int, corrupt_gradient: bool):
         w44 = T.Tensor(gen((4, 4)))
         w43 = T.Tensor(gen((4, 3)))
         p43 = T.Tensor(gen((4, 3)))
+        p243 = T.Tensor(gen((2, 4, 3)))
         p54 = T.Tensor(gen((5, 4)))
         kernel = T.Tensor([0.5, -1.0, 0.25])
+        # the (frames, tokens, width) stack x matrix is the network's projection
         cases = {
-            "matmul": lambda x: T.mean(T.mul(T.matmul(x, w43), p43)),
-            "softmax": lambda x: T.mean(T.mul(T.softmax(x, axis=1), w44)),
-            "layer_norm": lambda x: T.mean(T.mul(
-                T.layer_norm(x, T.ones((4,)), T.zeros((4,))), w44)),
-            "conv_temporal": lambda x: T.mean(T.mul(
-                T.conv_temporal(x, kernel), p54)),
-            "silu": lambda x: T.mean(T.mul(T.silu(x), w44)),
+            "matmul": (lambda x: T.mean(T.mul(T.matmul(x, w43), p43)), (4, 4)),
+            "matmul_stack": (lambda x: T.mean(T.mul(T.matmul(x, w43), p243)),
+                             (2, 4, 4)),
+            "softmax": (lambda x: T.mean(T.mul(T.softmax(x, axis=1), w44)), (4, 4)),
+            "layer_norm": (lambda x: T.mean(T.mul(
+                T.layer_norm(x, T.ones((4,)), T.zeros((4,))), w44)), (4, 4)),
+            "conv_temporal": (lambda x: T.mean(T.mul(
+                T.conv_temporal(x, kernel), p54)), (5, 4)),
+            "silu": (lambda x: T.mean(T.mul(T.silu(x), w44)), (4, 4)),
         }
         worst = 0.0
-        for name, f in cases.items():
-            shape = (5, 4) if name == "conv_temporal" else (4, 4)
+        for name, (f, shape) in cases.items():
             ok, err = G.check_gradient(f, gen(shape, 0.8))
             worst = max(worst, err)
             if not ok:

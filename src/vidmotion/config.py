@@ -51,12 +51,15 @@ class Config:
     paths: dict[str, str] = field(default_factory=dict)
 
 
+# sections decoded field by field into their dataclass, schedule first: the
+# model's schedule_steps is the schedule's timesteps
+_DATACLASS_SECTIONS = {"schedule": ScheduleConfig, "training": TrainingConfig,
+                       "sampler": SamplerConfig, "injection": I.InjectionSettings}
+
 _SECTION_FIELDS = {
-    "model": {"frames", "image_size", "channels", "widths", "time_width", "pool"},
-    "schedule": {"timesteps", "beta_min", "beta_max"},
-    "training": {"steps", "lr"},
-    "sampler": {"steps", "guidance"},
-    "injection": {"enabled", "inject_mid", "drop_masked_tokens", "window_fraction"},
+    **{section: {f.name for f in fields(cls)}
+       for section, cls in _DATACLASS_SECTIONS.items()},
+    "model": {f.name for f in fields(N.NetConfig)} - {"schedule_steps"},
     "alignment": {"first_frame_only", "control_on_recon"},
     "prompts": {"source", "target"},
     "paths": {"source_video", "source_masks", "source_skeletons",
@@ -124,10 +127,7 @@ def config_from_dict(blob: dict) -> Config:
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
     cfg = Config()
     cfg.seed = _field(blob, "", "seed", 0, minimum=0)
-    for section, cls in (("schedule", ScheduleConfig),
-                         ("training", TrainingConfig),
-                         ("sampler", SamplerConfig),
-                         ("injection", I.InjectionSettings)):
+    for section, cls in _DATACLASS_SECTIONS.items():
         if section in blob:
             setattr(cfg, section, _section(blob, section, cls))
     m = blob.get("model", {})

@@ -94,16 +94,13 @@ def injected_cs_kv(cache: ReconCache, layer: str, t: int, mask: np.ndarray,
                    drop_masked_tokens: bool) -> tuple[Tensor, Tensor]:
     """All frames' injected cross-frame key/value stacks for one gated layer.
 
-    Reads the reconstruction keys/values of every frame from ``cache``,
-    decouples them with the (F, 2N) ``mask`` and stacks them with the editing
-    branch's current-frame block, the second half of ``k_edit``/``v_edit``
+    Reads the reconstruction key/value stacks from ``cache``, decouples them
+    with the (F, 2N) ``mask`` and stacks them with the editing branch's
+    current-frame block, the second half of ``k_edit``/``v_edit``
     (F x 2N x d, [preceding, current]). The intermediates die on return.
     """
-    frames, two_n, _ = k_edit.shape
-    entries = [cache.get_cs(layer, t, i) for i in range(frames)]
-    k_r = Tensor(np.stack([k.data for k, _ in entries]))
-    v_r = Tensor(np.stack([v.data for _, v in entries]))
-    recon = decouple_kv(k_r, v_r, mask)
+    recon = decouple_kv(*cache.get_cs(layer, t), mask)
+    two_n = k_edit.shape[1]
     n = two_n // 2
     cur = (T.slice_axis(k_edit, 1, n, two_n), T.slice_axis(v_edit, 1, n, two_n))
     return build_injected_kv(recon, cur, drop_masked_tokens, mask)
@@ -176,59 +173,52 @@ class LatentMask:
 class ReconCache:
     """Write-once store of reconstruction-branch keys/values.
 
-    Cross-frame entries are keyed (layer, timestep, frame); temporal entries
-    are keyed (layer, timestep) and hold per-location stacks. Once frozen the
-    cache is read-only, so the editing branch can never recompute or alter
-    reconstruction keys/values.
+    Entries are keyed (layer, timestep). A cross-frame entry holds the
+    (frames, 2N, d) key and value stacks of all frames, a temporal entry the
+    (locations, frames, d) stacks. Once frozen the cache is read-only, so the
+    editing branch can never recompute or alter reconstruction keys/values.
     """
 
     def __init__(self):
-        self.cs: dict[tuple[str, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.cs: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
         self.temporal: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
         self.frozen = False
         self.writes = 0
         self.reads_cs = 0
         self.reads_temporal = 0
 
-    def _check_writable(self, key) -> None:
+    def _put(self, store: dict, key: tuple[str, int],
+             k: np.ndarray, v: np.ndarray) -> None:
         if self.frozen:
             raise CacheError(f"cache is frozen; rejected write for {key}")
-
-    def put_cs(self, layer: str, t: int, frame: int,
-               k: np.ndarray, v: np.ndarray) -> None:
-        key = (layer, t, frame)
-        self._check_writable(key)
-        if key in self.cs:
+        if key in store:
             raise CacheError(f"duplicate cache write for {key}")
-        self.cs[key] = (np.array(k, copy=True), np.array(v, copy=True))
+        store[key] = (np.array(k, copy=True), np.array(v, copy=True))
         self.writes += 1
 
-    def put_temporal(self, layer: str, t: int,
-                     k: np.ndarray, v: np.ndarray) -> None:
-        key = (layer, t)
-        self._check_writable(key)
-        if key in self.temporal:
-            raise CacheError(f"duplicate cache write for {key}")
-        self.temporal[key] = (np.array(k, copy=True), np.array(v, copy=True))
-        self.writes += 1
-
-    def get_cs(self, layer: str, t: int, frame: int) -> tuple[Tensor, Tensor]:
+    @staticmethod
+    def _get(store: dict, kind: str, layer: str, t: int) -> tuple[Tensor, Tensor]:
         try:
-            k, v = self.cs[(layer, t, frame)]
+            k, v = store[(layer, t)]
         except KeyError:
-            raise CacheError(f"cache miss: cross-frame entry "
-                             f"({layer!r}, t={t}, frame={frame})") from None
-        self.reads_cs += 1
+            raise CacheError(f"cache miss: {kind} entry ({layer!r}, t={t})") from None
         return Tensor(k), Tensor(v)
+
+    def put_cs(self, layer: str, t: int, k: np.ndarray, v: np.ndarray) -> None:
+        self._put(self.cs, (layer, t), k, v)
+
+    def put_temporal(self, layer: str, t: int, k: np.ndarray, v: np.ndarray) -> None:
+        self._put(self.temporal, (layer, t), k, v)
+
+    def get_cs(self, layer: str, t: int) -> tuple[Tensor, Tensor]:
+        kv = self._get(self.cs, "cross-frame", layer, t)
+        self.reads_cs += 1
+        return kv
 
     def get_temporal(self, layer: str, t: int) -> tuple[Tensor, Tensor]:
-        try:
-            k, v = self.temporal[(layer, t)]
-        except KeyError:
-            raise CacheError(f"cache miss: temporal entry "
-                             f"({layer!r}, t={t})") from None
+        kv = self._get(self.temporal, "temporal", layer, t)
         self.reads_temporal += 1
-        return Tensor(k), Tensor(v)
+        return kv
 
     def freeze(self) -> None:
         self.frozen = True

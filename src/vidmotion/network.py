@@ -278,17 +278,16 @@ def _cs_sub_block(x: Tensor, model: ModelWeights, lid: str, t: int, role: str,
                   inj: I.InjectionSettings | None, injecting: bool) -> Tensor:
     pset = model.pset(f"unet.{lid}.cs")
     a_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_cs"))
-    q = A.project_tokens(a_in, pset.w_q)
+    q = T.matmul(a_in, pset.w_q)
     kv_in = T.concat([_frame_shifted(a_in), a_in], axis=1)  # (F, 2N, d)
-    k = A.project_tokens(kv_in, pset.w_k)
-    v = A.project_tokens(kv_in, pset.w_v)
+    k = T.matmul(kv_in, pset.w_k)
+    v = T.matmul(kv_in, pset.w_v)
     if role == "recon" and injecting:
-        for i in range(a_in.shape[0]):
-            cache.put_cs(lid, t, i, k.data[i], v.data[i])
+        cache.put_cs(lid, t, k.data, v.data)
     if role == "edit" and injecting:
         mask = masks.cs_mask(BLOCK_LEVEL[lid])
         k, v = I.injected_cs_kv(cache, lid, t, mask, k, v, inj.drop_masked_tokens)
-    return A.project_tokens(A.attend(q, k, v), pset.w_out)
+    return T.matmul(A.attend(q, k, v), pset.w_out)
 
 
 def _cross_sub_block(x: Tensor, model: ModelWeights, lid: str,
@@ -296,13 +295,13 @@ def _cross_sub_block(x: Tensor, model: ModelWeights, lid: str,
     pset = model.pset(f"unet.{lid}.cross")
     c_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_cross"))
     frames = x.shape[0]
-    q = A.project_tokens(c_in, pset.w_q)
+    q = T.matmul(c_in, pset.w_q)
     k = T.matmul(text, pset.w_k)
     v = T.matmul(text, pset.w_v)
     n_tok, d = k.shape
     k3 = T.repeat_axis(T.reshape(k, (1, n_tok, d)), 0, frames)
     v3 = T.repeat_axis(T.reshape(v, (1, n_tok, d)), 0, frames)
-    return A.project_tokens(A.attend(q, k3, v3), pset.w_out)
+    return T.matmul(A.attend(q, k3, v3), pset.w_out)
 
 
 def _temporal_sub_block(x: Tensor, model: ModelWeights, lid: str, t: int,
@@ -311,24 +310,23 @@ def _temporal_sub_block(x: Tensor, model: ModelWeights, lid: str, t: int,
     pset = model.pset(f"unet.{lid}.temporal")
     t_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_temporal"))
     stacks = T.transpose(t_in, (1, 0, 2))  # (locations, frames, d)
-    q = A.project_tokens(stacks, pset.w_q)
-    k = A.project_tokens(stacks, pset.w_k)
-    v = A.project_tokens(stacks, pset.w_v)
+    q = T.matmul(stacks, pset.w_q)
+    k = T.matmul(stacks, pset.w_k)
+    v = T.matmul(stacks, pset.w_v)
     if role == "recon" and injecting:
         cache.put_temporal(lid, t, k.data, v.data)
     if role == "edit" and injecting:
         k, v = cache.get_temporal(lid, t)
     att = A.attend(q, k, v)
-    return A.project_tokens(T.transpose(att, (1, 0, 2)), pset.w_out)
+    return T.matmul(T.transpose(att, (1, 0, 2)), pset.w_out)
 
 
 def _conv_time_residual(x: Tensor, model: ModelWeights, pre: str, t: int) -> Tensor:
     """x + silu(conv(x) + time embedding), the opening of every U-Net and
     ControlNet block."""
     p = model.params
-    h = T.add(A.project_tokens(x, p[f"{pre}.conv_w"]), p[f"{pre}.conv_b"])
-    t_emb = _time_vector(model, t, p[f"{pre}.time_proj"])
-    h = T.silu(T.add(h, T.reshape(t_emb, (1, 1, h.shape[2]))))
+    h = T.add(T.matmul(x, p[f"{pre}.conv_w"]), p[f"{pre}.conv_b"])
+    h = T.silu(T.add(h, _time_vector(model, t, p[f"{pre}.time_proj"])))  # (1, d) row
     return T.add(x, h)
 
 
@@ -387,10 +385,10 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
     text0 = text_embedding(prompt, d0)
     text1 = text_embedding(prompt, d1)
 
-    x = A.project_tokens(_tokens_from_latent(z, cfg), model.params["unet.in_proj"])
+    x = T.matmul(_tokens_from_latent(z, cfg), model.params["unet.in_proj"])
     x = _unet_block(x, model, "enc0", t, text0, role, cache, masks, inj, probe)
     skip0 = x
-    x = A.project_tokens(_pool2_tokens(x, h0, w0), model.params["unet.down_proj"])
+    x = T.matmul(_pool2_tokens(x, h0, w0), model.params["unet.down_proj"])
     x = _unet_block(x, model, "enc1", t, text1, role, cache, masks, inj, probe)
     skip1 = x
     x = _unet_block(x, model, "mid", t, text1, role, cache, masks, inj, probe)
@@ -399,14 +397,14 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
         w = AD.AdapterWeights.from_named(model.params, "adapter1")
         x = T.add(x, AD.adapter_forward(control_feats["dec1"], x, w))
     x = _unet_block(x, model, "dec1", t, text1, role, cache, masks, inj, probe)
-    x = _upsample2_tokens(A.project_tokens(x, model.params["unet.up_proj"]),
+    x = _upsample2_tokens(T.matmul(x, model.params["unet.up_proj"]),
                           h0 // 2, w0 // 2)
     x = T.add(x, skip0)
     if control_feats is not None:
         w = AD.AdapterWeights.from_named(model.params, "adapter0")
         x = T.add(x, AD.adapter_forward(control_feats["dec0"], x, w))
     x = _unet_block(x, model, "dec0", t, text0, role, cache, masks, inj, probe)
-    eps = T.add(A.project_tokens(x, model.params["unet.out_proj"]),
+    eps = T.add(T.matmul(x, model.params["unet.out_proj"]),
                 model.params["unet.out_b"])
     return _latent_from_tokens(eps, cfg)
 
@@ -469,17 +467,17 @@ def controlnet_forward(model: ModelWeights, z: Tensor, t: int,
     """
     cfg = model.cfg
     h0 = w0 = cfg.latent_size
-    x = A.project_tokens(_tokens_from_latent(z, cfg), model.params["control.in_proj"])
+    x = T.matmul(_tokens_from_latent(z, cfg), model.params["control.in_proj"])
     x = T.add(x, pose[0])
     x = _control_block(x, model, "c_enc0", t)
     f0 = x
-    x = A.project_tokens(_pool2_tokens(x, h0, w0), model.params["control.down_proj"])
+    x = T.matmul(_pool2_tokens(x, h0, w0), model.params["control.down_proj"])
     x = T.add(x, pose[1])
     x = _control_block(x, model, "c_enc1", t)
     x = _control_block(x, model, "c_mid", t)
     return {
-        "dec1": A.project_tokens(x, model.params["control.zero.dec1"]),
-        "dec0": A.project_tokens(f0, model.params["control.zero.dec0"]),
+        "dec1": T.matmul(x, model.params["control.zero.dec1"]),
+        "dec0": T.matmul(f0, model.params["control.zero.dec0"]),
     }
 
 

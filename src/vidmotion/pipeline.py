@@ -9,6 +9,7 @@ the cache's write-once-then-read discipline).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,6 @@ class EditJob:
     prompt_target: str = ""
     steps: int = 50
     guidance: float = 7.5
-    seed: int = 0
     injection: I.InjectionSettings = field(default_factory=I.InjectionSettings)
     align_first_frame_only: bool = False
     control_on_recon: bool = True
@@ -59,8 +59,8 @@ class EditJob:
                                f"{(frames, cfg.image_size, cfg.image_size)}")
         if self.steps < 1:
             raise JobError(f"sampler steps must be >= 1, got {self.steps}")
-        if self.guidance < 0:
-            raise JobError(f"guidance must be >= 0, got {self.guidance}")
+        if not 0 <= self.guidance < math.inf:
+            raise JobError(f"guidance must be finite and >= 0, got {self.guidance}")
 
 
 @dataclass

@@ -230,16 +230,26 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors, or of two rank-3 stacks with the
+    """Matrix product of an (..., m, k) stack and one (k, n) matrix, every
+    row through one product: (..., m, n). Also two rank-3 stacks with the
     same leading batch: (B,m,k) x (B,k,n) -> (B,m,n)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if (a.data.ndim not in (2, 3) or b.data.ndim != a.data.ndim
-            or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]):
+    stack = a.data.ndim >= 2 and b.data.ndim == 2
+    batched = a.data.ndim == b.data.ndim == 3 and a.shape[0] == b.shape[0]
+    if not (stack or batched) or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"cannot matmul shapes {a.shape} and {b.shape}")
-    out = a.data @ b.data
-    return _result("matmul", (a, b), out,
-                   lambda g: (g @ b.data.swapaxes(-1, -2),
-                              a.data.swapaxes(-1, -2) @ g))
+    if batched:
+        return _result("matmul", (a, b), a.data @ b.data,
+                       lambda g: (g @ b.data.swapaxes(-1, -2),
+                                  a.data.swapaxes(-1, -2) @ g))
+    k, n = b.shape
+    rows = a.data.reshape(-1, k)
+
+    def bwd(g):
+        g = g.reshape(-1, n)
+        return (g @ b.data.T).reshape(a.shape), rows.T @ g
+
+    return _result("matmul", (a, b), (rows @ b.data).reshape(a.shape[:-1] + (n,)), bwd)
 
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:

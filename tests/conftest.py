@@ -72,7 +72,6 @@ def make_job(**overrides):
         prompt_target="a figure marching right",
         steps=6,
         guidance=1.0,
-        seed=FIXTURE_SEED,
     )
     defaults.update(overrides)
     return P.EditJob(**defaults)

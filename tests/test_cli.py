@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -380,6 +382,16 @@ class TestSelftestCommand:
         assert "FAIL  gradient-adapter" in out
         assert sum(1 for line in out.splitlines()
                    if line.startswith("FAIL ")) == 1
+
+
+def test_module_entry_runs_without_runtime_warning():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                           "vidmotion.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 class TestFrameMetrics:

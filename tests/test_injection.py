@@ -225,21 +225,23 @@ class TestMasks:
 class TestReconCache:
     def test_write_once_then_read(self):
         c = I.ReconCache()
-        c.put_cs("dec0", 5, 1, rnd((4, 3), 33), rnd((4, 3), 34))
-        k, v = c.get_cs("dec0", 5, 1)
-        assert k.shape == (4, 3)
+        k0, v0 = rnd((2, 4, 3), 33), rnd((2, 4, 3), 34)
+        c.put_cs("dec0", 5, k0, v0)
+        k, v = c.get_cs("dec0", 5)
+        np.testing.assert_array_equal(k.data, k0)
+        np.testing.assert_array_equal(v.data, v0)
         assert c.writes == 1 and c.reads_cs == 1
 
     def test_duplicate_write_rejected(self):
         c = I.ReconCache()
-        c.put_cs("dec0", 5, 1, rnd((4, 3), 35), rnd((4, 3), 36))
+        c.put_cs("dec0", 5, rnd((2, 4, 3), 35), rnd((2, 4, 3), 36))
         with pytest.raises(I.CacheError):
-            c.put_cs("dec0", 5, 1, rnd((4, 3), 35), rnd((4, 3), 36))
+            c.put_cs("dec0", 5, rnd((2, 4, 3), 35), rnd((2, 4, 3), 36))
 
     def test_miss_raises_with_key(self):
         c = I.ReconCache()
         with pytest.raises(I.CacheError) as exc:
-            c.get_cs("dec1", 7, 0)
+            c.get_cs("dec1", 7)
         assert "dec1" in str(exc.value) and "t=7" in str(exc.value)
 
     def test_frozen_cache_rejects_writes(self):

@@ -164,14 +164,13 @@ class TestEdit:
         res = P.edit(job, base_model, schedule)
         assert np.isfinite(res.edited.data).all()
         gated = [lid for lid in N.BLOCK_ORDER if N.TOPOLOGY[lid] == "decoder"]
-        frames = base_model.cfg.frames
-        assert res.cache.reads_cs == len(gated) * job.steps * frames
+        assert res.cache.reads_cs == len(gated) * job.steps
         assert res.cache.reads_temporal == len(gated) * job.steps
         # all reconstruction key/value work happened before the freeze; the
         # editing branch only ever read
         assert res.cache.frozen
-        assert res.cache.writes == (len(gated) * job.steps * frames
-                                    + len(gated) * job.steps)
+        # one cross-frame and one temporal stack per gated layer and step
+        assert res.cache.writes == 2 * len(gated) * job.steps
 
     def test_injection_changes_the_edit(self, base_model, schedule):
         job_on = make_job(steps=4, guidance=1.0)
@@ -212,7 +211,7 @@ class TestEdit:
         res = P.edit(job, base_model, schedule)
         gated = 2
         # 40% of 5 steps -> the trailing 2 steps inject
-        assert res.cache.reads_cs == gated * 2 * base_model.cfg.frames
+        assert res.cache.reads_cs == gated * 2
 
     def test_job_validation_catches_frame_mismatch(self, base_model):
         job = make_job(source_masks=synth_masks(frames=4))
@@ -228,5 +227,12 @@ class TestEditJobValidation:
 
     def test_bad_guidance_rejected(self, base_model):
         job = make_job(guidance=-1.0)
+        with pytest.raises(P.JobError, match="guidance"):
+            job.validate(base_model.cfg)
+
+    @pytest.mark.parametrize("guidance", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_guidance_rejected(self, base_model, guidance):
+        job = make_job(guidance=guidance)
         with pytest.raises(P.JobError, match="guidance"):
             job.validate(base_model.cfg)

@@ -46,13 +46,30 @@ class TestMatmul:
             T.matmul(T.zeros((3, 5)), T.zeros((4, 2)))
         assert "(3, 5)" in str(exc.value) and "(4, 2)" in str(exc.value)
 
-    @pytest.mark.parametrize("a,b", [((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5)),
-                                     ((2, 3, 4), (3, 4, 5)), ((4,), (4, 2))],
-                             ids=["rank3-rank2", "rank2-rank3", "batch-2-3",
-                                  "rank1"])
+    @pytest.mark.parametrize("a,b", [((3, 4), (2, 4, 5)), ((2, 3, 4), (3, 4, 5)),
+                                     ((4,), (4, 2))],
+                             ids=["rank2-rank3", "batch-2-3", "rank1"])
     def test_mixed_ranks_or_batch_sizes_rejected(self, a, b):
         with pytest.raises(T.ShapeError):
             T.matmul(T.zeros(a), T.zeros(b))
+
+    def test_stack_times_matrix_equals_flattened_product(self):
+        a0, b0 = rnd((2, 3, 4), seed=96), rnd((4, 5), seed=97)
+        probe = T.Tensor(rnd((2, 3, 5), seed=98))
+
+        def run(product):
+            tape = T.Tape()
+            a, b = tape.watch(T.Tensor(a0)), tape.watch(T.Tensor(b0))
+            out = product(a, b)
+            T.backward(tape, T.mean(T.mul(out, probe)))
+            return out.data, tape.grad(a).data, tape.grad(b).data
+
+        got = run(T.matmul)
+        want = run(lambda a, b: T.reshape(
+            T.matmul(T.reshape(a, (6, 4)), b), (2, 3, 5)))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
 
 
 class TestSoftmax:
@@ -315,6 +332,8 @@ class TestTapeLifetime:
     ("gather_rows", lambda x: T.mean(T.mul(
         T.gather_rows(x, np.array([[2, 0, 2, 1], [1, 1, 0, 2]])),
         T.Tensor(rnd((2, 4, 3), 38)))), (2, 3, 3)),
+    ("matmul_stack", lambda x: T.mean(T.mul(T.matmul(x, T.Tensor(rnd((4, 3), 39))),
+                                            T.Tensor(rnd((2, 3, 3), 40)))), (2, 3, 4)),
 ])
 def test_primitive_gradients_match_finite_differences(name, f, shape):
     x0 = rnd(shape, seed=hash(name) % 1000, scale=0.8)
