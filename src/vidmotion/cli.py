@@ -38,13 +38,15 @@ _INPUT_ERRORS = (C.ConfigError, N.ConfigError, P.JobError, SK.EmptyMaskError,
 # shared I/O helpers
 
 
-def _load_raster_dir(path) -> np.ndarray:
+def _load_raster_dir(path, mask: bool = False) -> np.ndarray:
+    """A directory's .pgm frames as float32; with ``mask``, 1 where >= 128."""
     if not os.path.isdir(path):
         raise FileNotFoundError(f"frame directory not found: {path}")
     names = sorted(f for f in os.listdir(path) if f.endswith(".pgm"))
     if not names:
         raise FileNotFoundError(f"no .pgm frames in {path}")
-    return np.stack([SK.read_pgm(os.path.join(path, n)) for n in names])
+    rasters = np.stack([SK.read_pgm(os.path.join(path, n)) for n in names])
+    return (rasters >= 128 if mask else rasters).astype(np.float32)
 
 
 def _require_paths(cfg: C.Config, keys: list[str]) -> None:
@@ -62,14 +64,10 @@ def _load_job(cfg: C.Config) -> P.EditJob:
     video = T.load_tensor(cfg.paths["source_video"])
     return P.EditJob(
         video=video,
-        source_masks=(_load_raster_dir(cfg.paths["source_masks"]) >= 128
-                      ).astype(np.float32),
-        source_skeletons=_load_raster_dir(cfg.paths["source_skeletons"]
-                                          ).astype(np.float32),
-        ref_skeletons=_load_raster_dir(cfg.paths["ref_skeletons"]
-                                       ).astype(np.float32),
-        ref_masks=(_load_raster_dir(cfg.paths["ref_masks"]) >= 128
-                   ).astype(np.float32),
+        source_masks=_load_raster_dir(cfg.paths["source_masks"], mask=True),
+        source_skeletons=_load_raster_dir(cfg.paths["source_skeletons"]),
+        ref_skeletons=_load_raster_dir(cfg.paths["ref_skeletons"]),
+        ref_masks=_load_raster_dir(cfg.paths["ref_masks"], mask=True),
         prompt_source=cfg.prompt_source,
         prompt_target=cfg.prompt_target,
         steps=cfg.sampler.steps,
@@ -141,22 +139,19 @@ def frame_metrics(a: T.Tensor, b: T.Tensor) -> list[dict]:
 def cmd_align(cfg: C.Config, out_dir: str) -> int:
     _require_paths(cfg, ["source_masks", "source_skeletons",
                          "ref_skeletons", "ref_masks"])
-    src_sk = _load_raster_dir(cfg.paths["source_skeletons"]).astype(np.float32)
-    src_m = (_load_raster_dir(cfg.paths["source_masks"]) >= 128).astype(np.float32)
-    ref_sk = _load_raster_dir(cfg.paths["ref_skeletons"]).astype(np.float32)
-    ref_m = (_load_raster_dir(cfg.paths["ref_masks"]) >= 128).astype(np.float32)
+    src_sk = _load_raster_dir(cfg.paths["source_skeletons"])
+    src_m = _load_raster_dir(cfg.paths["source_masks"], mask=True)
+    ref_sk = _load_raster_dir(cfg.paths["ref_skeletons"])
+    ref_m = _load_raster_dir(cfg.paths["ref_masks"], mask=True)
     counts = {arr.shape[0] for arr in (src_sk, src_m, ref_sk, ref_m)}
     if len(counts) != 1:
         raise P.JobError(f"frame counts disagree across inputs: {sorted(counts)}")
+    aligned, reports = P.align_skeletons(src_sk, src_m, ref_sk, ref_m,
+                                         cfg.align_first_frame_only)
     os.makedirs(out_dir, exist_ok=True)
-    reports = []
-    for i in range(src_sk.shape[0]):
-        try:
-            res = SK.align(src_sk[i], src_m[i], ref_sk[i], ref_m[i])
-        except (SK.EmptyMaskError, SK.RasterError) as exc:
-            raise type(exc)(f"frame {i}: {exc}") from exc
-        SK.write_pgm(os.path.join(out_dir, f"aligned_{i:03d}.pgm"), res.skeleton)
-        reports.append({"frame": i, **res.report})
+    for i, (raster, report) in enumerate(zip(aligned, reports)):
+        SK.write_pgm(os.path.join(out_dir, f"aligned_{i:03d}.pgm"), raster)
+        report["frame"] = i
     with open(os.path.join(out_dir, "align_report.json"), "w") as fh:
         json.dump(reports, fh, indent=1, sort_keys=True)
     print(f"aligned {len(reports)} frames -> {out_dir}")
@@ -166,7 +161,7 @@ def cmd_align(cfg: C.Config, out_dir: str) -> int:
 def cmd_train(cfg: C.Config, out_dir: str) -> int:
     _require_paths(cfg, ["source_video", "source_skeletons"])
     video = T.load_tensor(cfg.paths["source_video"])
-    skeletons = _load_raster_dir(cfg.paths["source_skeletons"]).astype(np.float32)
+    skeletons = _load_raster_dir(cfg.paths["source_skeletons"])
     model = N.init_model(cfg.model, seed=cfg.seed)
     schedule = _schedule_for(cfg)
     result = P.one_shot_train(model, video, skeletons, cfg.prompt_source,
@@ -190,7 +185,7 @@ def cmd_reconstruct(cfg: C.Config, out_dir: str, checkpoint: str | None) -> int:
     _require_paths(cfg, ["source_video", "source_skeletons"])
     model = _model_for(cfg, checkpoint)
     video = T.load_tensor(cfg.paths["source_video"])
-    skeletons = _load_raster_dir(cfg.paths["source_skeletons"]).astype(np.float32)
+    skeletons = _load_raster_dir(cfg.paths["source_skeletons"])
     result = P.reconstruct(model, video, skeletons, cfg.prompt_source,
                            steps=cfg.sampler.steps, schedule=_schedule_for(cfg),
                            control_on_recon=cfg.control_on_recon)
@@ -221,9 +216,8 @@ def cmd_edit(cfg: C.Config, out_dir: str, checkpoint: str | None) -> int:
         json.dump({
             "align": result.align_reports,
             "inversion_timesteps": result.inversion.timesteps,
-            "cache": {"writes": result.cache.writes,
-                      "reads_cs": result.cache.reads_cs,
-                      "reads_temporal": result.cache.reads_temporal},
+            "cache": {k: getattr(result.cache, k) for k in
+                      ("writes", "reads_cs", "reads_temporal", "peak_bytes")},
             "sampler": {"steps": job.steps, "guidance": job.guidance},
             "injection_enabled": job.injection.enabled,
         }, fh, indent=1, sort_keys=True)
@@ -527,10 +521,11 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="trained checkpoint directory")
         p_cmd.add_argument("--steps", type=int, default=None,
                            help="override sampler steps")
-        p_cmd.add_argument("--guidance", type=float, default=None)
-        p_cmd.add_argument("--no-injection", action="store_true")
-        p_cmd.add_argument("--inject-mid", action="store_true")
-        p_cmd.add_argument("--drop-masked-tokens", action="store_true")
+    p_edit = sub.choices["edit"]  # guidance and injection: editing branch only
+    p_edit.add_argument("--guidance", type=float, default=None)
+    p_edit.add_argument("--no-injection", action="store_true")
+    p_edit.add_argument("--inject-mid", action="store_true")
+    p_edit.add_argument("--drop-masked-tokens", action="store_true")
 
     p_self = sub.add_parser("selftest", help="run the invariant suite")
     p_self.add_argument("--seed", type=int, default=0)

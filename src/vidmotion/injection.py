@@ -21,7 +21,7 @@ class MaskError(ValueError):
 
 
 class CacheError(KeyError):
-    """Reconstruction cache misuse: missing entry or write after freeze."""
+    """Reconstruction cache misuse: a read of an unheld step or a repeated write."""
 
 
 class GateError(KeyError):
@@ -171,44 +171,45 @@ class LatentMask:
 
 
 class ReconCache:
-    """Write-once store of reconstruction-branch keys/values.
+    """One-step hand-off of reconstruction keys/values to the editing branch.
 
-    Entries are keyed (layer, timestep). A cross-frame entry holds the
-    (frames, 2N, d) key and value stacks of all frames, a temporal entry the
-    (locations, frames, d) stacks. Once frozen the cache is read-only, so the
-    editing branch can never recompute or alter reconstruction keys/values.
+    Per gated layer it holds the latest step's (t, k, v): cross-frame stacks
+    are (frames, 2N, d), temporal stacks (locations, frames, d). A write
+    replaces the layer's previous step, a second write of the same (layer, t)
+    is rejected, and a read of any other step misses. ``peak_bytes`` is the
+    most the cache held at once.
     """
 
     def __init__(self):
-        self.cs: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-        self.temporal: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-        self.frozen = False
+        self.cs: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
+        self.temporal: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
         self.writes = 0
         self.reads_cs = 0
         self.reads_temporal = 0
+        self.peak_bytes = 0
 
-    def _put(self, store: dict, key: tuple[str, int],
+    def _put(self, store: dict, layer: str, t: int,
              k: np.ndarray, v: np.ndarray) -> None:
-        if self.frozen:
-            raise CacheError(f"cache is frozen; rejected write for {key}")
-        if key in store:
-            raise CacheError(f"duplicate cache write for {key}")
-        store[key] = (np.array(k, copy=True), np.array(v, copy=True))
+        if layer in store and store[layer][0] == t:
+            raise CacheError(f"duplicate cache write for ({layer!r}, t={t})")
+        store[layer] = (t, np.array(k, copy=True), np.array(v, copy=True))
         self.writes += 1
+        nbytes = sum(hk.nbytes + hv.nbytes for _, hk, hv in
+                     (*self.cs.values(), *self.temporal.values()))
+        self.peak_bytes = max(self.peak_bytes, nbytes)
 
     @staticmethod
     def _get(store: dict, kind: str, layer: str, t: int) -> tuple[Tensor, Tensor]:
-        try:
-            k, v = store[(layer, t)]
-        except KeyError:
-            raise CacheError(f"cache miss: {kind} entry ({layer!r}, t={t})") from None
-        return Tensor(k), Tensor(v)
+        held = store.get(layer)
+        if held is None or held[0] != t:
+            raise CacheError(f"cache miss: {kind} entry ({layer!r}, t={t})")
+        return Tensor(held[1]), Tensor(held[2])
 
     def put_cs(self, layer: str, t: int, k: np.ndarray, v: np.ndarray) -> None:
-        self._put(self.cs, (layer, t), k, v)
+        self._put(self.cs, layer, t, k, v)
 
     def put_temporal(self, layer: str, t: int, k: np.ndarray, v: np.ndarray) -> None:
-        self._put(self.temporal, (layer, t), k, v)
+        self._put(self.temporal, layer, t, k, v)
 
     def get_cs(self, layer: str, t: int) -> tuple[Tensor, Tensor]:
         kv = self._get(self.cs, "cross-frame", layer, t)
@@ -219,6 +220,3 @@ class ReconCache:
         kv = self._get(self.temporal, "temporal", layer, t)
         self.reads_temporal += 1
         return kv
-
-    def freeze(self) -> None:
-        self.frozen = True

@@ -1,11 +1,11 @@
 """End-to-end orchestration: one-shot training on the source video, DDIM
 inversion, and two-branch editing with attention injection.
 
-The reconstruction branch denoises the inverted source under the source
-skeleton condition and fills the ReconCache; the editing branch then denoises
-under the aligned target skeleton, reading injected keys/values at gated
-layers. Reconstruction runs fully before editing (simplest order satisfying
-the cache's write-once-then-read discipline).
+Both branches denoise the inverted source in lockstep through one DDIM loop:
+at each step the reconstruction branch (source skeleton condition) writes its
+keys/values into the ReconCache, and the editing branch (aligned target
+skeleton) reads them as injected keys/values at gated layers, so the cache
+hands off one step at a time.
 """
 from __future__ import annotations
 
@@ -105,6 +105,33 @@ def one_shot_train(model: N.ModelWeights, video: Tensor,
     return TrainResult(model.replace(params), losses)
 
 
+def _predictor(model: N.ModelWeights, ts: list[int], prompt: str | None,
+               pose: dict[int, Tensor] | None, guidance: float = 1.0,
+               role: str = "plain", cache: I.ReconCache | None = None,
+               masks: I.LatentMask | None = None,
+               inj: I.InjectionSettings | None = None) -> D.EpsFn:
+    """One branch's eps function over the sampler steps ``ts``: ControlNet
+    features from ``pose`` if given, classifier-free guidance (one forward at
+    1), and ``role`` inside the injection window of ``inj``, "plain" before
+    it and at every step without ``inj``."""
+    step_index = {t: idx for idx, t in enumerate(reversed(ts))}
+
+    def eps_fn(x: Tensor, t: int) -> Tensor:
+        step_role = (role if inj is not None
+                     and inj.active_at(step_index[t], len(ts)) else "plain")
+        feats = (N.controlnet_forward(model, x, t, pose)
+                 if pose is not None else None)
+        eps_c = N.unet_forward(model, x, t, prompt, control_feats=feats,
+                               role=step_role, cache=cache, masks=masks, inj=inj)
+        if guidance == 1.0:
+            return eps_c
+        eps_u = N.unet_forward(model, x, t, None, control_feats=feats,
+                               role=step_role, cache=cache, masks=masks, inj=inj)
+        return D.cfg_combine(eps_u, eps_c, guidance)
+
+    return eps_fn
+
+
 def invert(model: N.ModelWeights, z0: Tensor, steps: int,
            schedule: D.NoiseSchedule | None = None,
            eps_fn: D.EpsFn | None = None,
@@ -121,45 +148,14 @@ def invert(model: N.ModelWeights, z0: Tensor, steps: int,
     """
     schedule = schedule or D.make_schedule(model.cfg.schedule_steps)
     ts = D.subsequence(schedule.timesteps, steps)
-    if eps_fn is None:
-        def eps_fn(x, t):
-            feats = (N.controlnet_forward(model, x, t, pose)
-                     if pose is not None else None)
-            return N.unet_forward(model, x, t, prompt, control_feats=feats)
-    return D.ddim_invert(eps_fn, z0, ts, schedule)
-
-
-def _denoise(model: N.ModelWeights, x_start: Tensor, ts: list[int],
-             schedule: D.NoiseSchedule, prompt: str,
-             pose: dict[int, Tensor] | None, guidance: float, role: str,
-             cache: I.ReconCache | None, masks: I.LatentMask | None,
-             inj: I.InjectionSettings, eps_fn: D.EpsFn | None = None,
-             ) -> D.Trajectory:
-    """DDIM-sample from ``x_start`` with a guided predictor that runs ``role``
-    inside the injection window and "plain" before it (``eps_fn`` overrides
-    the predictor for oracle tests)."""
-    step_index = {t: idx for idx, t in enumerate(reversed(ts))}
-
-    def guided(x: Tensor, t: int) -> Tensor:
-        step_role = role if inj.active_at(step_index[t], len(ts)) else "plain"
-        feats = (N.controlnet_forward(model, x, t, pose)
-                 if pose is not None else None)
-        eps_c = N.unet_forward(model, x, t, prompt, control_feats=feats,
-                               role=step_role, cache=cache, masks=masks, inj=inj)
-        if guidance == 1.0:
-            return eps_c
-        eps_u = N.unet_forward(model, x, t, None, control_feats=feats,
-                               role=step_role, cache=cache, masks=masks, inj=inj)
-        return D.cfg_combine(eps_u, eps_c, guidance)
-
-    return D.ddim_sample(eps_fn or guided, x_start, ts, schedule)
+    return D.ddim_invert(eps_fn or _predictor(model, ts, prompt, pose),
+                         z0, ts, schedule)
 
 
 @dataclass
 class ReconstructResult:
     latent: Tensor
     inversion: D.Trajectory
-    denoise: D.Trajectory
 
 
 def reconstruct(model: N.ModelWeights, video: Tensor, skeletons: np.ndarray,
@@ -175,10 +171,9 @@ def reconstruct(model: N.ModelWeights, video: Tensor, skeletons: np.ndarray,
     inv = invert(model, z0, steps, schedule, eps_fn=eps_fn, pose=pose,
                  prompt=prompt)
     ts = D.subsequence(schedule.timesteps, steps)
-    traj = _denoise(model, inv.final, ts, schedule, prompt, pose,
-                    guidance=1.0, role="plain", cache=None, masks=None,
-                    inj=I.InjectionSettings(enabled=False), eps_fn=eps_fn)
-    return ReconstructResult(traj.final, inv, traj)
+    traj = D.ddim_sample(eps_fn or _predictor(model, ts, prompt, pose),
+                         inv.final, ts, schedule)
+    return ReconstructResult(traj.final, inv)
 
 
 @dataclass
@@ -191,19 +186,19 @@ class EditResult:
     cache: I.ReconCache
 
 
-def align_job_skeletons(job: EditJob) -> tuple[np.ndarray, list[dict]]:
-    """Per-frame skeleton alignment (or frame-0 parameters reused when
-    configured); alignment errors carry the frame index."""
-    frames = len(job.ref_skeletons)
+def align_skeletons(source_skeletons: np.ndarray, source_masks: np.ndarray,
+                    ref_skeletons: np.ndarray, ref_masks: np.ndarray,
+                    first_frame_only: bool = False) -> tuple[np.ndarray, list[dict]]:
+    """Per-frame skeleton alignment, or with ``first_frame_only`` the frame-0
+    source and reference masks reused for every frame; alignment errors
+    carry the frame index."""
     aligned = []
     reports = []
-    for i in range(frames):
-        src_idx = 0 if job.align_first_frame_only else i
+    for i in range(len(ref_skeletons)):
+        j = 0 if first_frame_only else i
         try:
-            res = SK.align(job.source_skeletons[src_idx],
-                           job.source_masks[src_idx],
-                           job.ref_skeletons[i],
-                           job.ref_masks[0 if job.align_first_frame_only else i])
+            res = SK.align(source_skeletons[j], source_masks[j],
+                           ref_skeletons[i], ref_masks[j])
         except (SK.EmptyMaskError, SK.RasterError) as exc:
             raise type(exc)(f"frame {i}: {exc}") from exc
         aligned.append(res.skeleton)
@@ -215,14 +210,17 @@ def edit(job: EditJob, model: N.ModelWeights,
          schedule: D.NoiseSchedule | None = None) -> EditResult:
     """Full two-branch motion edit.
 
-    Align the reference skeletons, invert the source, run the reconstruction
-    branch (writing the cache), then the editing branch (reading injected
-    keys/values at gated layers under the target prompt and guidance).
+    Align the reference skeletons, invert the source, then denoise the
+    reconstruction branch (writing the cache) and the editing branch
+    (reading injected keys/values at gated layers under the target prompt
+    and guidance) in lockstep, stacked along the frame axis.
     """
     cfg = model.cfg
     job.validate(cfg)
     schedule = schedule or D.make_schedule(cfg.schedule_steps)
-    aligned, reports = align_job_skeletons(job)
+    aligned, reports = align_skeletons(job.source_skeletons, job.source_masks,
+                                       job.ref_skeletons, job.ref_masks,
+                                       job.align_first_frame_only)
 
     z0 = N.encode_video(job.video, cfg)
     source_pose = (N.pose_features(model, job.source_skeletons)
@@ -232,16 +230,22 @@ def edit(job: EditJob, model: N.ModelWeights,
     ts = D.subsequence(schedule.timesteps, job.steps)
 
     cache = I.ReconCache()
-    recon_traj = _denoise(model, inv.final, ts, schedule, job.prompt_source,
-                          source_pose, guidance=1.0, role="recon",
-                          cache=cache, masks=None, inj=job.injection)
-    cache.freeze()
-
     masks = I.LatentMask.from_rasters(np.asarray(job.source_masks),
                                       cfg.level_shapes())
-    edit_traj = _denoise(model, inv.final, ts, schedule, job.prompt_target,
-                         N.pose_features(model, aligned),
-                         guidance=job.guidance, role="edit", cache=cache,
-                         masks=masks, inj=job.injection)
-    return EditResult(edit_traj.final, recon_traj.final, aligned, reports,
-                      inv, cache)
+    # recon first, so step t is cached before the edit forwards read it
+    branches = [
+        _predictor(model, ts, job.prompt_source, source_pose, role="recon",
+                   cache=cache, inj=job.injection),
+        _predictor(model, ts, job.prompt_target, N.pose_features(model, aligned),
+                   job.guidance, "edit", cache, masks, job.injection)]
+    f = cfg.frames
+
+    def lockstep(x: Tensor, t: int) -> Tensor:
+        # DDIM updates are elementwise, so each half equals a separate run
+        return T.concat([eps_fn(T.slice_axis(x, 0, i * f, (i + 1) * f), t)
+                         for i, eps_fn in enumerate(branches)], axis=0)
+
+    both = D.ddim_sample(lockstep, T.concat([inv.final] * 2, axis=0), ts,
+                         schedule).final
+    recon, edited = (T.slice_axis(both, 0, i * f, (i + 1) * f) for i in (0, 1))
+    return EditResult(edited, recon, aligned, reports, inv, cache)

@@ -143,6 +143,18 @@ class TestAlignCommand:
                      "--out", str(tmp_path / "o")]) == 2
         assert_one_line_error(capsys, "frame_003.pgm", needle)
 
+    def test_first_frame_only_writes_what_edit_uses(self, tmp_path):
+        _, cfg = make_job_dir(
+            tmp_path, config_extra={"alignment": {"first_frame_only": True}})
+        out_align = tmp_path / "align"
+        out_edit = tmp_path / "edit"
+        assert main(["align", "--config", str(cfg), "--out", str(out_align)]) == 0
+        assert main(["edit", "--config", str(cfg), "--out", str(out_edit),
+                     "--steps", "1"]) == 0
+        for i in range(8):
+            assert ((out_align / f"aligned_{i:03d}.pgm").read_bytes()
+                    == (out_edit / "aligned" / f"frame_{i:03d}.pgm").read_bytes())
+
 
 class TestTrainCommand:
     def test_writes_loss_csv_and_checkpoint(self, tmp_path):
@@ -187,6 +199,7 @@ class TestEditCommand:
         assert (out / "edited_previews" / "frame_007.pgm").exists()
         report = json.loads((out / "edit_report.json").read_text())
         assert report["cache"]["reads_cs"] > 0
+        assert report["cache"]["peak_bytes"] == 589_824
         assert len(report["align"]) == 8
         edited = T.load_tensor(out / "edited.melt")
         assert np.isfinite(edited.data).all()
@@ -290,6 +303,17 @@ class TestReconstructCommand:
         report = json.loads((out / "reconstruct_report.json").read_text())
         assert len(report["metrics_vs_source"]) == 8
         assert report["inversion_timesteps"][0] == -1
+
+    @pytest.mark.parametrize("flag", [["--guidance", "3"], ["--no-injection"],
+                                      ["--inject-mid"], ["--drop-masked-tokens"]],
+                             ids=["guidance", "no-injection", "inject-mid",
+                                  "drop-masked-tokens"])
+    def test_edit_only_flags_rejected(self, tmp_path, flag):
+        _, cfg = make_job_dir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["reconstruct", "--config", str(cfg),
+                  "--out", str(tmp_path / "o"), *flag])
+        assert exc.value.code == 2
 
 
 class TestConfigHandling:

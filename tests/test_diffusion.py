@@ -130,6 +130,26 @@ class TestDdimStep:
         rms = float(np.sqrt(np.mean((traj.final.data - x0.data) ** 2)))
         assert rms <= 1e-4
 
+    def test_frame_stacked_pair_equals_separate_runs_bitwise(self):
+        s = D.make_schedule()
+        ts = D.subsequence(1000, 20)
+        x0s = [T.Tensor(rnd((2, 4, 8, 8), seed)) for seed in (80, 81)]
+        starts = [D.q_sample(x0, ts[-1], T.Tensor(rnd(x0.shape, seed)), s)
+                  for x0, seed in zip(x0s, (82, 83))]
+        fns = [D.oracle_eps_fn(x0, s) for x0 in x0s]
+
+        def paired(x, t):
+            return T.concat([fns[0](T.slice_axis(x, 0, 0, 2), t),
+                             fns[1](T.slice_axis(x, 0, 2, 4), t)], axis=0)
+
+        both = D.ddim_sample(paired, T.concat(starts, axis=0), ts, s)
+        for half, (fn, start) in enumerate(zip(fns, starts)):
+            alone = D.ddim_sample(fn, start, ts, s)
+            assert both.timesteps == alone.timesteps
+            for (_, x_both), (_, x_alone) in zip(both.points, alone.points):
+                np.testing.assert_array_equal(
+                    x_both.data[2 * half:2 * half + 2], x_alone.data)
+
 
 class TestDdimInvertStep:
     def test_mutual_inverse_with_frozen_eps(self):

@@ -244,11 +244,13 @@ class TestReconCache:
             c.get_cs("dec1", 7)
         assert "dec1" in str(exc.value) and "t=7" in str(exc.value)
 
-    def test_frozen_cache_rejects_writes(self):
+    def test_read_of_a_spent_step_misses(self):
         c = I.ReconCache()
         c.put_temporal("dec1", 3, rnd((2, 4, 3), 37), rnd((2, 4, 3), 38))
-        c.freeze()
-        with pytest.raises(I.CacheError):
-            c.put_temporal("dec1", 4, rnd((2, 4, 3), 37), rnd((2, 4, 3), 38))
-        k, v = c.get_temporal("dec1", 3)
-        assert k.shape == (2, 4, 3)
+        k4, v4 = rnd((2, 4, 3), 39), rnd((2, 4, 3), 40)
+        c.put_temporal("dec1", 4, k4, v4)
+        with pytest.raises(I.CacheError, match="cache miss"):
+            c.get_temporal("dec1", 3)
+        k, v = c.get_temporal("dec1", 4)
+        np.testing.assert_array_equal(k.data, k4)
+        np.testing.assert_array_equal(v.data, v4)

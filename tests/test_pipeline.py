@@ -166,11 +166,28 @@ class TestEdit:
         gated = [lid for lid in N.BLOCK_ORDER if N.TOPOLOGY[lid] == "decoder"]
         assert res.cache.reads_cs == len(gated) * job.steps
         assert res.cache.reads_temporal == len(gated) * job.steps
-        # all reconstruction key/value work happened before the freeze; the
-        # editing branch only ever read
-        assert res.cache.frozen
+        # the cache holds one step per gated layer: the last sampler step's
+        ts = D.subsequence(schedule.timesteps, job.steps)
+        for store in (res.cache.cs, res.cache.temporal):
+            assert set(store) == set(gated)
+            assert {t for t, _, _ in store.values()} == {ts[0]}
         # one cross-frame and one temporal stack per gated layer and step
         assert res.cache.writes == 2 * len(gated) * job.steps
+
+    @pytest.mark.parametrize("inject_mid,want", [(False, 589_824), (True, 786_432)],
+                             ids=["decoder", "mid"])
+    def test_cache_peak_is_one_step_of_stacks(self, base_model, schedule,
+                                              inject_mid, want):
+        cfg = base_model.cfg
+        job = make_job(steps=3, injection=I.InjectionSettings(inject_mid=inject_mid))
+        res = P.edit(job, base_model, schedule)
+        levels = [N.BLOCK_LEVEL[lid] for lid in N.BLOCK_ORDER
+                  if I.gate(lid, N.TOPOLOGY, inject_mid)]
+        # float32 keys and values: a (F, 2N, d) cross-frame stack and a
+        # (N, F, d) temporal stack per gated layer
+        one_step = sum(24 * cfg.frames * cfg.level_tokens(lv) * cfg.widths[lv]
+                       for lv in levels)
+        assert res.cache.peak_bytes == one_step == want
 
     def test_injection_changes_the_edit(self, base_model, schedule):
         job_on = make_job(steps=4, guidance=1.0)
