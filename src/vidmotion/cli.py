@@ -7,6 +7,8 @@ a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import gc
 import json
 import math
@@ -32,6 +34,34 @@ _INPUT_ERRORS = (C.ConfigError, N.ConfigError, P.JobError, SK.EmptyMaskError,
                  SK.RasterError, SK.KeypointError, D.ScheduleError,
                  T.ShapeError, T.FormatError, I.MaskError, I.CacheError,
                  I.GateError, FileNotFoundError, NotADirectoryError)
+
+
+# ---------------------------------------------------------------------------
+# process set-up
+
+
+_M_TRIM_THRESHOLD = -1  # glibc <malloc.h> mallopt parameters
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_heap() -> bool:
+    """Have glibc keep freed memory for reuse; True if it took the settings.
+
+    Each forward allocates and frees about 1 MB of numpy temporaries. By
+    default glibc maps large blocks afresh and returns the top of the heap to
+    the kernel, so every forward page-faults its temporaries back in. Blocks
+    below 32 MiB now come from the heap, which is trimmed only once 64 MiB
+    lie free at its top. Does nothing where ``mallopt`` is missing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+                and mallopt(_M_TRIM_THRESHOLD, 64 << 20))
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +484,26 @@ def _selftest_checks(seed: int, corrupt_gradient: bool):
               and D.cfg_combine(T.zeros((1,)), T.Tensor([2.0]), 7.5).item() == 15.0)
         return ok, "scales 0/1 exact, 7.5 extrapolates"
 
+    def check_kernel_identity():
+        # rows around the 128-entry switch of softmax's max, signed zeros,
+        # subnormals and magnitudes near the float32 limit
+        specials = np.array([0.0, -0.0, 1e-45, -1e-45, 88.7, -88.7, 3e38, -3e38],
+                            dtype=np.float32)
+        for row in (1, 2, 127, 128, 129, 400):
+            for axis in (0, 1, 2):
+                shape = [3, 5, 4]
+                shape[axis] = row
+                x = gen(shape, 30.0)
+                x.reshape(-1)[:len(specials)] = specials
+                if T._sigmoid(x).tobytes() != T._sigmoid_reference(x).tobytes():
+                    return False, f"sigmoid differs on shape {tuple(shape)}"
+                with np.errstate(over="ignore"):
+                    fast = T.softmax(T.Tensor(x), axis=axis).data
+                    ref = T._softmax_reference(x.copy(), axis)
+                if fast.tobytes() != ref.tobytes():
+                    return False, f"softmax differs on shape {tuple(shape)} axis {axis}"
+        return True, "sigmoid and softmax bit-identical to their references"
+
     return [
         ("gradient-primitives", check_primitive_gradients),
         ("gradient-attention", check_attention_gradients),
@@ -468,6 +518,7 @@ def _selftest_checks(seed: int, corrupt_gradient: bool):
         ("alignment-fixtures", check_alignment),
         ("adapter-identity", check_adapter_identity),
         ("cfg-combine", check_cfg_combine),
+        ("kernel-identity", check_kernel_identity),
     ]
 
 
@@ -552,6 +603,7 @@ def _flag_fields(args) -> list[tuple[str, str, object]]:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _keep_freed_heap()
     try:
         if args.command == "selftest":
             seed = C.config_from_dict({"seed": args.seed}).seed

@@ -21,6 +21,10 @@ class ScheduleError(ValueError):
     """Invalid schedule parameters or timestep ordering."""
 
 
+class NonFiniteError(RuntimeError):
+    """A sampler step overflowed or produced a non-finite latent."""
+
+
 CLEAN_STEP = -1  # timestep sentinel for the fully-denoised endpoint (alpha_bar = 1)
 
 
@@ -159,21 +163,39 @@ def cfg_combine(eps_uncond: Tensor, eps_cond: Tensor, scale: float) -> Tensor:
 EpsFn = Callable[[Tensor, int], Tensor]
 
 
+def _finite_step(phase: str, index: int, count: int, t: int,
+                 step: Callable[[], Tensor]) -> Tensor:
+    """Run one sampler step, predictor included, with numpy overflow and
+    invalid operations raised; the first non-finite value raises
+    NonFiniteError naming the phase, step and timestep."""
+    where = f"non-finite value in {phase} step {index + 1}/{count} (t={t})"
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            x = step()
+    except FloatingPointError as exc:
+        raise NonFiniteError(f"{where}: {exc}") from None
+    if not np.isfinite(x.data).all():
+        raise NonFiniteError(f"{where}: the new latent is not finite")
+    return x
+
+
 def ddim_sample(eps_fn: EpsFn, x_start: Tensor, ts: Sequence[int],
-                s: NoiseSchedule) -> Trajectory:
+                s: NoiseSchedule, phase: str = "sample") -> Trajectory:
     """Denoise along decreasing ts (ending at the clean endpoint)."""
     order = list(ts)
     traj = Trajectory()
     x = x_start
     traj.append(order[-1], x)
-    for hi, lo in zip(reversed(order), list(reversed(order))[1:] + [CLEAN_STEP]):
-        x = ddim_step(x, eps_fn(x, hi), hi, lo, s)
+    pairs = zip(reversed(order), list(reversed(order))[1:] + [CLEAN_STEP])
+    for i, (hi, lo) in enumerate(pairs):
+        x = _finite_step(phase, i, len(order), hi,
+                         lambda: ddim_step(x, eps_fn(x, hi), hi, lo, s))
         traj.append(lo, x)
     return traj
 
 
 def ddim_invert(eps_fn: EpsFn, x0: Tensor, ts: Sequence[int],
-                s: NoiseSchedule) -> Trajectory:
+                s: NoiseSchedule, phase: str = "invert") -> Trajectory:
     """Invert from clean data up along increasing ts.
 
     The predictor is evaluated at the current latent with the *target*
@@ -184,8 +206,9 @@ def ddim_invert(eps_fn: EpsFn, x0: Tensor, ts: Sequence[int],
     x = x0
     traj.append(CLEAN_STEP, x)
     prev = CLEAN_STEP
-    for t in order:
-        x = ddim_invert_step(x, eps_fn(x, t), prev, t, s)
+    for i, t in enumerate(order):
+        x = _finite_step(phase, i, len(order), t,
+                         lambda: ddim_invert_step(x, eps_fn(x, t), prev, t, s))
         traj.append(t, x)
         prev = t
     return traj

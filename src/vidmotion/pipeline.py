@@ -172,7 +172,7 @@ def reconstruct(model: N.ModelWeights, video: Tensor, skeletons: np.ndarray,
                  prompt=prompt)
     ts = D.subsequence(schedule.timesteps, steps)
     traj = D.ddim_sample(eps_fn or _predictor(model, ts, prompt, pose),
-                         inv.final, ts, schedule)
+                         inv.final, ts, schedule, phase="reconstruct")
     return ReconstructResult(traj.final, inv)
 
 
@@ -246,6 +246,6 @@ def edit(job: EditJob, model: N.ModelWeights,
                          for i, eps_fn in enumerate(branches)], axis=0)
 
     both = D.ddim_sample(lockstep, T.concat([inv.final] * 2, axis=0), ts,
-                         schedule).final
+                         schedule, phase="edit").final
     recon, edited = (T.slice_axis(both, 0, i * f, (i + 1) * f) for i in (0, 1))
     return EditResult(edited, recon, aligned, reports, inv, cache)

@@ -3,11 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import synth_masks, synth_skeletons, synth_video
+from vidmotion import cli
+from vidmotion import injection as I
 from vidmotion import network as N
 from vidmotion import skeleton as SK
 from vidmotion import tensor as T
@@ -204,6 +207,21 @@ class TestEditCommand:
         edited = T.load_tensor(out / "edited.melt")
         assert np.isfinite(edited.data).all()
 
+    @pytest.mark.parametrize("guidance,where", [("1e38", "step 1/3 (t=999)"),
+                                                ("1e30", "step 2/3 (t=665)")])
+    def test_non_finite_value_exits_1_naming_the_step(self, tmp_path, capsys,
+                                                      guidance, where):
+        # 1e38 overflows in the guidance combination of the first step; 1e30
+        # leaves a finite ~1e31 latent that overflows in a later forward
+        _, cfg = make_job_dir(tmp_path)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["edit", "--config", str(cfg), "--out", str(out),
+                         "--guidance", guidance]) == 1
+        assert_one_line_error(capsys, f"non-finite value in edit {where}: overflow")
+        assert not out.exists()
+
     def test_two_runs_byte_identical(self, tmp_path):
         _, cfg = make_job_dir(tmp_path)
         trees = []
@@ -398,7 +416,7 @@ class TestSelftestCommand:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 13
+        assert out.count("PASS") == 14
 
     def test_corrupted_gradient_mode_fails_specific_check(self, capsys):
         assert main(["selftest", "--corrupt-gradient"]) == 1
@@ -457,3 +475,37 @@ class TestFrameMetrics:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(T.ShapeError):
             frame_metrics(T.zeros((2, 1, 2, 2)), T.zeros((3, 1, 2, 2)))
+
+
+def test_freed_heap_is_reused_across_forwards():
+    """Once the CLI's allocator settings apply, steady-state edit steps reuse
+    freed memory instead of faulting fresh pages in (glibc only)."""
+    resource = pytest.importorskip("resource")
+    if not cli._keep_freed_heap():
+        pytest.skip("mallopt is unavailable on this platform")
+    model = N.init_model(N.NetConfig(), seed=3)
+    cfg = model.cfg
+    side = cfg.image_size // cfg.pool
+    z = T.Tensor(np.random.default_rng(3).normal(
+        0, 1, (cfg.frames, cfg.channels, side, side)).astype(np.float32))
+    pose = N.pose_features(model, synth_skeletons())
+    masks = I.LatentMask.from_rasters(synth_masks(), cfg.level_shapes())
+    cache, inj = I.ReconCache(), I.InjectionSettings()
+
+    def step(t):
+        # one ControlNet forward, then the recon, edit-cond and edit-uncond
+        # U-Net forwards of one lockstep sampler step
+        feats = N.controlnet_forward(model, z, t, pose)
+        N.unet_forward(model, z, t, "a figure walking", control_feats=feats,
+                       role="recon", cache=cache, inj=inj)
+        for prompt in ("a figure marching", None):
+            N.unet_forward(model, z, t, prompt, control_feats=feats, role="edit",
+                           cache=cache, masks=masks, inj=inj)
+
+    for t in range(999, 996, -1):  # warm-up
+        step(t)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for t in range(996, 986, -1):
+        step(t)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 500, f"{faults} minor page faults in 10 steady-state steps"

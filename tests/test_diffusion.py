@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,41 @@ class TestDdimInvertStep:
             rms[steps] = float(np.sqrt(np.mean((traj_dn.final.data - x0.data) ** 2)))
         assert rms[10] > rms[50] > rms[200]
         assert rms[50] <= 0.30  # recorded 0.268 on the frozen fixture, plus headroom
+
+
+class TestNonFiniteSteps:
+    """The first non-finite value stops the loop, naming phase, step and t."""
+
+    @staticmethod
+    def _overflow_at(t_bad):
+        def fn(x, t):  # float32 overflow inside the predictor at t_bad
+            return T.scale(T.scale(x, 1e30), 1e30) if t == t_bad else T.scale(x, 0.1)
+        return fn
+
+    def test_overflow_in_predictor_names_step_without_warning(self):
+        s = D.make_schedule()
+        ts = D.subsequence(1000, 4)  # [249, 499, 749, 999]
+        x = T.Tensor(rnd((2, 3), 30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(D.NonFiniteError,
+                               match=r"sample step 2/4 \(t=749\): overflow"):
+                D.ddim_sample(self._overflow_at(749), x, ts, s)
+            with pytest.raises(D.NonFiniteError,
+                               match=r"invert step 3/4 \(t=749\): overflow"):
+                D.ddim_invert(self._overflow_at(749), x, ts, s)
+
+    def test_non_finite_latent_without_fp_exception_is_caught(self):
+        s = D.make_schedule()
+        ts = D.subsequence(1000, 3)
+        x = T.Tensor(rnd((2, 3), 31))
+
+        def nan_eps(x, t):  # a NaN built without any floating-point exception
+            return T.Tensor(np.full(x.shape, np.nan, np.float32))
+
+        with pytest.raises(D.NonFiniteError,
+                           match=r"recon step 1/3 \(t=999\): the new latent"):
+            D.ddim_sample(nan_eps, x, ts, s, phase="recon")
 
 
 class TestCfgCombine:

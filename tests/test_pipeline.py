@@ -159,6 +159,20 @@ class TestEdit:
         np.testing.assert_array_equal(res.edited.data, rec.latent.data)
         np.testing.assert_array_equal(res.reconstructed.data, rec.latent.data)
 
+    def test_reconstructed_equals_reconstruct_per_control_flag(self, base_model,
+                                                               schedule):
+        recons = {}
+        for control in (True, False):
+            job = make_job(steps=3, guidance=7.5, control_on_recon=control)
+            res = P.edit(job, base_model, schedule)
+            rec = P.reconstruct(base_model, job.video, job.source_skeletons,
+                                job.prompt_source, steps=3, schedule=schedule,
+                                control_on_recon=control)
+            np.testing.assert_array_equal(res.reconstructed.data, rec.latent.data)
+            recons[control] = rec.latent.data
+        # the flag reaches the branch: without the source pose it differs
+        assert not np.array_equal(recons[True], recons[False])
+
     def test_full_run_finite_and_covers_all_gated_layers(self, base_model, schedule):
         job = make_job(steps=5, guidance=1.0)
         res = P.edit(job, base_model, schedule)

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vidmotion import skeleton as S
 
@@ -224,6 +226,13 @@ class TestRenderKeypoints:
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    """One file the fuzz tests rewrite per example (hypothesis rejects
+    function-scoped fixtures)."""
+    return tmp_path_factory.mktemp("fuzz") / "f.pgm"
+
+
 class TestFileFormats:
     def test_pgm_round_trip(self, tmp_path):
         img = np.random.default_rng(2).integers(0, 256, (12, 9)).astype(np.uint8)
@@ -269,3 +278,31 @@ class TestFileFormats:
         path.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
         with pytest.raises(S.RasterError):
             S.read_pgm(path)
+
+    @staticmethod
+    def _reads_or_raster_error(path, raw):
+        path.write_bytes(raw)
+        try:
+            img = S.read_pgm(path)
+        except S.RasterError:
+            return
+        assert isinstance(img, np.ndarray) and img.dtype == np.uint8
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=48))
+    def test_fuzz_arbitrary_bytes(self, fuzz_path, raw):
+        self._reads_or_raster_error(fuzz_path, b"P5" + raw)
+        self._reads_or_raster_error(fuzz_path, raw)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_fuzz_truncated_and_mutated_files(self, fuzz_path, w, h, data):
+        S.write_pgm(fuzz_path, np.arange(w * h, dtype=np.uint8).reshape(h, w))
+        raw = fuzz_path.read_bytes()
+        cut = data.draw(st.integers(0, len(raw)), label="cut")
+        self._reads_or_raster_error(fuzz_path, raw[:cut])
+        mutated = bytearray(raw)
+        for _ in range(data.draw(st.integers(1, 4), label="flips")):
+            pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
+            mutated[pos] = data.draw(st.integers(0, 255), label="byte")
+        self._reads_or_raster_error(fuzz_path, bytes(mutated))

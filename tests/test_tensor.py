@@ -103,6 +103,72 @@ class TestSoftmax:
         np.testing.assert_allclose(a, b, atol=1e-6)
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_kernel_values = st.one_of(
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-45, -1e-45, 88.7, -88.7, 3e38, -3e38]))
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """A float32 array of rank 1-4 and one of its axes, with rows of 1-400
+    entries along that axis; values include signed zeros, subnormals and
+    magnitudes near the float32 limit."""
+    rank = draw(st.integers(1, 4))
+    axis = draw(st.integers(0, rank - 1))
+    row = draw(st.integers(1, 400))
+    shape = [draw(st.integers(1, 6)) for _ in range(rank)]
+    shape[axis] = row
+    n = math.prod(shape)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    x = np.random.default_rng(seed).normal(0, draw(st.sampled_from([1.0, 30.0])), n)
+    x = x.astype(np.float32)
+    picks = draw(st.lists(st.tuples(st.integers(0, n - 1), _kernel_values),
+                          max_size=8))
+    for i, v in picks:
+        x[i] = v
+    return x.reshape(shape), axis
+
+
+class TestKernelIdentity:
+    """The fast kernels equal their reference formulas bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_kernel_inputs())
+    def test_sigmoid_matches_branch_select(self, case):
+        x, _ = case
+        assert _same_bits(T._sigmoid(x), T._sigmoid_reference(x))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_kernel_inputs(), st.booleans())
+    def test_softmax_matches_per_row_max(self, case, negative_axis):
+        x, axis = case
+        if negative_axis:
+            axis -= x.ndim
+        with np.errstate(over="ignore", invalid="ignore"):
+            fast = T.softmax(T.Tensor(x), axis=axis).data
+            ref = T._softmax_reference(x.copy(), axis)
+            assert _same_bits(T._row_max(x, axis), x.max(axis=axis, keepdims=True))
+        assert _same_bits(fast, ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_kernel_inputs(), st.randoms(use_true_random=False))
+    def test_transpose_backward_uses_the_inverse_permutation(self, case, rnd_gen):
+        x, _ = case
+        axes = list(range(x.ndim))
+        rnd_gen.shuffle(axes)
+        tape = T.Tape()
+        leaf = tape.watch(T.Tensor(x))
+        out = T.transpose(leaf, axes)
+        assert _same_bits(out.data, np.ascontiguousarray(x.transpose(axes)))
+        g = out.node.backward_fn(out.data)[0]
+        assert _same_bits(g, out.data.transpose(np.argsort(axes)))
+        assert _same_bits(np.ascontiguousarray(g), x)
+
+
 class TestConcat:
     def test_single_part_identity(self):
         x = T.Tensor(rnd((2, 3)))
@@ -473,6 +539,40 @@ class TestMeltContainer:
     def test_malformed_bytes_raise_format_error_naming_offset(self, raw, where):
         with pytest.raises(T.FormatError, match=where):
             T.tensor_from_bytes(raw)
+
+    @pytest.mark.parametrize("tail", [b"garbage!", T.tensor_bytes(T.ones((1,)))],
+                             ids=["garbage", "second-container"])
+    def test_trailing_bytes_rejected_at_payload_end(self, tail):
+        raw = T.tensor_bytes(T.zeros((2, 3)))
+        with pytest.raises(T.FormatError, match=f"trailing bytes .* at byte {len(raw)}"):
+            T.tensor_from_bytes(raw + tail)
+
+    @staticmethod
+    def _parses_or_format_error(raw):
+        try:
+            out = T.tensor_from_bytes(raw)
+        except T.FormatError:
+            return
+        assert isinstance(out, T.Tensor)
+        assert T.tensor_bytes(out) == raw
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_fuzz_arbitrary_bytes(self, raw):
+        self._parses_or_format_error(raw)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=0, max_size=3), st.data())
+    def test_fuzz_truncated_and_mutated_containers(self, dims, data):
+        raw = T.tensor_bytes(T.Tensor(np.arange(math.prod(dims), dtype=np.float32)
+                                      .reshape(dims)))
+        cut = data.draw(st.integers(0, len(raw)), label="cut")
+        self._parses_or_format_error(raw[:cut])
+        mutated = bytearray(raw)
+        for _ in range(data.draw(st.integers(1, 4), label="flips")):
+            pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
+            mutated[pos] = data.draw(st.integers(0, 255), label="byte")
+        self._parses_or_format_error(bytes(mutated))
 
 
 def test_numeric_gradient_oracle_on_known_function():
