@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from . import tensor as T
 from .tensor import Tensor
@@ -69,28 +70,37 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return T.matmul(T.softmax(scores, axis=rank - 1), v)
 
 
-def attention(q_src: Tensor, kv_src: Tensor, p: ProjectionSet) -> Tensor:
-    """Queries projected from ``q_src``, keys and values from ``kv_src``,
-    attended, then projected out."""
+KVHook = Callable[[Tensor, Tensor], tuple[Tensor, Tensor]]
+
+
+def attention(q_src: Tensor, kv_src: Tensor, p: ProjectionSet,
+              kv: KVHook | None = None) -> Tensor:
+    """Queries projected from ``q_src``, keys and values from ``kv_src``
+    (then passed through ``kv`` when given), attended, then projected out."""
     q = T.matmul(q_src, p.w_q)
     k = T.matmul(kv_src, p.w_k)
     v = T.matmul(kv_src, p.w_v)
+    if kv is not None:
+        k, v = kv(k, v)
     return T.matmul(attend(q, k, v), p.w_out)
 
 
-def cs_attention(z_prev: Tensor, z_cur: Tensor, p: ProjectionSet) -> Tensor:
+def cs_attention(z_prev: Tensor, z_cur: Tensor, p: ProjectionSet,
+                 kv: KVHook | None = None) -> Tensor:
     """Cross-frame attention: queries from the current frame, keys/values from
     the concatenated preceding+current frames (frame 0 passes itself twice)."""
     if z_prev.shape != z_cur.shape:
         raise T.ShapeError(f"frame token shapes differ: {z_prev.shape} "
                            f"vs {z_cur.shape}")
-    return attention(z_cur, T.concat([z_prev, z_cur], axis=z_cur.data.ndim - 2), p)
+    return attention(z_cur, T.concat([z_prev, z_cur], axis=z_cur.data.ndim - 2),
+                     p, kv)
 
 
-def temporal_attention(stack: Tensor, p: ProjectionSet) -> Tensor:
+def temporal_attention(stack: Tensor, p: ProjectionSet,
+                       kv: KVHook | None = None) -> Tensor:
     """Self-attention across the frame axis: one location's (F, d) stack, or
     (locations, F, d)."""
-    return attention(stack, stack, p)
+    return attention(stack, stack, p, kv)
 
 
 def content_cross_attention(m: Tensor, z: Tensor, p: ProjectionSet) -> Tensor:

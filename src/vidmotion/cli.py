@@ -33,7 +33,8 @@ from . import tensor as T
 _INPUT_ERRORS = (C.ConfigError, N.ConfigError, P.JobError, SK.EmptyMaskError,
                  SK.RasterError, SK.KeypointError, D.ScheduleError,
                  T.ShapeError, T.FormatError, I.MaskError, I.CacheError,
-                 I.GateError, FileNotFoundError, NotADirectoryError)
+                 I.GateError, FileNotFoundError, NotADirectoryError,
+                 IsADirectoryError, FileExistsError)
 
 
 # ---------------------------------------------------------------------------

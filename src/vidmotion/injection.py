@@ -3,8 +3,8 @@
 The reconstruction branch's keys/values are split rowwise by a binary token
 mask, then stacked together with the editing branch's current-frame block;
 the editing branch's preceding-frame block is dropped. Temporal attention is
-injected wholesale: the network attends its editing-branch queries over the
-cached reconstruction keys/values.
+injected wholesale. ``kv_hooks`` decides which U-Net blocks inject and hands
+each one the key/value hooks its attention kernels apply.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .attention import KVHook
 from .tensor import Tensor
 
 
@@ -89,23 +90,6 @@ def build_injected_kv(recon: tuple[Tensor, Tensor, Tensor, Tensor],
             T.concat([T.gather_rows(T.add(v_fg, v_bg), rows), v_cu], axis=axis))
 
 
-def injected_cs_kv(cache: ReconCache, layer: str, t: int, mask: np.ndarray,
-                   k_edit: Tensor, v_edit: Tensor,
-                   drop_masked_tokens: bool) -> tuple[Tensor, Tensor]:
-    """All frames' injected cross-frame key/value stacks for one gated layer.
-
-    Reads the reconstruction key/value stacks from ``cache``, decouples them
-    with the (F, 2N) ``mask`` and stacks them with the editing branch's
-    current-frame block, the second half of ``k_edit``/``v_edit``
-    (F x 2N x d, [preceding, current]). The intermediates die on return.
-    """
-    recon = decouple_kv(*cache.get_cs(layer, t), mask)
-    two_n = k_edit.shape[1]
-    n = two_n // 2
-    cur = (T.slice_axis(k_edit, 1, n, two_n), T.slice_axis(v_edit, 1, n, two_n))
-    return build_injected_kv(recon, cur, drop_masked_tokens, mask)
-
-
 def gate(layer_id: str, topology: dict[str, str], inject_mid: bool = False) -> bool:
     """True iff injection is active for this layer (decoder half only)."""
     try:
@@ -168,6 +152,35 @@ class LatentMask:
         cur = self.levels[level]
         prev = cur[np.maximum(np.arange(cur.shape[0]) - 1, 0)]
         return np.concatenate([prev, cur], axis=1)
+
+
+def kv_hooks(role: str, layer: str, t: int, topology: dict[str, str], level: int,
+             cache: ReconCache | None, masks: LatentMask | None,
+             inj: InjectionSettings | None) -> tuple[KVHook | None, KVHook | None]:
+    """The (cross-frame, temporal) key/value hooks of U-Net block ``layer`` at
+    step ``t``, or None where the block does not inject. "recon" hooks copy
+    the stacks into ``cache``; "edit" hooks return the injected cross-frame
+    stacks (masks of ``level``) and the cached temporal stacks."""
+    if inj is None or not gate(layer, topology, inj.inject_mid):
+        return None, None
+    if role == "recon":
+        def writer(put):
+            def hook(k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+                put(layer, t, k.data, v.data)
+                return k, v
+            return hook
+        return writer(cache.put_cs), writer(cache.put_temporal)
+    if role == "edit" and inj.enabled:
+        mask = masks.cs_mask(level)
+
+        def inject_cs(k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+            recon = decouple_kv(*cache.get_cs(layer, t), mask)
+            n = k.shape[1] // 2
+            cur = (T.slice_axis(k, 1, n, 2 * n), T.slice_axis(v, 1, n, 2 * n))
+            return build_injected_kv(recon, cur, inj.drop_masked_tokens, mask)
+
+        return inject_cs, lambda k, v: cache.get_temporal(layer, t)
+    return None, None
 
 
 class ReconCache:

@@ -2,9 +2,9 @@
 the pose encoder.
 
 Two resolution levels; each U-Net block runs cross-frame attention, text
-cross-attention, and temporal attention (residual + pre-layer-norm each). The
-reconstruction role writes decoder-layer keys/values into a ReconCache; the
-editing role consumes them through the injection machinery at gated layers.
+cross-attention, and temporal attention (residual + pre-layer-norm each)
+through the attention kernels, with key/value hooks from ``injection.kv_hooks``
+that write the ReconCache (reconstruction role) or inject from it (editing).
 Spatial mixing comes from the attention kernels, so all "convolutions" are
 pointwise token projections and resolution changes are average-pool / nearest
 repeat.
@@ -273,52 +273,27 @@ def _frame_shifted(x: Tensor) -> Tensor:
                     axis=0)
 
 
-def _cs_sub_block(x: Tensor, model: ModelWeights, lid: str, t: int, role: str,
-                  cache: I.ReconCache | None, masks: I.LatentMask | None,
-                  inj: I.InjectionSettings | None, injecting: bool) -> Tensor:
-    pset = model.pset(f"unet.{lid}.cs")
+def _cs_sub_block(x: Tensor, model: ModelWeights, lid: str, kv) -> Tensor:
     a_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_cs"))
-    q = T.matmul(a_in, pset.w_q)
-    kv_in = T.concat([_frame_shifted(a_in), a_in], axis=1)  # (F, 2N, d)
-    k = T.matmul(kv_in, pset.w_k)
-    v = T.matmul(kv_in, pset.w_v)
-    if role == "recon" and injecting:
-        cache.put_cs(lid, t, k.data, v.data)
-    if role == "edit" and injecting:
-        mask = masks.cs_mask(BLOCK_LEVEL[lid])
-        k, v = I.injected_cs_kv(cache, lid, t, mask, k, v, inj.drop_masked_tokens)
-    return T.matmul(A.attend(q, k, v), pset.w_out)
+    return A.cs_attention(_frame_shifted(a_in), a_in, model.pset(f"unet.{lid}.cs"), kv)
 
 
 def _cross_sub_block(x: Tensor, model: ModelWeights, lid: str,
                      text: Tensor) -> Tensor:
-    pset = model.pset(f"unet.{lid}.cross")
     c_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_cross"))
-    frames = x.shape[0]
-    q = T.matmul(c_in, pset.w_q)
-    k = T.matmul(text, pset.w_k)
-    v = T.matmul(text, pset.w_v)
-    n_tok, d = k.shape
-    k3 = T.repeat_axis(T.reshape(k, (1, n_tok, d)), 0, frames)
-    v3 = T.repeat_axis(T.reshape(v, (1, n_tok, d)), 0, frames)
-    return T.matmul(A.attend(q, k3, v3), pset.w_out)
+
+    def per_frame(k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        return (T.repeat_axis(T.reshape(k, (1, *k.shape)), 0, x.shape[0]),
+                T.repeat_axis(T.reshape(v, (1, *v.shape)), 0, x.shape[0]))
+
+    return A.attention(c_in, text, model.pset(f"unet.{lid}.cross"), per_frame)
 
 
-def _temporal_sub_block(x: Tensor, model: ModelWeights, lid: str, t: int,
-                        role: str, cache: I.ReconCache | None,
-                        injecting: bool) -> Tensor:
-    pset = model.pset(f"unet.{lid}.temporal")
+def _temporal_sub_block(x: Tensor, model: ModelWeights, lid: str, kv) -> Tensor:
     t_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_temporal"))
     stacks = T.transpose(t_in, (1, 0, 2))  # (locations, frames, d)
-    q = T.matmul(stacks, pset.w_q)
-    k = T.matmul(stacks, pset.w_k)
-    v = T.matmul(stacks, pset.w_v)
-    if role == "recon" and injecting:
-        cache.put_temporal(lid, t, k.data, v.data)
-    if role == "edit" and injecting:
-        k, v = cache.get_temporal(lid, t)
-    att = A.attend(q, k, v)
-    return T.matmul(T.transpose(att, (1, 0, 2)), pset.w_out)
+    out = A.temporal_attention(stacks, model.pset(f"unet.{lid}.temporal"), kv)
+    return T.transpose(out, (1, 0, 2))
 
 
 def _conv_time_residual(x: Tensor, model: ModelWeights, pre: str, t: int) -> Tensor:
@@ -332,11 +307,11 @@ def _conv_time_residual(x: Tensor, model: ModelWeights, pre: str, t: int) -> Ten
 
 def _unet_block(x: Tensor, model: ModelWeights, lid: str, t: int, text: Tensor,
                 role: str, cache, masks, inj, probe) -> Tensor:
-    gated = inj is not None and I.gate(lid, TOPOLOGY, inj.inject_mid)
-    injecting = gated and (role == "recon" or (role == "edit" and inj.enabled))
+    cs_kv, temporal_kv = I.kv_hooks(role, lid, t, TOPOLOGY, BLOCK_LEVEL[lid],
+                                    cache, masks, inj)
     x = _conv_time_residual(x, model, f"unet.{lid}", t)
 
-    cs_out = _cs_sub_block(x, model, lid, t, role, cache, masks, inj, injecting)
+    cs_out = _cs_sub_block(x, model, lid, cs_kv)
     if probe is not None:
         probe[(lid, "cs")] = cs_out.data
     x = T.add(x, cs_out)
@@ -346,7 +321,7 @@ def _unet_block(x: Tensor, model: ModelWeights, lid: str, t: int, text: Tensor,
         probe[(lid, "cross")] = cross_out.data
     x = T.add(x, cross_out)
 
-    temp_out = _temporal_sub_block(x, model, lid, t, role, cache, injecting)
+    temp_out = _temporal_sub_block(x, model, lid, temporal_kv)
     if probe is not None:
         probe[(lid, "temporal")] = temp_out.data
     x = T.add(x, temp_out)

@@ -240,6 +240,42 @@ class TestContentCrossAttention:
             np.testing.assert_allclose(batched[f], single, atol=1e-6)
 
 
+class TestKeyValueHook:
+    @pytest.mark.parametrize("shape", [(4, 8), (3, 4, 8)], ids=["rank2", "rank3"])
+    def test_identity_hook_is_bit_identical(self, shape):
+        p = pset(60, 8)
+        q_src, kv_src = T.Tensor(rnd(shape, 61)), T.Tensor(rnd(shape, 62))
+        plain = A.attention(q_src, kv_src, p)
+        hooked = A.attention(q_src, kv_src, p, kv=lambda k, v: (k, v))
+        np.testing.assert_array_equal(hooked.data, plain.data)
+
+    @pytest.mark.parametrize("shape", [(4, 8), (3, 4, 8)], ids=["rank2", "rank3"])
+    @pytest.mark.parametrize("kernel", ["cs", "temporal"])
+    def test_hook_sees_projections_and_its_result_is_attended(self, kernel, shape):
+        p = pset(63, 8)
+        z_prev, z = T.Tensor(rnd(shape, 64)), T.Tensor(rnd(shape, 65))
+        # a replacement with a different token count than the projections
+        swap_shape = (*shape[:-2], 7, shape[-1])
+        k_swap, v_swap = T.Tensor(rnd(swap_shape, 66)), T.Tensor(rnd(swap_shape, 67))
+        seen = []
+
+        def hook(k, v):
+            seen.append((k.data.copy(), v.data.copy()))
+            return k_swap, v_swap
+
+        if kernel == "cs":
+            out = A.cs_attention(z_prev, z, p, kv=hook)
+            kv_src = T.concat([z_prev, z], axis=len(shape) - 2)
+        else:
+            out = A.temporal_attention(z, p, kv=hook)
+            kv_src = z
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0][0], T.matmul(kv_src, p.w_k).data)
+        np.testing.assert_array_equal(seen[0][1], T.matmul(kv_src, p.w_v).data)
+        want = T.matmul(A.attend(T.matmul(z, p.w_q), k_swap, v_swap), p.w_out)
+        np.testing.assert_array_equal(out.data, want.data)
+
+
 @pytest.mark.parametrize("kernel", ["attend", "cs", "temporal", "cross"])
 def test_kernels_differentiable_end_to_end(kernel):
     d = 6

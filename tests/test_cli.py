@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import synth_masks, synth_skeletons, synth_video
 from vidmotion import cli
@@ -398,6 +402,37 @@ class TestConfigHandling:
         assert_one_line_error(capsys, needle)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("case,needle", [
+        ("config-dir", "Is a directory"),
+        ("manifest-file-empty", "Is a directory"),
+        ("manifest-dir", "Is a directory"),
+        ("out-file", "File exists"),
+    ], ids=["config-dir", "manifest-file-empty", "manifest-dir", "out-file"])
+    def test_directory_or_existing_file_path_exits_2_with_one_line(
+            self, tmp_path, capsys, case, needle):
+        _, cfg = make_job_dir(tmp_path)
+        out = tmp_path / "o"
+        argv = ["align", "--config", str(cfg)]
+        if case == "config-dir":
+            argv = ["align", "--config", str(tmp_path)]
+        elif case == "out-file":
+            out.write_text("")
+        else:
+            ckpt = tmp_path / "ckpt"
+            N.save_checkpoint(ckpt, N.init_model(N.NetConfig(), seed=7))
+            manifest = ckpt / "manifest.json"
+            if case == "manifest-dir":
+                manifest.unlink()
+                manifest.mkdir()
+            else:
+                blob = json.loads(manifest.read_text())
+                blob["tensors"]["unet.out_b"]["file"] = ""
+                manifest.write_text(json.dumps(blob))
+            argv = ["reconstruct", "--steps", "1", "--config", str(cfg),
+                    "--checkpoint", str(ckpt)]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert_one_line_error(capsys, needle)
+
     def test_seed_override_applies(self, tmp_path):
         _, cfg = make_job_dir(tmp_path)
         out_a = tmp_path / "a"
@@ -409,6 +444,86 @@ class TestConfigHandling:
         a = T.load_tensor(out_a / "edited.melt").data
         b = T.load_tensor(out_b / "edited.melt").data
         assert not np.array_equal(a, b)
+
+
+def json_values(ints):
+    return st.recursive(
+        st.none() | st.booleans() | ints | st.floats() | st.text(max_size=8),
+        lambda kids: (st.lists(kids, max_size=3)
+                      | st.dictionaries(st.text(max_size=8), kids, max_size=3)),
+        max_leaves=8)
+
+
+def fuzzed(data, blob, values):
+    """``blob`` after one to three edits, each at a drawn depth: an entry
+    replaced by one of ``values`` or deleted, or a leaf redrawn."""
+    def mutate(value):
+        keys = (sorted(value) if isinstance(value, dict)
+                else list(range(len(value))) if isinstance(value, list) else [])
+        if not keys:
+            return data.draw(values)
+        key = data.draw(st.sampled_from(keys))
+        out = dict(value) if isinstance(value, dict) else list(value)
+        action = data.draw(st.sampled_from(["replace", "delete", "descend"]))
+        if action == "delete":
+            del out[key]
+        else:
+            out[key] = data.draw(values) if action == "replace" else mutate(value[key])
+        return out
+
+    for _ in range(data.draw(st.integers(1, 3))):
+        blob = mutate(blob)
+    return blob
+
+
+def run_cli(argv):
+    """Exit code and stderr of ``main(argv)``; a RuntimeWarning raises
+    instead of printing."""
+    err = io.StringIO()
+    with (contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()),
+          warnings.catch_warnings()):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_job(tmp_path_factory):
+    """A valid job directory, its config blob and its checkpoint's manifest."""
+    root, cfg = make_job_dir(tmp_path_factory.mktemp("fuzz"))
+    N.save_checkpoint(root / "ckpt", N.init_model(N.NetConfig(), seed=7))
+    manifest = json.loads((root / "ckpt" / "manifest.json").read_text())
+    return root, json.loads(cfg.read_text()), manifest
+
+
+class TestFuzzedInputs:
+    def assert_clean_exit(self, argv):
+        code, err = run_cli(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err and err.count("\n") <= 1, err
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_config_blob_exits_cleanly(self, fuzz_job, data):
+        root, blob, _ = fuzz_job
+        cfg = root / "fuzzed.json"
+        cfg.write_text(json.dumps(fuzzed(data, blob, json_values(st.integers()))))
+        self.assert_clean_exit(["align", "--config", str(cfg),
+                                "--out", str(root / "fuzzed_out")])
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_checkpoint_manifest_exits_cleanly(self, fuzz_job, data):
+        root, _, manifest = fuzz_job
+        # load_checkpoint builds the whole model of the manifest's config to
+        # learn its shapes, so a large size would allocate gigabytes
+        small = json_values(st.integers(-3, 300))
+        (root / "ckpt" / "manifest.json").write_text(
+            json.dumps(fuzzed(data, manifest, small)))
+        self.assert_clean_exit(["reconstruct", "--steps", "1",
+                                "--config", str(root / "config.json"),
+                                "--checkpoint", str(root / "ckpt"),
+                                "--out", str(root / "fuzzed_out")])
 
 
 class TestSelftestCommand:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vidmotion import attention as A
+from vidmotion import diffusion as D
 from vidmotion import injection as I
 from vidmotion import network as N
 from vidmotion import tensor as T
@@ -72,6 +73,12 @@ def per_frame_cs_edit(x, model, lid, t, cache, masks, drop):
     return T.matmul(T.concat(outs, axis=0), pset.w_out)
 
 
+def block_hooks(role, lid, cache, masks=None, inj=None):
+    """(cross-frame, temporal) key/value hooks of block ``lid`` at t = 21."""
+    return I.kv_hooks(role, lid, 21, N.TOPOLOGY, N.BLOCK_LEVEL[lid], cache, masks,
+                      inj or I.InjectionSettings())
+
+
 @pytest.mark.parametrize("drop", [False, True], ids=["5n", "drop"])
 @pytest.mark.parametrize("lid", ["dec0", "mid"])
 def test_batched_cs_injection_equals_per_frame_reference(model, lid, drop):
@@ -80,12 +87,12 @@ def test_batched_cs_injection_equals_per_frame_reference(model, lid, drop):
     inj = I.InjectionSettings(inject_mid=True, drop_masked_tokens=drop)
     assert I.gate(lid, N.TOPOLOGY, inj.inject_mid)
     cache = I.ReconCache()
-    N._cs_sub_block(T.Tensor(rnd(shape, seed=70)), model, lid, 21, "recon",
-                    cache, None, inj, injecting=True)
+    recon_cs, _ = block_hooks("recon", lid, cache, inj=inj)
+    N._cs_sub_block(T.Tensor(rnd(shape, seed=70)), model, lid, recon_cs)
     masks = mixed_mask_pyramid()
     x = T.Tensor(rnd(shape, seed=71))
-    got = N._cs_sub_block(x, model, lid, 21, "edit", cache, masks, inj,
-                          injecting=True)
+    edit_cs, _ = block_hooks("edit", lid, cache, masks, inj)
+    got = N._cs_sub_block(x, model, lid, edit_cs)
     want = per_frame_cs_edit(x, model, lid, 21, cache, masks, drop)
     np.testing.assert_array_equal(got.data, want.data)
     assert cache.reads_cs == 2
@@ -164,16 +171,15 @@ class TestUnetForward:
         # [K_full(2N), zeros(2N), K_cur(N)] layout
         stream = T.Tensor(rnd((CFG.frames, 64, 32), seed=60))
         cache = I.ReconCache()
-        recon_t = N._temporal_sub_block(stream, model, "dec0", 21, "recon",
-                                        cache, injecting=True)
-        edit_t = N._temporal_sub_block(stream, model, "dec0", 21, "edit",
-                                       cache, injecting=True)
-        np.testing.assert_array_equal(edit_t.data, recon_t.data)
-
         full_fg = I.LatentMask.from_rasters(
             np.ones((CFG.frames, 32, 32), np.float32), CFG.level_shapes())
-        N._cs_sub_block(stream, model, "dec0", 21, "recon", cache, None,
-                        I.InjectionSettings(), injecting=True)
+        recon_cs, recon_temporal = block_hooks("recon", "dec0", cache)
+        _, edit_temporal = block_hooks("edit", "dec0", cache, full_fg)
+        recon_t = N._temporal_sub_block(stream, model, "dec0", recon_temporal)
+        edit_t = N._temporal_sub_block(stream, model, "dec0", edit_temporal)
+        np.testing.assert_array_equal(edit_t.data, recon_t.data)
+
+        N._cs_sub_block(stream, model, "dec0", recon_cs)
         k_r, v_r = (T.Tensor(s.data[3]) for s in cache.get_cs("dec0", 21))
         mask2n = full_fg.cs_mask(0)[3]
         recon_parts = I.decouple_kv(k_r, v_r, mask2n)
@@ -305,3 +311,63 @@ class TestWeightsPlumbing:
         video = T.Tensor(np.ones((CFG.frames, 4, 32, 32), np.float32) * 3.0)
         lat = N.encode_video(video, CFG)
         np.testing.assert_allclose(lat.data, 3.0, rtol=1e-6)
+
+
+def inline_cs_sub_block(x, model, lid, kv):
+    """The cross-frame sub-block written out inline, with the query projected
+    before the frame shift."""
+    assert kv is None
+    pset = model.pset(f"unet.{lid}.cs")
+    a_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_cs"))
+    q = T.matmul(a_in, pset.w_q)
+    kv_in = T.concat([N._frame_shifted(a_in), a_in], axis=1)
+    k = T.matmul(kv_in, pset.w_k)
+    v = T.matmul(kv_in, pset.w_v)
+    return T.matmul(A.attend(q, k, v), pset.w_out)
+
+
+def inline_temporal_sub_block(x, model, lid, kv):
+    """The temporal sub-block written out inline, with the attended stacks
+    transposed back to frame-major order before ``w_out``."""
+    assert kv is None
+    pset = model.pset(f"unet.{lid}.temporal")
+    t_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_temporal"))
+    stacks = T.transpose(t_in, (1, 0, 2))
+    att = A.attend(T.matmul(stacks, pset.w_q), T.matmul(stacks, pset.w_k),
+                   T.matmul(stacks, pset.w_v))
+    return T.matmul(T.transpose(att, (1, 0, 2)), pset.w_out)
+
+
+def training_gradients(model, latent):
+    """Gradients of one training loss (conditioned U-Net, squared error) with
+    respect to every trainable parameter."""
+    tape = T.Tape()
+    watched = {n: tape.watch(model.params[n]) for n in N.trainable_names(model)}
+    m = model.replace(watched)
+    feats = N.controlnet_forward(m, latent, 417, N.pose_features(m, skeleton_stack()))
+    eps = T.Tensor(rnd(latent.shape, seed=80))
+    loss = D.training_loss(N.unet_forward(m, latent, 417, "p", control_feats=feats),
+                           eps)
+    T.backward(tape, loss)
+    return {n: tape.grad(w).data for n, w in watched.items()}
+
+
+def test_training_gradients_match_inline_sub_blocks_within_rounding(
+        model, latent, monkeypatch):
+    # The kernels record the frame shift before the query projection and
+    # apply the temporal w_out location-major, so some gradient products sum
+    # in another order than in the inline sub-blocks: training may move by
+    # float32 rounding, bounded here at 1e-5 of each gradient's largest entry.
+    # Nonzero adapter output projections make every trainable gradient nonzero.
+    model = model.replace({f"adapter{lvl}.out_proj": T.Tensor(rnd((d, d), 81 + lvl, 0.1))
+                           for lvl, d in enumerate(CFG.widths)})
+    got = training_gradients(model, latent)
+    monkeypatch.setattr(N, "_cs_sub_block", inline_cs_sub_block)
+    monkeypatch.setattr(N, "_temporal_sub_block", inline_temporal_sub_block)
+    want = training_gradients(model, latent)
+    assert set(got) == set(want) == N.trainable_names(model)
+    for name, grad in want.items():
+        scale = np.abs(grad).max()
+        assert scale > 0, name
+        gap = np.abs(got[name] - grad).max()
+        assert gap <= 1e-5 * scale, f"{name}: gap {gap:.3g} of largest entry {scale:.3g}"
