@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import errno
 import functools
 import gc
 import json
@@ -107,6 +108,13 @@ def _load_job(cfg: C.Config) -> P.EditJob:
         align_first_frame_only=cfg.align_first_frame_only,
         control_on_recon=cfg.control_on_recon,
     )
+
+
+def _refuse_non_directory(out_dir: str) -> None:
+    """Reject an ``--out`` that exists and is not a directory before a job
+    runs. The directory itself is made only once the job has succeeded."""
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out_dir)
 
 
 def _model_for(cfg: C.Config, checkpoint: str | None) -> N.ModelWeights:
@@ -359,6 +367,34 @@ def _selftest_checks(seed: int, corrupt_gradient: bool):
         return not alive, ("tape outlived its tensors: a reference cycle"
                            if alive else "tape freed with its last tensor")
 
+    def check_tape_saves():
+        # a frozen weight's input is not kept for the weight's gradient, and
+        # skipping frozen products leaves every trainable gradient's bits
+        tape = T.Tape()
+        x = tape.watch(T.Tensor(gen((3, 4))))
+        h = T.matmul(x, T.Tensor(gen((4, 2))))
+        kept = weakref.ref(x.data)
+        del x
+        if kept() is not None:
+            return False, "a frozen weight's input outlived the forward"
+        cfg = N.NetConfig()
+        model = N.init_model(cfg, seed=seed + 5).replace({
+            f"adapter{lvl}.out_proj": T.Tensor(gen((d, d), 0.1))
+            for lvl, d in enumerate(cfg.widths)})
+        z = T.Tensor(gen((cfg.frames, cfg.channels, cfg.latent_size, cfg.latent_size)))
+        eps = T.Tensor(gen(z.shape))
+        pose = N.pose_features(model, rng.uniform(
+            0, 255, (cfg.frames, cfg.image_size, cfg.image_size)))
+        trainable = {n: model.params[n] for n in N.trainable_names(model)}
+        _, grads = P.train_step(model, trainable, pose, z, 417, eps, "p")
+        _, every = P.train_step(model, model.params, pose, z, 417, eps, "p")
+        moved = sorted(n for n, g in grads.items()
+                       if g.data.tobytes() != every[n].data.tobytes())
+        if moved:
+            return False, f"gradients differ from the watch-all walk: {moved}"
+        return True, (f"input freed with {h.shape} output alive; "
+                      f"{len(grads)} trainable gradients equal the watch-all walk")
+
     def check_partition():
         for i in range(100):
             n = int(rng.integers(1, 65))
@@ -511,6 +547,7 @@ def _selftest_checks(seed: int, corrupt_gradient: bool):
         ("gradient-adapter", check_adapter_gradients),
         ("gradient-unet", check_unet_gradient),
         ("tape-refcount", check_tape_refcount),
+        ("tape-saves", check_tape_saves),
         ("partition-identity", check_partition),
         ("duplication-reduction", check_duplication),
         ("injection-layout", check_injection_layout),
@@ -610,6 +647,7 @@ def main(argv=None) -> int:
             seed = C.config_from_dict({"seed": args.seed}).seed
             return cmd_selftest(seed=seed, corrupt_gradient=args.corrupt_gradient)
         cfg = C.load_config(args.config, _flag_fields(args))
+        _refuse_non_directory(args.out)
         if args.command == "align":
             return cmd_align(cfg, args.out)
         if args.command == "train":

@@ -179,6 +179,44 @@ def init_model(cfg: NetConfig, seed: int, pretrained_control: bool = True) -> Mo
     return ModelWeights(cfg, p)
 
 
+def parameter_shapes(cfg: NetConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor ``init_model(cfg, ...)`` builds, from the
+    configuration alone: no weight is drawn or allocated."""
+    d0, d1 = cfg.widths
+    tw = cfg.time_width
+    shapes = {
+        "unet.in_proj": (cfg.channels, d0), "unet.out_proj": (d0, cfg.channels),
+        "unet.out_b": (cfg.channels,), "unet.down_proj": (d0, d1),
+        "unet.up_proj": (d1, d0),
+        "unet.time_table": (cfg.schedule_steps, 2 * (tw // 2)),  # sin/cos pairs
+        "control.in_proj": (cfg.channels, d0), "control.down_proj": (d0, d1),
+        "control.pose0.w": (1, d0), "control.pose0.b": (d0,),
+        "control.pose1.w": (d0, d1), "control.pose1.b": (d1,),
+        "control.zero.dec1": (d1, d1), "control.zero.dec0": (d0, d0),
+    }
+
+    def part(prefix, d, norms=(), psets=(), **others):
+        for ln in norms:
+            shapes[f"{prefix}.{ln}.gamma"] = shapes[f"{prefix}.{ln}.beta"] = (d,)
+        for ps in psets:
+            for w in ("w_q", "w_k", "w_v", "w_out"):
+                shapes[f"{prefix}.{ps}.{w}"] = (d, d)
+        shapes.update({f"{prefix}.{name}": shape for name, shape in others.items()})
+
+    for lid in BLOCK_ORDER:
+        d = cfg.widths[BLOCK_LEVEL[lid]]
+        part(f"unet.{lid}", d, ("ln_cs", "ln_cross", "ln_temporal"),
+            ("cs", "cross", "temporal"), conv_w=(d, d), conv_b=(d,), time_proj=(tw, d))
+    for lid in CONTROL_BLOCKS:
+        d = cfg.widths[CONTROL_LEVEL[lid]]
+        part(f"control.{lid}", d, ("ln_sp",), ("spatial",),
+            conv_w=(d, d), conv_b=(d,), time_proj=(tw, d))
+    for level, d in enumerate(cfg.widths):
+        part(f"adapter{level}", d, ("ln_cross", "ln_temporal"), ("cross", "temporal"),
+            conv1=(d, d, 3), conv2=(d, d, 3), out_proj=(d, d))
+    return shapes
+
+
 def trainable_names(model: ModelWeights) -> set[str]:
     """One-shot training touches only the adapter and temporal attention."""
     names = set()
@@ -503,7 +541,7 @@ def _manifest_config(c, path) -> NetConfig:
 def load_checkpoint(directory) -> ModelWeights:
     """Read a save_checkpoint directory; a manifest whose config, tensor
     names or shapes do not describe an init_model of that config raises
-    ConfigError."""
+    ConfigError before any tensor file is read."""
     import json
     import os
 
@@ -519,18 +557,18 @@ def load_checkpoint(directory) -> ModelWeights:
     tensors = manifest.get("tensors")
     if not isinstance(tensors, dict):
         raise ConfigError(f"{path}: manifest needs a 'tensors' object")
-    want = {name: list(t.shape)
-            for name, t in init_model(cfg, seed=0).params.items()}
+    want = {name: list(shape) for name, shape in parameter_shapes(cfg).items()}
     if set(tensors) != set(want):
         raise ConfigError(f"{path}: tensor names differ from the model: "
                           f"missing {sorted(set(want) - set(tensors))}, "
                           f"unexpected {sorted(set(tensors) - set(want))}")
-    params = {}
     for name, meta in tensors.items():
         if (not isinstance(meta, dict) or not isinstance(meta.get("file"), str)
                 or meta.get("shape") != want[name]):
             raise ConfigError(f"{path}: tensor {name} entry {meta!r} does not "
                               f"name a file of shape {want[name]}")
+    params = {}
+    for name, meta in tensors.items():
         t = T.load_tensor(os.path.join(directory, meta["file"]))
         if list(t.shape) != meta["shape"]:
             raise ConfigError(f"checkpoint tensor {name} has shape "

@@ -87,22 +87,33 @@ def one_shot_train(model: N.ModelWeights, video: Tensor,
     for step in range(steps):
         t = rng.integer(0, schedule.timesteps)
         eps = rng.normal(z0.shape)
-        x_t = D.q_sample(z0, t, eps, schedule)
-        tape = T.Tape()
-        watched = {n: tape.watch(p) for n, p in params.items()}
-        m = model.replace(watched)
-        feats = N.controlnet_forward(m, x_t, t, pose)
-        eps_pred = N.unet_forward(m, x_t, t, prompt, control_feats=feats)
-        loss = D.training_loss(eps_pred, eps)
-        value = loss.item()
+        value, grads = train_step(model, params, pose,
+                                  D.q_sample(z0, t, eps, schedule), t, eps, prompt)
         if not np.isfinite(value):
             raise RuntimeError(f"non-finite training loss {value} at step {step} "
                                f"(timestep {t})")
-        T.backward(tape, loss)
-        grads = {n: tape.grad(w) for n, w in watched.items()}
         params = T.adam_step(params, grads, state)
+        del grads  # not held while the next step builds its graph
         losses.append(value)
     return TrainResult(model.replace(params), losses)
+
+
+def train_step(model: N.ModelWeights, params: dict[str, Tensor],
+               pose: dict[int, Tensor], x_t: Tensor, t: int, eps: Tensor,
+               prompt: str) -> tuple[float, dict[str, Tensor | None]]:
+    """The loss of one step and the gradient of each of ``params`` (none if
+    the loss is not finite). The step's graph lives only in this frame, so it
+    is freed on return, before the next step builds its own."""
+    tape = T.Tape()
+    watched = {n: tape.watch(p) for n, p in params.items()}
+    m = model.replace(watched)
+    feats = N.controlnet_forward(m, x_t, t, pose)
+    loss = D.training_loss(N.unet_forward(m, x_t, t, prompt, control_feats=feats), eps)
+    value = loss.item()
+    if not np.isfinite(value):
+        return value, {}
+    T.backward(tape, loss)
+    return value, {n: tape.grad(w) for n, w in watched.items()}
 
 
 def _predictor(model: N.ModelWeights, ts: list[int], prompt: str | None,

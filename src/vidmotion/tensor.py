@@ -6,6 +6,13 @@ applications in construction (= topological) order, and backward() walks the
 record once, accumulating gradients per node. Nodes point back at their tape
 only weakly, so a tape and its graph are freed by reference counting as soon
 as the caller drops the tape and the tensors recorded on it.
+
+A node saves only what the gradients of its tracked parents read, decided
+when the op is recorded: its backward closure captures arrays and shapes,
+never whole tensors, so a frozen weight's input is not kept for the weight's
+gradient. For a parent without a node the closure returns None and computes
+nothing. A closure leaves what it saved intact, so a tape may be walked more
+than once.
 """
 from __future__ import annotations
 
@@ -198,8 +205,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         out = a.data + b.data
     except ValueError:
         raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}") from None
+    ka, kb = a.node is not None, b.node is not None
+    if not (ka or kb):
+        return _result("add", (a, b), out, None)
+    sa, sb = a.shape, b.shape
     return _result("add", (a, b), out,
-                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+                   lambda g: (_unbroadcast(g, sa) if ka else None,
+                              _unbroadcast(g, sb) if kb else None))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -208,8 +220,13 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         out = a.data - b.data
     except ValueError:
         raise ShapeError(f"cannot subtract shapes {a.shape} and {b.shape}") from None
+    ka, kb = a.node is not None, b.node is not None
+    if not (ka or kb):
+        return _result("sub", (a, b), out, None)
+    sa, sb = a.shape, b.shape
     return _result("sub", (a, b), out,
-                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+                   lambda g: (_unbroadcast(g, sa) if ka else None,
+                              _unbroadcast(-g, sb) if kb else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -218,9 +235,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         out = a.data * b.data
     except ValueError:
         raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}") from None
+    ka, kb = a.node is not None, b.node is not None
+    if not (ka or kb):
+        return _result("mul", (a, b), out, None)
+    sa, sb = a.shape, b.shape
+    bd = b.data if ka else None  # a's gradient reads b, and b's reads a
+    ad = a.data if kb else None
     return _result("mul", (a, b), out,
-                   lambda g: (_unbroadcast(g * b.data, a.shape),
-                              _unbroadcast(g * a.data, b.shape)))
+                   lambda g: (_unbroadcast(g * bd, sa) if ka else None,
+                              _unbroadcast(g * ad, sb) if kb else None))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -239,17 +262,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if not (stack or batched) or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"cannot matmul shapes {a.shape} and {b.shape}")
     if batched:
-        return _result("matmul", (a, b), a.data @ b.data,
-                       lambda g: (g @ b.data.swapaxes(-1, -2),
-                                  a.data.swapaxes(-1, -2) @ g))
-    k, n = b.shape
-    rows = a.data.reshape(-1, k)
+        out = a.data @ b.data
+    else:
+        k, n = b.shape
+        rows = a.data.reshape(-1, k)
+        out = (rows @ b.data).reshape(a.shape[:-1] + (n,))
+    ka, kb = a.node is not None, b.node is not None
+    if not (ka or kb):
+        return _result("matmul", (a, b), out, None)
+    bd = b.data if ka else None  # a's gradient reads b, and b's reads a
+    if batched:
+        ad = a.data if kb else None
+        return _result("matmul", (a, b), out,
+                       lambda g: (g @ bd.swapaxes(-1, -2) if ka else None,
+                                  ad.swapaxes(-1, -2) @ g if kb else None))
+    sa = a.shape
+    rows = rows if kb else None
 
     def bwd(g):
         g = g.reshape(-1, n)
-        return (g @ b.data.T).reshape(a.shape), rows.T @ g
+        return ((g @ bd.T).reshape(sa) if ka else None,
+                rows.T @ g if kb else None)
 
-    return _result("matmul", (a, b), (rows @ b.data).reshape(a.shape[:-1] + (n,)), bwd)
+    return _result("matmul", (a, b), out, bwd)
 
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -288,13 +323,14 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
                 f"{parts[0].shape} vs {p.shape}")
     out = np.concatenate([p.data for p in parts], axis=axis)
     offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
+    kept = [p.node is not None for p in parts]
 
     def bwd(g):
         sl = [slice(None)] * rank
         pieces = []
-        for i in range(len(offsets) - 1):
+        for i, keep in enumerate(kept):
             sl[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-            pieces.append(g[tuple(sl)])
+            pieces.append(g[tuple(sl)] if keep else None)
         return tuple(pieces)
 
     return _result("concat", parts, out, bwd)
@@ -453,11 +489,14 @@ def _softmax_reference(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def silu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    sig = _sigmoid(a.data)
-    out = a.data * sig
     x = a.data
-    return _result("silu", (a,), out,
-                   lambda g: (g * (sig * (1.0 + x * (1.0 - sig))),))
+    sig = _sigmoid(x)
+    out = x * sig
+    if a.node is None:
+        return _result("silu", (a,), out, None)
+    # save the derivative, not x and sig: the same expression, the same bits
+    slope = sig * (1.0 + x * (1.0 - sig))
+    return _result("silu", (a,), out, lambda g: (g * slope,))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -473,16 +512,26 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     inv = 1.0 / np.sqrt(var + np.float32(eps))
     xh = xc * inv
     out = gamma.data * xh + beta.data
+    kx, kgamma, kbeta = x.node is not None, gamma.node is not None, beta.node is not None
+    if not (kx or kgamma or kbeta):
+        return _result("layer_norm", (x, gamma, beta), out, None)
+    # dx reads inv, gamma and xh; dgamma reads xh; dbeta reads only g
+    gd, inv = (gamma.data, inv) if kx else (None, None)
+    xh = xh if kx or kgamma else None
 
     def bwd(g):
         lead = tuple(range(g.ndim - 1))
-        dgamma = (g * xh).sum(axis=lead) if lead else g * xh
-        dbeta = g.sum(axis=lead) if lead else g
-        dxh = g * gamma.data
-        dx = inv * (dxh - dxh.mean(axis=-1, keepdims=True)
-                    - xh * (dxh * xh).mean(axis=-1, keepdims=True))
-        return (dx.astype(np.float32), dgamma.astype(np.float32),
-                dbeta.astype(np.float32))
+        dx = dgamma = dbeta = None
+        if kgamma:
+            dgamma = ((g * xh).sum(axis=lead) if lead else g * xh).astype(np.float32)
+        if kbeta:
+            dbeta = (g.sum(axis=lead) if lead else g).astype(np.float32)
+        if kx:
+            dxh = g * gd
+            dx = inv * (dxh - dxh.mean(axis=-1, keepdims=True)
+                        - xh * (dxh * xh).mean(axis=-1, keepdims=True))
+            dx = dx.astype(np.float32)
+        return dx, dgamma, dbeta
 
     return _result("layer_norm", (x, gamma, beta), out, bwd)
 
@@ -504,6 +553,10 @@ def conv_temporal(x: Tensor, kernel: Tensor) -> Tensor:
     pad = kw // 2
     pad_block = np.zeros((pad,) + x.shape[1:], dtype=np.float32)
     xp = np.concatenate([pad_block, x.data, pad_block], axis=0)
+    kx, kk = x.node is not None, kernel.node is not None
+    kshape, xp_shape = kernel.shape, xp.shape
+    kd = kernel.data if kx else None  # dx reads the kernel
+    saved_xp = xp if kk else None  # dkernel reads the padded input
 
     if kernel.data.ndim == 1:
         out = np.zeros_like(x.data)
@@ -511,12 +564,17 @@ def conv_temporal(x: Tensor, kernel: Tensor) -> Tensor:
             out += kernel.data[j] * xp[j:j + frames]
 
         def bwd(g):
-            dxp = np.zeros_like(xp)
-            dk = np.zeros_like(kernel.data)
-            for j in range(kw):
-                dxp[j:j + frames] += kernel.data[j] * g
-                dk[j] = np.float32((g * xp[j:j + frames]).sum(dtype=np.float64))
-            return (dxp[pad:pad + frames], dk)
+            dx = dk = None
+            if kx:
+                dxp = np.zeros(xp_shape, dtype=np.float32)
+                for j in range(kw):
+                    dxp[j:j + frames] += kd[j] * g
+                dx = dxp[pad:pad + frames]
+            if kk:
+                dk = np.zeros(kshape, dtype=np.float32)
+                for j in range(kw):
+                    dk[j] = np.float32((g * saved_xp[j:j + frames]).sum(dtype=np.float64))
+            return dx, dk
 
         return _result("conv_t", (x, kernel), out, bwd)
 
@@ -528,15 +586,23 @@ def conv_temporal(x: Tensor, kernel: Tensor) -> Tensor:
     out = np.zeros((frames, c_out, xpf.shape[2]), dtype=np.float32)
     for j in range(kw):
         out += np.matmul(kernel.data[:, :, j], xpf[j:j + frames])
+    xpf_shape = xpf.shape
+    saved_xpf = xpf if kk else None
 
     def bwd3(g):
         gf = g.reshape(frames, c_out, -1)
-        dxp = np.zeros_like(xpf)
-        dk = np.zeros_like(kernel.data)
-        for j in range(kw):
-            dxp[j:j + frames] += np.matmul(kernel.data[:, :, j].T, gf)
-            dk[:, :, j] = np.tensordot(gf, xpf[j:j + frames], axes=([0, 2], [0, 2]))
-        return (dxp[pad:pad + frames].reshape((frames, c_in) + tail), dk)
+        dx = dk = None
+        if kx:
+            dxp = np.zeros(xpf_shape, dtype=np.float32)
+            for j in range(kw):
+                dxp[j:j + frames] += np.matmul(kd[:, :, j].T, gf)
+            dx = dxp[pad:pad + frames].reshape((frames, c_in) + tail)
+        if kk:
+            dk = np.zeros(kshape, dtype=np.float32)
+            for j in range(kw):
+                dk[:, :, j] = np.tensordot(gf, saved_xpf[j:j + frames],
+                                           axes=([0, 2], [0, 2]))
+        return dx, dk
 
     return _result("conv_t", (x, kernel),
                    out.reshape((frames, c_out) + tail).astype(np.float32), bwd3)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from conftest import synth_masks, synth_skeletons, synth_video
 from vidmotion import cli
 from vidmotion import injection as I
 from vidmotion import network as N
+from vidmotion import pipeline as P
 from vidmotion import skeleton as SK
 from vidmotion import tensor as T
 from vidmotion.cli import frame_metrics, main
@@ -433,6 +435,45 @@ class TestConfigHandling:
         assert main(argv + ["--out", str(out)]) == 2
         assert_one_line_error(capsys, needle)
 
+    @pytest.mark.parametrize("command,job", [
+        ("align", "align_skeletons"), ("train", "one_shot_train"),
+        ("reconstruct", "reconstruct"), ("edit", "edit")],
+        ids=["align", "train", "reconstruct", "edit"])
+    def test_existing_file_out_rejected_before_the_job_runs(
+            self, tmp_path, capsys, monkeypatch, command, job):
+        def reached(*args, **kwargs):
+            raise AssertionError(f"{job} ran although --out is a file")
+
+        monkeypatch.setattr(P, job, reached)
+        _, cfg = make_job_dir(tmp_path)
+        out = tmp_path / "o"
+        out.write_text("kept")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert_one_line_error(capsys, "File exists")
+        assert out.read_text() == "kept"
+
+    def test_manifest_config_checked_without_building_the_model(self, tmp_path,
+                                                                capsys):
+        # a level width of 512 would need ~70 MB of weights to build
+        _, cfg = make_job_dir(tmp_path)
+        ckpt = tmp_path / "ckpt"
+        N.save_checkpoint(ckpt, N.init_model(N.NetConfig(), seed=7))
+        manifest = ckpt / "manifest.json"
+        blob = json.loads(manifest.read_text())
+        blob["config"]["widths"] = [32, 512]
+        manifest.write_text(json.dumps(blob))
+        tracemalloc.start()
+        try:
+            code = main(["reconstruct", "--steps", "1", "--config", str(cfg),
+                         "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert_one_line_error(capsys, "manifest.json")
+        assert peak < 1 << 20
+        assert not (tmp_path / "o").exists()
+
     def test_seed_override_applies(self, tmp_path):
         _, cfg = make_job_dir(tmp_path)
         out_a = tmp_path / "a"
@@ -531,7 +572,7 @@ class TestSelftestCommand:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 14
+        assert out.count("PASS") == 15
 
     def test_corrupted_gradient_mode_fails_specific_check(self, capsys):
         assert main(["selftest", "--corrupt-gradient"]) == 1

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from vidmotion import attention as A
-from vidmotion import diffusion as D
 from vidmotion import injection as I
 from vidmotion import network as N
+from vidmotion import pipeline as P
 from vidmotion import tensor as T
 from vidmotion.gradcheck import directional_check
 
@@ -286,6 +286,24 @@ class TestWeightsPlumbing:
         bumped = model.replace({"unet.in_proj": T.zeros((4, 32))})
         assert N.parameter_checksum(bumped) != full
 
+    @pytest.mark.parametrize("cfg", [
+        N.NetConfig(),
+        N.NetConfig(widths=(8, 16), time_width=5, channels=3, schedule_steps=10),
+        N.NetConfig(widths=(16, 16), time_width=1, channels=1, schedule_steps=1),
+        N.NetConfig(widths=(4, 12), time_width=7, channels=2, schedule_steps=3,
+                    frames=2, image_size=8, pool=2),
+    ], ids=["default", "narrow-odd-time", "one-channel", "small"])
+    def test_parameter_shapes_agree_with_init_model(self, cfg):
+        built = N.init_model(cfg, seed=3).params
+        assert N.parameter_shapes(cfg) == {n: t.shape for n, t in built.items()}
+
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "55f613d80ba16b2c950480807880fb15017be95f2e6a368d2359a07febdd2433"),
+        (1, "0d7ca7f6872eda618813ae1ba6e6cc6fc6fd5e3801e96dc52cc0dcbf7999fd40"),
+    ], ids=["seed0", "seed1"])
+    def test_init_model_weights_pinned(self, seed, digest):
+        assert N.parameter_checksum(N.init_model(N.NetConfig(), seed)) == digest
+
     def test_replace_rejects_unknown_names(self, model):
         with pytest.raises(KeyError):
             model.replace({"bogus": T.zeros((1,))})
@@ -341,15 +359,10 @@ def inline_temporal_sub_block(x, model, lid, kv):
 def training_gradients(model, latent):
     """Gradients of one training loss (conditioned U-Net, squared error) with
     respect to every trainable parameter."""
-    tape = T.Tape()
-    watched = {n: tape.watch(model.params[n]) for n in N.trainable_names(model)}
-    m = model.replace(watched)
-    feats = N.controlnet_forward(m, latent, 417, N.pose_features(m, skeleton_stack()))
-    eps = T.Tensor(rnd(latent.shape, seed=80))
-    loss = D.training_loss(N.unet_forward(m, latent, 417, "p", control_feats=feats),
-                           eps)
-    T.backward(tape, loss)
-    return {n: tape.grad(w).data for n, w in watched.items()}
+    trainable = {n: model.params[n] for n in N.trainable_names(model)}
+    _, grads = P.train_step(model, trainable, N.pose_features(model, skeleton_stack()),
+                            latent, 417, T.Tensor(rnd(latent.shape, seed=80)), "p")
+    return {n: g.data for n, g in grads.items()}
 
 
 def test_training_gradients_match_inline_sub_blocks_within_rounding(

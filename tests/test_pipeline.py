@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,49 @@ class TestOneShotTrain:
             if enabled:
                 gc.enable()
         assert leaked == []
+
+    def test_skipped_frozen_products_leave_trainable_gradients_bit_identical(
+            self, base_model, schedule):
+        # nonzero adapter output projections make every trainable gradient
+        # nonzero; watching every weight computes every product
+        model = base_model.replace({
+            f"adapter{lvl}.out_proj": T.Tensor(
+                np.random.default_rng(lvl).normal(0, 0.1, (d, d)).astype(np.float32))
+            for lvl, d in enumerate(base_model.cfg.widths)})
+        z0 = N.encode_video(synth_video(), model.cfg)
+        rng = T.Rng(6)
+        t = rng.integer(0, schedule.timesteps)
+        eps = rng.normal(z0.shape)
+        x_t = D.q_sample(z0, t, eps, schedule)
+        pose = N.pose_features(model, synth_skeletons())
+        trainable = {n: model.params[n] for n in sorted(N.trainable_names(model))}
+        loss, grads = P.train_step(model, trainable, pose, x_t, t, eps, "p")
+        loss_all, every = P.train_step(model, model.params, pose, x_t, t, eps, "p")
+        assert loss == loss_all
+        assert set(every) == set(model.params)
+        assert sum(every[n] is not None for n in set(every) - set(grads)) > 100
+        for name, grad in grads.items():
+            assert np.abs(grad.data).max() > 0, name
+            assert grad.data.tobytes() == every[name].data.tobytes(), name
+
+    def test_later_steps_add_adam_state_but_no_second_graph(self, base_model, schedule):
+        # each step's graph is freed before the next one is built, so three
+        # steps peak above one step only by what the first update adds: new
+        # weights and Adam's two moments, each the size of the trainable
+        # weights. One step's graph is several times that size.
+        def traced_peak(steps):
+            tracemalloc.start()
+            try:
+                P.one_shot_train(base_model, synth_video(), synth_skeletons(), "p",
+                                 steps=steps, schedule=schedule, rng=T.Rng(0))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, three = traced_peak(1), traced_peak(3)
+        state = 3 * sum(base_model.params[n].data.nbytes
+                        for n in N.trainable_names(base_model))
+        assert three <= one + state + 0.05 * one, (one, three, state)
 
     def test_training_descends_and_freezes(self, base_model, schedule, training_run):
         frozen = set(base_model.params) - N.trainable_names(base_model)

@@ -367,6 +367,77 @@ class TestTapeLifetime:
             np.testing.assert_array_equal(tape.grad(t).data, want[t.node.idx])
 
 
+# every primitive with more than one operand: (op, operand shapes, and per
+# tracked operand the operands whose arrays its gradient reads)
+SAVING_OPS = {
+    "add": (T.add, [(3, 4), (4,)], {0: set(), 1: set()}),
+    "sub": (T.sub, [(3, 4), (3, 1)], {0: set(), 1: set()}),
+    "mul": (T.mul, [(2, 3, 4), (3, 4)], {0: {1}, 1: {0}}),
+    "matmul": (T.matmul, [(2, 3, 4), (4, 5)], {0: {1}, 1: {0}}),
+    "matmul_batched": (T.matmul, [(2, 3, 4), (2, 4, 5)], {0: {1}, 1: {0}}),
+    # dgamma reads the normalised input, an array of the op's own
+    "layer_norm": (T.layer_norm, [(2, 3, 4), (4,), (4,)], {0: {1}, 1: set(), 2: set()}),
+    "conv_rank1": (T.conv_temporal, [(5, 3), (3,)], {0: {1}, 1: set()}),
+    "conv_rank3": (T.conv_temporal, [(5, 3, 2), (4, 3, 3)], {0: {1}, 1: set()}),
+    "concat": (lambda a, b: T.concat([a, b], axis=1), [(2, 3), (2, 5)],
+               {0: set(), 1: set()}),
+}
+SAVING_CASES = [(name, i) for name, (_, _, reads) in SAVING_OPS.items() for i in reads]
+
+
+def record_with_one_tracked(name, tracked):
+    """The op's output with only operand ``tracked`` watched, and weak
+    references to every operand's array."""
+    f, shapes, _ = SAVING_OPS[name]
+    tape = T.Tape()
+    args = [T.Tensor(rnd(s, seed=100 + i)) for i, s in enumerate(shapes)]
+    args[tracked] = tape.watch(args[tracked])
+    return tape, f(*args), [weakref.ref(a.data) for a in args]
+
+
+class TestSavedForBackward:
+    @pytest.mark.parametrize("name,tracked", SAVING_CASES)
+    def test_untracked_operand_gets_none_and_tracked_gradient_is_unchanged(
+            self, name, tracked):
+        f, shapes, _ = SAVING_OPS[name]
+        arrays = [rnd(s, seed=100 + i) for i, s in enumerate(shapes)]
+        tape = T.Tape()
+        out = f(*[tape.watch(T.Tensor(a)) if i == tracked else T.Tensor(a)
+                  for i, a in enumerate(arrays)])
+        ref_tape = T.Tape()
+        ref = f(*[ref_tape.watch(T.Tensor(a)) for a in arrays])
+        g = rnd(out.shape, seed=99)
+        got, want = out.node.backward_fn(g), ref.node.backward_fn(g)
+        assert len(got) == len(shapes)
+        for i, pg in enumerate(got):
+            if i == tracked:
+                assert _same_bits(np.asarray(pg), np.asarray(want[i]))
+            else:
+                assert pg is None
+
+    @pytest.mark.parametrize("name,tracked", SAVING_CASES)
+    def test_only_arrays_a_tracked_gradient_reads_outlive_the_caller(
+            self, name, tracked, no_cyclic_gc):
+        tape, out, refs = record_with_one_tracked(name, tracked)
+        reads = SAVING_OPS[name][2][tracked]
+        alive = {i for i, r in enumerate(refs) if r() is not None}
+        assert alive == reads
+        # the walk still works from what was kept, and may be repeated
+        g = np.ones_like(out.data)
+        first = out.node.backward_fn(g)[tracked]
+        assert _same_bits(np.asarray(first), np.asarray(out.node.backward_fn(g)[tracked]))
+
+    def test_silu_saves_one_array_of_the_same_bits_as_its_derivative(self):
+        x = rnd((4, 5), seed=101, scale=3.0)
+        tape = T.Tape()
+        out = T.silu(tape.watch(T.Tensor(x)))
+        cells = [c.cell_contents for c in out.node.backward_fn.__closure__]
+        assert [type(c) for c in cells] == [np.ndarray]
+        g = rnd((4, 5), seed=102)
+        sig = T._sigmoid(x)
+        assert _same_bits(out.node.backward_fn(g)[0], g * (sig * (1.0 + x * (1.0 - sig))))
+
+
 @pytest.mark.parametrize("name,f,shape", [
     ("add", lambda x: T.sum(T.add(x, T.Tensor(rnd((3, 4), 21)))), (3, 4)),
     ("sub", lambda x: T.sum(T.sub(T.Tensor(rnd((3, 4), 22)), x)), (3, 4)),
