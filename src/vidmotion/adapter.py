@@ -5,6 +5,11 @@ and returns an adapted residual through two parallel paths: a global path
 (pose-query cross-attention then temporal attention) and a local path (two
 temporal convolutions). The shared output projection is zero-initialized, so
 an untrained adapter passes its control features through unchanged.
+
+``adapter_layout`` declares each weight's name, shape and init once;
+``init_adapter`` draws it, the network composes it into its own layout, and
+``AdapterWeights`` reads a level's weights back out of the flat name -> Tensor
+map by prefix.
 """
 from __future__ import annotations
 
@@ -20,83 +25,59 @@ from .gradcheck import numeric_gradient, relative_error
 from .tensor import Tensor
 
 
-@dataclass
-class LayerNormParams:
-    gamma: Tensor
-    beta: Tensor
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
+def layer_norm_layout(prefix: str, d: int) -> T.Layout:
+    """Layer-norm gain and bias, an identity at construction."""
+    return [(f"{prefix}.gamma", (d,), T.ones), (f"{prefix}.beta", (d,), T.zeros)]
 
 
-def init_layer_norm(d: int) -> LayerNormParams:
-    return LayerNormParams(T.ones((d,)), T.zeros((d,)))
+def adapter_layout(prefix: str, d: int, kernel_width: int = 3) -> T.Layout:
+    """One level's adapter weights of width ``d``, named ``{prefix}.*``."""
+    conv_std = 1.0 / math.sqrt(d * kernel_width)
+    return [*layer_norm_layout(f"{prefix}.ln_cross", d),
+            *layer_norm_layout(f"{prefix}.ln_temporal", d),
+            *A.projection_layout(f"{prefix}.cross", d),
+            *A.projection_layout(f"{prefix}.temporal", d),
+            # temporal kernels, channel-mixing
+            (f"{prefix}.conv1", (d, d, kernel_width), conv_std),
+            (f"{prefix}.conv2", (d, d, kernel_width), conv_std),
+            (f"{prefix}.out_proj", (d, d), T.zeros)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdapterWeights:
-    """Weights for one resolution level of width d."""
+    """One level's adapter weights: the ``{prefix}.*`` entries, laid out by
+    ``adapter_layout``, of a flat name -> Tensor map."""
 
-    ln_cross: LayerNormParams
-    ln_temporal: LayerNormParams
-    cross: A.ProjectionSet
-    temporal: A.ProjectionSet
-    conv1: Tensor  # (d, d, 3) temporal kernels, channel-mixing
-    conv2: Tensor
-    out_proj: Tensor  # (d, d), zero at construction
+    named: dict[str, Tensor]
+    prefix: str = "adapter"
+
+    def __getitem__(self, name: str) -> Tensor:
+        return self.named[f"{self.prefix}.{name}"]
 
     @property
-    def width(self) -> int:
-        return self.out_proj.shape[0]
+    def cross(self) -> A.ProjectionSet:
+        return A.ProjectionSet.from_named(self.named, f"{self.prefix}.cross")
 
-    def named(self, prefix: str = "adapter") -> dict[str, Tensor]:
-        out = {}
-        out.update(self.ln_cross.named(f"{prefix}.ln_cross"))
-        out.update(self.ln_temporal.named(f"{prefix}.ln_temporal"))
-        out.update(self.cross.named(f"{prefix}.cross"))
-        out.update(self.temporal.named(f"{prefix}.temporal"))
-        out[f"{prefix}.conv1"] = self.conv1
-        out[f"{prefix}.conv2"] = self.conv2
-        out[f"{prefix}.out_proj"] = self.out_proj
-        return out
+    @property
+    def temporal(self) -> A.ProjectionSet:
+        return A.ProjectionSet.from_named(self.named, f"{self.prefix}.temporal")
 
-    @classmethod
-    def from_named(cls, named: dict[str, Tensor],
-                   prefix: str = "adapter") -> "AdapterWeights":
-        """The weights that ``named(prefix)`` would list, read from ``named``."""
-        def ln(sub):
-            return LayerNormParams(named[f"{prefix}.{sub}.gamma"],
-                                   named[f"{prefix}.{sub}.beta"])
-
-        return cls(
-            ln_cross=ln("ln_cross"), ln_temporal=ln("ln_temporal"),
-            cross=A.ProjectionSet.from_named(named, f"{prefix}.cross"),
-            temporal=A.ProjectionSet.from_named(named, f"{prefix}.temporal"),
-            conv1=named[f"{prefix}.conv1"], conv2=named[f"{prefix}.conv2"],
-            out_proj=named[f"{prefix}.out_proj"],
-        )
+    @property
+    def out_proj(self) -> Tensor:
+        return self["out_proj"]
 
 
 def init_adapter(rng: T.Rng, d: int, kernel_width: int = 3) -> AdapterWeights:
-    conv_std = 1.0 / math.sqrt(d * kernel_width)
-    return AdapterWeights(
-        ln_cross=init_layer_norm(d),
-        ln_temporal=init_layer_norm(d),
-        cross=A.init_projection_set(rng, d),
-        temporal=A.init_projection_set(rng, d),
-        conv1=rng.normal((d, d, kernel_width), conv_std),
-        conv2=rng.normal((d, d, kernel_width), conv_std),
-        out_proj=T.zeros((d, d)),
-    )
+    return AdapterWeights(rng.draw(adapter_layout("adapter", d, kernel_width)))
 
 
 def adapter_global_path(m: Tensor, z: Tensor, w: AdapterWeights) -> Tensor:
     """Cross-attention (pose queries over latents) followed by temporal
     attention, each preceded by layer norm of the adapter stream."""
-    q_in = T.layer_norm(m, w.ln_cross.gamma, w.ln_cross.beta)
+    q_in = T.layer_norm(m, w["ln_cross.gamma"], w["ln_cross.beta"])
     g1 = A.content_cross_attention(q_in, z, w.cross)
-    t_in = T.transpose(T.layer_norm(g1, w.ln_temporal.gamma, w.ln_temporal.beta),
-                       (1, 0, 2))
+    t_in = T.transpose(T.layer_norm(g1, w["ln_temporal.gamma"],
+                                    w["ln_temporal.beta"]), (1, 0, 2))
     g2 = A.temporal_attention(t_in, w.temporal)
     return T.transpose(g2, (1, 0, 2))
 
@@ -104,8 +85,8 @@ def adapter_global_path(m: Tensor, z: Tensor, w: AdapterWeights) -> Tensor:
 def adapter_local_path(m: Tensor, w: AdapterWeights) -> Tensor:
     """Two channel-mixing temporal convolutions along the frame axis."""
     x = T.transpose(m, (0, 2, 1))  # (F, d, N): channels on axis 1
-    x = T.conv_temporal(x, w.conv1)
-    x = T.conv_temporal(x, w.conv2)
+    x = T.conv_temporal(x, w["conv1"])
+    x = T.conv_temporal(x, w["conv2"])
     return T.transpose(x, (0, 2, 1))
 
 
@@ -132,17 +113,17 @@ def adapter_grad_check(w: AdapterWeights, rng: T.Rng | None = None,
     comparison (negative-control hook for the test harness).
     """
     rng = rng or T.Rng(0)
-    d = w.width
+    d = w.out_proj.shape[0]
     m0 = rng.normal((frames, tokens, d), 0.7)
     z0 = rng.normal((frames, tokens, d), 0.7)
     probe = rng.normal((frames, tokens, d), 1.0)
-    named = w.named()
+    named = w.named
     report: dict[str, dict] = {}
     all_ok = True
-    for name in sorted(named):
+    for name in sorted(n for n in named if n.startswith(f"{w.prefix}.")):
         tape = T.Tape()
         watched = {name: tape.watch(named[name])}
-        w_t = AdapterWeights.from_named({**named, **watched})
+        w_t = AdapterWeights({**named, **watched}, w.prefix)
         loss = T.mean(T.mul(adapter_forward(m0, z0, w_t), probe))
         T.backward(tape, loss)
         analytic = tape.grad(watched[name]).data
@@ -150,7 +131,7 @@ def adapter_grad_check(w: AdapterWeights, rng: T.Rng | None = None,
             analytic = grad_transform(name, analytic)
 
         def forward(arr: np.ndarray, _name=name) -> float:
-            w_n = AdapterWeights.from_named({**named, _name: Tensor(arr)})
+            w_n = AdapterWeights({**named, _name: Tensor(arr)}, w.prefix)
             return T.mean(T.mul(adapter_forward(m0, z0, w_n), probe)).item()
 
         numeric = numeric_gradient(forward, named[name].data.copy(), h=h)

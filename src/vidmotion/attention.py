@@ -8,7 +8,7 @@ leading axis is attended independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from . import tensor as T
@@ -24,29 +24,26 @@ class ProjectionSet:
     w_v: Tensor
     w_out: Tensor
 
-    @property
-    def width(self) -> int:
-        return self.w_q.shape[0]
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.w_q": self.w_q, f"{prefix}.w_k": self.w_k,
-                f"{prefix}.w_v": self.w_v, f"{prefix}.w_out": self.w_out}
-
     @classmethod
     def from_named(cls, named: dict[str, Tensor], prefix: str) -> "ProjectionSet":
-        """The projections that ``named(prefix)`` would list, read from ``named``."""
-        return cls(named[f"{prefix}.w_q"], named[f"{prefix}.w_k"],
-                   named[f"{prefix}.w_v"], named[f"{prefix}.w_out"])
+        """The projections that ``projection_layout(prefix, ...)`` names,
+        read from ``named``."""
+        return cls(*(named[f"{prefix}.{f.name}"] for f in fields(cls)))
 
 
-def init_projection_set(rng: T.Rng, d: int, out_std: float | None = None) -> ProjectionSet:
+def projection_layout(prefix: str, d: int, out_std: float | None = None,
+                      v_std: float | None = None) -> T.Layout:
+    """One ProjectionSet's (d, d) weights, named ``{prefix}.<field>``, each
+    drawn with std 1/sqrt(d) unless ``v_std`` or ``out_std`` is given."""
     std = 1.0 / math.sqrt(d)
-    return ProjectionSet(
-        w_q=rng.normal((d, d), std),
-        w_k=rng.normal((d, d), std),
-        w_v=rng.normal((d, d), std),
-        w_out=rng.normal((d, d), out_std if out_std is not None else std),
-    )
+    stds = (std, std, std if v_std is None else v_std,
+            std if out_std is None else out_std)
+    return [(f"{prefix}.{f.name}", (d, d), s)
+            for f, s in zip(fields(ProjectionSet), stds)]
+
+
+def init_projection_set(rng: T.Rng, d: int) -> ProjectionSet:
+    return ProjectionSet.from_named(rng.draw(projection_layout("p", d)), "p")
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:

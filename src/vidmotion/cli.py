@@ -31,7 +31,7 @@ from . import pipeline as P
 from . import skeleton as SK
 from . import tensor as T
 
-_INPUT_ERRORS = (C.ConfigError, N.ConfigError, P.JobError, SK.EmptyMaskError,
+_INPUT_ERRORS = (N.ConfigError, P.JobError, SK.EmptyMaskError,
                  SK.RasterError, SK.KeypointError, D.ScheduleError,
                  T.ShapeError, T.FormatError, I.MaskError, I.CacheError,
                  I.GateError, FileNotFoundError, NotADirectoryError,
@@ -111,10 +111,15 @@ def _load_job(cfg: C.Config) -> P.EditJob:
 
 
 def _refuse_non_directory(out_dir: str) -> None:
-    """Reject an ``--out`` that exists and is not a directory before a job
-    runs. The directory itself is made only once the job has succeeded."""
-    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out_dir)
+    """Reject an ``--out`` that cannot become a directory before a job runs:
+    the path, or else its nearest existing ancestor, is not a directory.
+    The directory itself is made only once the job has succeeded."""
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        code = errno.EEXIST if path == os.path.abspath(out_dir) else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), out_dir)
 
 
 def _model_for(cfg: C.Config, checkpoint: str | None) -> N.ModelWeights:

@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from . import injection as I
 from . import network as N
 
 
-class ConfigError(ValueError):
-    """Malformed or inconsistent configuration."""
+ConfigError = N.ConfigError  # the model section is checked by N.net_config
 
 
 @dataclass
@@ -77,7 +76,7 @@ def _check_keys(section: str, blob: dict) -> None:
 
 
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number",
-               str: "a string", tuple: "a list of integers"}
+               str: "a string"}
 
 
 def _is_int(value) -> bool:
@@ -88,16 +87,13 @@ def _field(blob: dict, section: str, name: str, default, minimum: int | None = N
     """``blob[name]`` (``default`` when absent), of the type of ``default``.
 
     An int field takes only a JSON integer and a float field any finite
-    number; ``minimum`` bounds an integer field or every entry of a list.
-    ConfigError names ``section.name``.
+    number; ``minimum`` bounds an integer field. ConfigError names
+    ``section.name``.
     """
     value = blob.get(name, default)
     kind = type(default)
     if kind is float:
         ok = _is_int(value) or (isinstance(value, float) and math.isfinite(value))
-    elif kind is tuple:
-        ok = isinstance(value, (list, tuple)) and all(_is_int(v) for v in value)
-        value = tuple(value) if ok else value
     elif kind is int:
         ok = _is_int(value)
     else:
@@ -105,7 +101,7 @@ def _field(blob: dict, section: str, name: str, default, minimum: int | None = N
     where = f"{section}.{name}" if section else name
     if not ok:
         raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
-    if minimum is not None and min(value if kind is tuple else (value,)) < minimum:
+    if minimum is not None and value < minimum:
         raise ConfigError(f"{where} must be >= {minimum}, got {value!r}")
     return value
 
@@ -132,11 +128,8 @@ def config_from_dict(blob: dict) -> Config:
             setattr(cfg, section, _section(blob, section, cls))
     m = blob.get("model", {})
     _check_keys("model", m)
-    net = N.NetConfig()
-    cfg.model = N.NetConfig(
-        **{name: _field(m, "model", name, getattr(net, name), minimum=1)
-           for name in sorted(_SECTION_FIELDS["model"])},
-        schedule_steps=cfg.schedule.timesteps)
+    cfg.model = N.net_config({**asdict(N.NetConfig()), **m,
+                              "schedule_steps": cfg.schedule.timesteps}, "model.")
     a = blob.get("alignment", {})
     _check_keys("alignment", a)
     cfg.align_first_frame_only = _field(a, "alignment", "first_frame_only", False)
@@ -153,17 +146,6 @@ def config_from_dict(blob: dict) -> Config:
 
 
 def _validate(cfg: Config) -> None:
-    if cfg.model.image_size % cfg.model.pool != 0:
-        raise ConfigError(f"image_size {cfg.model.image_size} not divisible "
-                          f"by pool {cfg.model.pool}")
-    if len(cfg.model.widths) != 2:
-        raise ConfigError("widths must list exactly two level widths")
-    if cfg.model.latent_size % 2 != 0:
-        raise ConfigError(f"latent size {cfg.model.latent_size} (image_size / "
-                          f"pool) must be even for the second level")
-    if cfg.model.time_width % 2 != 0:
-        raise ConfigError(f"time_width {cfg.model.time_width} must be even "
-                          f"(sin and cos halves)")
     if cfg.training.steps < 0 or cfg.training.lr <= 0:
         raise ConfigError("training needs steps >= 0 and lr > 0")
     if cfg.sampler.steps < 1:

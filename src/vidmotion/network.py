@@ -8,12 +8,17 @@ that write the ReconCache (reconstruction role) or inject from it (editing).
 Spatial mixing comes from the attention kernels, so all "convolutions" are
 pointwise token projections and resolution changes are average-pool / nearest
 repeat.
+
+``_layout`` lists every weight once, as (name, shape, init), composed from the
+attention and adapter layouts: ``init_model`` draws it, ``parameter_shapes``
+reads its shapes, and the forwards read weights back from the flat name ->
+Tensor map by prefix.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -25,7 +30,8 @@ from .tensor import Tensor
 
 
 class ConfigError(ValueError):
-    """Input does not match the network configuration."""
+    """Malformed or inconsistent configuration, or input that does not match
+    the network configuration."""
 
 
 TOPOLOGY: dict[str, str] = {
@@ -65,6 +71,32 @@ class NetConfig:
         return {lvl: self.level_hw(lvl) for lvl in range(len(self.widths))}
 
 
+def net_config(values: dict, where: str = "") -> NetConfig:
+    """The NetConfig of ``values`` (field name -> JSON value) if it describes
+    a network that can run: every size a positive integer, two level widths,
+    ``image_size`` a multiple of ``pool``, an even latent size for the second
+    level and an even ``time_width`` (sin and cos halves). Otherwise
+    ConfigError, naming the field after ``where``."""
+    widths = values.get("widths")
+    if not isinstance(widths, (list, tuple)) or len(widths) != 2:
+        raise ConfigError(f"{where}widths must list two level widths, got {widths!r}")
+    sizes = {f.name: values.get(f.name) for f in fields(NetConfig) if f.name != "widths"}
+    for key, value in [*sizes.items(), *(("widths", w) for w in widths)]:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{where}{key} must be a positive integer, got {value!r}")
+    cfg = NetConfig(widths=tuple(widths), **sizes)
+    if cfg.image_size % cfg.pool != 0:
+        raise ConfigError(f"{where}image_size {cfg.image_size} not divisible "
+                          f"by pool {cfg.pool}")
+    if cfg.latent_size % 2 != 0:
+        raise ConfigError(f"{where}image_size / pool: latent size "
+                          f"{cfg.latent_size} must be even for the second level")
+    if cfg.time_width % 2 != 0:
+        raise ConfigError(f"{where}time_width {cfg.time_width} must be even "
+                          f"(sin and cos halves)")
+    return cfg
+
+
 # ---------------------------------------------------------------------------
 # weights
 
@@ -100,121 +132,81 @@ def sinusoidal_table(steps: int, width: int) -> Tensor:
     return Tensor(table[:, :width].astype(np.float32))
 
 
-def _init_pset(rng: T.Rng, d: int, out: dict, prefix: str,
-               out_std_scale: float = 0.1) -> None:
-    # frozen residual branches start small so the stream keeps unit scale
-    out.update(A.init_projection_set(
-        rng, d, out_std=out_std_scale / math.sqrt(d)).named(prefix))
+def _opening_layout(pre: str, d: int, time_width: int, conv_std: float) -> T.Layout:
+    """The weights of ``_conv_time_residual``."""
+    return [(f"{pre}.conv_w", (d, d), conv_std), (f"{pre}.conv_b", (d,), T.zeros),
+            (f"{pre}.time_proj", (time_width, d), 1.0 / math.sqrt(time_width))]
 
 
-def _init_temporal_pset(rng: T.Rng, d: int, out: dict, prefix: str) -> None:
-    # temporal attention is the freshly appended, trainable part: its values
-    # run hot and its output projection is thin enough for the one-shot
-    # protocol to rein in
-    std = 1.0 / math.sqrt(d)
-    out[f"{prefix}.w_q"] = rng.normal((d, d), std)
-    out[f"{prefix}.w_k"] = rng.normal((d, d), std)
-    out[f"{prefix}.w_v"] = rng.normal((d, d), 14.0 * std)
-    out[f"{prefix}.w_out"] = rng.normal((d, d), 0.06 * std)
-
-
-def _init_ln(d: int, out: dict, prefix: str) -> None:
-    out[f"{prefix}.gamma"] = T.ones((d,))
-    out[f"{prefix}.beta"] = T.zeros((d,))
-
-
-def init_model(cfg: NetConfig, seed: int, pretrained_control: bool = True) -> ModelWeights:
-    """Seeded construction. ControlNet output projections are zero at
-    construction; with ``pretrained_control`` they are then given small seeded
-    values so the pose path carries signal (the stand-in for a pre-trained
-    conditioning network)."""
-    rng = T.Rng(seed)
+def _layout(cfg: NetConfig, pretrained_control: bool = False) -> T.Layout:
+    """Every tensor of the network: name, shape and init, in draw order,
+    except that ``init_model`` draws pretrained ``control.zero.*`` last."""
     d0, d1 = cfg.widths
-    p: dict[str, Tensor] = {}
-
-    p["unet.in_proj"] = rng.normal((cfg.channels, d0), 1.0 / math.sqrt(cfg.channels))
-    p["unet.out_proj"] = rng.normal((d0, cfg.channels), 0.5 / math.sqrt(d0))
-    p["unet.out_b"] = T.zeros((cfg.channels,))
-    p["unet.down_proj"] = rng.normal((d0, d1), 1.0 / math.sqrt(d0))
-    p["unet.up_proj"] = rng.normal((d1, d0), 1.0 / math.sqrt(d1))
-    p["unet.time_table"] = sinusoidal_table(cfg.schedule_steps, cfg.time_width)
+    tw = cfg.time_width
+    layout = [
+        ("unet.in_proj", (cfg.channels, d0), 1.0 / math.sqrt(cfg.channels)),
+        ("unet.out_proj", (d0, cfg.channels), 0.5 / math.sqrt(d0)),
+        ("unet.out_b", (cfg.channels,), T.zeros),
+        ("unet.down_proj", (d0, d1), 1.0 / math.sqrt(d0)),
+        ("unet.up_proj", (d1, d0), 1.0 / math.sqrt(d1)),
+        # sin/cos pairs: an odd width has no last column
+        ("unet.time_table", (cfg.schedule_steps, 2 * (tw // 2)),
+         lambda shape: sinusoidal_table(*shape)),
+    ]
     for lid in BLOCK_ORDER:
         d = cfg.widths[BLOCK_LEVEL[lid]]
-        pre = f"unet.{lid}"
-        p[f"{pre}.conv_w"] = rng.normal((d, d), 0.1 / math.sqrt(d))
-        p[f"{pre}.conv_b"] = T.zeros((d,))
-        p[f"{pre}.time_proj"] = rng.normal((cfg.time_width, d),
-                                           1.0 / math.sqrt(cfg.time_width))
-        _init_ln(d, p, f"{pre}.ln_cs")
-        _init_ln(d, p, f"{pre}.ln_cross")
-        _init_ln(d, p, f"{pre}.ln_temporal")
-        _init_pset(rng, d, p, f"{pre}.cs")
-        _init_pset(rng, d, p, f"{pre}.cross", out_std_scale=0.02)
-        _init_temporal_pset(rng, d, p, f"{pre}.temporal")
-
-    p["control.in_proj"] = rng.normal((cfg.channels, d0), 1.0 / math.sqrt(cfg.channels))
-    p["control.down_proj"] = rng.normal((d0, d1), 1.0 / math.sqrt(d0))
-    p["control.pose0.w"] = rng.normal((1, d0), 1.0)
-    p["control.pose0.b"] = T.zeros((d0,))
-    p["control.pose1.w"] = rng.normal((d0, d1), 1.0 / math.sqrt(d0))
-    p["control.pose1.b"] = T.zeros((d1,))
+        pre, std = f"unet.{lid}", 1.0 / math.sqrt(d)
+        # frozen residual branches start small so the stream keeps unit scale;
+        # temporal attention is the freshly appended, trainable part: its
+        # values run hot and its output projection is thin enough for the
+        # one-shot protocol to rein in
+        layout += [*_opening_layout(pre, d, tw, 0.1 / math.sqrt(d)),
+                   *AD.layer_norm_layout(f"{pre}.ln_cs", d),
+                   *AD.layer_norm_layout(f"{pre}.ln_cross", d),
+                   *AD.layer_norm_layout(f"{pre}.ln_temporal", d),
+                   *A.projection_layout(f"{pre}.cs", d, out_std=0.1 / math.sqrt(d)),
+                   *A.projection_layout(f"{pre}.cross", d, out_std=0.02 / math.sqrt(d)),
+                   *A.projection_layout(f"{pre}.temporal", d, out_std=0.06 * std,
+                                        v_std=14.0 * std)]
+    layout += [
+        ("control.in_proj", (cfg.channels, d0), 1.0 / math.sqrt(cfg.channels)),
+        ("control.down_proj", (d0, d1), 1.0 / math.sqrt(d0)),
+        ("control.pose0.w", (1, d0), 1.0),
+        ("control.pose0.b", (d0,), T.zeros),
+        ("control.pose1.w", (d0, d1), 1.0 / math.sqrt(d0)),
+        ("control.pose1.b", (d1,), T.zeros),
+    ]
     for lid in CONTROL_BLOCKS:
         d = cfg.widths[CONTROL_LEVEL[lid]]
         pre = f"control.{lid}"
-        p[f"{pre}.conv_w"] = rng.normal((d, d), 1.0 / math.sqrt(d))
-        p[f"{pre}.conv_b"] = T.zeros((d,))
-        p[f"{pre}.time_proj"] = rng.normal((cfg.time_width, d),
-                                           1.0 / math.sqrt(cfg.time_width))
-        _init_ln(d, p, f"{pre}.ln_sp")
-        _init_pset(rng, d, p, f"{pre}.spatial")
-    p["control.zero.dec1"] = T.zeros((d1, d1))
-    p["control.zero.dec0"] = T.zeros((d0, d0))
-
+        layout += [*_opening_layout(pre, d, tw, 1.0 / math.sqrt(d)),
+                   *AD.layer_norm_layout(f"{pre}.ln_sp", d),
+                   *A.projection_layout(f"{pre}.spatial", d, out_std=0.1 / math.sqrt(d))]
+    # zero at construction; pretrained, small seeded values so the pose path
+    # carries signal
+    for lid, d in zip(CONTROLLED_LAYERS, (d1, d0)):
+        layout.append((f"control.zero.{lid}", (d, d),
+                       0.5 / math.sqrt(d) if pretrained_control else T.zeros))
     for level, d in enumerate(cfg.widths):
-        p.update(AD.init_adapter(rng, d).named(f"adapter{level}"))
+        layout += AD.adapter_layout(f"adapter{level}", d)
+    return layout
 
-    if pretrained_control:
-        p["control.zero.dec1"] = rng.normal((d1, d1), 0.5 / math.sqrt(d1))
-        p["control.zero.dec0"] = rng.normal((d0, d0), 0.5 / math.sqrt(d0))
-    return ModelWeights(cfg, p)
+
+def init_model(cfg: NetConfig, seed: int, pretrained_control: bool = True) -> ModelWeights:
+    """Seeded construction from ``_layout``. ControlNet output projections
+    are zero at construction; with ``pretrained_control`` they are drawn, after
+    every other weight, as the stand-in for a pre-trained conditioning
+    network."""
+    layout = _layout(cfg, pretrained_control)
+    drawn = T.Rng(seed).draw(sorted(
+        layout, key=lambda entry: entry[0].startswith("control.zero.")))
+    return ModelWeights(cfg, {name: drawn[name] for name, _, _ in layout})
 
 
 def parameter_shapes(cfg: NetConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every tensor ``init_model(cfg, ...)`` builds, from the
     configuration alone: no weight is drawn or allocated."""
-    d0, d1 = cfg.widths
-    tw = cfg.time_width
-    shapes = {
-        "unet.in_proj": (cfg.channels, d0), "unet.out_proj": (d0, cfg.channels),
-        "unet.out_b": (cfg.channels,), "unet.down_proj": (d0, d1),
-        "unet.up_proj": (d1, d0),
-        "unet.time_table": (cfg.schedule_steps, 2 * (tw // 2)),  # sin/cos pairs
-        "control.in_proj": (cfg.channels, d0), "control.down_proj": (d0, d1),
-        "control.pose0.w": (1, d0), "control.pose0.b": (d0,),
-        "control.pose1.w": (d0, d1), "control.pose1.b": (d1,),
-        "control.zero.dec1": (d1, d1), "control.zero.dec0": (d0, d0),
-    }
-
-    def part(prefix, d, norms=(), psets=(), **others):
-        for ln in norms:
-            shapes[f"{prefix}.{ln}.gamma"] = shapes[f"{prefix}.{ln}.beta"] = (d,)
-        for ps in psets:
-            for w in ("w_q", "w_k", "w_v", "w_out"):
-                shapes[f"{prefix}.{ps}.{w}"] = (d, d)
-        shapes.update({f"{prefix}.{name}": shape for name, shape in others.items()})
-
-    for lid in BLOCK_ORDER:
-        d = cfg.widths[BLOCK_LEVEL[lid]]
-        part(f"unet.{lid}", d, ("ln_cs", "ln_cross", "ln_temporal"),
-            ("cs", "cross", "temporal"), conv_w=(d, d), conv_b=(d,), time_proj=(tw, d))
-    for lid in CONTROL_BLOCKS:
-        d = cfg.widths[CONTROL_LEVEL[lid]]
-        part(f"control.{lid}", d, ("ln_sp",), ("spatial",),
-            conv_w=(d, d), conv_b=(d,), time_proj=(tw, d))
-    for level, d in enumerate(cfg.widths):
-        part(f"adapter{level}", d, ("ln_cross", "ln_temporal"), ("cross", "temporal"),
-            conv1=(d, d, 3), conv2=(d, d, 3), out_proj=(d, d))
-    return shapes
+    return {name: shape for name, shape, _ in _layout(cfg)}
 
 
 def trainable_names(model: ModelWeights) -> set[str]:
@@ -407,14 +399,14 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
     x = _unet_block(x, model, "mid", t, text1, role, cache, masks, inj, probe)
     x = T.add(x, skip1)
     if control_feats is not None:
-        w = AD.AdapterWeights.from_named(model.params, "adapter1")
+        w = AD.AdapterWeights(model.params, "adapter1")
         x = T.add(x, AD.adapter_forward(control_feats["dec1"], x, w))
     x = _unet_block(x, model, "dec1", t, text1, role, cache, masks, inj, probe)
     x = _upsample2_tokens(T.matmul(x, model.params["unet.up_proj"]),
                           h0 // 2, w0 // 2)
     x = T.add(x, skip0)
     if control_feats is not None:
-        w = AD.AdapterWeights.from_named(model.params, "adapter0")
+        w = AD.AdapterWeights(model.params, "adapter0")
         x = T.add(x, AD.adapter_forward(control_feats["dec0"], x, w))
     x = _unet_block(x, model, "dec0", t, text0, role, cache, masks, inj, probe)
     eps = T.add(T.matmul(x, model.params["unet.out_proj"]),
@@ -502,14 +494,9 @@ def save_checkpoint(directory, model: ModelWeights) -> None:
 
     os.makedirs(directory, exist_ok=True)
     manifest = {
-        "config": {
-            "frames": model.cfg.frames, "image_size": model.cfg.image_size,
-            "channels": model.cfg.channels, "widths": list(model.cfg.widths),
-            "time_width": model.cfg.time_width, "pool": model.cfg.pool,
-            "schedule_steps": model.cfg.schedule_steps,
-        },
+        "config": asdict(model.cfg),
         "topology": TOPOLOGY,
-        "gating": {lid: TOPOLOGY[lid] == "decoder" for lid in BLOCK_ORDER},
+        "gating": {lid: I.gate(lid, TOPOLOGY) for lid in BLOCK_ORDER},
         "tensors": {},
     }
     for name in sorted(model.params):
@@ -519,23 +506,6 @@ def save_checkpoint(directory, model: ModelWeights) -> None:
         T.save_tensor(os.path.join(directory, fname), model.params[name])
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
-
-
-def _manifest_config(c, path) -> NetConfig:
-    """NetConfig from the ``config`` entry of manifest ``path``: every size a
-    positive integer and two positive level widths."""
-    if not isinstance(c, dict):
-        raise ConfigError(f"{path}: manifest needs a 'config' object")
-    sizes = {f.name: c.get(f.name) for f in fields(NetConfig) if f.name != "widths"}
-    widths = c.get("widths")
-    if not isinstance(widths, list) or len(widths) != 2:
-        raise ConfigError(f"{path}: config widths must list two level "
-                          f"widths, got {widths!r}")
-    for key, value in [*sizes.items(), *(("widths", w) for w in widths)]:
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"{path}: config {key} must be a positive "
-                              f"integer, got {value!r}")
-    return NetConfig(widths=tuple(widths), **sizes)
 
 
 def load_checkpoint(directory) -> ModelWeights:
@@ -553,7 +523,9 @@ def load_checkpoint(directory) -> ModelWeights:
             raise ConfigError(f"{path}: not JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ConfigError(f"{path}: manifest must be a JSON object")
-    cfg = _manifest_config(manifest.get("config"), path)
+    if not isinstance(manifest.get("config"), dict):
+        raise ConfigError(f"{path}: manifest needs a 'config' object")
+    cfg = net_config(manifest["config"], f"{path}: config ")
     tensors = manifest.get("tensors")
     if not isinstance(tensors, dict):
         raise ConfigError(f"{path}: manifest needs a 'tensors' object")

@@ -659,6 +659,12 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Tensor | None],
 # randomness and the tensor container
 
 
+# A weight group's layout: one (name, shape, init) entry per tensor, in draw
+# order. An init is the std of a normal draw or a fill function of the shape.
+Init = float | Callable[[tuple[int, ...]], Tensor]
+Layout = list[tuple[str, tuple[int, ...], Init]]
+
+
 class Rng:
     """The library's single named pseudorandom stream (PCG64)."""
 
@@ -668,6 +674,11 @@ class Rng:
 
     def normal(self, shape: Sequence[int], std: float = 1.0) -> Tensor:
         return Tensor(self._gen.normal(0.0, std, size=tuple(shape)).astype(np.float32))
+
+    def draw(self, layout: Layout) -> dict[str, Tensor]:
+        """Name -> tensor of each entry, drawn in order; fills draw nothing."""
+        return {name: init(shape) if callable(init) else self.normal(shape, init)
+                for name, shape, init in layout}
 
     def uniform(self, shape: Sequence[int], low: float = 0.0, high: float = 1.0) -> Tensor:
         return Tensor(self._gen.uniform(low, high, size=tuple(shape)).astype(np.float32))

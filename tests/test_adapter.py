@@ -47,26 +47,25 @@ class TestForward:
     def test_matches_brute_force_composition(self):
         # independently recompose the documented sub-operations
         w = make_weights(9)
-        w = AD.AdapterWeights(w.ln_cross, w.ln_temporal, w.cross, w.temporal,
-                              w.conv1, w.conv2,
-                              T.Tensor(rnd((8, 8), 10, scale=0.3)))
+        w = AD.AdapterWeights({**w.named, "adapter.out_proj":
+                               T.Tensor(rnd((8, 8), 10, scale=0.3))})
         m = T.Tensor(rnd((3, 4, 8), 11))
         z = T.Tensor(rnd((3, 4, 8), 12))
         got = AD.adapter_forward(m, z, w).data
 
-        q_in = T.layer_norm(m, w.ln_cross.gamma, w.ln_cross.beta)
+        q_in = T.layer_norm(m, w["ln_cross.gamma"], w["ln_cross.beta"])
         g1_frames = [A.content_cross_attention(
             T.Tensor(q_in.data[f]), T.Tensor(z.data[f]), w.cross).data
             for f in range(3)]
         g1 = T.Tensor(np.stack(g1_frames))
-        t_in = T.layer_norm(g1, w.ln_temporal.gamma, w.ln_temporal.beta)
+        t_in = T.layer_norm(g1, w["ln_temporal.gamma"], w["ln_temporal.beta"])
         g2 = np.stack([A.temporal_attention(
             T.Tensor(t_in.data[:, n, :]), w.temporal).data
             for n in range(4)], axis=1)
 
         local_in = np.transpose(m.data, (0, 2, 1))
-        l1 = T.conv_temporal(T.Tensor(local_in), w.conv1)
-        l2 = T.conv_temporal(l1, w.conv2).data
+        l1 = T.conv_temporal(T.Tensor(local_in), w["conv1"])
+        l2 = T.conv_temporal(l1, w["conv2"]).data
         local = np.transpose(l2, (0, 2, 1))
 
         want = (g2 + local).reshape(-1, 8) @ w.out_proj.data
@@ -77,9 +76,8 @@ class TestForward:
 class TestContentSensitivity:
     def test_changing_latents_changes_output_with_trained_weights(self):
         w = make_weights(13)
-        w = AD.AdapterWeights(w.ln_cross, w.ln_temporal, w.cross, w.temporal,
-                              w.conv1, w.conv2,
-                              T.Tensor(rnd((8, 8), 14, scale=0.3)))
+        w = AD.AdapterWeights({**w.named, "adapter.out_proj":
+                               T.Tensor(rnd((8, 8), 14, scale=0.3))})
         m = T.Tensor(rnd((2, 4, 8), 15))
         z1 = T.Tensor(rnd((2, 4, 8), 16))
         z2 = T.Tensor(rnd((2, 4, 8), 17))
@@ -115,9 +113,8 @@ class TestGradCheck:
 
     def test_seeded_random_weights_pass(self):
         w = make_weights(22)
-        w = AD.AdapterWeights(w.ln_cross, w.ln_temporal, w.cross, w.temporal,
-                              w.conv1, w.conv2,
-                              T.Tensor(rnd((8, 8), 23, scale=0.3)))
+        w = AD.AdapterWeights({**w.named, "adapter.out_proj":
+                               T.Tensor(rnd((8, 8), 23, scale=0.3))})
         report = AD.adapter_grad_check(w, T.Rng(24))
         assert report["__all__"]["ok"]
 

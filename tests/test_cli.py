@@ -452,6 +452,46 @@ class TestConfigHandling:
         assert_one_line_error(capsys, "File exists")
         assert out.read_text() == "kept"
 
+    @pytest.mark.parametrize("command,job", [
+        ("align", "align_skeletons"), ("train", "one_shot_train"),
+        ("reconstruct", "reconstruct"), ("edit", "edit")],
+        ids=["align", "train", "reconstruct", "edit"])
+    def test_out_under_a_file_rejected_before_the_job_runs(
+            self, tmp_path, capsys, monkeypatch, command, job):
+        def reached(*args, **kwargs):
+            raise AssertionError(f"{job} ran although --out lies under a file")
+
+        monkeypatch.setattr(P, job, reached)
+        _, cfg = make_job_dir(tmp_path)
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = afile / "sub" / "deeper"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert_one_line_error(capsys, "Not a directory", "afile")
+        assert afile.read_text() == "kept"
+
+    def test_manifest_odd_time_width_rejected_before_any_tensor_is_read(
+            self, tmp_path, capsys, monkeypatch):
+        # the shapes agree with parameter_shapes, yet the time table's
+        # 2 * (5 // 2) columns cannot meet the (5, d) time projections
+        _, cfg = make_job_dir(tmp_path)
+        ckpt = tmp_path / "ckpt"
+        net = N.NetConfig(time_width=5)
+        N.save_checkpoint(ckpt, N.init_model(net, seed=7))
+        blob = json.loads((ckpt / "manifest.json").read_text())
+        assert blob["config"]["time_width"] == 5
+        assert {n: tuple(e["shape"]) for n, e in blob["tensors"].items()} == (
+            N.parameter_shapes(net))
+
+        def reached(path):
+            raise AssertionError(f"read {path} of a config that cannot run")
+
+        monkeypatch.setattr(T, "load_tensor", reached)
+        assert main(["reconstruct", "--steps", "1", "--config", str(cfg),
+                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_error(capsys, "manifest.json", "time_width")
+        assert not (tmp_path / "o").exists()
+
     def test_manifest_config_checked_without_building_the_model(self, tmp_path,
                                                                 capsys):
         # a level width of 512 would need ~70 MB of weights to build

@@ -1,6 +1,10 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
+from vidmotion import adapter as AD
 from vidmotion import attention as A
 from vidmotion import injection as I
 from vidmotion import network as N
@@ -14,6 +18,14 @@ def rnd(shape, seed=0, scale=1.0):
 
 
 CFG = N.NetConfig()
+
+
+def named_digest(named):
+    digest = hashlib.sha256()
+    for name in sorted(named):
+        digest.update(name.encode())
+        digest.update(named[name].data.tobytes())
+    return digest.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +315,58 @@ class TestWeightsPlumbing:
     ], ids=["seed0", "seed1"])
     def test_init_model_weights_pinned(self, seed, digest):
         assert N.parameter_checksum(N.init_model(N.NetConfig(), seed)) == digest
+
+    @pytest.mark.parametrize("cfg,seed,pretrained,digest", [
+        (N.NetConfig(), 0, False,
+         "f8db2303b016a9892cf25649c29d28cb1abe1d804d4e39663a02e76cdb6ded6a"),
+        (N.NetConfig(widths=(4, 12), time_width=7, channels=2, schedule_steps=3,
+                     frames=2, image_size=8, pool=2), 3, True,
+         "72eba8fa6dc9ad919582e31f604ff60de0fc07e84a41454e8e48398ea8c9e50f"),
+    ], ids=["zero-control", "small"])
+    def test_init_model_draw_order_pinned(self, cfg, seed, pretrained, digest):
+        model = N.init_model(cfg, seed, pretrained_control=pretrained)
+        assert N.parameter_checksum(model) == digest
+
+    def test_init_groups_pinned(self):
+        adapter = AD.init_adapter(T.Rng(5), 8)
+        assert named_digest(adapter.named) == (
+            "2b7aeb0c353cec0802244954f491aed3aba334221efdc5b283f0b4d4cfa068f9")
+        pset = A.init_projection_set(T.Rng(6), 6)
+        assert named_digest({f.name: getattr(pset, f.name)
+                             for f in dataclasses.fields(pset)}) == (
+            "0455ba8840716a0f384be3fc6b0feb87af57e704830a55de6cd439dca68c0b2b")
+
+    def test_manifest_bytes_pinned(self, tmp_path):
+        N.save_checkpoint(tmp_path, N.init_model(N.NetConfig(), 7))
+        digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes())
+        assert digest.hexdigest() == (
+            "038456bd2e6a3ba63b1ab8c9b4a22fd87bed65aef9b8a24ae1f3a828821fdaff")
+
+    def test_adapter_view_reads_its_level(self, model):
+        w = AD.AdapterWeights(model.params, "adapter1")
+        assert w.out_proj is model.params["adapter1.out_proj"]
+        assert w["conv1"] is model.params["adapter1.conv1"]
+        assert w.cross.w_q is model.params["adapter1.cross.w_q"]
+
+    @pytest.mark.parametrize("changes,needle", [
+        ({"time_width": 5}, "where: time_width"),
+        ({"image_size": 30}, "where: image_size 30 not divisible by pool"),
+        ({"image_size": 20}, "latent size 5"),
+        ({"widths": [32]}, "where: widths"),
+        ({"widths": [32, 0]}, "where: widths"),
+        ({"pool": True}, "where: pool"),
+        ({"frames": None}, "where: frames"),
+        ({"schedule_steps": 0}, "where: schedule_steps"),
+    ], ids=["odd-time-width", "pool-remainder", "odd-latent", "one-width",
+            "zero-width", "bool-pool", "missing", "no-steps"])
+    def test_net_config_names_the_field(self, changes, needle):
+        values = {**dataclasses.asdict(N.NetConfig()), **changes}
+        with pytest.raises(N.ConfigError, match=needle):
+            N.net_config(values, "where: ")
+
+    def test_net_config_takes_json_values(self):
+        values = {**dataclasses.asdict(N.NetConfig()), "widths": [8, 16]}
+        assert N.net_config(values) == N.NetConfig(widths=(8, 16))
 
     def test_replace_rejects_unknown_names(self, model):
         with pytest.raises(KeyError):
