@@ -30,16 +30,16 @@ def layer_norm_layout(prefix: str, d: int) -> T.Layout:
     return [(f"{prefix}.gamma", (d,), T.ones), (f"{prefix}.beta", (d,), T.zeros)]
 
 
-def adapter_layout(prefix: str, d: int, kernel_width: int = 3) -> T.Layout:
+def adapter_layout(prefix: str, d: int) -> T.Layout:
     """One level's adapter weights of width ``d``, named ``{prefix}.*``."""
-    conv_std = 1.0 / math.sqrt(d * kernel_width)
+    conv_std = 1.0 / math.sqrt(d * 3)
     return [*layer_norm_layout(f"{prefix}.ln_cross", d),
             *layer_norm_layout(f"{prefix}.ln_temporal", d),
             *A.projection_layout(f"{prefix}.cross", d),
             *A.projection_layout(f"{prefix}.temporal", d),
-            # temporal kernels, channel-mixing
-            (f"{prefix}.conv1", (d, d, kernel_width), conv_std),
-            (f"{prefix}.conv2", (d, d, kernel_width), conv_std),
+            # temporal kernels of width 3, channel-mixing
+            (f"{prefix}.conv1", (d, d, 3), conv_std),
+            (f"{prefix}.conv2", (d, d, 3), conv_std),
             (f"{prefix}.out_proj", (d, d), T.zeros)]
 
 
@@ -67,8 +67,8 @@ class AdapterWeights:
         return self["out_proj"]
 
 
-def init_adapter(rng: T.Rng, d: int, kernel_width: int = 3) -> AdapterWeights:
-    return AdapterWeights(rng.draw(adapter_layout("adapter", d, kernel_width)))
+def init_adapter(rng: T.Rng, d: int) -> AdapterWeights:
+    return AdapterWeights(rng.draw(adapter_layout("adapter", d)))
 
 
 def adapter_global_path(m: Tensor, z: Tensor, w: AdapterWeights) -> Tensor:

@@ -71,14 +71,14 @@ def _keep_freed_heap() -> bool:
 
 
 def _load_raster_dir(path, mask: bool = False) -> np.ndarray:
-    """A directory's .pgm frames as float32; with ``mask``, 1 where >= 128."""
+    """A directory's .pgm frames as float32, through ``read_mask_pgm`` if ``mask``."""
     if not os.path.isdir(path):
         raise FileNotFoundError(f"frame directory not found: {path}")
     names = sorted(f for f in os.listdir(path) if f.endswith(".pgm"))
     if not names:
         raise FileNotFoundError(f"no .pgm frames in {path}")
-    rasters = np.stack([SK.read_pgm(os.path.join(path, n)) for n in names])
-    return (rasters >= 128 if mask else rasters).astype(np.float32)
+    read = SK.read_mask_pgm if mask else SK.read_pgm
+    return np.stack([read(os.path.join(path, n)) for n in names]).astype(np.float32)
 
 
 def _require_paths(cfg: C.Config, keys: list[str]) -> None:

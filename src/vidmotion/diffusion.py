@@ -6,7 +6,6 @@ whenever the noise prediction is held fixed.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -43,14 +42,6 @@ class NoiseSchedule:
         if not 0 <= t < self.timesteps:
             raise ScheduleError(f"timestep {t} out of range [0, {self.timesteps})")
         return float(self.alpha_bar[t])
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "timesteps": self.timesteps,
-            "beta_min": self.beta_min,
-            "beta_max": self.beta_max,
-            "alpha_bar": [float(a) for a in self.alpha_bar],
-        })
 
 
 def make_schedule(timesteps: int = 1000, beta_min: float = 1e-4,
@@ -179,19 +170,24 @@ def _finite_step(phase: str, index: int, count: int, t: int,
     return x
 
 
+def _walk(eps_fn: EpsFn, x: Tensor, path: list[int], s: NoiseSchedule,
+          step: Callable[..., Tensor], phase: str) -> Trajectory:
+    """Move x along ``path`` with ``step``, predicting noise at the later end
+    of each move; the step function rejects a move in the wrong direction."""
+    traj = Trajectory()
+    traj.append(path[0], x)
+    for i, (a, b) in enumerate(zip(path, path[1:])):
+        t = max(a, b)
+        x = _finite_step(phase, i, len(path) - 1, t,
+                         lambda: step(x, eps_fn(x, t), a, b, s))
+        traj.append(b, x)
+    return traj
+
+
 def ddim_sample(eps_fn: EpsFn, x_start: Tensor, ts: Sequence[int],
                 s: NoiseSchedule, phase: str = "sample") -> Trajectory:
     """Denoise along decreasing ts (ending at the clean endpoint)."""
-    order = list(ts)
-    traj = Trajectory()
-    x = x_start
-    traj.append(order[-1], x)
-    pairs = zip(reversed(order), list(reversed(order))[1:] + [CLEAN_STEP])
-    for i, (hi, lo) in enumerate(pairs):
-        x = _finite_step(phase, i, len(order), hi,
-                         lambda: ddim_step(x, eps_fn(x, hi), hi, lo, s))
-        traj.append(lo, x)
-    return traj
+    return _walk(eps_fn, x_start, [*reversed(ts), CLEAN_STEP], s, ddim_step, phase)
 
 
 def ddim_invert(eps_fn: EpsFn, x0: Tensor, ts: Sequence[int],
@@ -201,17 +197,7 @@ def ddim_invert(eps_fn: EpsFn, x0: Tensor, ts: Sequence[int],
     The predictor is evaluated at the current latent with the *target*
     timestep (the clean endpoint is never fed to the network).
     """
-    order = list(ts)
-    traj = Trajectory()
-    x = x0
-    traj.append(CLEAN_STEP, x)
-    prev = CLEAN_STEP
-    for i, t in enumerate(order):
-        x = _finite_step(phase, i, len(order), t,
-                         lambda: ddim_invert_step(x, eps_fn(x, t), prev, t, s))
-        traj.append(t, x)
-        prev = t
-    return traj
+    return _walk(eps_fn, x0, [CLEAN_STEP, *ts], s, ddim_invert_step, phase)
 
 
 def oracle_eps_fn(x0: Tensor, s: NoiseSchedule) -> EpsFn:

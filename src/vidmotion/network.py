@@ -63,10 +63,6 @@ class NetConfig:
         size = self.latent_size // (2 ** level)
         return size, size
 
-    def level_tokens(self, level: int) -> int:
-        h, w = self.level_hw(level)
-        return h * w
-
     def level_shapes(self) -> dict[int, tuple[int, int]]:
         return {lvl: self.level_hw(lvl) for lvl in range(len(self.widths))}
 
@@ -559,9 +555,3 @@ def encode_video(video: Tensor, cfg: NetConfig) -> Tensor:
     g = T.mean(g, axis=3)
     g = T.mean(g, axis=4)
     return g
-
-
-def decode_latent(latent: Tensor, cfg: NetConfig) -> Tensor:
-    """Nearest-upsample preview decoder (the inverse resolution map only)."""
-    g = T.repeat_axis(latent, 2, cfg.pool)
-    return T.repeat_axis(g, 3, cfg.pool)

@@ -7,7 +7,6 @@ centroid matches the source centroid.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -324,26 +323,3 @@ def write_mask_pgm(path, mask01: np.ndarray) -> None:
 
 def read_mask_pgm(path) -> np.ndarray:
     return (read_pgm(path) >= 128).astype(np.float32)
-
-
-def load_keypoints(path) -> list[dict[str, tuple[float, float, float]]]:
-    """JSON array of frames, each a map joint-name -> [x, y, confidence]."""
-    with open(path) as fh:
-        frames = json.load(fh)
-    out = []
-    for frame in frames:
-        out.append({name: (float(v[0]), float(v[1]), float(v[2]))
-                    for name, v in frame.items()})
-    return out
-
-
-def save_keypoints(path, frames) -> None:
-    blob = [{name: list(v) for name, v in frame.items()} for frame in frames]
-    with open(path, "w") as fh:
-        json.dump(blob, fh, indent=1)
-
-
-def load_bones(path) -> list[tuple[str, str]]:
-    with open(path) as fh:
-        pairs = json.load(fh)
-    return [(str(a), str(b)) for a, b in pairs]

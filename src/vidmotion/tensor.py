@@ -75,39 +75,12 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self) -> str:
         tracked = "" if self.node is None else f", node={self.node.idx}"
         return f"Tensor(shape={self.shape}{tracked})"
-
-    # small amount of operator sugar; everything routes through module ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -287,10 +260,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result("matmul", (a, b), out, bwd)
 
 
-def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     a = _as_tensor(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.data.ndim)))
     axes = tuple(axes)
     inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     return _result("transpose", (a,), np.ascontiguousarray(a.data.transpose(axes)),
@@ -679,9 +650,6 @@ class Rng:
         """Name -> tensor of each entry, drawn in order; fills draw nothing."""
         return {name: init(shape) if callable(init) else self.normal(shape, init)
                 for name, shape, init in layout}
-
-    def uniform(self, shape: Sequence[int], low: float = 0.0, high: float = 1.0) -> Tensor:
-        return Tensor(self._gen.uniform(low, high, size=tuple(shape)).astype(np.float32))
 
     def integer(self, low: int, high: int) -> int:
         return int(self._gen.integers(low, high))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -46,13 +47,6 @@ class TestMakeSchedule:
             D.make_schedule(10, 0.5, 0.4)
         with pytest.raises(D.ScheduleError):
             D.make_schedule(1, 0.1, 0.1)
-
-    def test_json_dump_round_trips(self):
-        import json
-        s = D.make_schedule(8, 1e-3, 1e-2)
-        blob = json.loads(s.to_json())
-        assert blob["timesteps"] == 8
-        np.testing.assert_allclose(blob["alpha_bar"], s.alpha_bar)
 
 
 class TestQSample:
@@ -186,6 +180,44 @@ class TestDdimInvertStep:
             rms[steps] = float(np.sqrt(np.mean((traj_dn.final.data - x0.data) ** 2)))
         assert rms[10] > rms[50] > rms[200]
         assert rms[50] <= 0.30  # recorded 0.268 on the frozen fixture, plus headroom
+
+
+class TestDdimWalk:
+    def test_invert_then_sample_latents_pinned(self):
+        # leading 16 hex digits of each latent's sha256, recorded before
+        # sampling and inversion shared one loop
+        s = D.make_schedule()
+        shape = (1, 4, 8, 8)
+        x0 = T.Tensor(rnd(shape, 17, scale=0.5))
+        fn = toy_eps_fn(shape)
+        ts = D.subsequence(1000, 10)
+        up = D.ddim_invert(fn, x0, ts, s)
+        down = D.ddim_sample(fn, up.final, ts, s)
+        assert up.timesteps == [D.CLEAN_STEP, *ts]
+        assert down.timesteps == [*reversed(ts), D.CLEAN_STEP]
+        digests = [[hashlib.sha256(x.data.tobytes()).hexdigest()[:16]
+                    for _, x in traj.points] for traj in (up, down)]
+        assert digests == [
+            ["402f1fe4667f4214", "4037f9a28e116c17", "21dbe26156d98fb7",
+             "d07b7c01e2b5d659", "8e411a4843800494", "9b265ef3e463fc6d",
+             "a3ab47184b5ce0ee", "4bc32f4747a051d9", "b2cc237844ec140e",
+             "b687a6cfccc08df3", "cb15b9a965c2adbb"],
+            ["cb15b9a965c2adbb", "34e37fd0c9f15836", "be6c6197aa664b8d",
+             "150702adaeff6570", "9aae6e8425294a5a", "2c7b3c44571714e4",
+             "14030e188a8102fe", "6e2fe0d7c91861a4", "42169667e3ca4f38",
+             "a167c2da7e0d8e38", "ff98a5116bad91a7"]]
+
+    @pytest.mark.parametrize("ts", [[100, 300, 200], [300, 100], [100, 100],
+                                    [100, 200, 200]],
+                             ids=["unsorted", "decreasing", "repeated",
+                                  "repeated-last"])
+    @pytest.mark.parametrize("walk", [D.ddim_sample, D.ddim_invert],
+                             ids=["sample", "invert"])
+    def test_misordered_timesteps_rejected(self, walk, ts):
+        s = D.make_schedule()
+        x = T.Tensor(rnd((2, 3), 32))
+        with pytest.raises(D.ScheduleError):
+            walk(lambda x, t: T.scale(x, 0.1), x, ts, s)
 
 
 class TestNonFiniteSteps:

@@ -1,0 +1,114 @@
+"""The output-tree comparison of ``tools/identity.py``, on trees built here
+(no git, no commands run)."""
+import argparse
+import os
+import shutil
+import sys
+
+import numpy as np
+import pytest
+
+from vidmotion import tensor as T
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tools"))
+import identity  # noqa: E402
+
+LATENT = np.linspace(-2.0, 2.0, 24, dtype=np.float32).reshape(2, 3, 4)
+
+
+def build_tree(root, latent=LATENT, losses=(0.5, 0.25), report=b'{"steps": 2}'):
+    os.makedirs(os.path.join(root, "previews"))
+    T.save_tensor(os.path.join(root, "edited.melt"), T.Tensor(latent))
+    with open(os.path.join(root, "loss.csv"), "w") as fh:
+        fh.write("step,loss\n" + "".join(f"{i},{v:.8f}\n" for i, v in enumerate(losses)))
+    with open(os.path.join(root, "previews", "report.json"), "wb") as fh:
+        fh.write(report)
+    return str(root)
+
+
+def nudged(rel):
+    """LATENT with one value moved by ``rel`` of itself."""
+    out = LATENT.copy()
+    out[1, 2, 3] *= np.float32(1.0 + rel)
+    return out
+
+
+def test_identical_trees_match(tmp_path):
+    base = build_tree(tmp_path / "a")
+    assert identity.compare_trees(base, build_tree(tmp_path / "b")) == []
+
+
+def test_flipped_byte_names_the_file(tmp_path):
+    base = build_tree(tmp_path / "a")
+    head = build_tree(tmp_path / "b", report=b'{"steps": 3}')
+    found = identity.compare_trees(base, head, (1.0, 1.0))
+    assert found == [identity.Finding(os.path.join("previews", "report.json"),
+                                      False, "bytes differ")]
+
+
+def test_missing_file_is_named(tmp_path):
+    base = build_tree(tmp_path / "a")
+    head = build_tree(tmp_path / "b")
+    os.remove(os.path.join(head, "loss.csv"))
+    shutil.copy(os.path.join(head, "edited.melt"), os.path.join(head, "extra.melt"))
+    found = identity.compare_trees(base, head)
+    assert [(f.path, f.ok, f.message) for f in found] == [
+        ("extra.melt", False, "only under head"),
+        ("loss.csv", False, "only under base")]
+
+
+def test_float_within_tolerance(tmp_path):
+    base = build_tree(tmp_path / "a")
+    head = build_tree(tmp_path / "b", latent=nudged(1e-6))
+    [strict] = identity.compare_trees(base, head)
+    assert strict.path == "edited.melt" and not strict.ok
+    assert strict.message.startswith("1 of 24 values differ; max abs gap ")
+    [loose] = identity.compare_trees(base, head, (1e-5, 0.0))
+    assert loose.ok and loose.message.startswith("within tolerance: 1 of 24")
+
+
+def test_float_beyond_tolerance(tmp_path):
+    base = build_tree(tmp_path / "a")
+    head = build_tree(tmp_path / "b", latent=nudged(1e-3))
+    [found] = identity.compare_trees(base, head, (1e-5, 0.0))
+    assert found.path == "edited.melt" and not found.ok
+    gap = abs(float(nudged(1e-3)[1, 2, 3]) - float(LATENT[1, 2, 3]))
+    assert f"max abs gap {gap:.3g}" in found.message
+    assert f"max rel gap {gap / abs(float(LATENT[1, 2, 3])):.3g}" in found.message
+
+
+def test_loss_csv_gaps(tmp_path):
+    base = build_tree(tmp_path / "a")
+    head = build_tree(tmp_path / "b", losses=(0.5, 0.2500001))
+    [found] = identity.compare_trees(base, head, (1e-5, 0.0))
+    assert found.path == "loss.csv" and found.ok
+    assert "max abs gap 1e-07, max rel gap 4e-07" in found.message
+    [found] = identity.compare_trees(base, head, (1e-7, 0.0))
+    assert not found.ok
+
+
+def test_shape_change_is_not_a_gap(tmp_path):
+    base = build_tree(tmp_path / "a")
+    head = build_tree(tmp_path / "b", latent=LATENT.reshape(3, 2, 4))
+    [found] = identity.compare_trees(base, head, (1.0, 1.0))
+    assert not found.ok and found.message == "shape, header or text differs"
+
+
+def test_nan_on_one_side_is_beyond_any_tolerance(tmp_path):
+    base = build_tree(tmp_path / "a")
+    bad = LATENT.copy()
+    bad[0, 0, 0] = np.nan
+    [found] = identity.compare_trees(base, build_tree(tmp_path / "b", latent=bad),
+                                     (1.0, 1.0))
+    assert not found.ok and "max abs gap inf" in found.message
+
+
+@pytest.mark.parametrize("text", ["1e-5", "a,b", "1,2,3", "-1,0", "nan,0"])
+def test_bad_tolerance_rejected(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        identity.parse_tolerance(text)
+
+
+def test_tolerance_parsed():
+    assert identity.parse_tolerance("1e-5,0") == (1e-5, 0.0)

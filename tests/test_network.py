@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ def block_hooks(role, lid, cache, masks=None, inj=None):
 @pytest.mark.parametrize("lid", ["dec0", "mid"])
 def test_batched_cs_injection_equals_per_frame_reference(model, lid, drop):
     level = N.BLOCK_LEVEL[lid]
-    shape = (CFG.frames, CFG.level_tokens(level), CFG.widths[level])
+    shape = (CFG.frames, math.prod(CFG.level_hw(level)), CFG.widths[level])
     inj = I.InjectionSettings(inject_mid=True, drop_masked_tokens=drop)
     assert I.gate(lid, N.TOPOLOGY, inj.inject_mid)
     cache = I.ReconCache()
@@ -382,16 +383,10 @@ class TestWeightsPlumbing:
         np.testing.assert_array_equal(u1.data, u2.data)
         assert u1.shape == (1, 32)
 
-    def test_encode_decode_round_shapes(self, model):
-        video = T.Tensor(rnd((CFG.frames, 4, 32, 32), seed=50))
-        lat = N.encode_video(video, CFG)
-        assert lat.shape == (CFG.frames, 4, 8, 8)
-        up = N.decode_latent(lat, CFG)
-        assert up.shape == video.shape
-
     def test_encode_video_is_average_pool(self, model):
         video = T.Tensor(np.ones((CFG.frames, 4, 32, 32), np.float32) * 3.0)
         lat = N.encode_video(video, CFG)
+        assert lat.shape == (CFG.frames, 4, 8, 8)
         np.testing.assert_allclose(lat.data, 3.0, rtol=1e-6)
 
 

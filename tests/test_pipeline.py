@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 
 import numpy as np
@@ -243,7 +244,7 @@ class TestEdit:
                   if I.gate(lid, N.TOPOLOGY, inject_mid)]
         # float32 keys and values: a (F, 2N, d) cross-frame stack and a
         # (N, F, d) temporal stack per gated layer
-        one_step = sum(24 * cfg.frames * cfg.level_tokens(lv) * cfg.widths[lv]
+        one_step = sum(24 * cfg.frames * math.prod(cfg.level_hw(lv)) * cfg.widths[lv]
                        for lv in levels)
         assert res.cache.peak_bytes == one_step == want
 

@@ -1,5 +1,4 @@
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -260,18 +259,6 @@ class TestFileFormats:
         raw = S.read_pgm(path)
         assert set(np.unique(raw)) <= {0, 255}
         np.testing.assert_array_equal(S.read_mask_pgm(path), mask)
-
-    def test_keypoints_json_round_trip(self, tmp_path):
-        frames = [{"a": (1.0, 2.0, 1.0), "b": (3.5, 4.5, 0.9)},
-                  {"a": (2.0, 3.0, 1.0)}]
-        path = tmp_path / "k.json"
-        S.save_keypoints(path, frames)
-        assert S.load_keypoints(path) == frames
-
-    def test_bone_table_json(self, tmp_path):
-        path = tmp_path / "b.json"
-        path.write_text(json.dumps([["a", "b"], ["b", "c"]]))
-        assert S.load_bones(path) == [("a", "b"), ("b", "c")]
 
     def test_non_pgm_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"
