@@ -3,7 +3,8 @@ attention, per-location temporal attention, and pose-query cross-attention.
 
 Single head throughout; tokens are rows, projections right-multiply. Every
 kernel takes one rank-2 token matrix (n, d) or a rank-3 stack (B, n, d) whose
-leading axis is attended independently.
+leading axis is attended independently; rank-2 keys and values serve every
+entry of a rank-3 query stack.
 """
 from __future__ import annotations
 
@@ -48,14 +49,15 @@ def init_projection_set(rng: T.Rng, d: int) -> ProjectionSet:
 
 def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(q kT / sqrt(d)) v for rank-2 token matrices, or for rank-3
-    stacks (B,nq,d) x (B,nk,d) -> (B,nq,d) with one softmax per batch entry."""
-    rank = q.data.ndim
-    if rank not in (2, 3) or k.data.ndim != rank or v.data.ndim != rank:
-        raise T.ShapeError(f"attend expects three rank-2 or three rank-3 "
-                           f"stacks, got {q.shape}, {k.shape}, {v.shape}")
-    if not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
-        raise T.ShapeError(f"attend batch sizes differ: {q.shape}, {k.shape}, "
-                           f"{v.shape}")
+    stacks (B,nq,d) x (B,nk,d) -> (B,nq,d) with one softmax per batch entry.
+    A rank-3 query stack may also attend rank-2 keys and values (nk,d) that
+    every batch entry shares."""
+    rank = k.data.ndim
+    if (rank not in (2, 3) or v.data.ndim != rank or q.data.ndim not in (rank, 3)
+            or not q.shape[:rank - 2] == k.shape[:-2] == v.shape[:-2]):
+        raise T.ShapeError(f"attend expects rank-2 or rank-3 stacks with one "
+                           f"batch size, or shared rank-2 keys and values, got "
+                           f"{q.shape}, {k.shape}, {v.shape}")
     if q.shape[-1] != k.shape[-1]:
         raise T.ShapeError(f"query width {q.shape[-1]} != key width {k.shape[-1]}")
     if k.shape[-2] != v.shape[-2]:
@@ -64,7 +66,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise T.ShapeError("attend needs at least one key")
     k_t = T.transpose(k, (*range(rank - 2), rank - 1, rank - 2))
     scores = T.scale(T.matmul(q, k_t), 1.0 / math.sqrt(q.shape[-1]))
-    return T.matmul(T.softmax(scores, axis=rank - 1), v)
+    return T.matmul(T.softmax(scores, axis=q.data.ndim - 1), v)
 
 
 KVHook = Callable[[Tensor, Tensor], tuple[Tensor, Tensor]]

@@ -218,10 +218,10 @@ def cmd_train(cfg: C.Config, out_dir: str) -> int:
         for i, value in enumerate(result.losses):
             fh.write(f"{i},{value:.8f}\n")
     if result.losses:
-        first10 = float(np.mean(result.losses[:10]))
-        last10 = float(np.mean(result.losses[-10:]))
-        print(f"trained {len(result.losses)} steps: first-10 mean "
-              f"{first10:.4f}, last-10 mean {last10:.4f}")
+        n = len(result.losses)
+        k = max(1, min(10, n // 2))  # disjoint windows from two steps on
+        print(f"trained {n} steps: first-{k} mean {np.mean(result.losses[:k]):.4f}, "
+              f"last-{k} mean {np.mean(result.losses[-k:]):.4f}")
     return 0
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import KVHook
+from .skeleton import resize_nearest
 from .tensor import Tensor
 
 
@@ -120,13 +121,10 @@ class InjectionSettings:
 
 
 def downsample_mask(mask_hw: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Nearest-neighbor downsample then re-binarize at 0.5."""
-    mask_hw = np.asarray(mask_hw, dtype=np.float32)
-    h, w = mask_hw.shape
-    rows = ((np.arange(out_h) + 0.5) * h / out_h).astype(int).clip(0, h - 1)
-    cols = ((np.arange(out_w) + 0.5) * w / out_w).astype(int).clip(0, w - 1)
-    sampled = mask_hw[np.ix_(rows, cols)]
-    return (sampled >= 0.5).astype(np.float32)
+    """Nearest-neighbor downsample of the last two axes, then re-binarize at
+    0.5."""
+    return (resize_nearest(np.asarray(mask_hw, dtype=np.float32), out_h, out_w)
+            >= 0.5).astype(np.float32)
 
 
 @dataclass
@@ -140,11 +138,8 @@ class LatentMask:
                      level_shapes: dict[int, tuple[int, int]]) -> "LatentMask":
         """Build the pyramid from (frames, H, W) binary rasters."""
         masks = np.asarray(masks, dtype=np.float32)
-        levels = {}
-        for level, (h, w) in level_shapes.items():
-            per_frame = [downsample_mask(m, h, w).reshape(-1) for m in masks]
-            levels[level] = np.stack(per_frame, axis=0)
-        return cls(levels)
+        return cls({level: downsample_mask(masks, h, w).reshape(len(masks), -1)
+                    for level, (h, w) in level_shapes.items()})
 
     def cs_mask(self, level: int) -> np.ndarray:
         """(frames, 2N) masks aligned with each frame's [preceding, current]

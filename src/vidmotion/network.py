@@ -307,12 +307,7 @@ def _cs_sub_block(x: Tensor, model: ModelWeights, lid: str, kv) -> Tensor:
 def _cross_sub_block(x: Tensor, model: ModelWeights, lid: str,
                      text: Tensor) -> Tensor:
     c_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_cross"))
-
-    def per_frame(k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        return (T.repeat_axis(T.reshape(k, (1, *k.shape)), 0, x.shape[0]),
-                T.repeat_axis(T.reshape(v, (1, *v.shape)), 0, x.shape[0]))
-
-    return A.attention(c_in, text, model.pset(f"unet.{lid}.cross"), per_frame)
+    return A.attention(c_in, text, model.pset(f"unet.{lid}.cross"))
 
 
 def _temporal_sub_block(x: Tensor, model: ModelWeights, lid: str, kv) -> Tensor:
@@ -410,30 +405,6 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
     return _latent_from_tokens(eps, cfg)
 
 
-def pose_encode(model: ModelWeights, raster: np.ndarray) -> dict[int, Tensor]:
-    """Strided feature pyramid from one skeleton raster, per U-Net level."""
-    cfg = model.cfg
-    raster = np.asarray(raster, dtype=np.float32)
-    if raster.shape != (cfg.image_size, cfg.image_size):
-        raise ConfigError(f"skeleton raster {raster.shape} does not match "
-                          f"image size {cfg.image_size}")
-    p = model.params
-    img = Tensor(raster / 255.0)
-    hs = cfg.latent_size
-    # fixed stride-`pool` average pooling down to the latent grid
-    g = T.reshape(img, (hs, cfg.pool, hs, cfg.pool))
-    g = T.mean(g, axis=1)
-    g = T.mean(g, axis=2)
-    flat = T.reshape(g, (hs * hs, 1))
-    lvl0 = T.silu(T.add(T.matmul(flat, p["control.pose0.w"]), p["control.pose0.b"]))
-    h1 = hs // 2
-    g1 = T.reshape(lvl0, (1, hs * hs, lvl0.shape[1]))
-    g1 = _pool2_tokens(g1, hs, hs)
-    g1 = T.reshape(g1, (h1 * h1, lvl0.shape[1]))
-    lvl1 = T.silu(T.add(T.matmul(g1, p["control.pose1.w"]), p["control.pose1.b"]))
-    return {0: lvl0, 1: lvl1}
-
-
 def _control_block(x: Tensor, model: ModelWeights, lid: str, t: int) -> Tensor:
     pre = f"control.{lid}"
     x = _conv_time_residual(x, model, pre, t)
@@ -442,20 +413,29 @@ def _control_block(x: Tensor, model: ModelWeights, lid: str, t: int) -> Tensor:
 
 
 def pose_features(model: ModelWeights, skeletons: np.ndarray) -> dict[int, Tensor]:
-    """Pose pyramid of a skeleton stack, per U-Net level: (F, N_l, d_l).
+    """Pose pyramid of a (F, H, W) skeleton stack, per U-Net level: (F, N_l,
+    d_l), every frame in one pass.
 
     The pose encoder is frozen and a run's skeletons are fixed, so callers
     build this once and hand it to every controlnet_forward of the run.
     """
     cfg = model.cfg
-    skeletons = np.asarray(skeletons)
-    if skeletons.shape[0] != cfg.frames:
-        raise ConfigError(f"got {skeletons.shape[0]} pose maps for "
-                          f"{cfg.frames} frames")
-    pyramids = [pose_encode(model, sk) for sk in skeletons]
-    return {level: T.concat([T.reshape(py[level], (1,) + py[level].shape)
-                             for py in pyramids], axis=0)
-            for level in (0, 1)}
+    skeletons = np.asarray(skeletons, dtype=np.float32)
+    want = (cfg.frames, cfg.image_size, cfg.image_size)
+    if skeletons.shape != want:
+        raise ConfigError(f"pose map stack {skeletons.shape} does not match "
+                          f"(frames, image size, image size) {want}")
+    p = model.params
+    hs = cfg.latent_size
+    # fixed stride-`pool` average pooling down to the latent grid
+    g = T.reshape(Tensor(skeletons / 255.0), (cfg.frames, hs, cfg.pool, hs, cfg.pool))
+    g = T.mean(g, axis=2)
+    g = T.mean(g, axis=3)
+    flat = T.reshape(g, (cfg.frames, hs * hs, 1))
+    lvl0 = T.silu(T.add(T.matmul(flat, p["control.pose0.w"]), p["control.pose0.b"]))
+    g1 = _pool2_tokens(lvl0, hs, hs)
+    lvl1 = T.silu(T.add(T.matmul(g1, p["control.pose1.w"]), p["control.pose1.b"]))
+    return {0: lvl0, 1: lvl1}
 
 
 def controlnet_forward(model: ModelWeights, z: Tensor, t: int,

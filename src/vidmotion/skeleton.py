@@ -78,24 +78,19 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def resize_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Half-pixel-centered nearest resize of the last two axes of a raster or
+    a stack of rasters."""
     img = np.asarray(img)
-    h, w = img.shape
+    h, w = img.shape[-2:]
     rows = np.clip(((np.arange(out_h) + 0.5) * h / out_h).astype(int), 0, h - 1)
     cols = np.clip(((np.arange(out_w) + 0.5) * w / out_w).astype(int), 0, w - 1)
-    return img[np.ix_(rows, cols)]
+    return img[..., rows[:, None], cols]
 
 
 def translate(img: np.ndarray, dx: float, dy: float, nearest: bool) -> np.ndarray:
     """Shift by (dx, dy) pixels; reads outside the frame are zero."""
     img = np.asarray(img, dtype=np.float64)
     h, w = img.shape
-    if float(dx).is_integer() and float(dy).is_integer():
-        out = np.zeros_like(img)
-        idx, idy = int(dx), int(dy)
-        ys0, ys1 = max(0, idy), min(h, h + idy)
-        xs0, xs1 = max(0, idx), min(w, w + idx)
-        out[ys0:ys1, xs0:xs1] = img[ys0 - idy:ys1 - idy, xs0 - idx:xs1 - idx]
-        return out
     ys = np.arange(h)[:, None] - dy
     xs = np.arange(w)[None, :] - dx
     if nearest:

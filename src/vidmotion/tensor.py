@@ -510,9 +510,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 def conv_temporal(x: Tensor, kernel: Tensor) -> Tensor:
     """Convolve along the frame axis (axis 0) with same-size zero padding.
 
-    A rank-1 kernel (kw,) filters every channel/location identically; a
-    rank-3 kernel (C_out, C_in, kw) also mixes channels, with channels on
-    axis 1 of ``x``. Kernel width must be odd.
+    A rank-1 kernel (kw,) filters every channel/location identically, as the
+    (1, 1, kw) kernel over ``x`` viewed as (frames, 1, rest); a rank-3 kernel
+    (C_out, C_in, kw) also mixes channels, with channels on axis 1 of ``x``.
+    Kernel width must be odd.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     kw = kernel.shape[-1]
@@ -520,63 +521,42 @@ def conv_temporal(x: Tensor, kernel: Tensor) -> Tensor:
         raise ShapeError(f"temporal kernel width must be odd, got {kw}")
     if kernel.data.ndim not in (1, 3):
         raise ShapeError(f"kernel must be rank 1 or 3, got shape {kernel.shape}")
+    rank1 = kernel.data.ndim == 1
+    kd = kernel.data.reshape(1, 1, kw) if rank1 else kernel.data
+    c_out, c_in, _ = kd.shape
+    if not rank1 and (x.data.ndim < 2 or x.shape[1] != c_in):
+        raise ShapeError(f"input channels {x.shape} do not match kernel {kernel.shape}")
     frames = x.shape[0]
     pad = kw // 2
-    pad_block = np.zeros((pad,) + x.shape[1:], dtype=np.float32)
-    xp = np.concatenate([pad_block, x.data, pad_block], axis=0)
-    kx, kk = x.node is not None, kernel.node is not None
-    kshape, xp_shape = kernel.shape, xp.shape
-    kd = kernel.data if kx else None  # dx reads the kernel
-    saved_xp = xp if kk else None  # dkernel reads the padded input
-
-    if kernel.data.ndim == 1:
-        out = np.zeros_like(x.data)
-        for j in range(kw):
-            out += kernel.data[j] * xp[j:j + frames]
-
-        def bwd(g):
-            dx = dk = None
-            if kx:
-                dxp = np.zeros(xp_shape, dtype=np.float32)
-                for j in range(kw):
-                    dxp[j:j + frames] += kd[j] * g
-                dx = dxp[pad:pad + frames]
-            if kk:
-                dk = np.zeros(kshape, dtype=np.float32)
-                for j in range(kw):
-                    dk[j] = np.float32((g * saved_xp[j:j + frames]).sum(dtype=np.float64))
-            return dx, dk
-
-        return _result("conv_t", (x, kernel), out, bwd)
-
-    c_out, c_in, _ = kernel.shape
-    if x.data.ndim < 2 or x.shape[1] != c_in:
-        raise ShapeError(f"input channels {x.shape} do not match kernel {kernel.shape}")
-    tail = x.shape[2:]
-    xpf = xp.reshape(frames + 2 * pad, c_in, -1)
+    out_shape = x.shape if rank1 else (frames, c_out) + x.shape[2:]
+    xf = x.data.reshape(frames, c_in, -1)
+    pad_block = np.zeros((pad,) + xf.shape[1:], dtype=np.float32)
+    xpf = np.concatenate([pad_block, xf, pad_block], axis=0)
     out = np.zeros((frames, c_out, xpf.shape[2]), dtype=np.float32)
     for j in range(kw):
-        out += np.matmul(kernel.data[:, :, j], xpf[j:j + frames])
-    xpf_shape = xpf.shape
-    saved_xpf = xpf if kk else None
+        out += np.matmul(kd[:, :, j], xpf[j:j + frames])
+    kx, kk = x.node is not None, kernel.node is not None
+    x_shape, kshape, xpf_shape = x.shape, kernel.shape, xpf.shape
+    kd = kd if kx else None  # dx reads the kernel
+    saved_xpf = xpf if kk else None  # dkernel reads the padded input
 
-    def bwd3(g):
+    def bwd(g):
         gf = g.reshape(frames, c_out, -1)
         dx = dk = None
         if kx:
             dxp = np.zeros(xpf_shape, dtype=np.float32)
             for j in range(kw):
                 dxp[j:j + frames] += np.matmul(kd[:, :, j].T, gf)
-            dx = dxp[pad:pad + frames].reshape((frames, c_in) + tail)
+            dx = dxp[pad:pad + frames].reshape(x_shape)
         if kk:
-            dk = np.zeros(kshape, dtype=np.float32)
+            dk = np.zeros((c_out, c_in, kw), dtype=np.float32)
             for j in range(kw):
                 dk[:, :, j] = np.tensordot(gf, saved_xpf[j:j + frames],
                                            axes=([0, 2], [0, 2]))
+            dk = dk.reshape(kshape)
         return dx, dk
 
-    return _result("conv_t", (x, kernel),
-                   out.reshape((frames, c_out) + tail).astype(np.float32), bwd3)
+    return _result("conv_t", (x, kernel), out.reshape(out_shape), bwd)
 
 
 # ---------------------------------------------------------------------------

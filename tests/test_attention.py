@@ -67,14 +67,36 @@ class TestAttend:
 
     @pytest.mark.parametrize("q,k,v", [
         ((2, 4), (2, 3, 4), (2, 3, 4)),
-        ((2, 2, 4), (3, 4), (3, 4)),
+        ((2, 2, 4), (3, 4), (2, 3, 4)),
         ((2, 2, 4), (2, 3, 4), (3, 4)),
         ((2, 2, 4), (3, 3, 4), (3, 3, 4)),
         ((2, 2, 4), (2, 3, 4), (1, 3, 4)),
-    ], ids=["q-rank2", "kv-rank2", "v-rank2", "kv-batch", "v-batch"])
+        ((2, 2, 2, 4), (3, 4), (3, 4)),
+    ], ids=["q-rank2", "k-rank2", "v-rank2", "kv-batch", "v-batch", "q-rank4"])
     def test_mixed_ranks_or_batch_sizes_rejected(self, q, k, v):
         with pytest.raises(T.ShapeError):
             A.attend(T.zeros(q), T.zeros(k), T.zeros(v))
+
+    def test_shared_rank2_keys_match_repeated_keys(self):
+        q, k, v = rnd((3, 4, 8), 57), rnd((5, 8), 58), rnd((5, 8), 59)
+        shared = A.attend(T.Tensor(q), T.Tensor(k), T.Tensor(v)).data
+        repeated = A.attend(T.Tensor(q), T.Tensor(np.stack([k] * 3)),
+                            T.Tensor(np.stack([v] * 3))).data
+        assert shared.shape == (3, 4, 8)
+        np.testing.assert_allclose(shared, repeated, rtol=1e-6)
+
+    @pytest.mark.parametrize("operand", ["q", "k", "v"])
+    def test_shared_rank2_keys_gradcheck(self, operand):
+        args = {"q": rnd((3, 4, 6), 60), "k": rnd((5, 6), 61), "v": rnd((5, 6), 62)}
+        probe = T.Tensor(rnd((3, 4, 6), 63))
+
+        def f(x):
+            parts = {name: x if name == operand else T.Tensor(a)
+                     for name, a in args.items()}
+            return T.mean(T.mul(A.attend(parts["q"], parts["k"], parts["v"]), probe))
+
+        ok, err = check_gradient(f, args[operand], h=1e-3, tol=1e-3)
+        assert ok, f"{operand}: relative error {err}"
 
     def test_matches_brute_force(self):
         q, k, v = rnd((6, 8), 10), rnd((4, 8), 11), rnd((4, 8), 12)

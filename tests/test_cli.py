@@ -186,6 +186,18 @@ class TestTrainCommand:
             outs.append(tree_bytes(out))
         assert outs[0] == outs[1]
 
+    def test_summary_windows_do_not_overlap(self, tmp_path, capsys):
+        _, cfg = make_job_dir(tmp_path)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out),
+                     "--steps", "6"]) == 0
+        losses = [float(line.split(",")[1]) for line in
+                  (out / "loss.csv").read_text().strip().splitlines()[1:]]
+        assert len(losses) == 6
+        assert capsys.readouterr().out.strip().splitlines()[-1] == (
+            f"trained 6 steps: first-3 mean {np.mean(losses[:3]):.4f}, "
+            f"last-3 mean {np.mean(losses[3:]):.4f}")
+
     def test_checkpoint_round_trips_through_loader(self, tmp_path):
         from vidmotion import network as N
         _, cfg = make_job_dir(tmp_path)

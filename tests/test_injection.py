@@ -199,6 +199,16 @@ class TestMasks:
         assert (I.downsample_mask(np.ones((16, 16)), 4, 4) == 1).all()
         assert (I.downsample_mask(np.zeros((16, 16)), 4, 4) == 0).all()
 
+    def test_stack_downsample_matches_each_frame(self):
+        masks = (rnd((3, 32, 32), 38) > 0).astype(np.float32)
+        stacked = I.downsample_mask(masks, 8, 8)
+        lm = I.LatentMask.from_rasters(masks, {0: (8, 8), 1: (4, 4)})
+        for f in range(3):
+            np.testing.assert_array_equal(stacked[f], I.downsample_mask(masks[f], 8, 8))
+            for level, hw in ((0, (8, 8)), (1, (4, 4))):
+                np.testing.assert_array_equal(
+                    lm.levels[level][f], I.downsample_mask(masks[f], *hw).reshape(-1))
+
     def test_pyramid_shapes_and_cs_tokens(self):
         masks = (rnd((3, 32, 32), 32) > 0).astype(np.float32)
         lm = I.LatentMask.from_rasters(masks, {0: (8, 8), 1: (4, 4)})

@@ -257,31 +257,55 @@ class TestControlnetForward:
         assert not np.array_equal(base["dec1"].data, bumped["dec1"].data)
 
 
-class TestPoseEncode:
+class TestPoseFeatures:
     def test_pyramid_shapes_match_config_table(self, model):
-        pyr = N.pose_encode(model, np.zeros((32, 32)))
+        pyr = N.pose_features(model, np.zeros((CFG.frames, 32, 32)))
         assert {lvl: feat.shape for lvl, feat in pyr.items()} == {
-            0: (64, 32), 1: (16, 64)}
+            0: (CFG.frames, 64, 32), 1: (CFG.frames, 16, 64)}
 
-    def test_zero_skeleton_gives_finite_bias_only_features(self, model):
-        pyr = N.pose_encode(model, np.zeros((32, 32)))
+    def test_zero_skeletons_give_finite_bias_only_features(self, model):
+        pyr = N.pose_features(model, np.zeros((CFG.frames, 32, 32)))
         for feat in pyr.values():
             assert np.isfinite(feat.data).all()
-        row = pyr[0].data
-        np.testing.assert_allclose(row, np.tile(row[0], (64, 1)), atol=1e-7)
+            rows = feat.data.reshape(-1, feat.shape[-1])
+            np.testing.assert_allclose(rows, np.tile(rows[0], (len(rows), 1)),
+                                       atol=1e-7)
 
     def test_differing_bones_give_differing_features(self, model):
-        a = np.zeros((32, 32))
-        a[10:12, 5:25] = 255.0
+        a = np.zeros((CFG.frames, 32, 32))
+        a[:, 10:12, 5:25] = 255.0
         b = a.copy()
-        b[20:22, 5:25] = 255.0
-        fa = N.pose_encode(model, a)[0].data
-        fb = N.pose_encode(model, b)[0].data
+        b[:, 20:22, 5:25] = 255.0
+        fa = N.pose_features(model, a)[0].data
+        fb = N.pose_features(model, b)[0].data
         assert not np.array_equal(fa, fb)
 
-    def test_resolution_mismatch_rejected(self, model):
+    def test_changing_one_frame_changes_only_its_rows(self, model):
+        sk = skeleton_stack()
+        base = N.pose_features(model, sk)
+        sk[3] = 255.0 - sk[3]
+        bumped = N.pose_features(model, sk)
+        for level in (0, 1):
+            changed = [not np.array_equal(base[level].data[f], bumped[level].data[f])
+                       for f in range(CFG.frames)]
+            assert changed == [f == 3 for f in range(CFG.frames)], level
+
+    def test_stack_matches_one_frame_at_a_time(self, model):
+        sk = skeleton_stack()
+        stacked = N.pose_features(model, sk)
+        one = N.ModelWeights(dataclasses.replace(CFG, frames=1), model.params)
+        for f in range(CFG.frames):
+            single = N.pose_features(one, sk[f:f + 1])
+            for level in (0, 1):
+                np.testing.assert_allclose(stacked[level].data[f],
+                                           single[level].data[0], rtol=1e-6, atol=1e-7)
+
+    @pytest.mark.parametrize("shape", [(CFG.frames, 16, 16), (CFG.frames, 32, 16),
+                                       (32, 32), (CFG.frames - 1, 32, 32)],
+                             ids=["resolution", "non-square", "one-raster", "frames"])
+    def test_stack_shape_mismatch_rejected(self, model, shape):
         with pytest.raises(N.ConfigError):
-            N.pose_encode(model, np.zeros((16, 16)))
+            N.pose_features(model, np.zeros(shape))
 
 
 class TestWeightsPlumbing:
@@ -415,6 +439,17 @@ def inline_temporal_sub_block(x, model, lid, kv):
     return T.matmul(T.transpose(att, (1, 0, 2)), pset.w_out)
 
 
+def inline_repeat_cross_sub_block(x, model, lid, text):
+    """The text sub-block written out inline, with the projected text keys
+    and values repeated to every frame."""
+    pset = model.pset(f"unet.{lid}.cross")
+    c_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_cross"))
+    q = T.matmul(c_in, pset.w_q)
+    k, v = (T.repeat_axis(T.reshape(T.matmul(text, w), (1, *text.shape)), 0, x.shape[0])
+            for w in (pset.w_k, pset.w_v))
+    return T.matmul(A.attend(q, k, v), pset.w_out)
+
+
 def training_gradients(model, latent):
     """Gradients of one training loss (conditioned U-Net, squared error) with
     respect to every trainable parameter."""
@@ -426,8 +461,10 @@ def training_gradients(model, latent):
 
 def test_training_gradients_match_inline_sub_blocks_within_rounding(
         model, latent, monkeypatch):
-    # The kernels record the frame shift before the query projection and
-    # apply the temporal w_out location-major, so some gradient products sum
+    # The kernels record the frame shift before the query projection, apply
+    # the temporal w_out location-major, and let every frame attend one copy
+    # of the text keys and values (whose gradients then sum over frames in
+    # one product, not in a repeat's backward), so some gradient products sum
     # in another order than in the inline sub-blocks: training may move by
     # float32 rounding, bounded here at 1e-5 of each gradient's largest entry.
     # Nonzero adapter output projections make every trainable gradient nonzero.
@@ -436,6 +473,7 @@ def test_training_gradients_match_inline_sub_blocks_within_rounding(
     got = training_gradients(model, latent)
     monkeypatch.setattr(N, "_cs_sub_block", inline_cs_sub_block)
     monkeypatch.setattr(N, "_temporal_sub_block", inline_temporal_sub_block)
+    monkeypatch.setattr(N, "_cross_sub_block", inline_repeat_cross_sub_block)
     want = training_gradients(model, latent)
     assert set(got) == set(want) == N.trainable_names(model)
     for name, grad in want.items():

@@ -174,6 +174,36 @@ class TestAlign:
                     np.zeros((9, 9)), np.ones((9, 9)))
 
 
+def zero_filled_shift(img, dx, dy):
+    """Reference integer shift: out[y, x] = img[y - dy, x - dx], zero where
+    that read falls outside the frame."""
+    h, w = img.shape
+    out = np.zeros_like(img)
+    for y in range(h):
+        for x in range(w):
+            if 0 <= y - dy < h and 0 <= x - dx < w:
+                out[y, x] = img[y - dy, x - dx]
+    return out
+
+
+class TestResample:
+    @pytest.mark.parametrize("nearest", [False, True], ids=["bilinear", "nearest"])
+    @pytest.mark.parametrize("dx,dy", [(0, 0), (3, 2), (-2, -4), (5, -1), (-1, 3),
+                                       (12, 0), (0, -9), (-20, 20)])
+    def test_integer_shift_is_a_zero_filled_shift(self, nearest, dx, dy):
+        img = np.random.default_rng(5).normal(0, 1, (9, 10))
+        np.testing.assert_array_equal(S.translate(img, dx, dy, nearest),
+                                      zero_filled_shift(img, dx, dy))
+
+    @pytest.mark.parametrize("out_hw", [(8, 8), (4, 6), (12, 5)])
+    def test_resize_nearest_of_a_stack_matches_each_raster(self, out_hw):
+        stack = np.random.default_rng(6).normal(0, 1, (3, 10, 7))
+        got = S.resize_nearest(stack, *out_hw)
+        assert got.shape == (3, *out_hw)
+        for f in range(3):
+            np.testing.assert_array_equal(got[f], S.resize_nearest(stack[f], *out_hw))
+
+
 class TestRenderKeypoints:
     def test_two_joints_draw_one_segment_with_lit_endpoints(self):
         out = S.render_keypoints({"a": (2, 3, 1.0), "b": (12, 3, 1.0)},
