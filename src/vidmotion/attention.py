@@ -29,7 +29,8 @@ class ProjectionSet:
     def from_named(cls, named: dict[str, Tensor], prefix: str) -> "ProjectionSet":
         """The projections that ``projection_layout(prefix, ...)`` names,
         read from ``named``."""
-        return cls(*(named[f"{prefix}.{f.name}"] for f in fields(cls)))
+        return cls(named[f"{prefix}.w_q"], named[f"{prefix}.w_k"],
+                   named[f"{prefix}.w_v"], named[f"{prefix}.w_out"])
 
 
 def projection_layout(prefix: str, d: int, out_std: float | None = None,

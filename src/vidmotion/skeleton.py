@@ -260,7 +260,7 @@ def render_keypoints(joints: dict[str, tuple[float, float, float]],
 
 
 # ---------------------------------------------------------------------------
-# file formats: binary PGM (P5) rasters, JSON keypoints and bone tables
+# file format: binary PGM (P5) rasters
 
 
 def write_pgm(path, img: np.ndarray) -> None:

@@ -12,7 +12,8 @@ when the op is recorded: its backward closure captures arrays and shapes,
 never whole tensors, so a frozen weight's input is not kept for the weight's
 gradient. For a parent without a node the closure returns None and computes
 nothing. A closure leaves what it saved intact, so a tape may be walked more
-than once.
+than once. An op none of whose inputs is tracked records nothing: it computes
+its forward value, builds no closure, and skips the tape lookup.
 """
 from __future__ import annotations
 
@@ -145,12 +146,25 @@ def _find_tape(inputs: Sequence[Tensor]) -> Tape | None:
     return tape
 
 
+_F32 = np.dtype(np.float32)
+
+
 def _result(op: str, inputs: Sequence[Tensor], out: np.ndarray,
-            backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
-    tape = _find_tape(inputs)
-    if tape is None:
-        return Tensor(out)
-    node = tape._record(op, tuple(t.node for t in inputs), backward_fn)
+            backward_fn: Callable[[np.ndarray], tuple] | None) -> Tensor:
+    for t in inputs:
+        if t.node is not None:
+            break
+    else:
+        # untracked: the ops make float32 C-contiguous arrays, so skip
+        # Tensor.__init__'s conversions; anything else still goes through them
+        if type(out) is not np.ndarray or out.dtype is not _F32 \
+                or not out.flags.c_contiguous:
+            return Tensor(out)
+        res = object.__new__(Tensor)
+        res.data = out
+        res.node = None
+        return res
+    node = _find_tape(inputs)._record(op, tuple(t.node for t in inputs), backward_fn)
     return Tensor(out, node)
 
 
@@ -221,8 +235,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, c: float) -> Tensor:
     a = _as_tensor(a)
-    c = float(c)
-    return _result("scale", (a,), a.data * np.float32(c), lambda g: (g * np.float32(c),))
+    c = np.float32(float(c))
+    out = a.data * c
+    if a.node is None:
+        return _result("scale", (a,), out, None)
+    return _result("scale", (a,), out, lambda g: (g * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -230,16 +247,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     row through one product: (..., m, n). Also two rank-3 stacks with the
     same leading batch: (B,m,k) x (B,k,n) -> (B,m,n)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    stack = a.data.ndim >= 2 and b.data.ndim == 2
-    batched = a.data.ndim == b.data.ndim == 3 and a.shape[0] == b.shape[0]
-    if not (stack or batched) or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"cannot matmul shapes {a.shape} and {b.shape}")
+    sa, sb = a.data.shape, b.data.shape
+    stack = len(sa) >= 2 and len(sb) == 2
+    batched = len(sa) == len(sb) == 3 and sa[0] == sb[0]
+    if not (stack or batched) or sa[-1] != sb[-2]:
+        raise ShapeError(f"cannot matmul shapes {sa} and {sb}")
     if batched:
         out = a.data @ b.data
     else:
-        k, n = b.shape
+        k, n = sb
         rows = a.data.reshape(-1, k)
-        out = (rows @ b.data).reshape(a.shape[:-1] + (n,))
+        out = (rows @ b.data).reshape(sa[:-1] + (n,))
     ka, kb = a.node is not None, b.node is not None
     if not (ka or kb):
         return _result("matmul", (a, b), out, None)
@@ -249,7 +267,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return _result("matmul", (a, b), out,
                        lambda g: (g @ bd.swapaxes(-1, -2) if ka else None,
                                   ad.swapaxes(-1, -2) @ g if kb else None))
-    sa = a.shape
     rows = rows if kb else None
 
     def bwd(g):
@@ -263,9 +280,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
+    out = np.ascontiguousarray(a.data.transpose(axes))
+    if a.node is None:
+        return _result("transpose", (a,), out, None)
     inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
-    return _result("transpose", (a,), np.ascontiguousarray(a.data.transpose(axes)),
-                   lambda g: (g.transpose(inv),))
+    return _result("transpose", (a,), out, lambda g: (g.transpose(inv),))
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -275,6 +294,8 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
         out = a.data.reshape(shape)
     except ValueError:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}") from None
+    if a.node is None:
+        return _result("reshape", (a,), out, None)
     in_shape = a.shape
     return _result("reshape", (a,), out, lambda g: (g.reshape(in_shape),))
 
@@ -293,8 +314,10 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
                 f"concat extents disagree off axis {axis}: "
                 f"{parts[0].shape} vs {p.shape}")
     out = np.concatenate([p.data for p in parts], axis=axis)
-    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
     kept = [p.node is not None for p in parts]
+    if not any(kept):
+        return _result("concat", parts, out, None)
+    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
 
     def bwd(g):
         sl = [slice(None)] * rank
@@ -317,6 +340,9 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     sl = [slice(None)] * rank
     sl[axis] = slice(start, stop)
     sl = tuple(sl)
+    out = np.ascontiguousarray(a.data[sl])
+    if a.node is None:
+        return _result("slice", (a,), out, None)
     in_shape = a.shape
 
     def bwd(g):
@@ -324,7 +350,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         full[sl] = g
         return (full,)
 
-    return _result("slice", (a,), np.ascontiguousarray(a.data[sl]), bwd)
+    return _result("slice", (a,), out, bwd)
 
 
 def gather_rows(a: Tensor, index) -> Tensor:
@@ -344,6 +370,9 @@ def gather_rows(a: Tensor, index) -> Tensor:
         index = np.broadcast_to(index, a.shape[:-2] + index.shape[-1:])
     except ValueError:
         raise ShapeError(f"gather index {index.shape} does not fit {a.shape}") from None
+    out = np.take_along_axis(a.data, index[..., None], axis=-2)
+    if a.node is None:
+        return _result("gather_rows", (a,), out, None)
     in_shape = a.shape
 
     def bwd(g):
@@ -352,7 +381,6 @@ def gather_rows(a: Tensor, index) -> Tensor:
         np.add.at(full, (*lead_idx, index), g)
         return (full,)
 
-    out = np.take_along_axis(a.data, index[..., None], axis=-2)
     return _result("gather_rows", (a,), out, bwd)
 
 
@@ -362,6 +390,8 @@ def repeat_axis(a: Tensor, axis: int, times: int) -> Tensor:
     if times < 1:
         raise ShapeError("repeat count must be >= 1")
     out = np.repeat(a.data, times, axis=axis)
+    if a.node is None:
+        return _result("repeat", (a,), out, None)
     in_shape = a.shape
 
     def bwd(g):
@@ -378,6 +408,8 @@ def repeat_axis(a: Tensor, axis: int, times: int) -> Tensor:
 def sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims, dtype=np.float32)
+    if a.node is None:
+        return _result("sum", (a,), out, None)
     in_shape = a.shape
 
     def bwd(g):
@@ -386,12 +418,14 @@ def sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
         gg = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, in_shape).astype(np.float32),)
 
-    return _result("sum", (a,), np.asarray(out, dtype=np.float32), bwd)
+    return _result("sum", (a,), out, bwd)
 
 
 def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     out = a.data.mean(axis=axis, keepdims=keepdims, dtype=np.float32)
+    if a.node is None:
+        return _result("mean", (a,), out, None)
     in_shape = a.shape
     n = a.data.size if axis is None else in_shape[axis]
 
@@ -401,7 +435,7 @@ def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
         gg = g if keepdims else np.expand_dims(g, axis)
         return ((np.broadcast_to(gg, in_shape) / np.float32(n)).astype(np.float32),)
 
-    return _result("mean", (a,), np.asarray(out, dtype=np.float32), bwd)
+    return _result("mean", (a,), out, bwd)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -414,6 +448,8 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     out = a.data - _row_max(a.data, axis)
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
+    if a.node is None:
+        return _result("softmax", (a,), out, None)
 
     def bwd(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
@@ -434,6 +470,16 @@ def _row_max(x: np.ndarray, axis: int) -> np.ndarray:
     reduced_first = (axis,) + tuple(i for i in range(x.ndim) if i != axis)
     across = x.transpose(reduced_first).copy().max(axis=0)
     return across.reshape(x.shape[:axis] + (1,) + x.shape[axis + 1:])
+
+
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True, dtype=np.float32)`` without numpy's
+    Python wrapper: the float32 row sum divided in place by the row length.
+    The wrapper divides in float64 and rounds to float32, which gives the
+    correctly rounded float32 quotient, so the bits are the same."""
+    m = np.add.reduce(x, axis=-1, keepdims=True)
+    m /= np.float32(x.shape[-1])
+    return m
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -477,9 +523,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm params must have shape ({d},), "
                          f"got {gamma.shape} and {beta.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True, dtype=np.float32)
+    mu = _row_mean(x.data)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True, dtype=np.float32)
+    var = _row_mean(xc * xc)
     inv = 1.0 / np.sqrt(var + np.float32(eps))
     xh = xc * inv
     out = gamma.data * xh + beta.data
@@ -535,7 +581,10 @@ def conv_temporal(x: Tensor, kernel: Tensor) -> Tensor:
     out = np.zeros((frames, c_out, xpf.shape[2]), dtype=np.float32)
     for j in range(kw):
         out += np.matmul(kd[:, :, j], xpf[j:j + frames])
+    out = out.reshape(out_shape)
     kx, kk = x.node is not None, kernel.node is not None
+    if not (kx or kk):
+        return _result("conv_t", (x, kernel), out, None)
     x_shape, kshape, xpf_shape = x.shape, kernel.shape, xpf.shape
     kd = kd if kx else None  # dx reads the kernel
     saved_xpf = xpf if kk else None  # dkernel reads the padded input
@@ -556,7 +605,7 @@ def conv_temporal(x: Tensor, kernel: Tensor) -> Tensor:
             dk = dk.reshape(kshape)
         return dx, dk
 
-    return _result("conv_t", (x, kernel), out.reshape(out_shape), bwd)
+    return _result("conv_t", (x, kernel), out, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -438,6 +438,113 @@ class TestSavedForBackward:
         assert _same_bits(out.node.backward_fn(g)[0], g * (sig * (1.0 + x * (1.0 - sig))))
 
 
+# every primitive: (op over tensors, operand shapes); operand 0 is the one
+# watched for the tracked reference call
+FORWARD_OPS = {
+    "add": (T.add, [(3, 4), (4,)]),
+    "sub": (T.sub, [(3, 4), (3, 1)]),
+    "mul": (T.mul, [(2, 3, 4), (3, 4)]),
+    "scale": (lambda a: T.scale(a, -2.5), [(3, 4)]),
+    "matmul": (T.matmul, [(2, 3, 4), (4, 5)]),
+    "matmul_batched": (T.matmul, [(2, 3, 4), (2, 4, 5)]),
+    "transpose": (lambda a: T.transpose(a, (2, 0, 1)), [(2, 3, 4)]),
+    "reshape": (lambda a: T.reshape(a, (6, 4)), [(2, 3, 4)]),
+    "concat": (lambda a, b: T.concat([a, b], axis=1), [(2, 3), (2, 5)]),
+    "slice_axis": (lambda a: T.slice_axis(a, 1, 1, 3), [(2, 4, 3)]),
+    "gather_rows": (lambda a: T.gather_rows(a, np.array([[2, 0, 2], [1, 1, 0]])),
+                    [(2, 3, 4)]),
+    "repeat_axis": (lambda a: T.repeat_axis(a, 1, 2), [(2, 3, 4)]),
+    "sum": (lambda a: T.sum(a, axis=1), [(2, 3, 4)]),
+    "sum_all": (T.sum, [(2, 3, 4)]),
+    "mean": (lambda a: T.mean(a, axis=0, keepdims=True), [(2, 3, 4)]),
+    "mean_all": (T.mean, [(2, 3, 4)]),
+    "softmax": (lambda a: T.softmax(a, axis=1), [(2, 3, 4)]),
+    "silu": (T.silu, [(2, 3, 4)]),
+    "layer_norm": (T.layer_norm, [(2, 3, 4), (4,), (4,)]),
+    "conv_rank1": (T.conv_temporal, [(5, 3), (3,)]),
+    "conv_rank3": (T.conv_temporal, [(5, 3, 2), (4, 3, 3)]),
+}
+
+
+class TestUntrackedFastPath:
+    """An op with no tracked input records nothing and computes the same
+    bytes as when an input is watched."""
+
+    @pytest.mark.parametrize("name", list(FORWARD_OPS))
+    def test_untracked_result_is_bare_and_equals_tracked(self, name):
+        f, shapes = FORWARD_OPS[name]
+        arrays = [rnd(s, seed=110 + i) for i, s in enumerate(shapes)]
+        out = f(*[T.Tensor(a) for a in arrays])
+        assert type(out) is T.Tensor and out.node is None
+        assert out.data.dtype == np.float32 and out.data.flags["C_CONTIGUOUS"]
+        tape = T.Tape()
+        ref = f(tape.watch(T.Tensor(arrays[0])), *[T.Tensor(a) for a in arrays[1:]])
+        assert ref.node is not None
+        assert _same_bits(out.data, ref.data)
+
+    def test_foreign_arrays_are_still_converted(self):
+        a = T.Tensor(rnd((3, 4), seed=120))
+        for raw in (a.data.T, a.data.astype(np.float64), np.float32(2.0)):
+            out = T._result("probe", (a,), raw, None)
+            assert out.data.dtype == np.float32 and out.data.flags["C_CONTIGUOUS"]
+            assert _same_bits(out.data, T.Tensor(raw).data)
+
+    def test_op_count_same_with_and_without_a_watched_weight(
+            self, monkeypatch, base_model, net_config):
+        from vidmotion import network as N
+        counted = T._result
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(T, "_result", counting)
+        latent = T.Tensor(rnd((net_config.frames, net_config.channels, 8, 8),
+                              seed=121, scale=0.5))
+        plain = N.unet_forward(base_model, latent, 10, "p")
+        untracked, calls[0] = calls[0], 0
+        name = "unet.enc0.temporal.w_q"  # trainable, and read by every forward
+        tape = T.Tape()
+        watched = base_model.replace({name: tape.watch(base_model.params[name])})
+        tracked = N.unet_forward(watched, latent, 10, "p")
+        assert untracked > 0 and calls[0] == untracked
+        assert plain.node is None and tracked.node is not None
+        assert _same_bits(plain.data, tracked.data)
+
+
+def _layer_norm_reference(x, gamma, beta, eps=1e-5):
+    """The formula ``layer_norm`` must equal bit for bit: means through
+    ``ndarray.mean``."""
+    mu = x.mean(axis=-1, keepdims=True, dtype=np.float32)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True, dtype=np.float32)
+    inv = 1.0 / np.sqrt(var + np.float32(eps))
+    return gamma * (xc * inv) + beta
+
+
+class TestRowMean:
+    @pytest.mark.parametrize("magnitude", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+    def test_matches_ndarray_mean_for_every_row_length(self, magnitude):
+        gen = np.random.default_rng(int(magnitude * 1000))
+        for d in range(1, 201):
+            x = (gen.normal(0, magnitude, (6, d))).astype(np.float32)
+            x[1] = 0.0
+            x[2] = -0.0
+            x[3, ::2] = -0.0
+            x[4, : d // 2] = -x[4, d - d // 2:][::-1]  # sums that cancel to zero
+            assert _same_bits(T._row_mean(x), x.mean(axis=-1, keepdims=True,
+                                                      dtype=np.float32)), d
+
+    @pytest.mark.parametrize("shape", [(8, 64, 32), (8, 16, 64), (64, 8, 32)])
+    def test_layer_norm_equals_mean_formula(self, shape):
+        x = rnd(shape, seed=122, scale=2.0)
+        gamma = rnd(shape[-1:], seed=123, scale=0.3) + 1
+        beta = rnd(shape[-1:], seed=124, scale=0.3)
+        out = T.layer_norm(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta)).data
+        assert _same_bits(out, _layer_norm_reference(x, gamma, beta))
+
+
 @pytest.mark.parametrize("name,f,shape", [
     ("add", lambda x: T.sum(T.add(x, T.Tensor(rnd((3, 4), 21)))), (3, 4)),
     ("sub", lambda x: T.sum(T.sub(T.Tensor(rnd((3, 4), 22)), x)), (3, 4)),
