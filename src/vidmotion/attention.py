@@ -53,21 +53,22 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     stacks (B,nq,d) x (B,nk,d) -> (B,nq,d) with one softmax per batch entry.
     A rank-3 query stack may also attend rank-2 keys and values (nk,d) that
     every batch entry shares."""
-    rank = k.data.ndim
-    if (rank not in (2, 3) or v.data.ndim != rank or q.data.ndim not in (rank, 3)
-            or not q.shape[:rank - 2] == k.shape[:-2] == v.shape[:-2]):
+    qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
+    rank = len(ks)
+    if (rank not in (2, 3) or len(vs) != rank or len(qs) not in (rank, 3)
+            or not qs[:rank - 2] == ks[:-2] == vs[:-2]):
         raise T.ShapeError(f"attend expects rank-2 or rank-3 stacks with one "
                            f"batch size, or shared rank-2 keys and values, got "
-                           f"{q.shape}, {k.shape}, {v.shape}")
-    if q.shape[-1] != k.shape[-1]:
-        raise T.ShapeError(f"query width {q.shape[-1]} != key width {k.shape[-1]}")
-    if k.shape[-2] != v.shape[-2]:
-        raise T.ShapeError(f"key count {k.shape[-2]} != value count {v.shape[-2]}")
-    if k.shape[-2] == 0:
+                           f"{qs}, {ks}, {vs}")
+    if qs[-1] != ks[-1]:
+        raise T.ShapeError(f"query width {qs[-1]} != key width {ks[-1]}")
+    if ks[-2] != vs[-2]:
+        raise T.ShapeError(f"key count {ks[-2]} != value count {vs[-2]}")
+    if ks[-2] == 0:
         raise T.ShapeError("attend needs at least one key")
     k_t = T.transpose(k, (*range(rank - 2), rank - 1, rank - 2))
-    scores = T.scale(T.matmul(q, k_t), 1.0 / math.sqrt(q.shape[-1]))
-    return T.matmul(T.softmax(scores, axis=q.data.ndim - 1), v)
+    scores = T.scale(T.matmul(q, k_t), 1.0 / math.sqrt(qs[-1]))
+    return T.matmul(T.softmax(scores, axis=len(qs) - 1), v)
 
 
 KVHook = Callable[[Tensor, Tensor], tuple[Tensor, Tensor]]

@@ -78,7 +78,14 @@ def _load_raster_dir(path, mask: bool = False) -> np.ndarray:
     if not names:
         raise FileNotFoundError(f"no .pgm frames in {path}")
     read = SK.read_mask_pgm if mask else SK.read_pgm
-    return np.stack([read(os.path.join(path, n)) for n in names]).astype(np.float32)
+    frames = [read(os.path.join(path, n)) for n in names]
+    h0, w0 = frames[0].shape
+    for name, frame in zip(names, frames):
+        if frame.shape != (h0, w0):
+            h, w = frame.shape
+            raise SK.RasterError(f"{path}: frame {name} is {w}x{h}, but "
+                                 f"{names[0]} is {w0}x{h0}")
+    return np.stack(frames).astype(np.float32)
 
 
 def _require_paths(cfg: C.Config, keys: list[str]) -> None:

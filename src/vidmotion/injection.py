@@ -184,7 +184,8 @@ class ReconCache:
     Per gated layer it holds the latest step's (t, k, v): cross-frame stacks
     are (frames, 2N, d), temporal stacks (locations, frames, d). A write
     replaces the layer's previous step, a second write of the same (layer, t)
-    is rejected, and a read of any other step misses. ``peak_bytes`` is the
+    is rejected, and a read of any other step misses. It holds the arrays it
+    is handed, uncopied, since tensors are immutable. ``peak_bytes`` is the
     most the cache held at once.
     """
 
@@ -200,7 +201,7 @@ class ReconCache:
              k: np.ndarray, v: np.ndarray) -> None:
         if layer in store and store[layer][0] == t:
             raise CacheError(f"duplicate cache write for ({layer!r}, t={t})")
-        store[layer] = (t, np.array(k, copy=True), np.array(v, copy=True))
+        store[layer] = (t, k, v)
         self.writes += 1
         nbytes = sum(hk.nbytes + hv.nbytes for _, hk, hv in
                      (*self.cs.values(), *self.temporal.values()))

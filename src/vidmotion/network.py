@@ -527,9 +527,10 @@ def load_checkpoint(directory) -> ModelWeights:
 
 def encode_video(video: Tensor, cfg: NetConfig) -> Tensor:
     """Fixed average-pool toy encoder: (F,C,H,W) pixels -> latent grid."""
-    f, c, h, w = video.shape
-    if h != cfg.image_size or w != cfg.image_size or c != cfg.channels:
-        raise ConfigError(f"video shape {video.shape} does not match config")
+    want = (cfg.frames, cfg.channels, cfg.image_size, cfg.image_size)
+    if video.shape != want:
+        raise ConfigError(f"video shape {video.shape} does not match config {want}")
+    f, c, h, w = want
     k = cfg.pool
     g = T.reshape(video, (f, c, h // k, k, w // k, k))
     g = T.mean(g, axis=3)

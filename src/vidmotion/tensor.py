@@ -12,8 +12,10 @@ when the op is recorded: its backward closure captures arrays and shapes,
 never whole tensors, so a frozen weight's input is not kept for the weight's
 gradient. For a parent without a node the closure returns None and computes
 nothing. A closure leaves what it saved intact, so a tape may be walked more
-than once. An op none of whose inputs is tracked records nothing: it computes
-its forward value, builds no closure, and skips the tape lookup.
+than once. Primitives take Tensors (an outside array comes in through
+Tensor(...)), and each decides once whether it records: with no tracked input
+it builds no closure and hands _result None, and _result records a node
+exactly when it is handed a backward function.
 """
 from __future__ import annotations
 
@@ -151,21 +153,17 @@ _F32 = np.dtype(np.float32)
 
 def _result(op: str, inputs: Sequence[Tensor], out: np.ndarray,
             backward_fn: Callable[[np.ndarray], tuple] | None) -> Tensor:
-    for t in inputs:
-        if t.node is not None:
-            break
-    else:
-        # untracked: the ops make float32 C-contiguous arrays, so skip
-        # Tensor.__init__'s conversions; anything else still goes through them
-        if type(out) is not np.ndarray or out.dtype is not _F32 \
-                or not out.flags.c_contiguous:
-            return Tensor(out)
-        res = object.__new__(Tensor)
-        res.data = out
-        res.node = None
-        return res
-    node = _find_tape(inputs)._record(op, tuple(t.node for t in inputs), backward_fn)
-    return Tensor(out, node)
+    # ops make float32 C-contiguous arrays, so skip Tensor.__init__'s
+    # conversions; anything else still goes through them
+    node = None if backward_fn is None else _find_tape(inputs)._record(
+        op, tuple(t.node for t in inputs), backward_fn)
+    if type(out) is not np.ndarray or out.dtype is not _F32 \
+            or not out.flags.c_contiguous:
+        return Tensor(out, node)
+    res = object.__new__(Tensor)
+    res.data = out
+    res.node = node
+    return res
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -178,16 +176,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # ---------------------------------------------------------------------------
 # elementwise / structural primitives
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     try:
         out = a.data + b.data
     except ValueError:
@@ -202,7 +195,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     try:
         out = a.data - b.data
     except ValueError:
@@ -217,7 +209,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     try:
         out = a.data * b.data
     except ValueError:
@@ -234,7 +225,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    a = _as_tensor(a)
     c = np.float32(float(c))
     out = a.data * c
     if a.node is None:
@@ -246,7 +236,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of an (..., m, k) stack and one (k, n) matrix, every
     row through one product: (..., m, n). Also two rank-3 stacks with the
     same leading batch: (B,m,k) x (B,k,n) -> (B,m,n)."""
-    a, b = _as_tensor(a), _as_tensor(b)
     sa, sb = a.data.shape, b.data.shape
     stack = len(sa) >= 2 and len(sb) == 2
     batched = len(sa) == len(sb) == 3 and sa[0] == sb[0]
@@ -278,7 +267,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    a = _as_tensor(a)
     axes = tuple(axes)
     out = np.ascontiguousarray(a.data.transpose(axes))
     if a.node is None:
@@ -288,7 +276,6 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    a = _as_tensor(a)
     shape = tuple(shape)
     try:
         out = a.data.reshape(shape)
@@ -301,7 +288,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat requires at least one part")
     rank = parts[0].data.ndim
@@ -331,7 +317,6 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
     rank = a.data.ndim
     if not 0 <= axis < rank:
         raise ShapeError(f"slice axis {axis} out of range for rank {rank}")
@@ -359,7 +344,6 @@ def gather_rows(a: Tensor, index) -> Tensor:
     ``index`` is an integer array whose leading axes match or broadcast to
     ``a``'s leading axes; rows may repeat, and their gradients accumulate.
     """
-    a = _as_tensor(a)
     index = np.asarray(index)
     rows = a.shape[-2] if a.data.ndim >= 2 else 0
     if (index.ndim < 1 or not np.issubdtype(index.dtype, np.integer)
@@ -386,7 +370,6 @@ def gather_rows(a: Tensor, index) -> Tensor:
 
 def repeat_axis(a: Tensor, axis: int, times: int) -> Tensor:
     """Repeat each element ``times`` times along ``axis`` (nearest upsample)."""
-    a = _as_tensor(a)
     if times < 1:
         raise ShapeError("repeat count must be >= 1")
     out = np.repeat(a.data, times, axis=axis)
@@ -406,23 +389,19 @@ def repeat_axis(a: Tensor, axis: int, times: int) -> Tensor:
 
 
 def sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims, dtype=np.float32)
     if a.node is None:
         return _result("sum", (a,), out, None)
     in_shape = a.shape
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, in_shape).astype(np.float32),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, in_shape).astype(np.float32),)
 
     return _result("sum", (a,), out, bwd)
 
 
 def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
     out = a.data.mean(axis=axis, keepdims=keepdims, dtype=np.float32)
     if a.node is None:
         return _result("mean", (a,), out, None)
@@ -430,16 +409,13 @@ def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     n = a.data.size if axis is None else in_shape[axis]
 
     def bwd(g):
-        if axis is None:
-            return ((np.broadcast_to(g, in_shape) / np.float32(n)).astype(np.float32),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
         return ((np.broadcast_to(gg, in_shape) / np.float32(n)).astype(np.float32),)
 
     return _result("mean", (a,), out, bwd)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = _as_tensor(a)
     rank = a.data.ndim
     if not -rank <= axis < rank:
         raise ShapeError(f"softmax axis {axis} out of range for rank {rank}")
@@ -505,7 +481,6 @@ def _softmax_reference(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def silu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     x = a.data
     sig = _sigmoid(x)
     out = x * sig
@@ -518,7 +493,6 @@ def silu(a: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale+shift."""
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm params must have shape ({d},), "
@@ -561,7 +535,6 @@ def conv_temporal(x: Tensor, kernel: Tensor) -> Tensor:
     (C_out, C_in, kw) also mixes channels, with channels on axis 1 of ``x``.
     Kernel width must be odd.
     """
-    x, kernel = _as_tensor(x), _as_tensor(kernel)
     kw = kernel.shape[-1]
     if kw % 2 == 0:
         raise ShapeError(f"temporal kernel width must be odd, got {kw}")

@@ -352,6 +352,36 @@ class TestReconstructCommand:
         assert exc.value.code == 2
 
 
+# case -> (corrupt the job directory, commands that read the input, needles)
+_MALFORMED = {
+    "mixed-frame-sizes": (
+        lambda root: SK.write_pgm(root / "src_skeletons" / "frame_003.pgm",
+                                  np.zeros((16, 16), dtype=np.float32)),
+        ("align", "train", "reconstruct", "edit"),
+        ("src_skeletons", "frame_003.pgm", "16x16", "32x32")),
+    "video-rank-3": (
+        lambda root: T.save_tensor(root / "video.melt", T.zeros((8, 4, 32))),
+        ("train", "reconstruct", "edit"), ("(8, 4, 32)", "(8, 4, 32, 32)")),
+    "video-6-frames": (
+        lambda root: T.save_tensor(root / "video.melt", synth_video(frames=6)),
+        ("train", "reconstruct", "edit"), ("(6, 4, 32, 32)", "(8, 4, 32, 32)")),
+}
+
+
+@pytest.mark.parametrize("case,command", [
+    (case, command) for case, (_, commands, _) in _MALFORMED.items()
+    for command in commands])
+def test_malformed_input_exits_2_with_one_line_and_no_output(
+        tmp_path, capsys, case, command):
+    corrupt, _, needles = _MALFORMED[case]
+    root, cfg = make_job_dir(tmp_path)
+    corrupt(root)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert_one_line_error(capsys, *needles)
+    assert not out.exists()
+
+
 class TestConfigHandling:
     def test_malformed_json_exits_2_with_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

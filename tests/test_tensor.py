@@ -467,19 +467,27 @@ FORWARD_OPS = {
 
 
 class TestUntrackedFastPath:
-    """An op with no tracked input records nothing and computes the same
-    bytes as when an input is watched."""
+    """An op with no tracked input hands _result no backward function,
+    records nothing, and computes the same bytes as when an input is watched."""
 
     @pytest.mark.parametrize("name", list(FORWARD_OPS))
-    def test_untracked_result_is_bare_and_equals_tracked(self, name):
+    def test_untracked_result_is_bare_and_equals_tracked(self, name, monkeypatch):
         f, shapes = FORWARD_OPS[name]
         arrays = [rnd(s, seed=110 + i) for i, s in enumerate(shapes)]
+        result, handed = T._result, []
+
+        def spy(op, inputs, out, backward_fn):
+            handed.append(backward_fn)
+            return result(op, inputs, out, backward_fn)
+
+        monkeypatch.setattr(T, "_result", spy)
         out = f(*[T.Tensor(a) for a in arrays])
         assert type(out) is T.Tensor and out.node is None
         assert out.data.dtype == np.float32 and out.data.flags["C_CONTIGUOUS"]
+        assert handed == [None]  # decided once, by the primitive
         tape = T.Tape()
         ref = f(tape.watch(T.Tensor(arrays[0])), *[T.Tensor(a) for a in arrays[1:]])
-        assert ref.node is not None
+        assert ref.node is not None and len(handed) == 2 and callable(handed[1])
         assert _same_bits(out.data, ref.data)
 
     def test_foreign_arrays_are_still_converted(self):
