@@ -4,7 +4,9 @@ Consumes per-level control features (queries) and U-Net latents (keys/values)
 and returns an adapted residual through two parallel paths: a global path
 (pose-query cross-attention then temporal attention) and a local path (two
 temporal convolutions). The shared output projection is zero-initialized, so
-an untrained adapter passes its control features through unchanged.
+an untrained adapter passes its control features through unchanged. What
+reads only the control features (the pose queries and the local path) is its
+``ControlSide``, which forwards that share the features can share.
 
 ``adapter_layout`` declares each weight's name, shape and init once;
 ``init_adapter`` draws it, the network composes it into its own layout, and
@@ -71,11 +73,29 @@ def init_adapter(rng: T.Rng, d: int) -> AdapterWeights:
     return AdapterWeights(rng.draw(adapter_layout("adapter", d)))
 
 
-def adapter_global_path(m: Tensor, z: Tensor, w: AdapterWeights) -> Tensor:
+@dataclass(frozen=True)
+class ControlSide:
+    """What one level's adapter computes from its control features ``m``
+    alone: the global path's pose queries and the local path's output. Every
+    forward that reads the same features (cond and uncond under guidance)
+    can share it."""
+
+    m: Tensor
+    q: Tensor
+    local: Tensor
+
+
+def control_side(m: Tensor, w: AdapterWeights) -> ControlSide:
+    if m.data.ndim != 3:
+        raise T.ShapeError(f"expected (frames, tokens, width), got {m.shape}")
+    q_in = T.layer_norm(m, w["ln_cross.gamma"], w["ln_cross.beta"])
+    return ControlSide(m, T.matmul(q_in, w.cross.w_q), adapter_local_path(m, w))
+
+
+def adapter_global_path(c: ControlSide, z: Tensor, w: AdapterWeights) -> Tensor:
     """Cross-attention (pose queries over latents) followed by temporal
     attention, each preceded by layer norm of the adapter stream."""
-    q_in = T.layer_norm(m, w["ln_cross.gamma"], w["ln_cross.beta"])
-    g1 = A.content_cross_attention(q_in, z, w.cross)
+    g1 = T.matmul(A.attend(c.q, *A.project_kv(z, w.cross)), w.cross.w_out)
     t_in = T.transpose(T.layer_norm(g1, w["ln_temporal.gamma"],
                                     w["ln_temporal.beta"]), (1, 0, 2))
     g2 = A.temporal_attention(t_in, w.temporal)
@@ -90,15 +110,18 @@ def adapter_local_path(m: Tensor, w: AdapterWeights) -> Tensor:
     return T.transpose(x, (0, 2, 1))
 
 
+def adapter_apply(c: ControlSide, z: Tensor, w: AdapterWeights) -> Tensor:
+    """The adapted residual of latents ``z`` from a prepared control side."""
+    if c.m.shape != z.shape:
+        raise T.ShapeError(f"control features {c.m.shape} and latents {z.shape} "
+                           f"must share shape")
+    fused = T.add(adapter_global_path(c, z, w), c.local)
+    return T.add(T.matmul(fused, w.out_proj), c.m)
+
+
 def adapter_forward(m: Tensor, z: Tensor, w: AdapterWeights) -> Tensor:
     """out_proj(global(m, z) + local(m)) + m over (frames, tokens, width)."""
-    if m.shape != z.shape:
-        raise T.ShapeError(f"control features {m.shape} and latents {z.shape} "
-                           f"must share shape")
-    if m.data.ndim != 3:
-        raise T.ShapeError(f"expected (frames, tokens, width), got {m.shape}")
-    fused = T.add(adapter_global_path(m, z, w), adapter_local_path(m, w))
-    return T.add(T.matmul(fused, w.out_proj), m)
+    return adapter_apply(control_side(m, w), z, w)
 
 
 def adapter_grad_check(w: AdapterWeights, rng: T.Rng | None = None,

@@ -71,18 +71,22 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return T.matmul(T.softmax(scores, axis=len(qs) - 1), v)
 
 
-KVHook = Callable[[Tensor, Tensor], tuple[Tensor, Tensor]]
+KVHook = Callable[[Tensor, ProjectionSet], tuple[Tensor, Tensor]]
+
+
+def project_kv(src: Tensor, p: ProjectionSet) -> tuple[Tensor, Tensor]:
+    """The keys and values of the ``src`` tokens."""
+    return T.matmul(src, p.w_k), T.matmul(src, p.w_v)
 
 
 def attention(q_src: Tensor, kv_src: Tensor, p: ProjectionSet,
               kv: KVHook | None = None) -> Tensor:
-    """Queries projected from ``q_src``, keys and values from ``kv_src``
-    (then passed through ``kv`` when given), attended, then projected out."""
+    """Queries projected from ``q_src``, keys and values from ``kv_src``,
+    attended, then projected out. A ``kv`` hook owns the key/value side: it
+    is handed ``kv_src`` and the projections instead of ``project_kv``, and
+    may return other keys and values, or keys it did not project."""
     q = T.matmul(q_src, p.w_q)
-    k = T.matmul(kv_src, p.w_k)
-    v = T.matmul(kv_src, p.w_v)
-    if kv is not None:
-        k, v = kv(k, v)
+    k, v = (kv or project_kv)(kv_src, p)
     return T.matmul(attend(q, k, v), p.w_out)
 
 

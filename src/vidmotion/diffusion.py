@@ -154,40 +154,58 @@ def cfg_combine(eps_uncond: Tensor, eps_cond: Tensor, scale: float) -> Tensor:
 EpsFn = Callable[[Tensor, int], Tensor]
 
 
-def _finite_step(phase: str, index: int, count: int, t: int,
-                 step: Callable[[], Tensor]) -> Tensor:
-    """Run one sampler step, predictor included, with numpy overflow and
-    invalid operations raised; the first non-finite value raises
-    NonFiniteError naming the phase, step and timestep."""
-    where = f"non-finite value in {phase} step {index + 1}/{count} (t={t})"
+def _finite_step(where: str, predict: Callable[[], Tensor],
+                 move: Callable[[Tensor], Tensor], halves: Sequence[str]) -> Tensor:
+    """Run one sampler step, the predictor and then the elementwise move,
+    with numpy overflow and invalid operations raised. The first non-finite
+    value raises NonFiniteError ``where``; one in the move also names the
+    first of ``halves`` (equal parts along axis 0, if given) it arose in."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            x = step()
+            eps = predict()
     except FloatingPointError as exc:
         raise NonFiniteError(f"{where}: {exc}") from None
-    if not np.isfinite(x.data).all():
-        raise NonFiniteError(f"{where}: the new latent is not finite")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            x = move(eps)
+        reason = "the new latent is not finite"
+    except FloatingPointError as exc:
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = move(eps)  # to find the half; the move is a pure function
+        reason = str(exc)
+    finite = np.isfinite(x.data)
+    if not finite.all():
+        half = ""
+        if halves:
+            bad = ~finite.reshape(len(halves), -1).all(axis=1)
+            half = f" in the {halves[int(np.argmax(bad))]} half"
+        raise NonFiniteError(f"{where}: {reason}{half}")
     return x
 
 
 def _walk(eps_fn: EpsFn, x: Tensor, path: list[int], s: NoiseSchedule,
-          step: Callable[..., Tensor], phase: str) -> Trajectory:
+          step: Callable[..., Tensor], phase: str,
+          halves: Sequence[str] = ()) -> Trajectory:
     """Move x along ``path`` with ``step``, predicting noise at the later end
     of each move; the step function rejects a move in the wrong direction."""
     traj = Trajectory()
     traj.append(path[0], x)
     for i, (a, b) in enumerate(zip(path, path[1:])):
         t = max(a, b)
-        x = _finite_step(phase, i, len(path) - 1, t,
-                         lambda: step(x, eps_fn(x, t), a, b, s))
+        where = f"non-finite value in {phase} step {i + 1}/{len(path) - 1} (t={t})"
+        x = _finite_step(where, lambda: eps_fn(x, t),
+                         lambda eps: step(x, eps, a, b, s), halves)
         traj.append(b, x)
     return traj
 
 
 def ddim_sample(eps_fn: EpsFn, x_start: Tensor, ts: Sequence[int],
-                s: NoiseSchedule, phase: str = "sample") -> Trajectory:
-    """Denoise along decreasing ts (ending at the clean endpoint)."""
-    return _walk(eps_fn, x_start, [*reversed(ts), CLEAN_STEP], s, ddim_step, phase)
+                s: NoiseSchedule, phase: str = "sample",
+                halves: Sequence[str] = ()) -> Trajectory:
+    """Denoise along decreasing ts (ending at the clean endpoint). ``halves``
+    names equal parts of a latent stacked along axis 0, for error messages."""
+    return _walk(eps_fn, x_start, [*reversed(ts), CLEAN_STEP], s, ddim_step, phase,
+                 halves)
 
 
 def ddim_invert(eps_fn: EpsFn, x0: Tensor, ts: Sequence[int],

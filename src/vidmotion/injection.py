@@ -2,18 +2,20 @@
 
 The reconstruction branch's keys/values are split rowwise by a binary token
 mask, then stacked together with the editing branch's current-frame block;
-the editing branch's preceding-frame block is dropped. Temporal attention is
-injected wholesale. ``kv_hooks`` decides which U-Net blocks inject and hands
-each one the key/value hooks its attention kernels apply.
+the editing branch's preceding-frame block is never built. The
+reconstruction part of the stack is built once per gated layer and step, and
+the forwards of that step share it. Temporal attention is injected
+wholesale. ``kv_hooks`` decides which U-Net blocks inject and hands each one
+the key/value hooks its attention kernels apply.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import attention as A
 from . import tensor as T
-from .attention import KVHook
 from .skeleton import resize_nearest
 from .tensor import Tensor
 
@@ -45,6 +47,23 @@ def _check_mask(mask, shape: tuple[int, ...]) -> np.ndarray:
     return mask
 
 
+def _columns(m: np.ndarray) -> tuple[Tensor, Tensor]:
+    """A validated token mask as (..., n, 1) keep and drop columns."""
+    col = m[..., None]
+    return Tensor(col), Tensor(1.0 - col)
+
+
+def _split(k: Tensor, v: Tensor, keep: Tensor,
+           drop: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    return T.mul(k, keep), T.mul(v, keep), T.mul(k, drop), T.mul(v, drop)
+
+
+def _kept_rows(m: np.ndarray) -> np.ndarray:
+    """Row order that keeps every row of a validated mask's key stack,
+    foreground rows first, then background rows, each in token order."""
+    return np.argsort(1.0 - m, axis=-1, kind="stable")
+
+
 def decouple_kv(k: Tensor, v: Tensor, mask) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """Split keys/values rowwise into (K_fg, V_fg, K_bg, V_bg).
 
@@ -55,10 +74,20 @@ def decouple_kv(k: Tensor, v: Tensor, mask) -> tuple[Tensor, Tensor, Tensor, Ten
     if k.shape != v.shape or k.data.ndim not in (2, 3):
         raise T.ShapeError(f"keys/values must be matching [F x] n x d, got "
                            f"{k.shape} and {v.shape}")
-    m = _check_mask(mask, k.shape[:-1])[..., None]
-    col = Tensor(m)
-    inv = Tensor(1.0 - m)
-    return T.mul(k, col), T.mul(v, col), T.mul(k, inv), T.mul(v, inv)
+    return _split(k, v, *_columns(_check_mask(mask, k.shape[:-1])))
+
+
+# The reconstruction branch's part of an injected stack, as the key pieces
+# and the value pieces that go before the current frame's keys and values.
+Block = tuple[list[Tensor], list[Tensor]]
+
+
+def join_current(block: Block, edit_cur: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
+    """Stack a reconstruction block's pieces, then the current-frame keys
+    (and likewise values), along the token axis."""
+    (ks, vs), (k_cu, v_cu) = block, edit_cur
+    axis = k_cu.data.ndim - 2
+    return T.concat([*ks, k_cu], axis=axis), T.concat([*vs, v_cu], axis=axis)
 
 
 def build_injected_kv(recon: tuple[Tensor, Tensor, Tensor, Tensor],
@@ -75,20 +104,16 @@ def build_injected_kv(recon: tuple[Tensor, Tensor, Tensor, Tensor],
     order from K_fg + K_bg, which equals the undecoupled keys bit for bit.
     """
     k_fg, v_fg, k_bg, v_bg = recon
-    k_cu, v_cu = edit_cur
-    widths = {t.shape[-1] for t in (k_fg, v_fg, k_bg, v_bg, k_cu, v_cu)}
+    widths = {t.shape[-1] for t in (k_fg, v_fg, k_bg, v_bg, *edit_cur)}
     if len(widths) != 1:
         raise T.ShapeError(f"key/value widths disagree: {sorted(widths)}")
     if k_fg.shape != k_bg.shape or v_fg.shape != v_bg.shape:
         raise T.ShapeError("foreground/background blocks must match shapes")
-    axis = k_fg.data.ndim - 2
     if not drop_masked_tokens:
-        return (T.concat([k_fg, k_bg, k_cu], axis=axis),
-                T.concat([v_fg, v_bg, v_cu], axis=axis))
-    m = _check_mask(mask, k_fg.shape[:-1])
-    rows = np.argsort(1.0 - m, axis=-1, kind="stable")  # foreground first
-    return (T.concat([T.gather_rows(T.add(k_fg, k_bg), rows), k_cu], axis=axis),
-            T.concat([T.gather_rows(T.add(v_fg, v_bg), rows), v_cu], axis=axis))
+        return join_current(([k_fg, k_bg], [v_fg, v_bg]), edit_cur)
+    rows = _kept_rows(_check_mask(mask, k_fg.shape[:-1]))
+    return join_current(([T.gather_rows(T.add(k_fg, k_bg), rows)],
+                         [T.gather_rows(T.add(v_fg, v_bg), rows)]), edit_cur)
 
 
 def gate(layer_id: str, topology: dict[str, str], inject_mid: bool = False) -> bool:
@@ -127,11 +152,46 @@ def downsample_mask(mask_hw: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
             >= 0.5).astype(np.float32)
 
 
+@dataclass(frozen=True)
+class CsMask:
+    """One level's (F, 2N) cross-frame mask, validated, in the two forms
+    that build a reconstruction block from cached (F, 2N, d) keys/values."""
+
+    keep: Tensor  # (F, 2N, 1): 1 on foreground rows, 0 elsewhere
+    drop: Tensor  # its complement
+    rows: np.ndarray  # (F * 2N,) _kept_rows order, as rows of the (F * 2N, d) stack
+
+    @classmethod
+    def of(cls, m: np.ndarray) -> "CsMask":
+        """From a validated (F, 2N) mask."""
+        frames, n2 = m.shape
+        rows = _kept_rows(m) + n2 * np.arange(frames)[:, None]
+        return cls(*_columns(m), rows.reshape(-1))
+
+    def block(self, k: Tensor, v: Tensor, drop_masked_tokens: bool) -> Block:
+        """[K_fg; K_bg] pieces of cached (F, 2N, d) keys, or with
+        ``drop_masked_tokens`` their rows in kept order: the undecoupled keys
+        equal K_fg + K_bg bit for bit, and the cache's arrays are outside
+        any tape, so the rows are taken from them directly."""
+        if k.shape[:-1] != self.keep.shape[:-1]:
+            raise MaskError(f"mask shape {self.keep.shape[:-1]} != (frames, "
+                            f"tokens) {k.shape[:-1]}")
+        if drop_masked_tokens:
+            def kept(x: Tensor) -> Tensor:
+                flat = x.data.reshape(-1, x.shape[-1])
+                return Tensor(np.take(flat, self.rows, axis=0).reshape(x.shape))
+            return [kept(k)], [kept(v)]
+        k_fg, v_fg, k_bg, v_bg = _split(k, v, self.keep, self.drop)
+        return [k_fg, k_bg], [v_fg, v_bg]
+
+
 @dataclass
 class LatentMask:
     """Per-frame binary token masks at each layer resolution."""
 
     levels: dict[int, np.ndarray]  # level -> (frames, tokens), values in {0,1}
+    _cs: dict[int, CsMask] = field(default_factory=dict, init=False,
+                                   repr=False, compare=False)
 
     @classmethod
     def from_rasters(cls, masks: np.ndarray,
@@ -148,33 +208,50 @@ class LatentMask:
         prev = cur[np.maximum(np.arange(cur.shape[0]) - 1, 0)]
         return np.concatenate([prev, cur], axis=1)
 
+    def cs(self, level: int) -> CsMask:
+        """``cs_mask(level)`` validated and prepared, once per LatentMask."""
+        prepared = self._cs.get(level)
+        if prepared is None:
+            m = self.cs_mask(level)
+            prepared = self._cs[level] = CsMask.of(_check_mask(m, m.shape))
+        return prepared
+
 
 def kv_hooks(role: str, layer: str, t: int, topology: dict[str, str], level: int,
              cache: ReconCache | None, masks: LatentMask | None,
-             inj: InjectionSettings | None) -> tuple[KVHook | None, KVHook | None]:
+             inj: InjectionSettings | None,
+             blocks: dict[str, Block] | None = None
+             ) -> tuple[A.KVHook | None, A.KVHook | None]:
     """The (cross-frame, temporal) key/value hooks of U-Net block ``layer`` at
-    step ``t``, or None where the block does not inject. "recon" hooks copy
-    the stacks into ``cache``; "edit" hooks return the injected cross-frame
-    stacks (masks of ``level``) and the cached temporal stacks."""
+    step ``t``, or None where the block does not inject. "recon" hooks project
+    the stacks and copy them into ``cache``. "edit" hooks are handed the
+    current frame's tokens only: the cross-frame hook projects them and puts
+    the reconstruction block (masks of ``level``) before them, and the
+    temporal hook returns the cached stacks without projecting anything.
+    Each edit forward reads the cache; the block is built once per layer in
+    ``blocks``, so the forwards of one step that share ``blocks`` share it."""
     if inj is None or not gate(layer, topology, inj.inject_mid):
         return None, None
     if role == "recon":
         def writer(put):
-            def hook(k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+            def hook(src: Tensor, p: A.ProjectionSet) -> tuple[Tensor, Tensor]:
+                k, v = A.project_kv(src, p)
                 put(layer, t, k.data, v.data)
                 return k, v
             return hook
         return writer(cache.put_cs), writer(cache.put_temporal)
     if role == "edit" and inj.enabled:
-        mask = masks.cs_mask(level)
+        cs_mask = masks.cs(level)
+        blocks = {} if blocks is None else blocks
 
-        def inject_cs(k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-            recon = decouple_kv(*cache.get_cs(layer, t), mask)
-            n = k.shape[1] // 2
-            cur = (T.slice_axis(k, 1, n, 2 * n), T.slice_axis(v, 1, n, 2 * n))
-            return build_injected_kv(recon, cur, inj.drop_masked_tokens, mask)
+        def inject_cs(src: Tensor, p: A.ProjectionSet) -> tuple[Tensor, Tensor]:
+            k, v = cache.get_cs(layer, t)
+            block = blocks.get(layer)
+            if block is None:
+                block = blocks[layer] = cs_mask.block(k, v, inj.drop_masked_tokens)
+            return join_current(block, A.project_kv(src, p))
 
-        return inject_cs, lambda k, v: cache.get_temporal(layer, t)
+        return inject_cs, lambda src, p: cache.get_temporal(layer, t)
     return None, None
 
 

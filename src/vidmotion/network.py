@@ -13,12 +13,17 @@ repeat.
 attention and adapter layouts: ``init_model`` draws it, ``parameter_shapes``
 reads its shapes, and the forwards read weights back from the flat name ->
 Tensor map by prefix.
+
+What depends only on frozen weights, the prompt and the timestep (text
+keys/values, time rows) is built once per run in a ``Conditioning``; what the
+forwards of one sampler step share (adapter control sides, injected
+reconstruction blocks) is built once per step in a ``StepContext``.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -284,12 +289,6 @@ def _upsample2_tokens(x: Tensor, h: int, w: int) -> Tensor:
     return T.reshape(g, (f, 4 * h * w, d))
 
 
-def _time_vector(model: ModelWeights, t: int, proj: Tensor) -> Tensor:
-    table = model.params["unet.time_table"]
-    row = T.slice_axis(table, 0, t, t + 1)
-    return T.matmul(row, proj)  # (1, d)
-
-
 def _frame_shifted(x: Tensor) -> Tensor:
     """Stack of preceding-frame tokens with the frame-0 clamp."""
     frames = x.shape[0]
@@ -299,15 +298,89 @@ def _frame_shifted(x: Tensor) -> Tensor:
                     axis=0)
 
 
+class Conditioning:
+    """What the forwards of one run compute from frozen weights and fixed
+    inputs alone, each built on first use and kept for the run: every U-Net
+    block's projected text keys and values per prompt, and every U-Net and
+    ControlNet block's time row per timestep.
+
+    A tracked weight would need its rows rebuilt at every step for its
+    gradient, so building from one raises TapeError; a forward handed no
+    Conditioning builds its own from its own weights, tracked or not.
+    """
+
+    def __init__(self, model: ModelWeights):
+        self.model = model
+        self.names = frozenset(
+            ["unet.time_table"]
+            + [f"control.{lid}.time_proj" for lid in CONTROL_BLOCKS]
+            + [f"unet.{lid}.{w}" for lid in BLOCK_ORDER
+               for w in ("time_proj", "cross.w_k", "cross.w_v")])
+        tracked = sorted(n for n in self.names if model.params[n].node is not None)
+        if tracked:
+            raise T.TapeError(f"conditioning built from tracked weights {tracked}")
+        self._text: dict[tuple[str, str | None], tuple[Tensor, Tensor]] = {}
+        self._time: dict[tuple[str, int], Tensor] = {}
+
+    def text_kv(self, lid: str, prompt: str | None) -> tuple[Tensor, Tensor]:
+        """U-Net block ``lid``'s text keys and values for ``prompt``."""
+        kv = self._text.get((lid, prompt))
+        if kv is None:
+            text = text_embedding(prompt, self.model.cfg.widths[BLOCK_LEVEL[lid]])
+            kv = self._text[lid, prompt] = A.project_kv(
+                text, self.model.pset(f"unet.{lid}.cross"))
+        return kv
+
+    def time_row(self, pre: str, t: int) -> Tensor:
+        """The (1, d) time embedding of block ``pre`` at timestep ``t``."""
+        row = self._time.get((pre, t))
+        if row is None:
+            p = self.model.params
+            row = self._time[pre, t] = T.matmul(
+                T.slice_axis(p["unet.time_table"], 0, t, t + 1), p[f"{pre}.time_proj"])
+        return row
+
+
+class _OneForward(Conditioning):
+    """One forward's conditioning: built from its own weights, tracked ones
+    included, so that their gradients reach them."""
+
+    def __init__(self, model: ModelWeights):
+        self.model, self._text, self._time = model, {}, {}
+
+
+@dataclass
+class StepContext:
+    """What the U-Net forwards of one sampler step at ``t`` share, built by
+    the first forward that needs it: each controlled layer's adapter control
+    side and each injecting layer's reconstruction block. The cond and uncond
+    forwards under guidance read the same ControlNet features, cache entries
+    and masks, so one context serves both; forwards that differ in any of
+    these must not share one."""
+
+    t: int
+    control: dict[str, AD.ControlSide] = field(default_factory=dict)
+    blocks: dict[str, I.Block] = field(default_factory=dict)
+
+
 def _cs_sub_block(x: Tensor, model: ModelWeights, lid: str, kv) -> Tensor:
     a_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_cs"))
     return A.cs_attention(_frame_shifted(a_in), a_in, model.pset(f"unet.{lid}.cs"), kv)
 
 
+def _injected_cs_sub_block(x: Tensor, model: ModelWeights, lid: str, kv) -> Tensor:
+    """The editing role's cross-frame sub-block at an injecting layer: the
+    ``kv`` hook puts the reconstruction block before the current frame's keys
+    and values, so no preceding-frame stack is built."""
+    a_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_cs"))
+    return A.attention(a_in, a_in, model.pset(f"unet.{lid}.cs"), kv)
+
+
 def _cross_sub_block(x: Tensor, model: ModelWeights, lid: str,
-                     text: Tensor) -> Tensor:
+                     text_kv: tuple[Tensor, Tensor]) -> Tensor:
     c_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_cross"))
-    return A.attention(c_in, text, model.pset(f"unet.{lid}.cross"))
+    p = model.pset(f"unet.{lid}.cross")
+    return T.matmul(A.attend(T.matmul(c_in, p.w_q), *text_kv), p.w_out)
 
 
 def _temporal_sub_block(x: Tensor, model: ModelWeights, lid: str, kv) -> Tensor:
@@ -317,27 +390,31 @@ def _temporal_sub_block(x: Tensor, model: ModelWeights, lid: str, kv) -> Tensor:
     return T.transpose(out, (1, 0, 2))
 
 
-def _conv_time_residual(x: Tensor, model: ModelWeights, pre: str, t: int) -> Tensor:
+def _conv_time_residual(x: Tensor, model: ModelWeights, pre: str,
+                        time_row: Tensor) -> Tensor:
     """x + silu(conv(x) + time embedding), the opening of every U-Net and
     ControlNet block."""
     p = model.params
     h = T.add(T.matmul(x, p[f"{pre}.conv_w"]), p[f"{pre}.conv_b"])
-    h = T.silu(T.add(h, _time_vector(model, t, p[f"{pre}.time_proj"])))  # (1, d) row
+    h = T.silu(T.add(h, time_row))  # (1, d) row
     return T.add(x, h)
 
 
-def _unet_block(x: Tensor, model: ModelWeights, lid: str, t: int, text: Tensor,
-                role: str, cache, masks, inj, probe) -> Tensor:
+def _unet_block(x: Tensor, model: ModelWeights, lid: str, t: int, prompt: str | None,
+                role: str, cache, masks, inj, probe, cond: Conditioning,
+                step: StepContext) -> Tensor:
     cs_kv, temporal_kv = I.kv_hooks(role, lid, t, TOPOLOGY, BLOCK_LEVEL[lid],
-                                    cache, masks, inj)
-    x = _conv_time_residual(x, model, f"unet.{lid}", t)
+                                    cache, masks, inj, step.blocks)
+    x = _conv_time_residual(x, model, f"unet.{lid}", cond.time_row(f"unet.{lid}", t))
 
-    cs_out = _cs_sub_block(x, model, lid, cs_kv)
+    cs = (_injected_cs_sub_block if role == "edit" and cs_kv is not None
+          else _cs_sub_block)
+    cs_out = cs(x, model, lid, cs_kv)
     if probe is not None:
         probe[(lid, "cs")] = cs_out.data
     x = T.add(x, cs_out)
 
-    cross_out = _cross_sub_block(x, model, lid, text)
+    cross_out = _cross_sub_block(x, model, lid, cond.text_kv(lid, prompt))
     if probe is not None:
         probe[(lid, "cross")] = cross_out.data
     x = T.add(x, cross_out)
@@ -349,17 +426,32 @@ def _unet_block(x: Tensor, model: ModelWeights, lid: str, t: int, text: Tensor,
     return x
 
 
+def _adapted(x: Tensor, model: ModelWeights, lid: str,
+             control_feats: dict[str, Tensor] | None, step: StepContext) -> Tensor:
+    """x plus the adapter's residual for controlled layer ``lid``."""
+    if control_feats is None:
+        return x
+    w = AD.AdapterWeights(model.params, f"adapter{BLOCK_LEVEL[lid]}")
+    side = step.control.get(lid)
+    if side is None:
+        side = step.control[lid] = AD.control_side(control_feats[lid], w)
+    return T.add(x, AD.adapter_apply(side, x, w))
+
+
 def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
                  control_feats: dict[str, Tensor] | None = None,
                  role: str = "plain", cache: I.ReconCache | None = None,
                  masks: I.LatentMask | None = None,
                  inj: I.InjectionSettings | None = None,
-                 probe: dict | None = None) -> Tensor:
+                 probe: dict | None = None, cond: Conditioning | None = None,
+                 step: StepContext | None = None) -> Tensor:
     """Predict noise for a latent video block.
 
     role "recon" writes decoder-layer keys/values to ``cache``; role "edit"
     replaces the gated layers' keys/values with injected stacks built from
-    ``cache`` and ``masks``. The plain role touches neither.
+    ``cache`` and ``masks``. The plain role touches neither. ``cond`` (the
+    run's Conditioning) and ``step`` (the step's StepContext) hand in what
+    other forwards have built already.
     """
     cfg = model.cfg
     want = (cfg.frames, cfg.channels, cfg.latent_size, cfg.latent_size)
@@ -375,39 +467,38 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
         raise ConfigError("reconstruction role needs a cache to write")
     if role == "edit" and inj.enabled and (cache is None or masks is None):
         raise ConfigError("editing role with injection needs cache and masks")
+    cond = _OneForward(model) if cond is None else cond
+    step = StepContext(t) if step is None else step
+    if step.t != t:
+        raise ConfigError(f"step context of t={step.t} handed to a forward at t={t}")
 
-    d0, d1 = cfg.widths
+    def block(x: Tensor, lid: str) -> Tensor:
+        return _unet_block(x, model, lid, t, prompt, role, cache, masks, inj,
+                           probe, cond, step)
+
     h0 = w0 = cfg.latent_size
-    text0 = text_embedding(prompt, d0)
-    text1 = text_embedding(prompt, d1)
-
     x = T.matmul(_tokens_from_latent(z, cfg), model.params["unet.in_proj"])
-    x = _unet_block(x, model, "enc0", t, text0, role, cache, masks, inj, probe)
+    x = block(x, "enc0")
     skip0 = x
     x = T.matmul(_pool2_tokens(x, h0, w0), model.params["unet.down_proj"])
-    x = _unet_block(x, model, "enc1", t, text1, role, cache, masks, inj, probe)
+    x = block(x, "enc1")
     skip1 = x
-    x = _unet_block(x, model, "mid", t, text1, role, cache, masks, inj, probe)
-    x = T.add(x, skip1)
-    if control_feats is not None:
-        w = AD.AdapterWeights(model.params, "adapter1")
-        x = T.add(x, AD.adapter_forward(control_feats["dec1"], x, w))
-    x = _unet_block(x, model, "dec1", t, text1, role, cache, masks, inj, probe)
+    x = block(x, "mid")
+    x = _adapted(T.add(x, skip1), model, "dec1", control_feats, step)
+    x = block(x, "dec1")
     x = _upsample2_tokens(T.matmul(x, model.params["unet.up_proj"]),
                           h0 // 2, w0 // 2)
-    x = T.add(x, skip0)
-    if control_feats is not None:
-        w = AD.AdapterWeights(model.params, "adapter0")
-        x = T.add(x, AD.adapter_forward(control_feats["dec0"], x, w))
-    x = _unet_block(x, model, "dec0", t, text0, role, cache, masks, inj, probe)
+    x = _adapted(T.add(x, skip0), model, "dec0", control_feats, step)
+    x = block(x, "dec0")
     eps = T.add(T.matmul(x, model.params["unet.out_proj"]),
                 model.params["unet.out_b"])
     return _latent_from_tokens(eps, cfg)
 
 
-def _control_block(x: Tensor, model: ModelWeights, lid: str, t: int) -> Tensor:
+def _control_block(x: Tensor, model: ModelWeights, lid: str, t: int,
+                   cond: Conditioning) -> Tensor:
     pre = f"control.{lid}"
-    x = _conv_time_residual(x, model, pre, t)
+    x = _conv_time_residual(x, model, pre, cond.time_row(pre, t))
     a_in = T.layer_norm(x, *model.ln(f"{pre}.ln_sp"))
     return T.add(x, A.attention(a_in, a_in, model.pset(f"{pre}.spatial")))
 
@@ -439,23 +530,25 @@ def pose_features(model: ModelWeights, skeletons: np.ndarray) -> dict[int, Tenso
 
 
 def controlnet_forward(model: ModelWeights, z: Tensor, t: int,
-                       pose: dict[int, Tensor]) -> dict[str, Tensor]:
+                       pose: dict[int, Tensor],
+                       cond: Conditioning | None = None) -> dict[str, Tensor]:
     """Per-block conditioning features from pose_features; zero at
-    construction.
+    construction. ``cond`` is the run's Conditioning, as for unet_forward.
 
     Returns one feature block per conditioned U-Net layer, shaped like that
     layer's activations.
     """
     cfg = model.cfg
+    cond = _OneForward(model) if cond is None else cond
     h0 = w0 = cfg.latent_size
     x = T.matmul(_tokens_from_latent(z, cfg), model.params["control.in_proj"])
     x = T.add(x, pose[0])
-    x = _control_block(x, model, "c_enc0", t)
+    x = _control_block(x, model, "c_enc0", t, cond)
     f0 = x
     x = T.matmul(_pool2_tokens(x, h0, w0), model.params["control.down_proj"])
     x = T.add(x, pose[1])
-    x = _control_block(x, model, "c_enc1", t)
-    x = _control_block(x, model, "c_mid", t)
+    x = _control_block(x, model, "c_enc1", t, cond)
+    x = _control_block(x, model, "c_mid", t, cond)
     return {
         "dec1": T.matmul(x, model.params["control.zero.dec1"]),
         "dec0": T.matmul(f0, model.params["control.zero.dec0"]),

@@ -42,10 +42,9 @@ class EditJob:
     control_on_recon: bool = True
 
     def validate(self, cfg: N.NetConfig) -> None:
+        """Check every input but the video, whose shape ``N.encode_video``
+        checks."""
         frames = cfg.frames
-        want = (frames, cfg.channels, cfg.image_size, cfg.image_size)
-        if self.video.shape != want:
-            raise JobError(f"video shape {self.video.shape} != {want}")
         per_frame = {
             "source_masks": self.source_masks,
             "source_skeletons": self.source_skeletons,
@@ -84,11 +83,13 @@ def one_shot_train(model: N.ModelWeights, video: Tensor,
     state = T.AdamState(lr=lr)
     losses: list[float] = []
     pose = N.pose_features(model, skeletons)
+    cond = N.Conditioning(model)
     for step in range(steps):
         t = rng.integer(0, schedule.timesteps)
         eps = rng.normal(z0.shape)
         value, grads = train_step(model, params, pose,
-                                  D.q_sample(z0, t, eps, schedule), t, eps, prompt)
+                                  D.q_sample(z0, t, eps, schedule), t, eps, prompt,
+                                  cond)
         if not np.isfinite(value):
             raise RuntimeError(f"non-finite training loss {value} at step {step} "
                                f"(timestep {t})")
@@ -100,15 +101,21 @@ def one_shot_train(model: N.ModelWeights, video: Tensor,
 
 def train_step(model: N.ModelWeights, params: dict[str, Tensor],
                pose: dict[int, Tensor], x_t: Tensor, t: int, eps: Tensor,
-               prompt: str) -> tuple[float, dict[str, Tensor | None]]:
+               prompt: str, cond: N.Conditioning | None = None
+               ) -> tuple[float, dict[str, Tensor | None]]:
     """The loss of one step and the gradient of each of ``params`` (none if
     the loss is not finite). The step's graph lives only in this frame, so it
-    is freed on return, before the next step builds its own."""
+    is freed on return, before the next step builds its own. ``cond``, the
+    run's Conditioning, must read none of ``params``."""
+    if cond is not None and not cond.names.isdisjoint(params):
+        raise T.TapeError(f"conditioning reads trained weights "
+                          f"{sorted(cond.names.intersection(params))}")
     tape = T.Tape()
     watched = {n: tape.watch(p) for n, p in params.items()}
     m = model.replace(watched)
-    feats = N.controlnet_forward(m, x_t, t, pose)
-    loss = D.training_loss(N.unet_forward(m, x_t, t, prompt, control_feats=feats), eps)
+    feats = N.controlnet_forward(m, x_t, t, pose, cond)
+    loss = D.training_loss(N.unet_forward(m, x_t, t, prompt, control_feats=feats,
+                                          cond=cond), eps)
     value = loss.item()
     if not np.isfinite(value):
         return value, {}
@@ -120,25 +127,32 @@ def _predictor(model: N.ModelWeights, ts: list[int], prompt: str | None,
                pose: dict[int, Tensor] | None, guidance: float = 1.0,
                role: str = "plain", cache: I.ReconCache | None = None,
                masks: I.LatentMask | None = None,
-               inj: I.InjectionSettings | None = None) -> D.EpsFn:
+               inj: I.InjectionSettings | None = None,
+               cond: N.Conditioning | None = None) -> D.EpsFn:
     """One branch's eps function over the sampler steps ``ts``: ControlNet
     features from ``pose`` if given, classifier-free guidance (one forward at
     1), and ``role`` inside the injection window of ``inj``, "plain" before
-    it and at every step without ``inj``."""
+    it and at every step without ``inj``. ``cond`` is the run's Conditioning
+    (built here if not given); each step's forwards share one StepContext."""
     step_index = {t: idx for idx, t in enumerate(reversed(ts))}
+    cond = N.Conditioning(model) if cond is None else cond
 
     def eps_fn(x: Tensor, t: int) -> Tensor:
         step_role = (role if inj is not None
                      and inj.active_at(step_index[t], len(ts)) else "plain")
-        feats = (N.controlnet_forward(model, x, t, pose)
+        feats = (N.controlnet_forward(model, x, t, pose, cond)
                  if pose is not None else None)
-        eps_c = N.unet_forward(model, x, t, prompt, control_feats=feats,
-                               role=step_role, cache=cache, masks=masks, inj=inj)
+        step = N.StepContext(t)
+
+        def forward(text: str | None) -> Tensor:
+            return N.unet_forward(model, x, t, text, control_feats=feats,
+                                  role=step_role, cache=cache, masks=masks,
+                                  inj=inj, cond=cond, step=step)
+
+        eps_c = forward(prompt)
         if guidance == 1.0:
             return eps_c
-        eps_u = N.unet_forward(model, x, t, None, control_feats=feats,
-                               role=step_role, cache=cache, masks=masks, inj=inj)
-        return D.cfg_combine(eps_u, eps_c, guidance)
+        return D.cfg_combine(forward(None), eps_c, guidance)
 
     return eps_fn
 
@@ -147,7 +161,8 @@ def invert(model: N.ModelWeights, z0: Tensor, steps: int,
            schedule: D.NoiseSchedule | None = None,
            eps_fn: D.EpsFn | None = None,
            pose: dict[int, Tensor] | None = None,
-           prompt: str | None = None) -> D.Trajectory:
+           prompt: str | None = None,
+           cond: N.Conditioning | None = None) -> D.Trajectory:
     """DDIM inversion at guidance scale 1 (no extrapolation; the null-text
     stage is deliberately absent and ``eps_fn`` overrides the predictor for
     oracle tests).
@@ -155,11 +170,11 @@ def invert(model: N.ModelWeights, z0: Tensor, steps: int,
     By default the predictor runs on the unconditional embedding; passing the
     branches' ``prompt`` and ``pose`` (from N.pose_features) makes the
     inversion share their conditioning, so reconstruction undoes it without a
-    predictor mismatch.
+    predictor mismatch; ``cond`` shares the run's Conditioning with them.
     """
     schedule = schedule or D.make_schedule(model.cfg.schedule_steps)
     ts = D.subsequence(schedule.timesteps, steps)
-    return D.ddim_invert(eps_fn or _predictor(model, ts, prompt, pose),
+    return D.ddim_invert(eps_fn or _predictor(model, ts, prompt, pose, cond=cond),
                          z0, ts, schedule)
 
 
@@ -179,10 +194,11 @@ def reconstruct(model: N.ModelWeights, video: Tensor, skeletons: np.ndarray,
     schedule = schedule or D.make_schedule(model.cfg.schedule_steps)
     z0 = N.encode_video(video, model.cfg)
     pose = N.pose_features(model, skeletons) if control_on_recon else None
+    cond = N.Conditioning(model)
     inv = invert(model, z0, steps, schedule, eps_fn=eps_fn, pose=pose,
-                 prompt=prompt)
+                 prompt=prompt, cond=cond)
     ts = D.subsequence(schedule.timesteps, steps)
-    traj = D.ddim_sample(eps_fn or _predictor(model, ts, prompt, pose),
+    traj = D.ddim_sample(eps_fn or _predictor(model, ts, prompt, pose, cond=cond),
                          inv.final, ts, schedule, phase="reconstruct")
     return ReconstructResult(traj.final, inv)
 
@@ -221,42 +237,51 @@ def edit(job: EditJob, model: N.ModelWeights,
          schedule: D.NoiseSchedule | None = None) -> EditResult:
     """Full two-branch motion edit.
 
-    Align the reference skeletons, invert the source, then denoise the
-    reconstruction branch (writing the cache) and the editing branch
-    (reading injected keys/values at gated layers under the target prompt
-    and guidance) in lockstep, stacked along the frame axis.
+    Encode the source video, align the reference skeletons, invert the
+    source, then denoise the reconstruction branch (writing the cache) and
+    the editing branch (reading injected keys/values at gated layers under
+    the target prompt and guidance) in lockstep, stacked along the frame
+    axis. A non-finite value names the half it arose in.
     """
     cfg = model.cfg
     job.validate(cfg)
+    z0 = N.encode_video(job.video, cfg)
     schedule = schedule or D.make_schedule(cfg.schedule_steps)
     aligned, reports = align_skeletons(job.source_skeletons, job.source_masks,
                                        job.ref_skeletons, job.ref_masks,
                                        job.align_first_frame_only)
 
-    z0 = N.encode_video(job.video, cfg)
+    cond = N.Conditioning(model)
     source_pose = (N.pose_features(model, job.source_skeletons)
                    if job.control_on_recon else None)
     inv = invert(model, z0, job.steps, schedule, pose=source_pose,
-                 prompt=job.prompt_source)
+                 prompt=job.prompt_source, cond=cond)
     ts = D.subsequence(schedule.timesteps, job.steps)
 
     cache = I.ReconCache()
     masks = I.LatentMask.from_rasters(np.asarray(job.source_masks),
                                       cfg.level_shapes())
     # recon first, so step t is cached before the edit forwards read it
-    branches = [
-        _predictor(model, ts, job.prompt_source, source_pose, role="recon",
-                   cache=cache, inj=job.injection),
-        _predictor(model, ts, job.prompt_target, N.pose_features(model, aligned),
-                   job.guidance, "edit", cache, masks, job.injection)]
+    halves = {
+        "reconstruction": _predictor(model, ts, job.prompt_source, source_pose,
+                                     role="recon", cache=cache,
+                                     inj=job.injection, cond=cond),
+        "editing": _predictor(model, ts, job.prompt_target,
+                              N.pose_features(model, aligned), job.guidance,
+                              "edit", cache, masks, job.injection, cond)}
     f = cfg.frames
 
     def lockstep(x: Tensor, t: int) -> Tensor:
         # DDIM updates are elementwise, so each half equals a separate run
-        return T.concat([eps_fn(T.slice_axis(x, 0, i * f, (i + 1) * f), t)
-                         for i, eps_fn in enumerate(branches)], axis=0)
+        eps = []
+        for i, (half, eps_fn) in enumerate(halves.items()):
+            try:
+                eps.append(eps_fn(T.slice_axis(x, 0, i * f, (i + 1) * f), t))
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"{exc} in the {half} half") from None
+        return T.concat(eps, axis=0)
 
     both = D.ddim_sample(lockstep, T.concat([inv.final] * 2, axis=0), ts,
-                         schedule, phase="edit").final
+                         schedule, phase="edit", halves=tuple(halves)).final
     recon, edited = (T.slice_axis(both, 0, i * f, (i + 1) * f) for i in (0, 1))
     return EditResult(edited, recon, aligned, reports, inv, cache)

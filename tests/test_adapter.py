@@ -73,6 +73,19 @@ class TestForward:
         np.testing.assert_allclose(got, want, atol=1e-5)
 
 
+class TestControlSide:
+    def test_one_control_side_serves_two_latents_bitwise(self):
+        w = make_weights(20)
+        w = AD.AdapterWeights({**w.named, "adapter.out_proj":
+                               T.Tensor(rnd((8, 8), 21, scale=0.3))})
+        m = T.Tensor(rnd((3, 4, 8), 22))
+        side = AD.control_side(m, w)
+        for seed in (23, 24):
+            z = T.Tensor(rnd((3, 4, 8), seed))
+            np.testing.assert_array_equal(AD.adapter_apply(side, z, w).data,
+                                          AD.adapter_forward(m, z, w).data)
+
+
 class TestContentSensitivity:
     def test_changing_latents_changes_output_with_trained_weights(self):
         w = make_weights(13)

@@ -268,7 +268,7 @@ class TestKeyValueHook:
         p = pset(60, 8)
         q_src, kv_src = T.Tensor(rnd(shape, 61)), T.Tensor(rnd(shape, 62))
         plain = A.attention(q_src, kv_src, p)
-        hooked = A.attention(q_src, kv_src, p, kv=lambda k, v: (k, v))
+        hooked = A.attention(q_src, kv_src, p, kv=A.project_kv)
         np.testing.assert_array_equal(hooked.data, plain.data)
 
     @pytest.mark.parametrize("shape", [(4, 8), (3, 4, 8)], ids=["rank2", "rank3"])
@@ -281,8 +281,9 @@ class TestKeyValueHook:
         k_swap, v_swap = T.Tensor(rnd(swap_shape, 66)), T.Tensor(rnd(swap_shape, 67))
         seen = []
 
-        def hook(k, v):
-            seen.append((k.data.copy(), v.data.copy()))
+        def hook(src, projections):
+            # the hook owns the projection: it is handed the key/value source
+            seen.append((src.data.copy(), projections))
             return k_swap, v_swap
 
         if kernel == "cs":
@@ -292,8 +293,8 @@ class TestKeyValueHook:
             out = A.temporal_attention(z, p, kv=hook)
             kv_src = z
         assert len(seen) == 1
-        np.testing.assert_array_equal(seen[0][0], T.matmul(kv_src, p.w_k).data)
-        np.testing.assert_array_equal(seen[0][1], T.matmul(kv_src, p.w_v).data)
+        np.testing.assert_array_equal(seen[0][0], kv_src.data)
+        assert seen[0][1] is p
         want = T.matmul(A.attend(T.matmul(z, p.w_q), k_swap, v_swap), p.w_out)
         np.testing.assert_array_equal(out.data, want.data)
 

@@ -255,6 +255,44 @@ class TestNonFiniteSteps:
             D.ddim_sample(nan_eps, x, ts, s, phase="recon")
 
 
+class TestHalves:
+    """A non-finite new latent names the half of the stacked latent it is in."""
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_non_finite_latent_names_its_half(self, bad):
+        s = D.make_schedule()
+        x = T.Tensor(rnd((4, 3), 32))
+
+        def eps(x, t):
+            out = np.zeros(x.shape, np.float32)
+            out[2 * bad:2 * bad + 2] = np.nan
+            return T.Tensor(out)
+
+        half = ("reconstruction", "editing")[bad]
+        with pytest.raises(D.NonFiniteError,
+                           match=rf"step 1/2 \(t=999\): the new latent is not "
+                                 rf"finite in the {half} half$"):
+            D.ddim_sample(eps, x, D.subsequence(1000, 2), s, phase="edit",
+                          halves=("reconstruction", "editing"))
+
+    def test_overflow_in_the_move_names_its_half(self):
+        s = D.make_schedule()
+        x = T.Tensor(rnd((4, 3), 33))
+
+        def eps(x, t):  # finite, but the move's 1 / sqrt(alpha_bar) overflows
+            out = np.zeros(x.shape, np.float32)
+            out[3] = 3e38
+            return T.Tensor(out)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(D.NonFiniteError,
+                               match=r"step 1/2 \(t=999\): overflow .* in the "
+                                     r"editing half$"):
+                D.ddim_sample(eps, x, D.subsequence(1000, 2), s, phase="edit",
+                              halves=("reconstruction", "editing"))
+
+
 class TestCfgCombine:
     def test_scale_one_is_conditional_bitwise(self):
         u, c = T.Tensor(rnd((3,), 18)), T.Tensor(rnd((3,), 19))

@@ -167,6 +167,54 @@ class TestFrameAxis:
             I.build_injected_kv(recon, cur, drop_masked_tokens=True, mask=short)
 
 
+class TestCsMask:
+    F, N2, D = 3, 8, 5
+
+    def mask(self, kind):
+        if kind == "random":
+            return np.stack([rmask(self.N2, 50 + f) for f in range(self.F)])
+        return np.full((self.F, self.N2), 1.0 if kind == "all-1" else 0.0, np.float32)
+
+    @pytest.mark.parametrize("kind", ["random", "all-0", "all-1"])
+    def test_drop_block_from_undecoupled_keys_equals_gather_of_the_sum(self, kind):
+        m = self.mask(kind)
+        k = T.Tensor(rnd((self.F, self.N2, self.D), 51))
+        v = T.Tensor(rnd((self.F, self.N2, self.D), 52))
+        (k_block,), (v_block,) = I.CsMask.of(m).block(k, v, drop_masked_tokens=True)
+        k_fg, v_fg, k_bg, v_bg = I.decouple_kv(k, v, m)
+        rows = np.argsort(1.0 - m, axis=-1, kind="stable")
+        np.testing.assert_array_equal(
+            k_block.data, T.gather_rows(T.add(k_fg, k_bg), rows).data)
+        np.testing.assert_array_equal(
+            v_block.data, T.gather_rows(T.add(v_fg, v_bg), rows).data)
+
+    @pytest.mark.parametrize("drop", [False, True], ids=["5n", "drop"])
+    def test_block_joined_with_current_equals_build_injected_kv(self, drop):
+        m = self.mask("random")
+        k = T.Tensor(rnd((self.F, self.N2, self.D), 53))
+        v = T.Tensor(rnd((self.F, self.N2, self.D), 54))
+        cur = (T.Tensor(rnd((self.F, self.N2 // 2, self.D), 55)),
+               T.Tensor(rnd((self.F, self.N2 // 2, self.D), 56)))
+        got = I.join_current(I.CsMask.of(m).block(k, v, drop), cur)
+        want = I.build_injected_kv(I.decouple_kv(k, v, m), cur, drop, m)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.data, w.data)
+
+    def test_latent_mask_prepares_each_level_once_and_validates(self):
+        masks = (rnd((3, 32, 32), 57) > 0).astype(np.float32)
+        lm = I.LatentMask.from_rasters(masks, {0: (8, 8), 1: (4, 4)})
+        assert lm.cs(0) is lm.cs(0)
+        np.testing.assert_array_equal(lm.cs(1).keep.data[..., 0], lm.cs_mask(1))
+        bad = I.LatentMask({0: np.full((3, 4), 0.5, np.float32)})
+        with pytest.raises(I.MaskError):
+            bad.cs(0)
+
+    def test_block_rejects_keys_of_another_frame_count(self):
+        k = T.zeros((self.F + 1, self.N2, self.D))
+        with pytest.raises(I.MaskError):
+            I.CsMask.of(self.mask("random")).block(k, k, drop_masked_tokens=False)
+
+
 class TestGate:
     TOPOLOGY = {"enc0": "encoder", "enc1": "encoder", "mid": "mid",
                 "dec1": "decoder", "dec0": "decoder"}

@@ -7,6 +7,7 @@ import pytest
 
 from vidmotion import adapter as AD
 from vidmotion import attention as A
+from vidmotion import diffusion as D
 from vidmotion import injection as I
 from vidmotion import network as N
 from vidmotion import pipeline as P
@@ -105,10 +106,105 @@ def test_batched_cs_injection_equals_per_frame_reference(model, lid, drop):
     masks = mixed_mask_pyramid()
     x = T.Tensor(rnd(shape, seed=71))
     edit_cs, _ = block_hooks("edit", lid, cache, masks, inj)
-    got = N._cs_sub_block(x, model, lid, edit_cs)
+    got = N._injected_cs_sub_block(x, model, lid, edit_cs)
     want = per_frame_cs_edit(x, model, lid, 21, cache, masks, drop)
     np.testing.assert_array_equal(got.data, want.data)
     assert cache.reads_cs == 2
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["5n", "drop"])
+def test_step_blocks_built_once_equal_per_forward_builds(model, drop, monkeypatch):
+    # the cond and uncond forwards of one guided step share one blocks memo
+    lid, level = "dec0", N.BLOCK_LEVEL["dec0"]
+    shape = (CFG.frames, math.prod(CFG.level_hw(level)), CFG.widths[level])
+    inj = I.InjectionSettings(drop_masked_tokens=drop)
+    cache = I.ReconCache()
+    recon_cs, _ = block_hooks("recon", lid, cache, inj=inj)
+    N._cs_sub_block(T.Tensor(rnd(shape, seed=72)), model, lid, recon_cs)
+    masks = mixed_mask_pyramid()
+    built = []
+    build = I.CsMask.block
+    monkeypatch.setattr(I.CsMask, "block",
+                        lambda self, *args: built.append(lid) or build(self, *args))
+    blocks = {}
+    for seed in (73, 74):
+        x = T.Tensor(rnd(shape, seed=seed))
+        edit_cs, _ = I.kv_hooks("edit", lid, 21, N.TOPOLOGY, level, cache, masks,
+                                inj, blocks)
+        got = N._injected_cs_sub_block(x, model, lid, edit_cs)
+        want = per_frame_cs_edit(x, model, lid, 21, cache, masks, drop)
+        np.testing.assert_array_equal(got.data, want.data)
+    assert built == [lid]
+    assert cache.reads_cs == 4  # each forward and each reference reads
+
+
+def test_guided_step_prepares_each_gated_layer_once(model, latent, monkeypatch):
+    t = 21
+    cache = I.ReconCache()
+    N.unet_forward(model, latent, t, "a figure walking", role="recon", cache=cache)
+    pose = N.pose_features(model, skeleton_stack())
+    masks, inj = mask_pyramid(), I.InjectionSettings()
+    counts = {"blocks": 0, "control": 0}
+
+    def counted(owner, name, key):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            counts[key] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(I.CsMask, "block", "blocks")
+    counted(AD, "control_side", "control")
+    eps = P._predictor(model, [t], "a figure marching", pose, 7.5, "edit", cache,
+                       masks, inj)(latent, t)
+    gated = [lid for lid in N.BLOCK_ORDER if I.gate(lid, N.TOPOLOGY)]
+    assert counts == {"blocks": len(gated), "control": len(N.CONTROLLED_LAYERS)}
+    assert cache.reads_cs == cache.reads_temporal == 2 * len(gated)
+    # the same step with nothing shared: every forward builds its own
+    feats = N.controlnet_forward(model, latent, t, pose)
+    eps_c, eps_u = (N.unet_forward(model, latent, t, text, control_feats=feats,
+                                   role="edit", cache=cache, masks=masks, inj=inj)
+                    for text in ("a figure marching", None))
+    assert counts == {"blocks": 3 * len(gated), "control": 3 * len(N.CONTROLLED_LAYERS)}
+    np.testing.assert_array_equal(eps.data, D.cfg_combine(eps_u, eps_c, 7.5).data)
+
+
+class TestConditioning:
+    def test_rows_are_built_once_and_equal_a_forward_without_them(self, model,
+                                                                  latent):
+        cond = N.Conditioning(model)
+        assert cond.text_kv("dec1", "p") is cond.text_kv("dec1", "p")
+        assert cond.time_row("control.c_mid", 9) is cond.time_row("control.c_mid", 9)
+        pose = N.pose_features(model, skeleton_stack())
+        for t in (9, 9, 400):
+            feats = N.controlnet_forward(model, latent, t, pose, cond)
+            np.testing.assert_array_equal(
+                feats["dec0"].data, N.controlnet_forward(model, latent, t, pose)["dec0"].data)
+            shared = N.unet_forward(model, latent, t, "p", control_feats=feats, cond=cond)
+            alone = N.unet_forward(model, latent, t, "p", control_feats=feats)
+            np.testing.assert_array_equal(shared.data, alone.data)
+
+    @pytest.mark.parametrize("name", ["unet.dec0.cross.w_k", "unet.time_table",
+                                      "control.c_enc1.time_proj"])
+    def test_built_from_a_watched_weight_raises(self, model, name):
+        tape = T.Tape()
+        watched = model.replace({name: tape.watch(model.params[name])})
+        with pytest.raises(T.TapeError, match=name):
+            N.Conditioning(watched)
+
+    def test_training_step_rejects_conditioning_of_a_trained_weight(self, model,
+                                                                    latent):
+        name = "unet.mid.cross.w_v"
+        with pytest.raises(T.TapeError, match=name):
+            P.train_step(model, {name: model.params[name]},
+                         N.pose_features(model, skeleton_stack()), latent, 5,
+                         T.Tensor(rnd(latent.shape, seed=82)), "p",
+                         N.Conditioning(model))
+
+    def test_step_context_of_another_timestep_rejected(self, model, latent):
+        with pytest.raises(N.ConfigError, match="t=5"):
+            N.unet_forward(model, latent, 6, "p", step=N.StepContext(5))
 
 
 class TestUnetForward:
@@ -439,14 +535,14 @@ def inline_temporal_sub_block(x, model, lid, kv):
     return T.matmul(T.transpose(att, (1, 0, 2)), pset.w_out)
 
 
-def inline_repeat_cross_sub_block(x, model, lid, text):
+def inline_repeat_cross_sub_block(x, model, lid, text_kv):
     """The text sub-block written out inline, with the projected text keys
     and values repeated to every frame."""
     pset = model.pset(f"unet.{lid}.cross")
     c_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_cross"))
     q = T.matmul(c_in, pset.w_q)
-    k, v = (T.repeat_axis(T.reshape(T.matmul(text, w), (1, *text.shape)), 0, x.shape[0])
-            for w in (pset.w_k, pset.w_v))
+    k, v = (T.repeat_axis(T.reshape(kv, (1, *kv.shape)), 0, x.shape[0])
+            for kv in text_kv)
     return T.matmul(A.attend(q, k, v), pset.w_out)
 
 

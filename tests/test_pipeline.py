@@ -289,6 +289,30 @@ class TestEdit:
         # 40% of 5 steps -> the trailing 2 steps inject
         assert res.cache.reads_cs == gated * 2
 
+    def test_guided_injection_window_counts_a_read_per_forward(self, base_model,
+                                                               schedule):
+        inj = I.InjectionSettings(window_fraction=0.4)
+        job = make_job(steps=5, guidance=7.5, injection=inj)
+        res = P.edit(job, base_model, schedule)
+        gated, forwards, steps = 2, 2, 2  # cond and uncond in the trailing 2 steps
+        assert res.cache.reads_cs == gated * forwards * steps
+        assert res.cache.reads_temporal == gated * forwards * steps
+
+    def test_mis_shaped_video_fails_before_alignment(self, base_model, schedule):
+        # frame 3's empty reference mask would fail alignment; the video's
+        # shape is checked first, by the one rule encode_video keeps
+        masks = synth_masks(shift=3)
+        masks[3] = 0.0
+        job = make_job(video=synth_video(frames=6), ref_masks=masks, steps=2)
+        with pytest.raises(N.ConfigError, match=r"video shape \(6, 4, 32, 32\)"):
+            P.edit(job, base_model, schedule)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_value_names_the_editing_half(self, base_model, schedule):
+        job = make_job(steps=3, guidance=1e30)
+        with pytest.raises(D.NonFiniteError, match=r"edit step .* in the editing half$"):
+            P.edit(job, base_model, schedule)
+
     def test_job_validation_catches_frame_mismatch(self, base_model):
         job = make_job(source_masks=synth_masks(frames=4))
         with pytest.raises(P.JobError, match="source_masks"):

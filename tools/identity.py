@@ -7,9 +7,10 @@ with REV ("base"), which is checked out with ``git worktree`` into a
 temporary directory (local, no network). Each bench seed's
 inputs (seeds 1-3, written by ``perfbench/inputs.py`` of this checkout) are
 written once, so both sides read the same bytes. Then ``edit``, ``edit
---drop-masked-tokens --inject-mid``, ``edit --no-injection``, ``train``,
-``reconstruct`` and ``align`` run on both sides, and their output trees are
-compared file by file.
+--drop-masked-tokens --inject-mid``, ``edit --no-injection``, ``edit
+--guidance 1`` (one forward per step, so no guided pair shares its work),
+``train``, ``reconstruct`` and ``align`` run on both sides, and their output
+trees are compared file by file.
 
 Without ``--tolerance`` every file must be byte-identical. With it, each
 value of a MELT tensor or of ``loss.csv`` may differ from REV's by at most
@@ -37,6 +38,7 @@ COMMANDS = {
     "edit": ("edit",),
     "edit-drop-mid": ("edit", "--drop-masked-tokens", "--inject-mid"),
     "edit-no-injection": ("edit", "--no-injection"),
+    "edit-guidance-1": ("edit", "--guidance", "1"),
     "train": ("train",),
     "reconstruct": ("reconstruct",),
     "align": ("align",),
