@@ -15,9 +15,13 @@ reads its shapes, and the forwards read weights back from the flat name ->
 Tensor map by prefix.
 
 What depends only on frozen weights, the prompt and the timestep (text
-keys/values, time rows) is built once per run in a ``Conditioning``; what the
-forwards of one sampler step share (adapter control sides, injected
-reconstruction blocks) is built once per step in a ``StepContext``.
+keys/values, time rows, and the text sub-block's whole output for a one-token
+prompt such as the unconditional one) is built once per run in a
+``Conditioning``; what the forwards of one sampler step share (the first
+block's opening, adapter control sides, injected reconstruction blocks) is
+built once per step in a ``StepContext``. Both reuses are exact: one key makes
+the text softmax exactly 1, so that output does not depend on the stream, and
+enc0 is never gated, so its opening reads only the latent and the timestep.
 """
 from __future__ import annotations
 
@@ -301,8 +305,9 @@ def _frame_shifted(x: Tensor) -> Tensor:
 class Conditioning:
     """What the forwards of one run compute from frozen weights and fixed
     inputs alone, each built on first use and kept for the run: every U-Net
-    block's projected text keys and values per prompt, and every U-Net and
-    ControlNet block's time row per timestep.
+    block's projected text keys and values per prompt, its text sub-block's
+    output for a one-token prompt, and every U-Net and ControlNet block's time
+    row per timestep.
 
     A tracked weight would need its rows rebuilt at every step for its
     gradient, so building from one raises TapeError; a forward handed no
@@ -315,11 +320,12 @@ class Conditioning:
             ["unet.time_table"]
             + [f"control.{lid}.time_proj" for lid in CONTROL_BLOCKS]
             + [f"unet.{lid}.{w}" for lid in BLOCK_ORDER
-               for w in ("time_proj", "cross.w_k", "cross.w_v")])
+               for w in ("time_proj", "cross.w_k", "cross.w_v", "cross.w_out")])
         tracked = sorted(n for n in self.names if model.params[n].node is not None)
         if tracked:
             raise T.TapeError(f"conditioning built from tracked weights {tracked}")
         self._text: dict[tuple[str, str | None], tuple[Tensor, Tensor]] = {}
+        self._cross: dict[tuple[str, str | None], Tensor | None] = {}
         self._time: dict[tuple[str, int], Tensor] = {}
 
     def text_kv(self, lid: str, prompt: str | None) -> tuple[Tensor, Tensor]:
@@ -330,6 +336,26 @@ class Conditioning:
             kv = self._text[lid, prompt] = A.project_kv(
                 text, self.model.pset(f"unet.{lid}.cross"))
         return kv
+
+    def cross_out(self, lid: str, prompt: str | None) -> Tensor | None:
+        """U-Net block ``lid``'s text sub-block output for a one-token
+        ``prompt`` (the unconditional one among them), or None for a longer
+        prompt. One key makes the softmax exactly 1 for every query, so the
+        output is the value row through ``w_out`` whatever the stream; it is
+        built as the sub-block builds it, from the full (F, N, 1) stack of
+        ones, so its bits equal the sub-block's."""
+        key = (lid, prompt)
+        if key not in self._cross:
+            k, v = self.text_kv(lid, prompt)
+            out = None
+            if k.shape[0] == 1:
+                cfg = self.model.cfg
+                n = math.prod(cfg.level_hw(BLOCK_LEVEL[lid]))
+                ones = Tensor(np.ones((cfg.frames, n, 1), np.float32))
+                out = T.matmul(T.matmul(ones, v),
+                               self.model.params[f"unet.{lid}.cross.w_out"])
+            self._cross[key] = out
+        return self._cross[key]
 
     def time_row(self, pre: str, t: int) -> Tensor:
         """The (1, d) time embedding of block ``pre`` at timestep ``t``."""
@@ -343,22 +369,29 @@ class Conditioning:
 
 class _OneForward(Conditioning):
     """One forward's conditioning: built from its own weights, tracked ones
-    included, so that their gradients reach them."""
+    included, so that their gradients reach them. Its text sub-blocks run in
+    full, since one forward has nothing to share them with."""
 
     def __init__(self, model: ModelWeights):
         self.model, self._text, self._time = model, {}, {}
 
+    def cross_out(self, lid: str, prompt: str | None) -> None:
+        return None
+
 
 @dataclass
 class StepContext:
-    """What the U-Net forwards of one sampler step at ``t`` share, built by
-    the first forward that needs it: each controlled layer's adapter control
-    side and each injecting layer's reconstruction block. The cond and uncond
-    forwards under guidance read the same ControlNet features, cache entries
-    and masks, so one context serves both; forwards that differ in any of
-    these must not share one."""
+    """What the U-Net forwards of one sampler step share, built by the first
+    forward that needs it: the first block's opening on the latent ``z`` at
+    ``t``, each controlled layer's adapter control side and each injecting
+    layer's reconstruction block. The cond and uncond forwards under guidance
+    read the same latent, ControlNet features, cache entries and masks, so one
+    context serves both; forwards that differ in any of these must not share
+    one, and a forward on another timestep or latent refuses it."""
 
     t: int
+    z: Tensor
+    opening: tuple[Tensor, Tensor] | None = None
     control: dict[str, AD.ControlSide] = field(default_factory=dict)
     blocks: dict[str, I.Block] = field(default_factory=dict)
 
@@ -400,21 +433,29 @@ def _conv_time_residual(x: Tensor, model: ModelWeights, pre: str,
     return T.add(x, h)
 
 
-def _unet_block(x: Tensor, model: ModelWeights, lid: str, t: int, prompt: str | None,
-                role: str, cache, masks, inj, probe, cond: Conditioning,
-                step: StepContext) -> Tensor:
-    cs_kv, temporal_kv = I.kv_hooks(role, lid, t, TOPOLOGY, BLOCK_LEVEL[lid],
-                                    cache, masks, inj, step.blocks)
+def _opening(x: Tensor, model: ModelWeights, lid: str, t: int, role: str,
+             cs_kv, cond: Conditioning) -> tuple[Tensor, Tensor]:
+    """Block ``lid``'s conv/time residual and cross-frame sub-block on the
+    stream ``x``: the sub-block's output and the stream after it."""
     x = _conv_time_residual(x, model, f"unet.{lid}", cond.time_row(f"unet.{lid}", t))
-
     cs = (_injected_cs_sub_block if role == "edit" and cs_kv is not None
           else _cs_sub_block)
     cs_out = cs(x, model, lid, cs_kv)
+    return cs_out, T.add(x, cs_out)
+
+
+def _unet_block(opened: tuple[Tensor, Tensor], model: ModelWeights, lid: str,
+                prompt: str | None, temporal_kv, probe,
+                cond: Conditioning) -> Tensor:
+    """The rest of block ``lid`` after its ``_opening``: text cross and
+    temporal sub-blocks."""
+    cs_out, x = opened
     if probe is not None:
         probe[(lid, "cs")] = cs_out.data
-    x = T.add(x, cs_out)
 
-    cross_out = _cross_sub_block(x, model, lid, cond.text_kv(lid, prompt))
+    cross_out = cond.cross_out(lid, prompt)
+    if cross_out is None:
+        cross_out = _cross_sub_block(x, model, lid, cond.text_kv(lid, prompt))
     if probe is not None:
         probe[(lid, "cross")] = cross_out.data
     x = T.add(x, cross_out)
@@ -450,8 +491,8 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
     role "recon" writes decoder-layer keys/values to ``cache``; role "edit"
     replaces the gated layers' keys/values with injected stacks built from
     ``cache`` and ``masks``. The plain role touches neither. ``cond`` (the
-    run's Conditioning) and ``step`` (the step's StepContext) hand in what
-    other forwards have built already.
+    run's Conditioning) and ``step`` (the step's StepContext, built for ``z``
+    at ``t``) hand in what other forwards have built already.
     """
     cfg = model.cfg
     want = (cfg.frames, cfg.channels, cfg.latent_size, cfg.latent_size)
@@ -468,17 +509,25 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
     if role == "edit" and inj.enabled and (cache is None or masks is None):
         raise ConfigError("editing role with injection needs cache and masks")
     cond = _OneForward(model) if cond is None else cond
-    step = StepContext(t) if step is None else step
+    step = StepContext(t, z) if step is None else step
     if step.t != t:
         raise ConfigError(f"step context of t={step.t} handed to a forward at t={t}")
+    if step.z is not z:
+        raise ConfigError("step context built for another latent")
 
     def block(x: Tensor, lid: str) -> Tensor:
-        return _unet_block(x, model, lid, t, prompt, role, cache, masks, inj,
-                           probe, cond, step)
+        cs_kv, temporal_kv = I.kv_hooks(role, lid, t, TOPOLOGY, BLOCK_LEVEL[lid],
+                                        cache, masks, inj, step.blocks)
+        return _unet_block(_opening(x, model, lid, t, role, cs_kv, cond), model,
+                           lid, prompt, temporal_kv, probe, cond)
 
     h0 = w0 = cfg.latent_size
-    x = T.matmul(_tokens_from_latent(z, cfg), model.params["unet.in_proj"])
-    x = block(x, "enc0")
+    # enc0 is never gated, so its opening reads the latent and t alone and the
+    # step's forwards share it
+    if step.opening is None:
+        x = T.matmul(_tokens_from_latent(z, cfg), model.params["unet.in_proj"])
+        step.opening = _opening(x, model, "enc0", t, "plain", None, cond)
+    x = _unet_block(step.opening, model, "enc0", prompt, None, probe, cond)
     skip0 = x
     x = T.matmul(_pool2_tokens(x, h0, w0), model.params["unet.down_proj"])
     x = block(x, "enc1")

@@ -133,7 +133,9 @@ def _predictor(model: N.ModelWeights, ts: list[int], prompt: str | None,
     features from ``pose`` if given, classifier-free guidance (one forward at
     1), and ``role`` inside the injection window of ``inj``, "plain" before
     it and at every step without ``inj``. ``cond`` is the run's Conditioning
-    (built here if not given); each step's forwards share one StepContext."""
+    (built here if not given); each step's forwards share one StepContext, so
+    under guidance the uncond forward reuses the cond forward's first-block
+    opening."""
     step_index = {t: idx for idx, t in enumerate(reversed(ts))}
     cond = N.Conditioning(model) if cond is None else cond
 
@@ -142,7 +144,7 @@ def _predictor(model: N.ModelWeights, ts: list[int], prompt: str | None,
                      and inj.active_at(step_index[t], len(ts)) else "plain")
         feats = (N.controlnet_forward(model, x, t, pose, cond)
                  if pose is not None else None)
-        step = N.StepContext(t)
+        step = N.StepContext(t, x)
 
         def forward(text: str | None) -> Tensor:
             return N.unet_forward(model, x, t, text, control_feats=feats,

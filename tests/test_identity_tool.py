@@ -1,6 +1,7 @@
 """The output-tree comparison of ``tools/identity.py``, on trees built here
 (no git, no commands run)."""
 import argparse
+import json
 import os
 import shutil
 import sys
@@ -112,3 +113,19 @@ def test_bad_tolerance_rejected(text):
 
 def test_tolerance_parsed():
     assert identity.parse_tolerance("1e-5,0") == (1e-5, 0.0)
+
+
+def test_one_word_target_rewrites_only_the_target(tmp_path):
+    config = {"seed": 2, "prompts": {"source": "a figure walking right",
+                                     "target": "a figure marching right"},
+              "sampler": {"steps": 50, "guidance": 7.5}}
+    src = tmp_path / "config.json"
+    src.write_text(json.dumps(config))
+    out = identity.one_word_target(str(src), str(tmp_path / "one.json"))
+    assert out == str(tmp_path / "one.json")
+    with open(out) as fh:
+        got = json.load(fh)
+    config["prompts"]["target"] = "marching"
+    assert got == config
+    assert json.loads(src.read_text())["prompts"]["target"] == "a figure marching right"
+    assert set(identity.CONFIGS) <= set(identity.COMMANDS)

@@ -138,36 +138,73 @@ def test_step_blocks_built_once_equal_per_forward_builds(model, drop, monkeypatc
     assert cache.reads_cs == 4  # each forward and each reference reads
 
 
-def test_guided_step_prepares_each_gated_layer_once(model, latent, monkeypatch):
+@pytest.mark.parametrize("prompt", ["a figure marching", "marching"])
+def test_guided_step_prepares_each_gated_layer_once(model, latent, prompt, monkeypatch):
     t = 21
     cache = I.ReconCache()
     N.unet_forward(model, latent, t, "a figure walking", role="recon", cache=cache)
     pose = N.pose_features(model, skeleton_stack())
     masks, inj = mask_pyramid(), I.InjectionSettings()
-    counts = {"blocks": 0, "control": 0}
+    counts = {"blocks": 0, "control": 0, "in_proj": 0, "enc0_cs": 0}
 
-    def counted(owner, name, key):
+    def counted(owner, name, key, when=lambda *args: True):
         real = getattr(owner, name)
 
         def wrapper(*args):
-            counts[key] += 1
+            counts[key] += when(*args)
             return real(*args)
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(I.CsMask, "block", "blocks")
     counted(AD, "control_side", "control")
-    eps = P._predictor(model, [t], "a figure marching", pose, 7.5, "edit", cache,
-                       masks, inj)(latent, t)
+    counted(T, "matmul", "in_proj", lambda a, b: b is model.params["unet.in_proj"])
+    counted(N, "_cs_sub_block", "enc0_cs", lambda x, m, lid, kv: lid == "enc0")
+    eps = P._predictor(model, [t], prompt, pose, 7.5, "edit", cache, masks,
+                       inj)(latent, t)
     gated = [lid for lid in N.BLOCK_ORDER if I.gate(lid, N.TOPOLOGY)]
-    assert counts == {"blocks": len(gated), "control": len(N.CONTROLLED_LAYERS)}
+    assert counts == {"blocks": len(gated), "control": len(N.CONTROLLED_LAYERS),
+                      "in_proj": 1, "enc0_cs": 1}
     assert cache.reads_cs == cache.reads_temporal == 2 * len(gated)
     # the same step with nothing shared: every forward builds its own
     feats = N.controlnet_forward(model, latent, t, pose)
     eps_c, eps_u = (N.unet_forward(model, latent, t, text, control_feats=feats,
                                    role="edit", cache=cache, masks=masks, inj=inj)
-                    for text in ("a figure marching", None))
-    assert counts == {"blocks": 3 * len(gated), "control": 3 * len(N.CONTROLLED_LAYERS)}
+                    for text in (prompt, None))
+    assert counts == {"blocks": 3 * len(gated), "control": 3 * len(N.CONTROLLED_LAYERS),
+                      "in_proj": 3, "enc0_cs": 3}
     np.testing.assert_array_equal(eps.data, D.cfg_combine(eps_u, eps_c, 7.5).data)
+
+
+@pytest.mark.parametrize("prompt", [None, "", "marching"])
+@pytest.mark.parametrize("lid", ["enc0", "mid"])
+def test_one_token_cross_output_equals_the_sub_block(model, lid, prompt):
+    level = N.BLOCK_LEVEL[lid]
+    shape = (CFG.frames, math.prod(CFG.level_hw(level)), CFG.widths[level])
+    cond = N.Conditioning(model)
+    got = cond.cross_out(lid, prompt)
+    assert got is cond.cross_out(lid, prompt)
+    for seed in (90, 91, 92):
+        x = T.Tensor(rnd(shape, seed=seed, scale=3.0))
+        want = N._cross_sub_block(x, model, lid, cond.text_kv(lid, prompt))
+        np.testing.assert_array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("prompt, shared", [(None, True), ("marching", True),
+                                            ("a figure marching right", False)])
+def test_only_one_token_prompts_skip_the_text_sub_block(model, latent, prompt, shared,
+                                                        monkeypatch):
+    calls = []
+    real = N._cross_sub_block
+    monkeypatch.setattr(N, "_cross_sub_block",
+                        lambda x, m, lid, kv: calls.append(lid) or real(x, m, lid, kv))
+    cond = N.Conditioning(model)
+    assert (cond.cross_out("dec0", prompt) is not None) == shared
+    eps = N.unet_forward(model, latent, 9, prompt, cond=cond)
+    assert calls == ([] if shared else list(N.BLOCK_ORDER))
+    calls.clear()
+    alone = N.unet_forward(model, latent, 9, prompt)  # a one-forward conditioning
+    assert calls == list(N.BLOCK_ORDER)
+    np.testing.assert_array_equal(eps.data, alone.data)
 
 
 class TestConditioning:
@@ -185,8 +222,8 @@ class TestConditioning:
             alone = N.unet_forward(model, latent, t, "p", control_feats=feats)
             np.testing.assert_array_equal(shared.data, alone.data)
 
-    @pytest.mark.parametrize("name", ["unet.dec0.cross.w_k", "unet.time_table",
-                                      "control.c_enc1.time_proj"])
+    @pytest.mark.parametrize("name", ["unet.dec0.cross.w_k", "unet.enc0.cross.w_out",
+                                      "unet.time_table", "control.c_enc1.time_proj"])
     def test_built_from_a_watched_weight_raises(self, model, name):
         tape = T.Tape()
         watched = model.replace({name: tape.watch(model.params[name])})
@@ -204,7 +241,12 @@ class TestConditioning:
 
     def test_step_context_of_another_timestep_rejected(self, model, latent):
         with pytest.raises(N.ConfigError, match="t=5"):
-            N.unet_forward(model, latent, 6, "p", step=N.StepContext(5))
+            N.unet_forward(model, latent, 6, "p", step=N.StepContext(5, latent))
+
+    def test_step_context_of_another_latent_rejected(self, model, latent):
+        other = T.Tensor(latent.data.copy())
+        with pytest.raises(N.ConfigError, match="another latent"):
+            N.unet_forward(model, latent, 5, "p", step=N.StepContext(5, other))
 
 
 class TestUnetForward:

@@ -9,8 +9,9 @@ inputs (seeds 1-3, written by ``perfbench/inputs.py`` of this checkout) are
 written once, so both sides read the same bytes. Then ``edit``, ``edit
 --drop-masked-tokens --inject-mid``, ``edit --no-injection``, ``edit
 --guidance 1`` (one forward per step, so no guided pair shares its work),
-``train``, ``reconstruct`` and ``align`` run on both sides, and their output
-trees are compared file by file.
+``edit`` with a one-word target prompt (so the cond forward, too, reads a
+one-token text output), ``train``, ``reconstruct`` and ``align`` run on both
+sides, and their output trees are compared file by file.
 
 Without ``--tolerance`` every file must be byte-identical. With it, each
 value of a MELT tensor or of ``loss.csv`` may differ from REV's by at most
@@ -22,6 +23,7 @@ when one does not or a command fails, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import struct
@@ -39,10 +41,26 @@ COMMANDS = {
     "edit-drop-mid": ("edit", "--drop-masked-tokens", "--inject-mid"),
     "edit-no-injection": ("edit", "--no-injection"),
     "edit-guidance-1": ("edit", "--guidance", "1"),
+    "edit-one-word": ("edit",),
     "train": ("train",),
     "reconstruct": ("reconstruct",),
     "align": ("align",),
 }
+
+
+def one_word_target(config: str, out: str) -> str:
+    """Write to ``out`` a copy of the JSON config ``config`` whose target
+    prompt is only its third word (the verb of the bench's "a figure <verb>
+    right"); return ``out``."""
+    with open(config) as fh:
+        values = json.load(fh)
+    values["prompts"]["target"] = values["prompts"]["target"].split()[2]
+    with open(out, "w") as fh:
+        json.dump(values, fh, indent=1, sort_keys=True)
+    return out
+
+
+CONFIGS = {"edit-one-word": one_word_target}  # label -> config rewrite
 
 
 @dataclass(frozen=True)
@@ -205,10 +223,14 @@ def check(rev: str, tolerance: tuple[float, float] | None, work: str) -> int:
         sides = {"base": os.path.join(base_root, "src"), "head": os.path.join(ROOT, "src")}
         bad = 0
         for seed in SEEDS:
-            config = inputs.write_inputs(seed, os.path.join(work, f"inputs-{seed}"))
+            inputs_dir = os.path.join(work, f"inputs-{seed}")
+            config = inputs.write_inputs(seed, inputs_dir)
             for label, (command, *flags) in COMMANDS.items():
+                rewrite = CONFIGS.get(label)
+                path = (config if rewrite is None
+                        else rewrite(config, os.path.join(inputs_dir, f"{label}.json")))
                 bad += not _check_tree(f"seed {seed} {label}",
-                                       [command, "--config", config, *flags],
+                                       [command, "--config", path, *flags],
                                        sides, work, tolerance)
         return bad
     finally:
