@@ -66,6 +66,21 @@ def _keep_freed_heap() -> bool:
                 and mallopt(_M_TRIM_THRESHOLD, 64 << 20))
 
 
+@functools.cache
+def _one_blas_thread() -> bool:
+    """Run OpenBLAS on one thread; True if it took the setting.
+
+    The matrices are tiny, so a second BLAS thread only spins, and ``edit``
+    hands its reconstruction branch to a second process only beside a
+    one-thread BLAS. Does nothing where numpy links no OpenBLAS.
+    """
+    set_threads = P.openblas_function("set")
+    if set_threads is None:
+        return False
+    set_threads(1)
+    return P.openblas_function("get")() == 1
+
+
 # ---------------------------------------------------------------------------
 # shared I/O helpers
 
@@ -654,6 +669,7 @@ def _flag_fields(args) -> list[tuple[str, str, object]]:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     _keep_freed_heap()
+    _one_blas_thread()
     try:
         if args.command == "selftest":
             seed = C.config_from_dict({"seed": args.seed}).seed

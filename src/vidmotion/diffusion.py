@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -155,57 +155,54 @@ EpsFn = Callable[[Tensor, int], Tensor]
 
 
 def _finite_step(where: str, predict: Callable[[], Tensor],
-                 move: Callable[[Tensor], Tensor], halves: Sequence[str]) -> Tensor:
+                 move: Callable[[Tensor], Tensor]) -> Tensor:
     """Run one sampler step, the predictor and then the elementwise move,
     with numpy overflow and invalid operations raised. The first non-finite
-    value raises NonFiniteError ``where``; one in the move also names the
-    first of ``halves`` (equal parts along axis 0, if given) it arose in."""
+    value raises NonFiniteError ``where``."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            eps = predict()
+            x = move(predict())
     except FloatingPointError as exc:
         raise NonFiniteError(f"{where}: {exc}") from None
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            x = move(eps)
-        reason = "the new latent is not finite"
-    except FloatingPointError as exc:
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = move(eps)  # to find the half; the move is a pure function
-        reason = str(exc)
-    finite = np.isfinite(x.data)
-    if not finite.all():
-        half = ""
-        if halves:
-            bad = ~finite.reshape(len(halves), -1).all(axis=1)
-            half = f" in the {halves[int(np.argmax(bad))]} half"
-        raise NonFiniteError(f"{where}: {reason}{half}")
+    if not np.isfinite(x.data).all():
+        raise NonFiniteError(f"{where}: the new latent is not finite")
     return x
 
 
 def _walk(eps_fn: EpsFn, x: Tensor, path: list[int], s: NoiseSchedule,
-          step: Callable[..., Tensor], phase: str,
-          halves: Sequence[str] = ()) -> Trajectory:
+          step: Callable[..., Tensor], phase: str) -> Iterator[tuple[int, Tensor]]:
     """Move x along ``path`` with ``step``, predicting noise at the later end
-    of each move; the step function rejects a move in the wrong direction."""
-    traj = Trajectory()
-    traj.append(path[0], x)
+    of each move, and yield each (timestep, latent) it reaches after
+    ``path[0]``; the step function rejects a move in the wrong direction."""
     for i, (a, b) in enumerate(zip(path, path[1:])):
         t = max(a, b)
         where = f"non-finite value in {phase} step {i + 1}/{len(path) - 1} (t={t})"
         x = _finite_step(where, lambda: eps_fn(x, t),
-                         lambda eps: step(x, eps, a, b, s), halves)
-        traj.append(b, x)
+                         lambda eps: step(x, eps, a, b, s))
+        yield b, x
+
+
+def _trajectory(t0: int, x0: Tensor,
+                points: Iterator[tuple[int, Tensor]]) -> Trajectory:
+    traj = Trajectory()
+    traj.append(t0, x0)
+    for t, x in points:
+        traj.append(t, x)
     return traj
 
 
+def ddim_steps(eps_fn: EpsFn, x_start: Tensor, ts: Sequence[int],
+               s: NoiseSchedule, phase: str = "sample"
+               ) -> Iterator[tuple[int, Tensor]]:
+    """``ddim_sample`` one step at a time: each (timestep, latent) after
+    ``x_start`` is yielded as it is reached."""
+    return _walk(eps_fn, x_start, [*reversed(ts), CLEAN_STEP], s, ddim_step, phase)
+
+
 def ddim_sample(eps_fn: EpsFn, x_start: Tensor, ts: Sequence[int],
-                s: NoiseSchedule, phase: str = "sample",
-                halves: Sequence[str] = ()) -> Trajectory:
-    """Denoise along decreasing ts (ending at the clean endpoint). ``halves``
-    names equal parts of a latent stacked along axis 0, for error messages."""
-    return _walk(eps_fn, x_start, [*reversed(ts), CLEAN_STEP], s, ddim_step, phase,
-                 halves)
+                s: NoiseSchedule, phase: str = "sample") -> Trajectory:
+    """Denoise along decreasing ts (ending at the clean endpoint)."""
+    return _trajectory(ts[-1], x_start, ddim_steps(eps_fn, x_start, ts, s, phase))
 
 
 def ddim_invert(eps_fn: EpsFn, x0: Tensor, ts: Sequence[int],
@@ -215,7 +212,8 @@ def ddim_invert(eps_fn: EpsFn, x0: Tensor, ts: Sequence[int],
     The predictor is evaluated at the current latent with the *target*
     timestep (the clean endpoint is never fed to the network).
     """
-    return _walk(eps_fn, x0, [CLEAN_STEP, *ts], s, ddim_invert_step, phase)
+    return _trajectory(CLEAN_STEP, x0, _walk(eps_fn, x0, [CLEAN_STEP, *ts], s,
+                                             ddim_invert_step, phase))
 
 
 def oracle_eps_fn(x0: Tensor, s: NoiseSchedule) -> EpsFn:

@@ -218,7 +218,7 @@ class LatentMask:
 
 
 def kv_hooks(role: str, layer: str, t: int, topology: dict[str, str], level: int,
-             cache: ReconCache | None, masks: LatentMask | None,
+             cache: ReconCache | CacheLog | None, masks: LatentMask | None,
              inj: InjectionSettings | None,
              blocks: dict[str, Block] | None = None
              ) -> tuple[A.KVHook | None, A.KVHook | None]:
@@ -297,6 +297,11 @@ class ReconCache:
     def put_temporal(self, layer: str, t: int, k: np.ndarray, v: np.ndarray) -> None:
         self._put(self.temporal, layer, t, k, v)
 
+    def replay(self, writes: list[Write]) -> None:
+        """Apply the writes a CacheLog took, in their order."""
+        for kind, *write in writes:
+            (self.put_cs if kind == "cs" else self.put_temporal)(*write)
+
     def get_cs(self, layer: str, t: int) -> tuple[Tensor, Tensor]:
         kv = self._get(self.cs, "cross-frame", layer, t)
         self.reads_cs += 1
@@ -306,3 +311,26 @@ class ReconCache:
         kv = self._get(self.temporal, "temporal", layer, t)
         self.reads_temporal += 1
         return kv
+
+
+# One cache write: "cs" or "temporal", then the put's (layer, t, k, v).
+Write = tuple[str, str, int, np.ndarray, np.ndarray]
+
+
+class CacheLog:
+    """Takes the reconstruction forwards' cache writes in a ReconCache's
+    place, in order, for a ReconCache to ``replay`` elsewhere."""
+
+    def __init__(self):
+        self.writes: list[Write] = []
+
+    def put_cs(self, layer: str, t: int, k: np.ndarray, v: np.ndarray) -> None:
+        self.writes.append(("cs", layer, t, k, v))
+
+    def put_temporal(self, layer: str, t: int, k: np.ndarray, v: np.ndarray) -> None:
+        self.writes.append(("temporal", layer, t, k, v))
+
+    def take(self) -> list[Write]:
+        """The writes since the last take."""
+        writes, self.writes = self.writes, []
+        return writes

@@ -481,18 +481,20 @@ def _adapted(x: Tensor, model: ModelWeights, lid: str,
 
 def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
                  control_feats: dict[str, Tensor] | None = None,
-                 role: str = "plain", cache: I.ReconCache | None = None,
+                 role: str = "plain",
+                 cache: I.ReconCache | I.CacheLog | None = None,
                  masks: I.LatentMask | None = None,
                  inj: I.InjectionSettings | None = None,
                  probe: dict | None = None, cond: Conditioning | None = None,
                  step: StepContext | None = None) -> Tensor:
     """Predict noise for a latent video block.
 
-    role "recon" writes decoder-layer keys/values to ``cache``; role "edit"
-    replaces the gated layers' keys/values with injected stacks built from
-    ``cache`` and ``masks``. The plain role touches neither. ``cond`` (the
-    run's Conditioning) and ``step`` (the step's StepContext, built for ``z``
-    at ``t``) hand in what other forwards have built already.
+    role "recon" writes decoder-layer keys/values to ``cache`` (a ReconCache,
+    or a CacheLog that one replays); role "edit" replaces the gated layers'
+    keys/values with injected stacks built from ``cache`` and ``masks``. The
+    plain role touches neither. ``cond`` (the run's Conditioning) and
+    ``step`` (the step's StepContext, built for ``z`` at ``t``) hand in what
+    other forwards have built already.
     """
     cfg = model.cfg
     want = (cfg.frames, cfg.channels, cfg.latent_size, cfg.latent_size)

@@ -1,16 +1,26 @@
 """End-to-end orchestration: one-shot training on the source video, DDIM
 inversion, and two-branch editing with attention injection.
 
-Both branches denoise the inverted source in lockstep through one DDIM loop:
-at each step the reconstruction branch (source skeleton condition) writes its
-keys/values into the ReconCache, and the editing branch (aligned target
-skeleton) reads them as injected keys/values at gated layers, so the cache
-hands off one step at a time.
+Both branches denoise the inverted source step by step: at each step the
+reconstruction branch (source skeleton condition) writes its keys/values, the
+editing branch's ReconCache takes them, and the editing branch (aligned
+target skeleton) reads them as injected keys/values at gated layers, so the
+cache hands off one step at a time. The reconstruction branch reads nothing
+of the editing branch, so where the host allows it runs ahead of it in a
+forked child, on another CPU.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import itertools
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass, field
+from typing import Callable, Iterator, NoReturn
 
 import numpy as np
 
@@ -235,15 +245,129 @@ def align_skeletons(source_skeletons: np.ndarray, source_masks: np.ndarray,
     return np.stack(aligned), reports
 
 
+@functools.cache
+def openblas_function(verb: str):
+    """numpy's OpenBLAS ``openblas_<verb>_num_threads`` ("get" or "set"),
+    under whichever prefix and suffix its build exports it, or None where
+    numpy links no OpenBLAS."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_")):
+        fn = getattr(lib, f"{prefix}openblas_{verb}_num_threads{suffix}", None)
+        if fn is not None:
+            fn.argtypes = (ctypes.c_int,) if verb == "set" else ()
+            fn.restype = None if verb == "set" else ctypes.c_int
+            return fn
+    return None
+
+
+def _fork_recon() -> bool:
+    """Whether ``edit`` runs its reconstruction walk in a forked child: fork
+    exists, this process may use 2 CPUs or more, OpenBLAS runs one thread and
+    no other Python thread runs. A fork copies no thread, so it must not
+    leave a lock some other thread holds; and two BLAS threads in each of two
+    processes contend for the cores."""
+    get_threads = openblas_function("get")
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and get_threads is not None and get_threads() == 1
+            and threading.active_count() == 1)
+
+
+def _in_half(exc: Exception, half: str) -> Exception:
+    """``exc``, or for a NonFiniteError one that names the ``half`` it
+    arose in."""
+    if isinstance(exc, D.NonFiniteError):
+        return D.NonFiniteError(f"{exc} in the {half} half")
+    return exc
+
+
+def _recon_walk(model: N.ModelWeights, x: Tensor, ts: list[int],
+                schedule: D.NoiseSchedule, prompt: str,
+                pose: dict[int, Tensor] | None, inj: I.InjectionSettings,
+                cond: N.Conditioning) -> Iterator[list[I.Write] | Tensor | Exception]:
+    """``edit``'s reconstruction branch as messages: for each sampler step
+    the cache writes of its forward, which the editing forwards of that step
+    read, then its final latent. An error ends it as its last message."""
+    log = I.CacheLog()
+    eps_fn = _predictor(model, ts, prompt, pose, role="recon", cache=log,
+                        inj=inj, cond=cond)
+    try:
+        for _, x in D.ddim_steps(eps_fn, x, ts, schedule, phase="edit"):
+            yield log.take()
+    except Exception as exc:  # sent on, for edit to raise
+        yield _in_half(exc, "reconstruction")
+        return
+    yield x
+
+
+def _received(message):
+    if isinstance(message, BaseException):
+        raise message
+    return message
+
+
+def _send_all(walk: Iterator, read_end: int, write_end: int) -> NoReturn:
+    """In the forked child: pickle each message of ``walk`` into the pipe,
+    then leave without flushing the stdio buffers or running the exit hooks
+    it inherited."""
+    code = 1
+    try:
+        os.close(read_end)
+        with open(write_end, "wb") as pipe:
+            for message in walk:
+                pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+                pipe.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _load(pipe):
+    try:
+        return pickle.load(pipe)
+    except EOFError:
+        raise RuntimeError("the reconstruction worker stopped before its "
+                           "last message") from None
+
+
+@contextlib.contextmanager
+def _started(walk: Iterator) -> Iterator[Callable[[], object]]:
+    """``walk`` as a function that returns its next message, and raises an
+    error it sends. Where ``_fork_recon()`` holds, a forked child runs the
+    walk ahead and sends its messages through a pipe, and leaving the
+    ``with`` block kills and reaps it, however the block ends; elsewhere each
+    call advances the walk in this process."""
+    if not _fork_recon():
+        yield lambda: _received(next(walk))
+        return
+    import signal  # here, so importing vidmotion loads no module numpy does not
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _send_all(walk, read_end, write_end)
+    try:
+        os.close(write_end)
+        with open(read_end, "rb") as pipe:
+            yield lambda: _received(_load(pipe))
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 def edit(job: EditJob, model: N.ModelWeights,
          schedule: D.NoiseSchedule | None = None) -> EditResult:
     """Full two-branch motion edit.
 
     Encode the source video, align the reference skeletons, invert the
-    source, then denoise the reconstruction branch (writing the cache) and
-    the editing branch (reading injected keys/values at gated layers under
-    the target prompt and guidance) in lockstep, stacked along the frame
-    axis. A non-finite value names the half it arose in.
+    source, then denoise it with the reconstruction branch and the editing
+    branch. Before each editing step the ReconCache takes the keys/values
+    the reconstruction branch wrote at that step, and the editing forwards
+    (target prompt and guidance) read them at gated layers. A non-finite
+    value names the half it arose in; the reconstruction half is named when
+    both fail at one step.
     """
     cfg = model.cfg
     job.validate(cfg)
@@ -263,27 +387,17 @@ def edit(job: EditJob, model: N.ModelWeights,
     cache = I.ReconCache()
     masks = I.LatentMask.from_rasters(np.asarray(job.source_masks),
                                       cfg.level_shapes())
-    # recon first, so step t is cached before the edit forwards read it
-    halves = {
-        "reconstruction": _predictor(model, ts, job.prompt_source, source_pose,
-                                     role="recon", cache=cache,
-                                     inj=job.injection, cond=cond),
-        "editing": _predictor(model, ts, job.prompt_target,
-                              N.pose_features(model, aligned), job.guidance,
-                              "edit", cache, masks, job.injection, cond)}
-    f = cfg.frames
-
-    def lockstep(x: Tensor, t: int) -> Tensor:
-        # DDIM updates are elementwise, so each half equals a separate run
-        eps = []
-        for i, (half, eps_fn) in enumerate(halves.items()):
+    with _started(_recon_walk(model, inv.final, ts, schedule, job.prompt_source,
+                              source_pose, job.injection, cond)) as receive:
+        editing = _predictor(model, ts, job.prompt_target,
+                             N.pose_features(model, aligned), job.guidance,
+                             "edit", cache, masks, job.injection, cond)
+        steps = D.ddim_steps(editing, inv.final, ts, schedule, phase="edit")
+        for _ in ts:
+            cache.replay(receive())
             try:
-                eps.append(eps_fn(T.slice_axis(x, 0, i * f, (i + 1) * f), t))
-            except FloatingPointError as exc:
-                raise FloatingPointError(f"{exc} in the {half} half") from None
-        return T.concat(eps, axis=0)
-
-    both = D.ddim_sample(lockstep, T.concat([inv.final] * 2, axis=0), ts,
-                         schedule, phase="edit", halves=tuple(halves)).final
-    recon, edited = (T.slice_axis(both, 0, i * f, (i + 1) * f) for i in (0, 1))
+                _, edited = next(steps)
+            except D.NonFiniteError as exc:
+                raise _in_half(exc, "editing") from None
+        recon = receive()
     return EditResult(edited, recon, aligned, reports, inv, cache)

@@ -519,8 +519,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             dbeta = (g.sum(axis=lead) if lead else g).astype(np.float32)
         if kx:
             dxh = g * gd
-            dx = inv * (dxh - dxh.mean(axis=-1, keepdims=True)
-                        - xh * (dxh * xh).mean(axis=-1, keepdims=True))
+            dx = inv * (dxh - _row_mean(dxh) - xh * _row_mean(dxh * xh))
             dx = dx.astype(np.float32)
         return dx, dgamma, dbeta
 

@@ -715,6 +715,29 @@ class TestFrameMetrics:
             frame_metrics(T.zeros((2, 1, 2, 2)), T.zeros((3, 1, 2, 2)))
 
 
+def test_cli_runs_one_blas_thread(tmp_path):
+    """Importing vidmotion leaves OpenBLAS's thread count as the environment
+    set it; once ``cli.main`` runs, OpenBLAS runs one thread (where numpy
+    links OpenBLAS)."""
+    code = ("import sys\n"
+            "from vidmotion import cli, pipeline as P\n"
+            "get = P.openblas_function('get')\n"
+            "if get is None:\n"
+            "    sys.exit(3)\n"
+            "imported = get()\n"
+            "cli.main(['edit', '--config', 'missing.json', '--out', 'out'])\n"
+            "print(imported, get())\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          cwd=tmp_path, capture_output=True, text=True)
+    if proc.returncode == 3:
+        pytest.skip("numpy links no OpenBLAS here")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(min(2, len(os.sched_getaffinity(0)))), "1"]
+
+
 def test_freed_heap_is_reused_across_forwards():
     """Once the CLI's allocator settings apply, steady-state edit steps reuse
     freed memory instead of faulting fresh pages in (glibc only)."""

@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import shutil
+import subprocess
 import sys
 
 import numpy as np
@@ -129,3 +130,21 @@ def test_one_word_target_rewrites_only_the_target(tmp_path):
     assert got == config
     assert json.loads(src.read_text())["prompts"]["target"] == "a figure marching right"
     assert set(identity.CONFIGS) <= set(identity.COMMANDS)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity on this platform")
+def test_one_cpu_label_runs_edit_without_the_worker():
+    assert identity.COMMANDS["edit-one-cpu"] == ("edit",)
+    assert set(identity.PREEXEC) <= set(identity.COMMANDS)
+    code = ("import os\n"
+            "from vidmotion import cli, pipeline as P\n"
+            "cli._one_blas_thread()\n"
+            "print(len(os.sched_getaffinity(0)), P._fork_recon())\n")
+    src = os.path.join(identity.ROOT, "src")
+    proc = subprocess.run([sys.executable, "-c", code], timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          preexec_fn=identity.PREEXEC["edit-one-cpu"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "False"]

@@ -1,5 +1,9 @@
 import gc
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -317,6 +321,150 @@ class TestEdit:
         job = make_job(source_masks=synth_masks(frames=4))
         with pytest.raises(P.JobError, match="source_masks"):
             job.validate(base_model.cfg)
+
+
+def _patch_forward(monkeypatch, role, t_bad, effect):
+    """U-Net forwards of ``role`` at ``t_bad`` return ``effect(eps)``."""
+    real = N.unet_forward
+
+    def forward(model, z, t, *args, **kwargs):
+        out = real(model, z, t, *args, **kwargs)
+        return effect(out) if kwargs.get("role") == role and t == t_bad else out
+
+    monkeypatch.setattr(N, "unet_forward", forward)
+
+
+def _nan(eps):
+    return T.Tensor(np.full(eps.shape, np.nan, np.float32))
+
+
+def _interrupt(eps):
+    raise KeyboardInterrupt
+
+
+def _exit(eps):
+    os._exit(3)
+
+
+@pytest.fixture
+def place(monkeypatch):
+    """``place(fork)`` forces edit's placement of its reconstruction walk and
+    returns the list the pids of its forks go to."""
+    real = os.fork
+
+    def placed(fork):
+        pids = []
+
+        def recorded():
+            pid = real()
+            pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recorded)
+        monkeypatch.setattr(P, "_fork_recon", lambda: fork)
+        return pids
+    return placed
+
+
+class TestReconPlacement:
+    """The reconstruction walk runs in a forked child or in this process,
+    with the same results and errors, and no child outlives an edit."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(),
+        dict(injection=I.InjectionSettings(drop_masked_tokens=True, inject_mid=True)),
+        dict(injection=I.InjectionSettings(enabled=False)),
+        dict(guidance=1.0),
+        dict(injection=I.InjectionSettings(window_fraction=0.5)),
+    ], ids=["default", "drop-mid", "no-injection", "guidance-1", "window-half"])
+    def test_both_placements_give_identical_results(self, base_model, schedule,
+                                                    place, overrides):
+        job = make_job(steps=4, **{"guidance": 7.5, **overrides})
+        results = {}
+        for fork in (False, True):
+            pids = place(fork)
+            results[fork] = P.edit(job, base_model, schedule)
+            assert len(pids) == fork
+        here, forked = results[False], results[True]
+        for name in ("edited", "reconstructed"):
+            a, b = getattr(here, name).data, getattr(forked, name).data
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for name in ("writes", "reads_cs", "reads_temporal", "peak_bytes"):
+            assert getattr(here.cache, name) == getattr(forked.cache, name)
+
+    def test_steps_before_the_window_send_no_writes(self, base_model, schedule):
+        job = make_job(steps=4, injection=I.InjectionSettings(window_fraction=0.5))
+        ts = D.subsequence(schedule.timesteps, job.steps)
+        x = T.Tensor(np.zeros((8, 4, 8, 8), np.float32))
+        *steps, last = P._recon_walk(base_model, x, ts, schedule, job.prompt_source,
+                                     None, job.injection, N.Conditioning(base_model))
+        gated = sum(N.TOPOLOGY[lid] == "decoder" for lid in N.BLOCK_ORDER)
+        assert [len(writes) for writes in steps] == [0, 0, 2 * gated, 2 * gated]
+        assert isinstance(last, T.Tensor)
+
+    @pytest.mark.parametrize("fork", [False, True], ids=["here", "forked"])
+    @pytest.mark.parametrize("both", [False, True], ids=["recon", "both"])
+    def test_non_finite_recon_half_is_named(self, base_model, schedule, place,
+                                            monkeypatch, fork, both):
+        ts = D.subsequence(schedule.timesteps, 3)
+        _patch_forward(monkeypatch, "recon", ts[1], _nan)
+        if both:
+            _patch_forward(monkeypatch, "edit", ts[1], _nan)
+        place(fork)
+        with pytest.raises(D.NonFiniteError) as err:
+            P.edit(make_job(steps=3), base_model, schedule)
+        assert str(err.value) == (f"non-finite value in edit step 2/3 (t={ts[1]}): "
+                                  "the new latent is not finite in the "
+                                  "reconstruction half")
+
+    @pytest.mark.parametrize("role,effect,error", [
+        pytest.param(None, None, None, id="success"),
+        pytest.param("recon", _nan, r"in the reconstruction half$",
+                     id="recon-non-finite"),
+        pytest.param("edit", _nan, r"in the editing half$", id="edit-non-finite"),
+        pytest.param("edit", _interrupt, None, id="edit-interrupted"),
+        pytest.param("recon", _exit, r"stopped before its last message",
+                     id="worker-died"),
+    ])
+    def test_no_child_outlives_an_edit(self, base_model, schedule, place,
+                                       monkeypatch, role, effect, error):
+        ts = D.subsequence(schedule.timesteps, 3)
+        if role is not None:
+            _patch_forward(monkeypatch, role, ts[1], effect)
+        pids = place(True)
+        job = make_job(steps=3)
+        if role is None:
+            P.edit(job, base_model, schedule)
+        elif error is None:
+            with pytest.raises(KeyboardInterrupt):
+                P.edit(job, base_model, schedule)
+        else:
+            with pytest.raises((D.NonFiniteError, RuntimeError), match=error):
+                P.edit(job, base_model, schedule)
+        [pid] = pids
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+    def test_buffered_stdout_is_printed_once(self):
+        # stdout to a pipe is block-buffered, so the text is still in the
+        # buffer when the child forks; a child that flushed it would print it
+        # a second time
+        code = textwrap.dedent("""
+            import sys
+            from conftest import make_job
+            from vidmotion import network as N, pipeline as P
+            P._fork_recon = lambda: True
+            sys.stdout.write("left in the buffer\\n")
+            P.edit(make_job(steps=2), N.init_model(N.NetConfig(), seed=3))
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(P.__file__)))
+        tests = os.path.dirname(os.path.abspath(__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([src, tests])
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=300,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "left in the buffer\n"
 
 
 class TestEditJobValidation:

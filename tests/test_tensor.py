@@ -552,6 +552,23 @@ class TestRowMean:
         out = T.layer_norm(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta)).data
         assert _same_bits(out, _layer_norm_reference(x, gamma, beta))
 
+    @pytest.mark.parametrize("shape", [(8, 64, 32), (64, 8, 32)])
+    def test_layer_norm_gradient_equals_mean_formula(self, shape):
+        x = rnd(shape, seed=125, scale=2.0)
+        gamma = rnd(shape[-1:], seed=126, scale=0.3) + 1
+        g = rnd(shape, seed=127)
+        tape = T.Tape()
+        wx = tape.watch(T.Tensor(x))
+        out = T.layer_norm(wx, T.Tensor(gamma), T.Tensor(np.zeros_like(gamma)))
+        T.backward(tape, T.sum(T.mul(out, T.Tensor(g))))
+        xc = x - x.mean(axis=-1, keepdims=True, dtype=np.float32)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True, dtype=np.float32)
+                            + np.float32(1e-5))
+        xh, dxh = xc * inv, g * gamma
+        want = inv * (dxh - dxh.mean(axis=-1, keepdims=True)
+                      - xh * (dxh * xh).mean(axis=-1, keepdims=True))
+        assert _same_bits(tape.grad(wx).data, want.astype(np.float32))
+
 
 @pytest.mark.parametrize("name,f,shape", [
     ("add", lambda x: T.sum(T.add(x, T.Tensor(rnd((3, 4), 21)))), (3, 4)),

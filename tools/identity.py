@@ -10,8 +10,10 @@ written once, so both sides read the same bytes. Then ``edit``, ``edit
 --drop-masked-tokens --inject-mid``, ``edit --no-injection``, ``edit
 --guidance 1`` (one forward per step, so no guided pair shares its work),
 ``edit`` with a one-word target prompt (so the cond forward, too, reads a
-one-token text output), ``train``, ``reconstruct`` and ``align`` run on both
-sides, and their output trees are compared file by file.
+one-token text output), ``edit`` pinned to one CPU (so its reconstruction
+branch runs in the same process, not in a forked worker), ``train``,
+``reconstruct`` and ``align`` run on both sides, and their output trees are
+compared file by file.
 
 Without ``--tolerance`` every file must be byte-identical. With it, each
 value of a MELT tensor or of ``loss.csv`` may differ from REV's by at most
@@ -42,6 +44,7 @@ COMMANDS = {
     "edit-no-injection": ("edit", "--no-injection"),
     "edit-guidance-1": ("edit", "--guidance", "1"),
     "edit-one-word": ("edit",),
+    "edit-one-cpu": ("edit",),
     "train": ("train",),
     "reconstruct": ("reconstruct",),
     "align": ("align",),
@@ -61,6 +64,14 @@ def one_word_target(config: str, out: str) -> str:
 
 
 CONFIGS = {"edit-one-word": one_word_target}  # label -> config rewrite
+
+
+def one_cpu() -> None:
+    """Pin the calling process to one of the CPUs it may run on."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+PREEXEC = {"edit-one-cpu": one_cpu}  # label -> run in the command's process first
 
 
 @dataclass(frozen=True)
@@ -173,14 +184,16 @@ def compare_trees(base: str, head: str,
     return found
 
 
-def _run(src: str, argv: list[str]) -> str | None:
-    """Run one vidmotion command with ``src`` on the path; None on success,
-    else the exit code and the last line it printed."""
+def _run(src: str, argv: list[str], preexec=None) -> str | None:
+    """Run one vidmotion command with ``src`` on the path, calling
+    ``preexec`` in its process first; None on success, else the exit code
+    and the last line it printed."""
     env = dict(os.environ, PYTHONPATH=src)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"  # as the benchmark runs
     proc = subprocess.run([sys.executable, "-m", "vidmotion.cli", *argv],
-                          env=env, capture_output=True, text=True)
+                          env=env, capture_output=True, text=True,
+                          preexec_fn=preexec)
     if proc.returncode == 0:
         return None
     lines = (proc.stderr or proc.stdout).strip().splitlines()
@@ -193,13 +206,13 @@ def _git(*args: str) -> None:
 
 
 def _check_tree(name: str, argv: list[str], sides: dict[str, str], work: str,
-                tolerance: tuple[float, float] | None) -> bool:
+                tolerance: tuple[float, float] | None, preexec=None) -> bool:
     """Run one command on both sides, print how their output trees compare,
     and return whether they match."""
     outs = {side: os.path.join(work, f"{side}-out", name.replace(" ", "-"))
             for side in sides}
     failed = [f"{side} {error}" for side, src in sides.items()
-              if (error := _run(src, [*argv, "--out", outs[side]]))]
+              if (error := _run(src, [*argv, "--out", outs[side]], preexec))]
     found = [] if failed else compare_trees(outs["base"], outs["head"], tolerance)
     matched = not failed and all(f.ok for f in found)
     verdict = ("FAILED" if failed else "MISMATCH" if not matched
@@ -231,7 +244,7 @@ def check(rev: str, tolerance: tuple[float, float] | None, work: str) -> int:
                         else rewrite(config, os.path.join(inputs_dir, f"{label}.json")))
                 bad += not _check_tree(f"seed {seed} {label}",
                                        [command, "--config", path, *flags],
-                                       sides, work, tolerance)
+                                       sides, work, tolerance, PREEXEC.get(label))
         return bad
     finally:
         _git("worktree", "remove", "--force", base_root)
