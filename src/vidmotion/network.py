@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import asdict, dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -387,10 +388,16 @@ class StepContext:
     layer's reconstruction block. The cond and uncond forwards under guidance
     read the same latent, ControlNet features, cache entries and masks, so one
     context serves both; forwards that differ in any of these must not share
-    one, and a forward on another timestep or latent refuses it."""
+    one, and a forward on another timestep or latent refuses it.
+
+    ``sides``, if given, hands over every controlled layer's control side at
+    once (``control_sides`` of the step, built elsewhere); the first
+    controlled layer takes them, so forwards handed it need no ControlNet
+    features."""
 
     t: int
     z: Tensor
+    sides: Callable[[], dict[str, AD.ControlSide]] | None = None
     opening: tuple[Tensor, Tensor] | None = None
     control: dict[str, AD.ControlSide] = field(default_factory=dict)
     blocks: dict[str, I.Block] = field(default_factory=dict)
@@ -467,12 +474,19 @@ def _unet_block(opened: tuple[Tensor, Tensor], model: ModelWeights, lid: str,
     return x
 
 
+def _adapter_weights(model: ModelWeights, lid: str) -> AD.AdapterWeights:
+    return AD.AdapterWeights(model.params, f"adapter{BLOCK_LEVEL[lid]}")
+
+
 def _adapted(x: Tensor, model: ModelWeights, lid: str,
              control_feats: dict[str, Tensor] | None, step: StepContext) -> Tensor:
-    """x plus the adapter's residual for controlled layer ``lid``."""
-    if control_feats is None:
+    """x plus the adapter's residual for controlled layer ``lid``, its
+    control side taken from ``step.sides`` or built from ``control_feats``."""
+    if control_feats is None and step.sides is None:
         return x
-    w = AD.AdapterWeights(model.params, f"adapter{BLOCK_LEVEL[lid]}")
+    w = _adapter_weights(model, lid)
+    if not step.control and control_feats is None:
+        step.control = step.sides()
     side = step.control.get(lid)
     if side is None:
         side = step.control[lid] = AD.control_side(control_feats[lid], w)
@@ -604,6 +618,18 @@ def controlnet_forward(model: ModelWeights, z: Tensor, t: int,
         "dec1": T.matmul(x, model.params["control.zero.dec1"]),
         "dec0": T.matmul(f0, model.params["control.zero.dec0"]),
     }
+
+
+def control_sides(model: ModelWeights, z: Tensor, t: int,
+                  pose: dict[int, Tensor],
+                  cond: Conditioning | None = None) -> dict[str, AD.ControlSide]:
+    """Each controlled layer's adapter control side for the latent ``z`` at
+    ``t``: the ControlNet forward on the pose pyramid ``pose``, then what
+    the layer's adapter builds from its features alone. It reads nothing of
+    the U-Net's stream, so it can run beside the U-Net's encoder."""
+    feats = controlnet_forward(model, z, t, pose, cond)
+    return {lid: AD.control_side(feats[lid], _adapter_weights(model, lid))
+            for lid in CONTROLLED_LAYERS}
 
 
 def save_checkpoint(directory, model: ModelWeights) -> None:

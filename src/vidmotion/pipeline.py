@@ -6,11 +6,14 @@ reconstruction branch (source skeleton condition) writes its keys/values, the
 editing branch's ReconCache takes them, and the editing branch (aligned
 target skeleton) reads them as injected keys/values at gated layers, so the
 cache hands off one step at a time. The reconstruction branch reads nothing
-of the editing branch, so where the host allows it runs ahead of it in a
-forked child, on another CPU.
+of the editing branch, and a step's ControlNet features read nothing of its
+U-Net stream, so where the host allows it a forked step worker, on another
+CPU, builds each step's adapter control sides while the U-Net encoder runs
+here, and runs the reconstruction branch one step ahead.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
@@ -24,6 +27,7 @@ from typing import Callable, Iterator, NoReturn
 
 import numpy as np
 
+from . import adapter as AD
 from . import diffusion as D
 from . import injection as I
 from . import network as N
@@ -133,40 +137,64 @@ def train_step(model: N.ModelWeights, params: dict[str, Tensor],
     return value, {n: tape.grad(w) for n, w in watched.items()}
 
 
+# A predictor's control: called with a step's latent and t, it asks for that
+# step's control sides and returns the function that hands them over.
+Control = Callable[[Tensor, int], Callable[[], dict[str, AD.ControlSide]]]
+
+
 def _predictor(model: N.ModelWeights, ts: list[int], prompt: str | None,
                pose: dict[int, Tensor] | None, guidance: float = 1.0,
                role: str = "plain", cache: I.ReconCache | None = None,
                masks: I.LatentMask | None = None,
                inj: I.InjectionSettings | None = None,
-               cond: N.Conditioning | None = None) -> D.EpsFn:
-    """One branch's eps function over the sampler steps ``ts``: ControlNet
-    features from ``pose`` if given, classifier-free guidance (one forward at
-    1), and ``role`` inside the injection window of ``inj``, "plain" before
-    it and at every step without ``inj``. ``cond`` is the run's Conditioning
-    (built here if not given); each step's forwards share one StepContext, so
-    under guidance the uncond forward reuses the cond forward's first-block
-    opening."""
+               cond: N.Conditioning | None = None,
+               control: Control | None = None) -> D.EpsFn:
+    """One branch's eps function over the sampler steps ``ts``: adapter
+    control from ``pose`` if given (or from ``control``, which replaces it),
+    classifier-free guidance (one forward at 1), and ``role`` inside the
+    injection window of ``inj``, "plain" before it and at every step without
+    ``inj``. ``cond`` is the run's Conditioning (built here if not given);
+    each step's forwards share one StepContext, so under guidance the uncond
+    forward reuses the cond forward's first-block opening and control sides.
+
+    A step's control is asked for before its forwards run and taken at the
+    first controlled layer. An error in the control work outranks one of
+    the forwards, as when the ControlNet ran before the U-Net."""
     step_index = {t: idx for idx, t in enumerate(reversed(ts))}
     cond = N.Conditioning(model) if cond is None else cond
+    if control is None and pose is not None:
+        control = _computed(model, pose, cond)
 
     def eps_fn(x: Tensor, t: int) -> Tensor:
         step_role = (role if inj is not None
                      and inj.active_at(step_index[t], len(ts)) else "plain")
-        feats = (N.controlnet_forward(model, x, t, pose, cond)
-                 if pose is not None else None)
-        step = N.StepContext(t, x)
+        sides = None if control is None else control(x, t)
+        step = N.StepContext(t, x, sides)
 
         def forward(text: str | None) -> Tensor:
-            return N.unet_forward(model, x, t, text, control_feats=feats,
-                                  role=step_role, cache=cache, masks=masks,
-                                  inj=inj, cond=cond, step=step)
+            return N.unet_forward(model, x, t, text, role=step_role, cache=cache,
+                                  masks=masks, inj=inj, cond=cond, step=step)
 
-        eps_c = forward(prompt)
-        if guidance == 1.0:
-            return eps_c
-        return D.cfg_combine(forward(None), eps_c, guidance)
+        try:
+            eps_c = forward(prompt)
+            if guidance == 1.0:
+                return eps_c
+            return D.cfg_combine(forward(None), eps_c, guidance)
+        except Exception:
+            if sides is not None:
+                sides()  # raises the control work's error, if it had one
+            raise
 
     return eps_fn
+
+
+def _computed(model: N.ModelWeights, pose: dict[int, Tensor],
+              cond: N.Conditioning) -> Control:
+    """A Control that builds each step's sides from ``pose`` at once, here."""
+    def control(x: Tensor, t: int) -> Callable[[], dict[str, AD.ControlSide]]:
+        sides = N.control_sides(model, x, t, pose, cond)
+        return lambda: sides
+    return control
 
 
 def invert(model: N.ModelWeights, z0: Tensor, steps: int,
@@ -176,8 +204,8 @@ def invert(model: N.ModelWeights, z0: Tensor, steps: int,
            prompt: str | None = None,
            cond: N.Conditioning | None = None) -> D.Trajectory:
     """DDIM inversion at guidance scale 1 (no extrapolation; the null-text
-    stage is deliberately absent and ``eps_fn`` overrides the predictor for
-    oracle tests).
+    stage is deliberately absent and ``eps_fn`` overrides the predictor, for
+    oracle tests and for ``edit``'s step worker).
 
     By default the predictor runs on the unconditional embedding; passing the
     branches' ``prompt`` and ``pose`` (from N.pose_features) makes the
@@ -263,11 +291,11 @@ def openblas_function(verb: str):
     return None
 
 
-def _fork_recon() -> bool:
-    """Whether ``edit`` runs its reconstruction walk in a forked child: fork
-    exists, this process may use 2 CPUs or more, OpenBLAS runs one thread and
-    no other Python thread runs. A fork copies no thread, so it must not
-    leave a lock some other thread holds; and two BLAS threads in each of two
+def _fork_worker() -> bool:
+    """Whether ``edit`` runs its step worker in a forked child: fork exists,
+    this process may use 2 CPUs or more, OpenBLAS runs one thread and no
+    other Python thread runs. A fork copies no thread, so it must not leave
+    a lock some other thread holds; and two BLAS threads in each of two
     processes contend for the cores."""
     get_threads = openblas_function("get")
     return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
@@ -303,56 +331,139 @@ def _recon_walk(model: N.ModelWeights, x: Tensor, ts: list[int],
     yield x
 
 
+def _control_reply(model: N.ModelWeights, x: Tensor, t: int,
+                   pose: dict[int, Tensor], cond: N.Conditioning):
+    """A step's control sides, built with numpy overflow and invalid
+    operations raised as in a sampler step, or the error that raised."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return N.control_sides(model, x, t, pose, cond)
+    except Exception as exc:  # sent on, for the step that asked to raise
+        return exc
+
+
+def _serve(requests: Iterator[tuple[str, Tensor, int | None]],
+           model: N.ModelWeights, poses: dict[str, dict[int, Tensor] | None],
+           cond: N.Conditioning,
+           walk: Callable[[Tensor], Iterator]) -> Iterator[object]:
+    """``edit``'s step worker: its messages, in the order edit reads them.
+
+    A control request (the name of a pose in ``poses``, a step's latent and
+    t) gets that step's control sides, or the error building them raised.
+    A ("recon", z_T, None) request starts ``walk`` from z_T, and from then
+    on the walk runs one step ahead: its first message at once, and each
+    later one after the reply to the next control request. So while the
+    editing walk runs, the messages read W_0, S_0, W_1, S_1, ..., the final
+    latent (W a step's cache writes, S its control sides)."""
+    recon = iter(())
+    for kind, x, t in requests:
+        if kind == "recon":
+            recon = walk(x)
+        else:
+            yield _control_reply(model, x, t, poses[kind], cond)
+        yield from itertools.islice(recon, 1)
+
+
 def _received(message):
     if isinstance(message, BaseException):
         raise message
     return message
 
 
-def _send_all(walk: Iterator, read_end: int, write_end: int) -> NoReturn:
-    """In the forked child: pickle each message of ``walk`` into the pipe,
-    then leave without flushing the stdio buffers or running the exit hooks
-    it inherited."""
-    code = 1
-    try:
-        os.close(read_end)
-        with open(write_end, "wb") as pipe:
-            for message in walk:
-                pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
-                pipe.flush()
-        code = 0
-    finally:
-        os._exit(code)
+def _asking(send: Callable[[object], None], recv: Callable[[], object],
+            kind: str) -> Control:
+    """A Control served by the step worker: it sends the worker each step's
+    latent and t with the name ``kind`` of its pose. The function it returns
+    reads the reply on its first call, and on every call returns it or
+    raises the error it carries."""
+    def control(x: Tensor, t: int) -> Callable[[], dict[str, AD.ControlSide]]:
+        send((kind, x, t))
+        reply = functools.cache(recv)  # read once, however often asked
+        return lambda: _received(reply())
+    return control
+
+
+_STOPPED = "the step worker stopped before its last message"
+_PIPE_BYTES = 1 << 20
 
 
 def _load(pipe):
     try:
         return pickle.load(pipe)
     except EOFError:
-        raise RuntimeError("the reconstruction worker stopped before its "
-                           "last message") from None
+        raise RuntimeError(_STOPPED) from None
+
+
+def _send(fd: int, request) -> None:
+    """Pickle ``request`` into the pipe ``fd``."""
+    data = memoryview(pickle.dumps(request, pickle.HIGHEST_PROTOCOL))
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    except BrokenPipeError:
+        raise RuntimeError(_STOPPED) from None
+
+
+def _requests(pipe) -> Iterator:
+    """The requests pickled into ``pipe``, until the parent closes it."""
+    with contextlib.suppress(EOFError):
+        while True:
+            yield pickle.load(pipe)
+
+
+def _serve_forked(serve: Callable[[Iterator], Iterator], requests_fd: int,
+                  messages_fd: int, parent_fds: tuple[int, ...]) -> NoReturn:
+    """In the forked child: run ``serve`` on the requests of one pipe and
+    pickle each message into the other, then leave without flushing the
+    stdio buffers or running the exit hooks it inherited."""
+    code = 1
+    try:
+        for fd in parent_fds:
+            os.close(fd)
+        with open(requests_fd, "rb") as requests, open(messages_fd, "wb") as out:
+            for message in serve(_requests(requests)):
+                pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
+                out.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 @contextlib.contextmanager
-def _started(walk: Iterator) -> Iterator[Callable[[], object]]:
-    """``walk`` as a function that returns its next message, and raises an
-    error it sends. Where ``_fork_recon()`` holds, a forked child runs the
-    walk ahead and sends its messages through a pipe, and leaving the
-    ``with`` block kills and reaps it, however the block ends; elsewhere each
-    call advances the walk in this process."""
-    if not _fork_recon():
-        yield lambda: _received(next(walk))
+def _started(serve: Callable[[Iterator], Iterator]
+             ) -> Iterator[tuple[Callable[[object], None], Callable[[], object]]]:
+    """``serve`` as ``send``, which hands it a request, and ``recv``, which
+    returns its next message. Where ``_fork_worker()`` holds, a forked child
+    runs it and sends its messages ahead of their reads; both pipes are
+    enlarged to 1 MiB where the platform allows it, so that a step's
+    messages fit and neither process wakes the other per 64 KiB. Leaving
+    the ``with`` block kills and reaps the child, however the block ends.
+    Elsewhere each ``recv`` advances ``serve`` in this process, on the
+    requests sent so far."""
+    if not _fork_worker():
+        requests = collections.deque()
+        messages = serve(iter(requests.popleft, None))
+        yield requests.append, lambda: next(messages)
         return
-    import signal  # here, so importing vidmotion loads no module numpy does not
-    read_end, write_end = os.pipe()
+    # here, so importing vidmotion loads no module numpy does not
+    import fcntl
+    import signal
+    requests_r, requests_w = os.pipe()
+    messages_r, messages_w = os.pipe()
+    if hasattr(fcntl, "F_SETPIPE_SZ"):
+        for fd in (requests_w, messages_w):
+            with contextlib.suppress(OSError):  # beyond the host's limit
+                fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
     pid = os.fork()
     if pid == 0:
-        _send_all(walk, read_end, write_end)
+        _serve_forked(serve, requests_r, messages_w, (requests_w, messages_r))
     try:
-        os.close(write_end)
-        with open(read_end, "rb") as pipe:
-            yield lambda: _received(_load(pipe))
+        os.close(requests_r)
+        os.close(messages_w)
+        with open(messages_r, "rb") as messages:
+            yield functools.partial(_send, requests_w), lambda: _load(messages)
     finally:
+        os.close(requests_w)
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
 
@@ -365,9 +476,10 @@ def edit(job: EditJob, model: N.ModelWeights,
     source, then denoise it with the reconstruction branch and the editing
     branch. Before each editing step the ReconCache takes the keys/values
     the reconstruction branch wrote at that step, and the editing forwards
-    (target prompt and guidance) read them at gated layers. A non-finite
-    value names the half it arose in; the reconstruction half is named when
-    both fail at one step.
+    (target prompt and guidance) read them at gated layers. The step worker
+    (``_serve``) builds the control sides of each inversion and editing step
+    and runs the reconstruction branch. A non-finite value names the half it
+    arose in; the reconstruction half is named when both fail at one step.
     """
     cfg = model.cfg
     job.validate(cfg)
@@ -376,28 +488,34 @@ def edit(job: EditJob, model: N.ModelWeights,
     aligned, reports = align_skeletons(job.source_skeletons, job.source_masks,
                                        job.ref_skeletons, job.ref_masks,
                                        job.align_first_frame_only)
+    ts = D.subsequence(schedule.timesteps, job.steps)
 
     cond = N.Conditioning(model)
     source_pose = (N.pose_features(model, job.source_skeletons)
                    if job.control_on_recon else None)
-    inv = invert(model, z0, job.steps, schedule, pose=source_pose,
-                 prompt=job.prompt_source, cond=cond)
-    ts = D.subsequence(schedule.timesteps, job.steps)
-
+    serve = functools.partial(
+        _serve, model=model, cond=cond,
+        poses={"source": source_pose, "reference": N.pose_features(model, aligned)},
+        walk=lambda z_t: _recon_walk(model, z_t, ts, schedule, job.prompt_source,
+                                     source_pose, job.injection, cond))
     cache = I.ReconCache()
     masks = I.LatentMask.from_rasters(np.asarray(job.source_masks),
                                       cfg.level_shapes())
-    with _started(_recon_walk(model, inv.final, ts, schedule, job.prompt_source,
-                              source_pose, job.injection, cond)) as receive:
-        editing = _predictor(model, ts, job.prompt_target,
-                             N.pose_features(model, aligned), job.guidance,
-                             "edit", cache, masks, job.injection, cond)
+    with _started(serve) as (send, recv):
+        inverting = _predictor(model, ts, job.prompt_source, None, cond=cond,
+                               control=(_asking(send, recv, "source")
+                                        if source_pose is not None else None))
+        inv = invert(model, z0, job.steps, schedule, eps_fn=inverting)
+        send(("recon", inv.final, None))
+        editing = _predictor(model, ts, job.prompt_target, None, job.guidance,
+                             "edit", cache, masks, job.injection, cond,
+                             _asking(send, recv, "reference"))
         steps = D.ddim_steps(editing, inv.final, ts, schedule, phase="edit")
         for _ in ts:
-            cache.replay(receive())
+            cache.replay(_received(recv()))
             try:
                 _, edited = next(steps)
             except D.NonFiniteError as exc:
                 raise _in_half(exc, "editing") from None
-        recon = receive()
+        recon = _received(recv())
     return EditResult(edited, recon, aligned, reports, inv, cache)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from vidmotion import tensor as T
+from vidmotion.config import load_config
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tools"))
@@ -132,6 +133,31 @@ def test_one_word_target_rewrites_only_the_target(tmp_path):
     assert set(identity.CONFIGS) <= set(identity.COMMANDS)
 
 
+@pytest.mark.parametrize("label,section,key,value", [
+    ("edit-no-recon-control", "alignment", "control_on_recon", False),
+    ("edit-half-window", "injection", "window_fraction", 0.5),
+])
+def test_setting_labels_change_one_field(tmp_path, label, section, key, value):
+    config = {"seed": 2, "prompts": {"source": "a figure walking right",
+                                     "target": "a figure marching right"},
+              "sampler": {"steps": 50, "guidance": 7.5}}
+    src = tmp_path / "config.json"
+    src.write_text(json.dumps(config))
+    out = identity.CONFIGS[label](str(src), str(tmp_path / "set.json"))
+    assert identity.COMMANDS[label] == ("edit",)
+    with open(out) as fh:
+        got = json.load(fh)
+    assert got == {**config, section: {key: value}}
+    assert json.loads(src.read_text()) == config
+    loaded = load_config(out)
+    assert (loaded.control_on_recon if section == "alignment"
+            else loaded.injection.window_fraction) == value
+
+
+def test_every_seed_runs_every_label():
+    assert len(identity.SEEDS) * len(identity.COMMANDS) == 33
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="no CPU affinity on this platform")
 def test_one_cpu_label_runs_edit_without_the_worker():
@@ -140,7 +166,7 @@ def test_one_cpu_label_runs_edit_without_the_worker():
     code = ("import os\n"
             "from vidmotion import cli, pipeline as P\n"
             "cli._one_blas_thread()\n"
-            "print(len(os.sched_getaffinity(0)), P._fork_recon())\n")
+            "print(len(os.sched_getaffinity(0)), P._fork_worker())\n")
     src = os.path.join(identity.ROOT, "src")
     proc = subprocess.run([sys.executable, "-c", code], timeout=60,
                           env=dict(os.environ, PYTHONPATH=src),

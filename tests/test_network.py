@@ -175,6 +175,21 @@ def test_guided_step_prepares_each_gated_layer_once(model, latent, prompt, monke
     np.testing.assert_array_equal(eps.data, D.cfg_combine(eps_u, eps_c, 7.5).data)
 
 
+def test_step_sides_equal_control_features_and_are_taken_once(model, latent):
+    pose = N.pose_features(model, skeleton_stack())
+    sides = N.control_sides(model, latent, 9, pose)
+    taken = []
+    step = N.StepContext(9, latent, lambda: taken.append(9) or sides)
+    feats = N.controlnet_forward(model, latent, 9, pose)
+    for prompt in ("p", None):
+        got = N.unet_forward(model, latent, 9, prompt, step=step)
+        want = N.unet_forward(model, latent, 9, prompt, control_feats=feats)
+        np.testing.assert_array_equal(got.data, want.data)
+    assert taken == [9] and step.control is sides
+    plain = N.unet_forward(model, latent, 9, "p")
+    assert not np.array_equal(plain.data, want.data)  # the sides reach the output
+
+
 @pytest.mark.parametrize("prompt", [None, "", "marching"])
 @pytest.mark.parametrize("lid", ["enc0", "mid"])
 def test_one_token_cross_output_equals_the_sub_block(model, lid, prompt):

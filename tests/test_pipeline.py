@@ -346,9 +346,33 @@ def _exit(eps):
     os._exit(3)
 
 
+def _patch_controlnet(monkeypatch, t_bad, effect):
+    """ControlNet forwards at ``t_bad`` return ``effect`` of each feature."""
+    real = N.controlnet_forward
+
+    def forward(model, z, t, *args, **kwargs):
+        feats = real(model, z, t, *args, **kwargs)
+        return {k: effect(v) for k, v in feats.items()} if t == t_bad else feats
+
+    monkeypatch.setattr(N, "controlnet_forward", forward)
+
+
+def _huge(feats):
+    return T.Tensor(feats.data * np.float32(1e30))
+
+
+def _exit_in_child(parent=os.getpid()):
+    """An effect that ends a forked worker, and only a forked worker."""
+    def effect(feats):
+        if os.getpid() != parent:
+            os._exit(3)
+        return feats
+    return effect
+
+
 @pytest.fixture
 def place(monkeypatch):
-    """``place(fork)`` forces edit's placement of its reconstruction walk and
+    """``place(fork)`` forces edit's placement of its step worker and
     returns the list the pids of its forks go to."""
     real = os.fork
 
@@ -361,14 +385,15 @@ def place(monkeypatch):
             return pid
 
         monkeypatch.setattr(os, "fork", recorded)
-        monkeypatch.setattr(P, "_fork_recon", lambda: fork)
+        monkeypatch.setattr(P, "_fork_worker", lambda: fork)
         return pids
     return placed
 
 
 class TestReconPlacement:
-    """The reconstruction walk runs in a forked child or in this process,
-    with the same results and errors, and no child outlives an edit."""
+    """The step worker (control sides and the reconstruction walk) runs in a
+    forked child or in this process, with the same results and errors, and
+    no child outlives an edit."""
 
     @pytest.mark.parametrize("overrides", [
         dict(),
@@ -376,15 +401,28 @@ class TestReconPlacement:
         dict(injection=I.InjectionSettings(enabled=False)),
         dict(guidance=1.0),
         dict(injection=I.InjectionSettings(window_fraction=0.5)),
-    ], ids=["default", "drop-mid", "no-injection", "guidance-1", "window-half"])
+        dict(control_on_recon=False),
+    ], ids=["default", "drop-mid", "no-injection", "guidance-1", "window-half",
+            "no-recon-control"])
     def test_both_placements_give_identical_results(self, base_model, schedule,
-                                                    place, overrides):
+                                                    place, monkeypatch, overrides):
         job = make_job(steps=4, **{"guidance": 7.5, **overrides})
+        built = []
+        real = N.control_sides
+        monkeypatch.setattr(N, "control_sides",
+                            lambda *args: built.append(args[2]) or real(*args))
         results = {}
         for fork in (False, True):
             pids = place(fork)
             results[fork] = P.edit(job, base_model, schedule)
             assert len(pids) == fork
+            if not fork:
+                # the editing walk asks for every step's sides; the inversion
+                # asks, and the reconstruction walk builds them, only under
+                # the source pose
+                ts = D.subsequence(schedule.timesteps, job.steps)
+                want = ts[::-1] + (ts + ts[::-1] if job.control_on_recon else [])
+                assert sorted(built) == sorted(want)
         here, forked = results[False], results[True]
         for name in ("edited", "reconstructed"):
             a, b = getattr(here, name).data, getattr(forked, name).data
@@ -417,23 +455,68 @@ class TestReconPlacement:
                                   "the new latent is not finite in the "
                                   "reconstruction half")
 
-    @pytest.mark.parametrize("role,effect,error", [
-        pytest.param(None, None, None, id="success"),
-        pytest.param("recon", _nan, r"in the reconstruction half$",
+    @pytest.mark.parametrize("phase,control_on_recon", [
+        ("invert", True), ("edit", False)], ids=["invert", "edit"])
+    @pytest.mark.parametrize("effect,encoder_fails,message", [
+        (_nan, False, "the new latent is not finite"),
+        (_huge, False, "overflow encountered in"),
+        (_huge, True, "overflow encountered in"),
+    ], ids=["nan", "overflow", "overflow-and-encoder"])
+    def test_control_error_names_its_step_in_both_placements(
+            self, base_model, schedule, place, monkeypatch, phase,
+            control_on_recon, effect, encoder_fails, message):
+        # without the source pose only the editing walk runs the ControlNet
+        ts = D.subsequence(schedule.timesteps, 3)
+        _patch_controlnet(monkeypatch, ts[1], effect)
+        if encoder_fails:
+            # the U-Net fails before it reaches a controlled layer; the
+            # control error still wins, as when the ControlNet ran first
+            real, role = N.unet_forward, {"invert": "plain", "edit": "edit"}[phase]
+
+            def forward(model, z, t, *args, **kwargs):
+                if t == ts[1] and kwargs.get("role", "plain") == role:
+                    raise FloatingPointError("the encoder's own error")
+                return real(model, z, t, *args, **kwargs)
+
+            monkeypatch.setattr(N, "unet_forward", forward)
+        job = make_job(steps=3, guidance=7.5, control_on_recon=control_on_recon)
+        texts = []
+        for fork in (False, True):
+            place(fork)
+            with pytest.raises(D.NonFiniteError) as err:
+                P.edit(job, base_model, schedule)
+            texts.append(str(err.value))
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(f"non-finite value in {phase} step 2/3 "
+                                   f"(t={ts[1]}): {message}")
+        assert texts[0].endswith(" in the editing half") == (phase == "edit")
+
+    @pytest.mark.parametrize("patch,error", [
+        pytest.param(None, None, id="success"),
+        pytest.param(("recon", _nan), r"in the reconstruction half$",
                      id="recon-non-finite"),
-        pytest.param("edit", _nan, r"in the editing half$", id="edit-non-finite"),
-        pytest.param("edit", _interrupt, None, id="edit-interrupted"),
-        pytest.param("recon", _exit, r"stopped before its last message",
+        pytest.param(("edit", _nan), r"in the editing half$", id="edit-non-finite"),
+        pytest.param(("edit", _interrupt), None, id="edit-interrupted"),
+        pytest.param(("recon", _exit), r"stopped before its last message",
                      id="worker-died"),
+        pytest.param(("control", _huge), r"invert step 2/3 .*: overflow",
+                     id="control-non-finite"),
+        pytest.param(("control", _exit_in_child()),
+                     r"stopped before its last message",
+                     id="worker-died-in-control"),
     ])
     def test_no_child_outlives_an_edit(self, base_model, schedule, place,
-                                       monkeypatch, role, effect, error):
+                                       monkeypatch, patch, error):
         ts = D.subsequence(schedule.timesteps, 3)
-        if role is not None:
-            _patch_forward(monkeypatch, role, ts[1], effect)
+        if patch is not None:
+            where, effect = patch
+            if where == "control":
+                _patch_controlnet(monkeypatch, ts[1], effect)
+            else:
+                _patch_forward(monkeypatch, where, ts[1], effect)
         pids = place(True)
         job = make_job(steps=3)
-        if role is None:
+        if patch is None:
             P.edit(job, base_model, schedule)
         elif error is None:
             with pytest.raises(KeyboardInterrupt):
@@ -453,7 +536,7 @@ class TestReconPlacement:
             import sys
             from conftest import make_job
             from vidmotion import network as N, pipeline as P
-            P._fork_recon = lambda: True
+            P._fork_worker = lambda: True
             sys.stdout.write("left in the buffer\\n")
             P.edit(make_job(steps=2), N.init_model(N.NetConfig(), seed=3))
         """)

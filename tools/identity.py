@@ -10,10 +10,12 @@ written once, so both sides read the same bytes. Then ``edit``, ``edit
 --drop-masked-tokens --inject-mid``, ``edit --no-injection``, ``edit
 --guidance 1`` (one forward per step, so no guided pair shares its work),
 ``edit`` with a one-word target prompt (so the cond forward, too, reads a
-one-token text output), ``edit`` pinned to one CPU (so its reconstruction
-branch runs in the same process, not in a forked worker), ``train``,
-``reconstruct`` and ``align`` run on both sides, and their output trees are
-compared file by file.
+one-token text output), ``edit`` pinned to one CPU (so its step worker runs
+in the same process, not in a forked child), ``edit`` without the source
+pose (so the inversion asks the worker for no control sides) and ``edit``
+injecting over the last half of the steps only (so the reconstruction walk
+sends no cache writes before it), ``train``, ``reconstruct`` and ``align``
+run on both sides, and their output trees are compared file by file.
 
 Without ``--tolerance`` every file must be byte-identical. With it, each
 value of a MELT tensor or of ``loss.csv`` may differ from REV's by at most
@@ -25,6 +27,7 @@ when one does not or a command fails, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -33,6 +36,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -45,25 +49,45 @@ COMMANDS = {
     "edit-guidance-1": ("edit", "--guidance", "1"),
     "edit-one-word": ("edit",),
     "edit-one-cpu": ("edit",),
+    "edit-no-recon-control": ("edit",),
+    "edit-half-window": ("edit",),
     "train": ("train",),
     "reconstruct": ("reconstruct",),
     "align": ("align",),
 }
 
 
-def one_word_target(config: str, out: str) -> str:
-    """Write to ``out`` a copy of the JSON config ``config`` whose target
-    prompt is only its third word (the verb of the bench's "a figure <verb>
-    right"); return ``out``."""
+def rewrite(config: str, out: str, change: Callable[[dict], None]) -> str:
+    """Write to ``out`` a copy of the JSON config ``config`` with ``change``
+    applied to its values; return ``out``."""
     with open(config) as fh:
         values = json.load(fh)
-    values["prompts"]["target"] = values["prompts"]["target"].split()[2]
+    change(values)
     with open(out, "w") as fh:
         json.dump(values, fh, indent=1, sort_keys=True)
     return out
 
 
-CONFIGS = {"edit-one-word": one_word_target}  # label -> config rewrite
+def one_word_target(config: str, out: str) -> str:
+    """``rewrite`` with the target prompt cut to its third word (the verb
+    of the bench's "a figure <verb> right")."""
+    def change(values: dict) -> None:
+        values["prompts"]["target"] = values["prompts"]["target"].split()[2]
+    return rewrite(config, out, change)
+
+
+def setting(section: str, key: str, value) -> Callable[[str, str], str]:
+    """A config rewrite that sets ``key`` of ``section`` to ``value``."""
+    def change(values: dict) -> None:
+        values.setdefault(section, {})[key] = value
+    return functools.partial(rewrite, change=change)
+
+
+CONFIGS = {  # label -> config rewrite
+    "edit-one-word": one_word_target,
+    "edit-no-recon-control": setting("alignment", "control_on_recon", False),
+    "edit-half-window": setting("injection", "window_fraction", 0.5),
+}
 
 
 def one_cpu() -> None:
