@@ -58,12 +58,6 @@ def _split(k: Tensor, v: Tensor, keep: Tensor,
     return T.mul(k, keep), T.mul(v, keep), T.mul(k, drop), T.mul(v, drop)
 
 
-def _kept_rows(m: np.ndarray) -> np.ndarray:
-    """Row order that keeps every row of a validated mask's key stack,
-    foreground rows first, then background rows, each in token order."""
-    return np.argsort(1.0 - m, axis=-1, kind="stable")
-
-
 def decouple_kv(k: Tensor, v: Tensor, mask) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """Split keys/values rowwise into (K_fg, V_fg, K_bg, V_bg).
 
@@ -99,9 +93,9 @@ def build_injected_kv(recon: tuple[Tensor, Tensor, Tensor, Tensor],
 
     Default keeps zeroed rows, giving exactly 5N tokens for N-token frames.
     With ``drop_masked_tokens`` the zeroed rows are removed instead (3N
-    tokens), which needs the mask to know which rows survive: one stable
-    gather takes the foreground rows, then the background rows, in token
-    order from K_fg + K_bg, which equals the undecoupled keys bit for bit.
+    tokens): ``CsMask.block`` takes the kept rows of K_fg + K_bg, which
+    equals the undecoupled keys bit for bit, with one frame as a 1-frame
+    stack. It takes them outside the tape, so tracked ``recon`` is refused.
     """
     k_fg, v_fg, k_bg, v_bg = recon
     widths = {t.shape[-1] for t in (k_fg, v_fg, k_bg, v_bg, *edit_cur)}
@@ -111,9 +105,17 @@ def build_injected_kv(recon: tuple[Tensor, Tensor, Tensor, Tensor],
         raise T.ShapeError("foreground/background blocks must match shapes")
     if not drop_masked_tokens:
         return join_current(([k_fg, k_bg], [v_fg, v_bg]), edit_cur)
-    rows = _kept_rows(_check_mask(mask, k_fg.shape[:-1]))
-    return join_current(([T.gather_rows(T.add(k_fg, k_bg), rows)],
-                         [T.gather_rows(T.add(v_fg, v_bg), rows)]), edit_cur)
+    if any(x.node is not None for x in recon):
+        raise T.TapeError("drop mode cannot differentiate through recon keys/values")
+    m = _check_mask(mask, k_fg.shape[:-1])
+
+    def stack(x: Tensor) -> Tensor:
+        return T.reshape(x, (-1, *x.shape[-2:]))
+
+    block = CsMask.of(m.reshape(-1, m.shape[-1])).block(
+        stack(T.add(k_fg, k_bg)), stack(T.add(v_fg, v_bg)), True)
+    return tuple(T.reshape(x, (*k_fg.shape[:-2], *x.shape[1:]))
+                 for x in join_current(block, tuple(map(stack, edit_cur))))
 
 
 def gate(layer_id: str, topology: dict[str, str], inject_mid: bool = False) -> bool:
@@ -159,13 +161,15 @@ class CsMask:
 
     keep: Tensor  # (F, 2N, 1): 1 on foreground rows, 0 elsewhere
     drop: Tensor  # its complement
-    rows: np.ndarray  # (F * 2N,) _kept_rows order, as rows of the (F * 2N, d) stack
+    rows: np.ndarray  # (F * 2N,) kept rows of the (F * 2N, d) stack, in order
 
     @classmethod
     def of(cls, m: np.ndarray) -> "CsMask":
-        """From a validated (F, 2N) mask."""
+        """From a validated (F, 2N) mask. Each frame keeps every row,
+        foreground rows first, then background rows, each in token order."""
         frames, n2 = m.shape
-        rows = _kept_rows(m) + n2 * np.arange(frames)[:, None]
+        rows = (np.argsort(1.0 - m, axis=-1, kind="stable")
+                + n2 * np.arange(frames)[:, None])
         return cls(*_columns(m), rows.reshape(-1))
 
     def block(self, k: Tensor, v: Tensor, drop_masked_tokens: bool) -> Block:

@@ -386,14 +386,13 @@ class StepContext:
     forward that needs it: the first block's opening on the latent ``z`` at
     ``t``, each controlled layer's adapter control side and each injecting
     layer's reconstruction block. The cond and uncond forwards under guidance
-    read the same latent, ControlNet features, cache entries and masks, so one
+    read the same latent, control sides, cache entries and masks, so one
     context serves both; forwards that differ in any of these must not share
     one, and a forward on another timestep or latent refuses it.
 
     ``sides``, if given, hands over every controlled layer's control side at
     once (``control_sides`` of the step, built elsewhere); the first
-    controlled layer takes them, so forwards handed it need no ControlNet
-    features."""
+    controlled layer takes them. Without it the forward is unconditioned."""
 
     t: int
     z: Tensor
@@ -478,23 +477,18 @@ def _adapter_weights(model: ModelWeights, lid: str) -> AD.AdapterWeights:
     return AD.AdapterWeights(model.params, f"adapter{BLOCK_LEVEL[lid]}")
 
 
-def _adapted(x: Tensor, model: ModelWeights, lid: str,
-             control_feats: dict[str, Tensor] | None, step: StepContext) -> Tensor:
+def _adapted(x: Tensor, model: ModelWeights, lid: str, step: StepContext) -> Tensor:
     """x plus the adapter's residual for controlled layer ``lid``, its
-    control side taken from ``step.sides`` or built from ``control_feats``."""
-    if control_feats is None and step.sides is None:
+    control side taken from ``step.sides``, once per step."""
+    if step.sides is None:
         return x
-    w = _adapter_weights(model, lid)
-    if not step.control and control_feats is None:
+    if not step.control:
         step.control = step.sides()
-    side = step.control.get(lid)
-    if side is None:
-        side = step.control[lid] = AD.control_side(control_feats[lid], w)
-    return T.add(x, AD.adapter_apply(side, x, w))
+    w = _adapter_weights(model, lid)
+    return T.add(x, AD.adapter_apply(step.control[lid], x, w))
 
 
 def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
-                 control_feats: dict[str, Tensor] | None = None,
                  role: str = "plain",
                  cache: I.ReconCache | I.CacheLog | None = None,
                  masks: I.LatentMask | None = None,
@@ -549,11 +543,11 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
     x = block(x, "enc1")
     skip1 = x
     x = block(x, "mid")
-    x = _adapted(T.add(x, skip1), model, "dec1", control_feats, step)
+    x = _adapted(T.add(x, skip1), model, "dec1", step)
     x = block(x, "dec1")
     x = _upsample2_tokens(T.matmul(x, model.params["unet.up_proj"]),
                           h0 // 2, w0 // 2)
-    x = _adapted(T.add(x, skip0), model, "dec0", control_feats, step)
+    x = _adapted(T.add(x, skip0), model, "dec0", step)
     x = block(x, "dec0")
     eps = T.add(T.matmul(x, model.params["unet.out_proj"]),
                 model.params["unet.out_b"])

@@ -127,9 +127,8 @@ def train_step(model: N.ModelWeights, params: dict[str, Tensor],
     tape = T.Tape()
     watched = {n: tape.watch(p) for n, p in params.items()}
     m = model.replace(watched)
-    feats = N.controlnet_forward(m, x_t, t, pose, cond)
-    loss = D.training_loss(N.unet_forward(m, x_t, t, prompt, control_feats=feats,
-                                          cond=cond), eps)
+    step = N.StepContext(t, x_t, _computed(m, pose, cond)(x_t, t))
+    loss = D.training_loss(N.unet_forward(m, x_t, t, prompt, cond=cond, step=step), eps)
     value = loss.item()
     if not np.isfinite(value):
         return value, {}
@@ -150,16 +149,18 @@ def _predictor(model: N.ModelWeights, ts: list[int], prompt: str | None,
                cond: N.Conditioning | None = None,
                control: Control | None = None) -> D.EpsFn:
     """One branch's eps function over the sampler steps ``ts``: adapter
-    control from ``pose`` if given (or from ``control``, which replaces it),
-    classifier-free guidance (one forward at 1), and ``role`` inside the
-    injection window of ``inj``, "plain" before it and at every step without
-    ``inj``. ``cond`` is the run's Conditioning (built here if not given);
-    each step's forwards share one StepContext, so under guidance the uncond
-    forward reuses the cond forward's first-block opening and control sides.
+    control sides from ``pose`` if given (or from ``control``, which
+    replaces it), classifier-free guidance (one forward at 1), and ``role``
+    inside the injection window of ``inj``, "plain" before it and at every
+    step without ``inj``. ``cond`` is the run's Conditioning (built here if
+    not given); each step's forwards share one StepContext, so under
+    guidance the uncond forward reuses the cond forward's first-block
+    opening and control sides.
 
-    A step's control is asked for before its forwards run and taken at the
-    first controlled layer. An error in the control work outranks one of
-    the forwards, as when the ControlNet ran before the U-Net."""
+    A step's sides are asked for before its forwards run and handed over
+    through its StepContext at the first controlled layer. An error in the
+    control work outranks one of the forwards, as when the ControlNet ran
+    before the U-Net."""
     step_index = {t: idx for idx, t in enumerate(reversed(ts))}
     cond = N.Conditioning(model) if cond is None else cond
     if control is None and pose is not None:

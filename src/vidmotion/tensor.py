@@ -338,36 +338,6 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _result("slice", (a,), out, bwd)
 
 
-def gather_rows(a: Tensor, index) -> Tensor:
-    """Take rows along axis -2: ``out[..., j, :] = a[..., index[..., j], :]``.
-
-    ``index`` is an integer array whose leading axes match or broadcast to
-    ``a``'s leading axes; rows may repeat, and their gradients accumulate.
-    """
-    index = np.asarray(index)
-    rows = a.shape[-2] if a.data.ndim >= 2 else 0
-    if (index.ndim < 1 or not np.issubdtype(index.dtype, np.integer)
-            or not (0 <= index.min() and index.max() < rows)):
-        raise ShapeError(f"cannot gather rows {index.shape} of {index.dtype} "
-                         f"from shape {a.shape}")
-    try:
-        index = np.broadcast_to(index, a.shape[:-2] + index.shape[-1:])
-    except ValueError:
-        raise ShapeError(f"gather index {index.shape} does not fit {a.shape}") from None
-    out = np.take_along_axis(a.data, index[..., None], axis=-2)
-    if a.node is None:
-        return _result("gather_rows", (a,), out, None)
-    in_shape = a.shape
-
-    def bwd(g):
-        full = np.zeros(in_shape, dtype=np.float32)
-        lead_idx = np.indices(index.shape, sparse=True)[:-1]
-        np.add.at(full, (*lead_idx, index), g)
-        return (full,)
-
-    return _result("gather_rows", (a,), out, bwd)
-
-
 def repeat_axis(a: Tensor, axis: int, times: int) -> Tensor:
     """Repeat each element ``times`` times along ``axis`` (nearest upsample)."""
     if times < 1:

@@ -754,14 +754,14 @@ def test_freed_heap_is_reused_across_forwards():
     cache, inj = I.ReconCache(), I.InjectionSettings()
 
     def step(t):
-        # one ControlNet forward, then the recon, edit-cond and edit-uncond
+        # one step's control sides, then the recon, edit-cond and edit-uncond
         # U-Net forwards of one lockstep sampler step
-        feats = N.controlnet_forward(model, z, t, pose)
-        N.unet_forward(model, z, t, "a figure walking", control_feats=feats,
-                       role="recon", cache=cache, inj=inj)
+        sides = N.control_sides(model, z, t, pose)
+        N.unet_forward(model, z, t, "a figure walking", role="recon", cache=cache,
+                       inj=inj, step=N.StepContext(t, z, lambda: sides))
         for prompt in ("a figure marching", None):
-            N.unet_forward(model, z, t, prompt, control_feats=feats, role="edit",
-                           cache=cache, masks=masks, inj=inj)
+            N.unet_forward(model, z, t, prompt, role="edit", cache=cache,
+                           masks=masks, inj=inj, step=N.StepContext(t, z, lambda: sides))
 
     for t in range(999, 996, -1):  # warm-up
         step(t)

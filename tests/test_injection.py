@@ -121,6 +121,49 @@ class TestBuildInjectedKv:
         np.testing.assert_array_equal(k_inj.data[2], k_r.data[1])
         np.testing.assert_array_equal(k_inj.data[3], k_r.data[3])
 
+    @pytest.mark.parametrize("tracked", range(4))
+    def test_drop_mode_refuses_tracked_reconstruction_keys(self, tracked):
+        n, d = 2, 3
+        mask = np.array([1.0, 0.0, 1.0, 0.0])
+        recon = list(I.decouple_kv(T.Tensor(rnd((2 * n, d), 19)),
+                                   T.Tensor(rnd((2 * n, d), 20)), mask))
+        tape = T.Tape()
+        recon[tracked] = tape.watch(recon[tracked])
+        cur = (T.Tensor(rnd((n, d), 21)), T.Tensor(rnd((n, d), 22)))
+        with pytest.raises(T.TapeError):
+            I.build_injected_kv(tuple(recon), cur, drop_masked_tokens=True, mask=mask)
+        k_inj, v_inj = I.build_injected_kv(tuple(recon), cur)  # default mode records
+        assert (k_inj if tracked in (0, 2) else v_inj).node is not None
+
+    def test_drop_mode_keeps_the_current_frames_gradient(self):
+        n, d = 2, 3
+        mask = np.array([0.0, 1.0, 1.0, 0.0])
+        recon = I.decouple_kv(T.Tensor(rnd((2 * n, d), 23)),
+                              T.Tensor(rnd((2 * n, d), 24)), mask)
+        tape = T.Tape()
+        k_cu = tape.watch(T.Tensor(rnd((n, d), 25)))
+        k_inj, _ = I.build_injected_kv(recon, (k_cu, T.Tensor(rnd((n, d), 26))),
+                                       drop_masked_tokens=True, mask=mask)
+        T.backward(tape, T.sum(k_inj))
+        np.testing.assert_array_equal(tape.grad(k_cu).data, np.ones((n, d)))
+
+    @pytest.mark.parametrize("frames", [None, 3])
+    def test_drop_mode_builds_through_cs_mask(self, frames, monkeypatch):
+        lead = () if frames is None else (frames,)
+        n, d = 2, 3
+        mask = np.stack([rmask(2 * n, 27 + f) for f in range(frames or 1)])
+        mask = mask.reshape(*lead, 2 * n)
+        recon = I.decouple_kv(T.Tensor(rnd((*lead, 2 * n, d), 28)),
+                              T.Tensor(rnd((*lead, 2 * n, d), 29)), mask)
+        cur = (T.Tensor(rnd((*lead, n, d), 30)), T.Tensor(rnd((*lead, n, d), 31)))
+        blocks = []
+        real = I.CsMask.block
+        monkeypatch.setattr(I.CsMask, "block",
+                            lambda self, *a: blocks.append(a[0].shape) or real(self, *a))
+        k_inj, _ = I.build_injected_kv(recon, cur, drop_masked_tokens=True, mask=mask)
+        assert blocks == [(frames or 1, 2 * n, d)]
+        assert k_inj.shape == (*lead, 3 * n, d)
+
 
 class TestFrameAxis:
     F, N, D = 3, 4, 5
@@ -182,11 +225,11 @@ class TestCsMask:
         v = T.Tensor(rnd((self.F, self.N2, self.D), 52))
         (k_block,), (v_block,) = I.CsMask.of(m).block(k, v, drop_masked_tokens=True)
         k_fg, v_fg, k_bg, v_bg = I.decouple_kv(k, v, m)
-        rows = np.argsort(1.0 - m, axis=-1, kind="stable")
+        rows = np.argsort(1.0 - m, axis=-1, kind="stable")[..., None]
         np.testing.assert_array_equal(
-            k_block.data, T.gather_rows(T.add(k_fg, k_bg), rows).data)
+            k_block.data, np.take_along_axis(k_fg.data + k_bg.data, rows, axis=-2))
         np.testing.assert_array_equal(
-            v_block.data, T.gather_rows(T.add(v_fg, v_bg), rows).data)
+            v_block.data, np.take_along_axis(v_fg.data + v_bg.data, rows, axis=-2))
 
     @pytest.mark.parametrize("drop", [False, True], ids=["5n", "drop"])
     def test_block_joined_with_current_equals_build_injected_kv(self, drop):

@@ -30,6 +30,12 @@ def named_digest(named):
     return digest.hexdigest()
 
 
+def controlled(model, z, t, pose, cond=None):
+    """A StepContext that hands a forward on ``z`` at ``t`` its control sides."""
+    sides = N.control_sides(model, z, t, pose, cond)
+    return N.StepContext(t, z, lambda: sides)
+
+
 @pytest.fixture(scope="module")
 def model():
     return N.init_model(CFG, seed=7)
@@ -122,17 +128,18 @@ def test_step_blocks_built_once_equal_per_forward_builds(model, drop, monkeypatc
     recon_cs, _ = block_hooks("recon", lid, cache, inj=inj)
     N._cs_sub_block(T.Tensor(rnd(shape, seed=72)), model, lid, recon_cs)
     masks = mixed_mask_pyramid()
+    xs = [T.Tensor(rnd(shape, seed=seed)) for seed in (73, 74)]
+    # the per-frame references build their stacks before the count starts
+    wants = [per_frame_cs_edit(x, model, lid, 21, cache, masks, drop) for x in xs]
     built = []
     build = I.CsMask.block
     monkeypatch.setattr(I.CsMask, "block",
                         lambda self, *args: built.append(lid) or build(self, *args))
     blocks = {}
-    for seed in (73, 74):
-        x = T.Tensor(rnd(shape, seed=seed))
+    for x, want in zip(xs, wants):
         edit_cs, _ = I.kv_hooks("edit", lid, 21, N.TOPOLOGY, level, cache, masks,
                                 inj, blocks)
         got = N._injected_cs_sub_block(x, model, lid, edit_cs)
-        want = per_frame_cs_edit(x, model, lid, 21, cache, masks, drop)
         np.testing.assert_array_equal(got.data, want.data)
     assert built == [lid]
     assert cache.reads_cs == 4  # each forward and each reference reads
@@ -166,28 +173,25 @@ def test_guided_step_prepares_each_gated_layer_once(model, latent, prompt, monke
                       "in_proj": 1, "enc0_cs": 1}
     assert cache.reads_cs == cache.reads_temporal == 2 * len(gated)
     # the same step with nothing shared: every forward builds its own
-    feats = N.controlnet_forward(model, latent, t, pose)
-    eps_c, eps_u = (N.unet_forward(model, latent, t, text, control_feats=feats,
-                                   role="edit", cache=cache, masks=masks, inj=inj)
+    eps_c, eps_u = (N.unet_forward(model, latent, t, text, role="edit", cache=cache,
+                                   masks=masks, inj=inj,
+                                   step=controlled(model, latent, t, pose))
                     for text in (prompt, None))
     assert counts == {"blocks": 3 * len(gated), "control": 3 * len(N.CONTROLLED_LAYERS),
                       "in_proj": 3, "enc0_cs": 3}
     np.testing.assert_array_equal(eps.data, D.cfg_combine(eps_u, eps_c, 7.5).data)
 
 
-def test_step_sides_equal_control_features_and_are_taken_once(model, latent):
+def test_step_sides_are_taken_once_and_reach_the_output(model, latent):
     pose = N.pose_features(model, skeleton_stack())
     sides = N.control_sides(model, latent, 9, pose)
     taken = []
     step = N.StepContext(9, latent, lambda: taken.append(9) or sides)
-    feats = N.controlnet_forward(model, latent, 9, pose)
-    for prompt in ("p", None):
-        got = N.unet_forward(model, latent, 9, prompt, step=step)
-        want = N.unet_forward(model, latent, 9, prompt, control_feats=feats)
-        np.testing.assert_array_equal(got.data, want.data)
+    got = {prompt: N.unet_forward(model, latent, 9, prompt, step=step)
+           for prompt in ("p", None)}
     assert taken == [9] and step.control is sides
     plain = N.unet_forward(model, latent, 9, "p")
-    assert not np.array_equal(plain.data, want.data)  # the sides reach the output
+    assert not np.array_equal(plain.data, got["p"].data)
 
 
 @pytest.mark.parametrize("prompt", [None, "", "marching"])
@@ -233,8 +237,10 @@ class TestConditioning:
             feats = N.controlnet_forward(model, latent, t, pose, cond)
             np.testing.assert_array_equal(
                 feats["dec0"].data, N.controlnet_forward(model, latent, t, pose)["dec0"].data)
-            shared = N.unet_forward(model, latent, t, "p", control_feats=feats, cond=cond)
-            alone = N.unet_forward(model, latent, t, "p", control_feats=feats)
+            shared = N.unet_forward(model, latent, t, "p", cond=cond,
+                                    step=controlled(model, latent, t, pose, cond))
+            alone = N.unet_forward(model, latent, t, "p",
+                                   step=controlled(model, latent, t, pose))
             np.testing.assert_array_equal(shared.data, alone.data)
 
     @pytest.mark.parametrize("name", ["unet.dec0.cross.w_k", "unet.enc0.cross.w_out",
@@ -370,19 +376,21 @@ class TestUnetForward:
 class TestZeroConditioningNeutrality:
     def test_conditioned_equals_unconditioned_at_zero_init(self, latent):
         pristine = N.init_model(CFG, seed=11, pretrained_control=False)
-        feats = N.controlnet_forward(pristine, latent, 4,
-                                     N.pose_features(pristine, skeleton_stack()))
+        pose = N.pose_features(pristine, skeleton_stack())
+        feats = N.controlnet_forward(pristine, latent, 4, pose)
         for f in feats.values():
             assert (f.data == 0).all()
-        eps_cond = N.unet_forward(pristine, latent, 4, "p", control_feats=feats)
+        eps_cond = N.unet_forward(pristine, latent, 4, "p",
+                                  step=controlled(pristine, latent, 4, pose))
         eps_plain = N.unet_forward(pristine, latent, 4, "p")
         np.testing.assert_array_equal(eps_cond.data, eps_plain.data)
 
     def test_pretrained_control_produces_signal(self, model, latent):
-        feats = N.controlnet_forward(model, latent, 4,
-                                     N.pose_features(model, skeleton_stack()))
+        pose = N.pose_features(model, skeleton_stack())
+        feats = N.controlnet_forward(model, latent, 4, pose)
         assert any((f.data != 0).any() for f in feats.values())
-        eps_cond = N.unet_forward(model, latent, 4, "p", control_feats=feats)
+        eps_cond = N.unet_forward(model, latent, 4, "p",
+                                  step=controlled(model, latent, 4, pose))
         eps_plain = N.unet_forward(model, latent, 4, "p")
         assert not np.array_equal(eps_cond.data, eps_plain.data)
 

@@ -37,10 +37,9 @@ class TestOneShotTrain:
         names = sorted(N.trainable_names(base_model))
         watched = {n: tape.watch(base_model.params[n]) for n in names}
         m = base_model.replace(watched)
-        feats = N.controlnet_forward(m, x_t, t,
-                                     N.pose_features(m, synth_skeletons()))
-        loss = D.training_loss(
-            N.unet_forward(m, x_t, t, "p", control_feats=feats), eps)
+        sides = N.control_sides(m, x_t, t, N.pose_features(m, synth_skeletons()))
+        loss = D.training_loss(N.unet_forward(
+            m, x_t, t, "p", step=N.StepContext(t, x_t, lambda: sides)), eps)
         T.backward(tape, loss)
         for n in names:
             assert tape.grad(watched[n]) is not None
