@@ -67,8 +67,10 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     if ks[-2] == 0:
         raise T.ShapeError("attend needs at least one key")
     k_t = T.transpose(k, (*range(rank - 2), rank - 1, rank - 2))
-    scores = T.scale(T.matmul(q, k_t), 1.0 / math.sqrt(qs[-1]))
-    return T.matmul(T.softmax(scores, axis=len(qs) - 1), v)
+    # the (B, nq, nk) stack is made here and read by nothing else, so scale
+    # and softmax write into it, and one score stack is held, not two
+    scores = T.scale(T.matmul(q, k_t), 1.0 / math.sqrt(qs[-1]), consume=True)
+    return T.matmul(T.softmax(scores, axis=len(qs) - 1, consume=True), v)
 
 
 KVHook = Callable[[Tensor, ProjectionSet], tuple[Tensor, Tensor]]

@@ -2,11 +2,12 @@
 
 The reconstruction branch's keys/values are split rowwise by a binary token
 mask, then stacked together with the editing branch's current-frame block;
-the editing branch's preceding-frame block is never built. The
-reconstruction part of the stack is built once per gated layer and step, and
-the forwards of that step share it. Temporal attention is injected
-wholesale. ``kv_hooks`` decides which U-Net blocks inject and hands each one
-the key/value hooks its attention kernels apply.
+the editing branch's preceding-frame block is never built. Each injecting
+forward builds the reconstruction part of its stack with ``CsMask.block``,
+the builder ``build_injected_kv`` uses, and drops it when its attention
+returns. Temporal attention is injected wholesale. ``kv_hooks`` decides
+which U-Net blocks inject and hands each one the key/value hooks its
+attention kernels apply.
 """
 from __future__ import annotations
 
@@ -223,8 +224,7 @@ class LatentMask:
 
 def kv_hooks(role: str, layer: str, t: int, topology: dict[str, str], level: int,
              cache: ReconCache | CacheLog | None, masks: LatentMask | None,
-             inj: InjectionSettings | None,
-             blocks: dict[str, Block] | None = None
+             inj: InjectionSettings | None
              ) -> tuple[A.KVHook | None, A.KVHook | None]:
     """The (cross-frame, temporal) key/value hooks of U-Net block ``layer`` at
     step ``t``, or None where the block does not inject. "recon" hooks project
@@ -232,8 +232,8 @@ def kv_hooks(role: str, layer: str, t: int, topology: dict[str, str], level: int
     current frame's tokens only: the cross-frame hook projects them and puts
     the reconstruction block (masks of ``level``) before them, and the
     temporal hook returns the cached stacks without projecting anything.
-    Each edit forward reads the cache; the block is built once per layer in
-    ``blocks``, so the forwards of one step that share ``blocks`` share it."""
+    Each call of the cross-frame hook reads the cache and builds its own
+    block, which lives only as long as the stacks it is joined into."""
     if inj is None or not gate(layer, topology, inj.inject_mid):
         return None, None
     if role == "recon":
@@ -246,13 +246,9 @@ def kv_hooks(role: str, layer: str, t: int, topology: dict[str, str], level: int
         return writer(cache.put_cs), writer(cache.put_temporal)
     if role == "edit" and inj.enabled:
         cs_mask = masks.cs(level)
-        blocks = {} if blocks is None else blocks
 
         def inject_cs(src: Tensor, p: A.ProjectionSet) -> tuple[Tensor, Tensor]:
-            k, v = cache.get_cs(layer, t)
-            block = blocks.get(layer)
-            if block is None:
-                block = blocks[layer] = cs_mask.block(k, v, inj.drop_masked_tokens)
+            block = cs_mask.block(*cache.get_cs(layer, t), inj.drop_masked_tokens)
             return join_current(block, A.project_kv(src, p))
 
         return inject_cs, lambda src, p: cache.get_temporal(layer, t)

@@ -18,10 +18,11 @@ What depends only on frozen weights, the prompt and the timestep (text
 keys/values, time rows, and the text sub-block's whole output for a one-token
 prompt such as the unconditional one) is built once per run in a
 ``Conditioning``; what the forwards of one sampler step share (the first
-block's opening, adapter control sides, injected reconstruction blocks) is
-built once per step in a ``StepContext``. Both reuses are exact: one key makes
-the text softmax exactly 1, so that output does not depend on the stream, and
-enc0 is never gated, so its opening reads only the latent and the timestep.
+block's opening and the adapter control sides) is built once per step in a
+``StepContext``. Both reuses are exact: one key makes the text softmax exactly
+1, so that output does not depend on the stream, and enc0 is never gated, so
+its opening reads only the latent and the timestep. Injected reconstruction
+blocks are not shared: each injecting forward builds its own and drops it.
 """
 from __future__ import annotations
 
@@ -384,11 +385,11 @@ class _OneForward(Conditioning):
 class StepContext:
     """What the U-Net forwards of one sampler step share, built by the first
     forward that needs it: the first block's opening on the latent ``z`` at
-    ``t``, each controlled layer's adapter control side and each injecting
-    layer's reconstruction block. The cond and uncond forwards under guidance
-    read the same latent, control sides, cache entries and masks, so one
-    context serves both; forwards that differ in any of these must not share
-    one, and a forward on another timestep or latent refuses it.
+    ``t`` and each controlled layer's adapter control side. The cond and
+    uncond forwards under guidance read the same latent and control sides, so
+    one context serves both; forwards that differ in either must not share
+    one, and a forward on another timestep or latent refuses it. It holds no
+    injected block, so a forward's blocks are freed as that forward ends.
 
     ``sides``, if given, hands over every controlled layer's control side at
     once (``control_sides`` of the step, built elsewhere); the first
@@ -399,7 +400,6 @@ class StepContext:
     sides: Callable[[], dict[str, AD.ControlSide]] | None = None
     opening: tuple[Tensor, Tensor] | None = None
     control: dict[str, AD.ControlSide] = field(default_factory=dict)
-    blocks: dict[str, I.Block] = field(default_factory=dict)
 
 
 def _cs_sub_block(x: Tensor, model: ModelWeights, lid: str, kv) -> Tensor:
@@ -527,7 +527,7 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
 
     def block(x: Tensor, lid: str) -> Tensor:
         cs_kv, temporal_kv = I.kv_hooks(role, lid, t, TOPOLOGY, BLOCK_LEVEL[lid],
-                                        cache, masks, inj, step.blocks)
+                                        cache, masks, inj)
         return _unet_block(_opening(x, model, lid, t, role, cs_kv, cond), model,
                            lid, prompt, temporal_kv, probe, cond)
 

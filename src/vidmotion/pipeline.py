@@ -155,7 +155,8 @@ def _predictor(model: N.ModelWeights, ts: list[int], prompt: str | None,
     step without ``inj``. ``cond`` is the run's Conditioning (built here if
     not given); each step's forwards share one StepContext, so under
     guidance the uncond forward reuses the cond forward's first-block
-    opening and control sides.
+    opening and control sides, but builds its own injected blocks, so no
+    block outlives the forward that attends it.
 
     A step's sides are asked for before its forwards run and handed over
     through its StepContext at the first controlled layer. An error in the

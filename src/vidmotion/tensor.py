@@ -1,11 +1,15 @@
 """Dense float32 tensors, a reverse-mode autodiff tape, and an Adam step.
 
 Tensors are immutable numpy-backed values; every public operation returns a
-new tensor. Gradient tracking is opt-in: a Tape records primitive
-applications in construction (= topological) order, and backward() walks the
-record once, accumulating gradients per node. Nodes point back at their tape
-only weakly, so a tape and its graph are freed by reference counting as soon
-as the caller drops the tape and the tensors recorded on it.
+new tensor. The one exception is ``consume=True`` on ``scale`` and
+``softmax``, which writes the result into the input's buffer; only
+``attention.attend`` asks for it, on a score stack it made itself.
+
+Gradient tracking is opt-in: a Tape records primitive applications in
+construction (= topological) order, and backward() walks the record once,
+accumulating gradients per node. Nodes point back at their tape only
+weakly, so a tape and its graph are freed by reference counting as soon as
+the caller drops the tape and the tensors recorded on it.
 
 A node saves only what the gradients of its tracked parents read, decided
 when the op is recorded: its backward closure captures arrays and shapes,
@@ -224,9 +228,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                               _unbroadcast(g * ad, sb) if kb else None))
 
 
-def scale(a: Tensor, c: float) -> Tensor:
+def scale(a: Tensor, c: float, *, consume: bool = False) -> Tensor:
+    """``a`` times ``c``. With ``consume`` the product is written into
+    ``a``'s buffer, which the caller must not read again; the gradient reads
+    only ``c``, so a tracked ``a`` may be consumed too."""
     c = np.float32(float(c))
-    out = a.data * c
+    out = np.multiply(a.data, c, out=a.data) if consume else a.data * c
     if a.node is None:
         return _result("scale", (a,), out, None)
     return _result("scale", (a,), out, lambda g: (g * c,))
@@ -385,13 +392,17 @@ def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _result("mean", (a,), out, bwd)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
+def softmax(a: Tensor, axis: int = -1, *, consume: bool = False) -> Tensor:
+    """Softmax along ``axis``. With ``consume`` it is written into ``a``'s
+    buffer, which the caller must not read again; the gradient reads only
+    the output, so a tracked ``a`` may be consumed too."""
     rank = a.data.ndim
     if not -rank <= axis < rank:
         raise ShapeError(f"softmax axis {axis} out of range for rank {rank}")
     # one buffer for shift, exp and normalise keeps batched score stacks small
     # (_row_max may copy the stack for a moment to find the shift)
-    out = a.data - _row_max(a.data, axis)
+    shift = _row_max(a.data, axis)
+    out = np.subtract(a.data, shift, out=a.data) if consume else a.data - shift
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
     if a.node is None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,47 @@ class TestAttend:
         for b in range(3):
             single = A.attend(T.Tensor(q[b]), T.Tensor(k[b]), T.Tensor(v[b])).data
             np.testing.assert_allclose(batched[b], single, atol=1e-6)
+
+
+def copying_attend(q, k, v):
+    """attend's five ops, each through the copying default."""
+    rank = k.data.ndim
+    k_t = T.transpose(k, (*range(rank - 2), rank - 1, rank - 2))
+    scores = T.scale(T.matmul(q, k_t), 1.0 / math.sqrt(q.shape[-1]))
+    return T.matmul(T.softmax(scores, axis=q.data.ndim - 1), v)
+
+
+class TestAttendOwnsItsScores:
+    @pytest.mark.parametrize("shapes", [
+        ((6, 8), (1, 8), (1, 8)), ((6, 8), (4, 8), (4, 8)),
+        ((3, 5, 8), (3, 128, 8), (3, 128, 8)), ((3, 5, 8), (3, 129, 8), (3, 129, 8)),
+        ((2, 4, 8), (320, 8), (320, 8))], ids=str)
+    def test_gradients_equal_the_copying_composition(self, shapes):
+        q, k, v = (rnd(shape, seed=i, scale=2.0) for i, shape in enumerate(shapes))
+        probe = rnd((*shapes[0][:-1], 8), seed=9)
+        results = []
+        for kernel in (A.attend, copying_attend):
+            tape = T.Tape()
+            leaves = [tape.watch(T.Tensor(x)) for x in (q, k, v)]
+            out = kernel(*leaves)
+            T.backward(tape, T.sum(T.mul(out, T.Tensor(probe))))
+            results.append([out.data] + [tape.grad(x).data for x in leaves])
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
+        for x, orig in zip(leaves, (q, k, v)):
+            assert x.data.tobytes() == orig.tobytes()  # inputs are not consumed
+
+    def test_holds_one_score_stack(self):
+        # rows of 320 keys take _row_max's branch that makes no copy
+        q, k, v = rnd((2, 200, 8), seed=1), rnd((2, 320, 8), seed=2), rnd((2, 320, 8), seed=3)
+        stack = 2 * 200 * 320 * 4
+        tracemalloc.start()
+        try:
+            A.attend(T.Tensor(q), T.Tensor(k), T.Tensor(v))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stack <= peak < 1.5 * stack
 
 
 class TestCsAttention:

@@ -155,7 +155,7 @@ def test_setting_labels_change_one_field(tmp_path, label, section, key, value):
 
 
 def test_every_seed_runs_every_label():
-    assert len(identity.SEEDS) * len(identity.COMMANDS) == 33
+    assert len(identity.SEEDS) * len(identity.COMMANDS) == 36
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -119,8 +120,9 @@ def test_batched_cs_injection_equals_per_frame_reference(model, lid, drop):
 
 
 @pytest.mark.parametrize("drop", [False, True], ids=["5n", "drop"])
-def test_step_blocks_built_once_equal_per_forward_builds(model, drop, monkeypatch):
-    # the cond and uncond forwards of one guided step share one blocks memo
+def test_each_forward_builds_its_block_equal_to_per_frame_builds(model, drop,
+                                                                  monkeypatch):
+    # the cond and uncond forwards of one guided step build a block each
     lid, level = "dec0", N.BLOCK_LEVEL["dec0"]
     shape = (CFG.frames, math.prod(CFG.level_hw(level)), CFG.widths[level])
     inj = I.InjectionSettings(drop_masked_tokens=drop)
@@ -135,18 +137,19 @@ def test_step_blocks_built_once_equal_per_forward_builds(model, drop, monkeypatc
     build = I.CsMask.block
     monkeypatch.setattr(I.CsMask, "block",
                         lambda self, *args: built.append(lid) or build(self, *args))
-    blocks = {}
     for x, want in zip(xs, wants):
         edit_cs, _ = I.kv_hooks("edit", lid, 21, N.TOPOLOGY, level, cache, masks,
-                                inj, blocks)
+                                inj)
         got = N._injected_cs_sub_block(x, model, lid, edit_cs)
         np.testing.assert_array_equal(got.data, want.data)
-    assert built == [lid]
+    assert built == [lid, lid]
     assert cache.reads_cs == 4  # each forward and each reference reads
 
 
 @pytest.mark.parametrize("prompt", ["a figure marching", "marching"])
-def test_guided_step_prepares_each_gated_layer_once(model, latent, prompt, monkeypatch):
+def test_guided_step_shares_its_opening_and_control_but_not_blocks(model, latent,
+                                                                   prompt,
+                                                                   monkeypatch):
     t = 21
     cache = I.ReconCache()
     N.unet_forward(model, latent, t, "a figure walking", role="recon", cache=cache)
@@ -169,7 +172,8 @@ def test_guided_step_prepares_each_gated_layer_once(model, latent, prompt, monke
     eps = P._predictor(model, [t], prompt, pose, 7.5, "edit", cache, masks,
                        inj)(latent, t)
     gated = [lid for lid in N.BLOCK_ORDER if I.gate(lid, N.TOPOLOGY)]
-    assert counts == {"blocks": len(gated), "control": len(N.CONTROLLED_LAYERS),
+    # each injecting forward builds its own blocks; the rest is built once
+    assert counts == {"blocks": 2 * len(gated), "control": len(N.CONTROLLED_LAYERS),
                       "in_proj": 1, "enc0_cs": 1}
     assert cache.reads_cs == cache.reads_temporal == 2 * len(gated)
     # the same step with nothing shared: every forward builds its own
@@ -177,9 +181,43 @@ def test_guided_step_prepares_each_gated_layer_once(model, latent, prompt, monke
                                    masks=masks, inj=inj,
                                    step=controlled(model, latent, t, pose))
                     for text in (prompt, None))
-    assert counts == {"blocks": 3 * len(gated), "control": 3 * len(N.CONTROLLED_LAYERS),
+    assert counts == {"blocks": 4 * len(gated), "control": 3 * len(N.CONTROLLED_LAYERS),
                       "in_proj": 3, "enc0_cs": 3}
     np.testing.assert_array_equal(eps.data, D.cfg_combine(eps_u, eps_c, 7.5).data)
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["5n", "drop"])
+def test_a_forwards_blocks_are_freed_before_its_step_ends(model, latent, drop,
+                                                           monkeypatch):
+    t = 21
+    inj = I.InjectionSettings(inject_mid=True, drop_masked_tokens=drop)
+    cache = I.ReconCache()
+    N.unet_forward(model, latent, t, "a figure walking", role="recon", cache=cache,
+                   inj=inj)
+    pose = N.pose_features(model, skeleton_stack())
+    masks = mask_pyramid()
+    refs = []
+    build = I.CsMask.block
+
+    def watched(self, *args):
+        block = build(self, *args)
+        refs.extend(weakref.ref(piece.data) for pieces in block for piece in pieces)
+        return block
+    monkeypatch.setattr(I.CsMask, "block", watched)
+    step = controlled(model, latent, t, pose)
+
+    def forward(text):
+        return N.unet_forward(model, latent, t, text, role="edit", cache=cache,
+                              masks=masks, inj=inj, step=step)
+    eps_c = forward("a figure marching")
+    gated = [lid for lid in N.BLOCK_ORDER if I.gate(lid, N.TOPOLOGY, True)]
+    assert len(refs) == len(gated) * (2 if drop else 4)
+    assert all(ref() is None for ref in refs)  # the step is alive, its blocks not
+    monkeypatch.undo()
+    eps = P._predictor(model, [t], "a figure marching", pose, 7.5, "edit", cache,
+                       masks, inj)(latent, t)
+    want = D.cfg_combine(forward(None), eps_c, 7.5)
+    np.testing.assert_array_equal(eps.data, want.data)
 
 
 def test_step_sides_are_taken_once_and_reach_the_output(model, latent):

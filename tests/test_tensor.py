@@ -155,6 +155,44 @@ class TestKernelIdentity:
         assert _same_bits(np.ascontiguousarray(g), x)
 
 
+_ROW_LENGTHS = (1, 4, 128, 129, 320)
+_STACKS = [(3, n) for n in _ROW_LENGTHS] + [(2, 5, n) for n in _ROW_LENGTHS]
+_CONSUMERS = {"scale": lambda a, **kw: T.scale(a, 0.125, **kw),
+              "softmax": lambda a, **kw: T.softmax(a, axis=a.data.ndim - 1, **kw)}
+
+
+class TestConsume:
+    """``consume=True`` writes the result into the input's buffer, with the
+    bits of the copying default; softmax rows of up to 128 entries and
+    longer ones take the two branches of ``_row_max``."""
+
+    @pytest.mark.parametrize("shape", _STACKS, ids=str)
+    @pytest.mark.parametrize("op", sorted(_CONSUMERS))
+    def test_consume_equals_default_in_the_input_buffer(self, op, shape):
+        x = rnd(shape, seed=len(shape) * 1000 + shape[-1], scale=4.0)
+        keep = x.copy()
+        default = _CONSUMERS[op](T.Tensor(x))
+        assert not np.shares_memory(default.data, x)
+        assert _same_bits(x, keep)
+        a = T.Tensor(x)
+        consumed = _CONSUMERS[op](a, consume=True)
+        assert np.shares_memory(consumed.data, a.data)
+        assert _same_bits(consumed.data, default.data)
+
+    @pytest.mark.parametrize("op", sorted(_CONSUMERS))
+    def test_consuming_a_tracked_input_keeps_its_gradient(self, op):
+        x, probe = rnd((2, 5, 129), seed=8), rnd((2, 5, 129), seed=9)
+        grads = []
+        for consume in (False, True):
+            tape = T.Tape()
+            leaf = tape.watch(T.Tensor(x))
+            # consume a fresh product, as attend does, not the leaf itself
+            out = _CONSUMERS[op](T.mul(leaf, T.Tensor(probe)), consume=consume)
+            T.backward(tape, T.sum(T.mul(out, T.Tensor(probe))))
+            grads.append(tape.grad(leaf).data)
+        assert _same_bits(*grads)
+
+
 class TestConcat:
     def test_single_part_identity(self):
         x = T.Tensor(rnd((2, 3)))

@@ -7,7 +7,8 @@ with REV ("base"), which is checked out with ``git worktree`` into a
 temporary directory (local, no network). Each bench seed's
 inputs (seeds 1-3, written by ``perfbench/inputs.py`` of this checkout) are
 written once, so both sides read the same bytes. Then ``edit``, ``edit
---drop-masked-tokens --inject-mid``, ``edit --no-injection``, ``edit
+--drop-masked-tokens --inject-mid``, ``edit --inject-mid`` (the default
+5N stacks at the mid layer too), ``edit --no-injection``, ``edit
 --guidance 1`` (one forward per step, so no guided pair shares its work),
 ``edit`` with a one-word target prompt (so the cond forward, too, reads a
 one-token text output), ``edit`` pinned to one CPU (so its step worker runs
@@ -45,6 +46,7 @@ SEEDS = (1, 2, 3)
 COMMANDS = {
     "edit": ("edit",),
     "edit-drop-mid": ("edit", "--drop-masked-tokens", "--inject-mid"),
+    "edit-mid": ("edit", "--inject-mid"),
     "edit-no-injection": ("edit", "--no-injection"),
     "edit-guidance-1": ("edit", "--guidance", "1"),
     "edit-one-word": ("edit",),
