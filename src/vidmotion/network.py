@@ -311,13 +311,14 @@ class Conditioning:
     output for a one-token prompt, and every U-Net and ControlNet block's time
     row per timestep.
 
+    It holds only the frozen weights it reads (``names``), not the model, so
+    a run that updates other weights, as training does, frees the old ones.
     A tracked weight would need its rows rebuilt at every step for its
     gradient, so building from one raises TapeError; a forward handed no
     Conditioning builds its own from its own weights, tracked or not.
     """
 
     def __init__(self, model: ModelWeights):
-        self.model = model
         self.names = frozenset(
             ["unet.time_table"]
             + [f"control.{lid}.time_proj" for lid in CONTROL_BLOCKS]
@@ -326,17 +327,21 @@ class Conditioning:
         tracked = sorted(n for n in self.names if model.params[n].node is not None)
         if tracked:
             raise T.TapeError(f"conditioning built from tracked weights {tracked}")
+        self.cfg = model.cfg
+        self.params = {n: model.params[n] for n in self.names}
         self._text: dict[tuple[str, str | None], tuple[Tensor, Tensor]] = {}
         self._cross: dict[tuple[str, str | None], Tensor | None] = {}
         self._time: dict[tuple[str, int], Tensor] = {}
 
     def text_kv(self, lid: str, prompt: str | None) -> tuple[Tensor, Tensor]:
-        """U-Net block ``lid``'s text keys and values for ``prompt``."""
+        """U-Net block ``lid``'s text keys and values for ``prompt``, as
+        ``attention.project_kv`` projects them."""
         kv = self._text.get((lid, prompt))
         if kv is None:
-            text = text_embedding(prompt, self.model.cfg.widths[BLOCK_LEVEL[lid]])
-            kv = self._text[lid, prompt] = A.project_kv(
-                text, self.model.pset(f"unet.{lid}.cross"))
+            text = text_embedding(prompt, self.cfg.widths[BLOCK_LEVEL[lid]])
+            p = self.params
+            kv = self._text[lid, prompt] = (T.matmul(text, p[f"unet.{lid}.cross.w_k"]),
+                                            T.matmul(text, p[f"unet.{lid}.cross.w_v"]))
         return kv
 
     def cross_out(self, lid: str, prompt: str | None) -> Tensor | None:
@@ -351,11 +356,10 @@ class Conditioning:
             k, v = self.text_kv(lid, prompt)
             out = None
             if k.shape[0] == 1:
-                cfg = self.model.cfg
+                cfg = self.cfg
                 n = math.prod(cfg.level_hw(BLOCK_LEVEL[lid]))
                 ones = Tensor(np.ones((cfg.frames, n, 1), np.float32))
-                out = T.matmul(T.matmul(ones, v),
-                               self.model.params[f"unet.{lid}.cross.w_out"])
+                out = T.matmul(T.matmul(ones, v), self.params[f"unet.{lid}.cross.w_out"])
             self._cross[key] = out
         return self._cross[key]
 
@@ -363,7 +367,7 @@ class Conditioning:
         """The (1, d) time embedding of block ``pre`` at timestep ``t``."""
         row = self._time.get((pre, t))
         if row is None:
-            p = self.model.params
+            p = self.params
             row = self._time[pre, t] = T.matmul(
                 T.slice_axis(p["unet.time_table"], 0, t, t + 1), p[f"{pre}.time_proj"])
         return row
@@ -375,7 +379,7 @@ class _OneForward(Conditioning):
     full, since one forward has nothing to share them with."""
 
     def __init__(self, model: ModelWeights):
-        self.model, self._text, self._time = model, {}, {}
+        self.cfg, self.params, self._text, self._time = model.cfg, model.params, {}, {}
 
     def cross_out(self, lid: str, prompt: str | None) -> None:
         return None

@@ -88,12 +88,16 @@ def one_shot_train(model: N.ModelWeights, video: Tensor,
                    schedule: D.NoiseSchedule | None = None,
                    rng: T.Rng | None = None) -> TrainResult:
     """Fine-tune only the adapter and temporal attention to re-predict the
-    noise on the source video (uniform timesteps, Adam, constant lr)."""
+    noise on the source video (uniform timesteps, Adam, constant lr).
+
+    ``model`` is rebound to the updated weights after every step, and the
+    run's Conditioning holds only frozen weights, so a caller that keeps no
+    reference to ``model`` has one copy of the trainable weights alive
+    between steps, beside Adam's two moments."""
     schedule = schedule or D.make_schedule(model.cfg.schedule_steps)
     rng = rng or T.Rng(0)
     z0 = N.encode_video(video, model.cfg)
     names = sorted(N.trainable_names(model))
-    params = {n: model.params[n] for n in names}
     state = T.AdamState(lr=lr)
     losses: list[float] = []
     pose = N.pose_features(model, skeletons)
@@ -101,16 +105,19 @@ def one_shot_train(model: N.ModelWeights, video: Tensor,
     for step in range(steps):
         t = rng.integer(0, schedule.timesteps)
         eps = rng.normal(z0.shape)
+        params = {n: model.params[n] for n in names}
         value, grads = train_step(model, params, pose,
                                   D.q_sample(z0, t, eps, schedule), t, eps, prompt,
                                   cond)
         if not np.isfinite(value):
             raise RuntimeError(f"non-finite training loss {value} at step {step} "
                                f"(timestep {t})")
-        params = T.adam_step(params, grads, state)
-        del grads  # not held while the next step builds its graph
+        # grads and the old weights are not held while the next step builds
+        # its graph
+        model = model.replace(T.adam_step(params, grads, state))
+        del grads, params
         losses.append(value)
-    return TrainResult(model.replace(params), losses)
+    return TrainResult(model, losses)
 
 
 def train_step(model: N.ModelWeights, params: dict[str, Tensor],

@@ -4,6 +4,9 @@ Tensors are immutable numpy-backed values; every public operation returns a
 new tensor. The one exception is ``consume=True`` on ``scale`` and
 ``softmax``, which writes the result into the input's buffer; only
 ``attention.attend`` asks for it, on a score stack it made itself.
+``adam_step`` keeps the optimizer's moments as plain arrays and updates them
+in place, one pair per parameter for the whole run, but returns the updated
+parameters as new tensors.
 
 Gradient tracking is opt-in: a Tape records primitive applications in
 construction (= topological) order, and backward() walks the record once,
@@ -15,8 +18,9 @@ A node saves only what the gradients of its tracked parents read, decided
 when the op is recorded: its backward closure captures arrays and shapes,
 never whole tensors, so a frozen weight's input is not kept for the weight's
 gradient. For a parent without a node the closure returns None and computes
-nothing. A closure leaves what it saved intact, so a tape may be walked more
-than once. Primitives take Tensors (an outside array comes in through
+nothing. A closure leaves what it saved and the gradient it is handed intact,
+so a tape may be walked more than once; it writes in place only into arrays
+it has just made. Primitives take Tensors (an outside array comes in through
 Tensor(...)), and each decides once whether it records: with no tracked input
 it builds no closure and hands _result None, and _result records a node
 exactly when it is handed a backward function.
@@ -387,7 +391,7 @@ def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
     def bwd(g):
         gg = g if keepdims or axis is None else np.expand_dims(g, axis)
-        return ((np.broadcast_to(gg, in_shape) / np.float32(n)).astype(np.float32),)
+        return (np.broadcast_to(gg, in_shape) / np.float32(n),)
 
     return _result("mean", (a,), out, bwd)
 
@@ -400,7 +404,7 @@ def softmax(a: Tensor, axis: int = -1, *, consume: bool = False) -> Tensor:
     if not -rank <= axis < rank:
         raise ShapeError(f"softmax axis {axis} out of range for rank {rank}")
     # one buffer for shift, exp and normalise keeps batched score stacks small
-    # (_row_max may copy the stack for a moment to find the shift)
+    # (_row_max copies a stack of short rows for a moment to find the shift)
     shift = _row_max(a.data, axis)
     out = np.subtract(a.data, shift, out=a.data) if consume else a.data - shift
     np.exp(out, out=out)
@@ -409,19 +413,24 @@ def softmax(a: Tensor, axis: int = -1, *, consume: bool = False) -> Tensor:
         return _result("softmax", (a,), out, None)
 
     def bwd(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
+        # out * (g - dot), in the buffer of g * out once dot is summed from it
+        grad = g * out
+        dot = grad.sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=grad)
+        return (np.multiply(out, grad, out=grad),)
 
     return _result("softmax", (a,), out, bwd)
 
 
 def _row_max(x: np.ndarray, axis: int) -> np.ndarray:
     """``x.max(axis, keepdims=True)``. numpy reduces short rows one at a time,
-    so rows of at most 128 entries are reduced across rows instead, from a
+    so rows of fewer than 128 entries are reduced across rows instead, from a
     contiguous copy with the axis first; max is exact, so the result has the
-    same bits either way. On the attention score stacks the copy is 1.6-8x
-    faster for rows of 4-80 entries, about even at 128, and slower from 192 on."""
-    if x.shape[axis] > 128:
+    same bits either way. On the attention score stacks the copy is 1.3-7x
+    faster for rows of 4-127 entries and slower from 128 on, where it also
+    held a second stack: transposing rows of 128 floats or more is slower
+    than numpy's own row reduction."""
+    if x.shape[axis] >= 128:
         return x.max(axis=axis, keepdims=True)
     axis %= x.ndim
     reduced_first = (axis,) + tuple(i for i in range(x.ndim) if i != axis)
@@ -495,13 +504,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         lead = tuple(range(g.ndim - 1))
         dx = dgamma = dbeta = None
         if kgamma:
-            dgamma = ((g * xh).sum(axis=lead) if lead else g * xh).astype(np.float32)
+            dgamma = (g * xh).sum(axis=lead) if lead else g * xh
         if kbeta:
-            dbeta = (g.sum(axis=lead) if lead else g).astype(np.float32)
+            dbeta = g.sum(axis=lead) if lead else g
         if kx:
+            # inv * (dxh - mean(dxh) - xh * mean(dxh * xh)) with dxh the one
+            # temporary; dx starts as xh * mean(...), laid out like xh
             dxh = g * gd
-            dx = inv * (dxh - _row_mean(dxh) - xh * _row_mean(dxh * xh))
-            dx = dx.astype(np.float32)
+            mean_dxh, mean_dxh_xh = _row_mean(dxh), _row_mean(dxh * xh)
+            np.subtract(dxh, mean_dxh, out=dxh)
+            dx = xh * mean_dxh_xh
+            np.subtract(dxh, dx, out=dx)
+            np.multiply(inv, dx, out=dx)
         return dx, dgamma, dbeta
 
     return _result("layer_norm", (x, gamma, beta), out, bwd)
@@ -566,7 +580,8 @@ def conv_temporal(x: Tensor, kernel: Tensor) -> Tensor:
 
 
 class AdamState:
-    """Adam moment accumulators; step counter strictly increases."""
+    """Adam moment accumulators, one array per parameter that ``adam_step``
+    updates in place; step counter strictly increases."""
 
     def __init__(self, lr: float = 3e-5, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -581,7 +596,16 @@ class AdamState:
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, Tensor | None],
               state: AdamState) -> dict[str, Tensor]:
-    """One Adam update; returns new parameter tensors (inputs untouched)."""
+    """One Adam update; returns new parameter tensors and leaves the input
+    tensors untouched. The moments ``state.m`` and ``state.v`` are updated in
+    place, one array per parameter for the whole run. Each expression runs
+    in the order of
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+
+    so the bits equal that closed form's."""
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
@@ -594,17 +618,24 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Tensor | None],
             raise ShapeError(f"gradient shape {garr.shape} does not match "
                              f"parameter {name} shape {p.data.shape}")
         m = state.m.get(name)
-        v = state.v.get(name)
         if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = state.beta1 * m + (1.0 - state.beta1) * garr
-        v = state.beta2 * v + (1.0 - state.beta2) * garr * garr
-        state.m[name] = m
-        state.v[name] = v
-        mhat = m / bc1
-        vhat = v / bc2
-        out[name] = Tensor(p.data - state.lr * mhat / (np.sqrt(vhat) + state.eps))
+            m = state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        v = state.v[name]
+        tmp = np.multiply(1.0 - state.beta1, garr)
+        np.multiply(state.beta1, m, out=m)
+        m += tmp
+        np.multiply(1.0 - state.beta2, garr, out=tmp)
+        tmp *= garr
+        np.multiply(state.beta2, v, out=v)
+        v += tmp
+        mhat = np.divide(m, bc1, out=tmp)
+        denom = v / bc2
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        np.multiply(state.lr, mhat, out=mhat)
+        mhat /= denom
+        out[name] = Tensor(p.data - mhat)
     return out
 
 

@@ -179,6 +179,21 @@ class TestAttendOwnsItsScores:
         assert stack <= peak < 1.5 * stack
 
 
+    def test_rows_of_128_keys_hold_one_score_stack(self):
+        # level 0's cross-frame attention reads 2N = 128 keys; rows from 128
+        # entries on find softmax's shift without copying the stack
+        q = rnd((8, 64, 32), seed=4)
+        k, v = rnd((8, 128, 32), seed=5), rnd((8, 128, 32), seed=6)
+        stack = 8 * 64 * 128 * 4
+        tracemalloc.start()
+        try:
+            A.attend(T.Tensor(q), T.Tensor(k), T.Tensor(v))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stack <= peak < 2 * stack, peak / stack
+
+
 class TestCsAttention:
     def test_frame0_clamp_reduces_to_self_attention(self):
         d = 8

@@ -298,6 +298,17 @@ class TestConditioning:
                          T.Tensor(rnd(latent.shape, seed=82)), "p",
                          N.Conditioning(model))
 
+    def test_keeps_no_trainable_array_alive(self, model, latent):
+        # a fresh model, so that nothing else holds its arrays
+        fresh = N.init_model(CFG, seed=7)
+        refs = {n: weakref.ref(fresh.params[n].data) for n in N.trainable_names(fresh)}
+        cond = N.Conditioning(fresh)
+        del fresh
+        assert [n for n, ref in refs.items() if ref() is not None] == []
+        eps = N.unet_forward(model, latent, 9, "p", cond=cond)
+        alone = N.unet_forward(model, latent, 9, "p")
+        np.testing.assert_array_equal(eps.data, alone.data)
+
     def test_step_context_of_another_timestep_rejected(self, model, latent):
         with pytest.raises(N.ConfigError, match="t=5"):
             N.unet_forward(model, latent, 6, "p", step=N.StepContext(5, latent))

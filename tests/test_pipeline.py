@@ -111,6 +111,29 @@ class TestOneShotTrain:
                         for n in N.trainable_names(base_model))
         assert three <= one + state + 0.05 * one, (one, three, state)
 
+    def test_later_steps_hold_one_copy_of_the_trainable_weights(self, base_model,
+                                                                schedule):
+        # with a model nothing else holds, the first update frees the initial
+        # trainable weights, so three steps peak above one step only by
+        # Adam's two moments
+        trainable = sorted(N.trainable_names(base_model))
+
+        def traced_peak(steps):
+            tracemalloc.start()
+            try:
+                P.one_shot_train(
+                    base_model.replace({n: T.Tensor(base_model.params[n].data.copy())
+                                        for n in trainable}),
+                    synth_video(), synth_skeletons(), "p",
+                    steps=steps, schedule=schedule, rng=T.Rng(0))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, three = traced_peak(1), traced_peak(3)
+        state = 2 * sum(base_model.params[n].data.nbytes for n in trainable)
+        assert three <= one + state + 0.05 * one, (one, three, state)
+
     def test_training_descends_and_freezes(self, base_model, schedule, training_run):
         frozen = set(base_model.params) - N.trainable_names(base_model)
         assert (N.parameter_checksum(training_run.model, frozen)

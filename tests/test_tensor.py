@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 import zlib
 
@@ -153,6 +154,16 @@ class TestKernelIdentity:
         g = out.node.backward_fn(out.data)[0]
         assert _same_bits(g, out.data.transpose(np.argsort(axes)))
         assert _same_bits(np.ascontiguousarray(g), x)
+
+
+@pytest.mark.parametrize("row", [126, 127, 128, 129])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_row_max_equals_numpy_max_around_its_switch(row, axis):
+    shape = [3, 5, 4]
+    shape[axis] = row
+    x = rnd(shape, seed=row + axis, scale=30.0)
+    x.reshape(-1)[:4] = (-0.0, 0.0, -3e38, 1e-45)
+    assert _same_bits(T._row_max(x, axis), x.max(axis=axis, keepdims=True))
 
 
 _ROW_LENGTHS = (1, 4, 128, 129, 320)
@@ -728,6 +739,158 @@ class TestAdam:
         for want in (1, 2, 3):
             T.adam_step(p, {"w": T.zeros((2,))}, state)
             assert state.step_count == want
+
+
+def _adam_reference(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The closed form ``adam_step`` must equal bit for bit, with fresh
+    arrays for everything."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * g * g
+    mhat = m / (1.0 - beta1 ** t)
+    vhat = v / (1.0 - beta2 ** t)
+    return p - lr * mhat / (np.sqrt(vhat) + eps), m, v
+
+
+class TestAdamInPlace:
+    def test_moments_stay_one_array_and_updates_equal_the_closed_form(self):
+        shapes = {"w": (3, 4), "b": (5,), "k": (2, 3, 3)}
+        params = {n: T.Tensor(rnd(s, seed=70 + i, scale=0.5))
+                  for i, (n, s) in enumerate(shapes.items())}
+        want = {n: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+                for n, p in params.items()}
+        state = T.AdamState(lr=1e-2)
+        first = None
+        for step in range(1, 6):
+            # every value scale from tiny to large, and one step where "b" gets
+            # no gradient at all
+            grads = {n: T.Tensor(rnd(s, seed=100 * step + i, scale=10.0 ** (step - 3)))
+                     for i, (n, s) in enumerate(shapes.items())}
+            if step == 3:
+                grads["b"] = None
+            kept = {n: p.data.copy() for n, p in params.items()}
+            kept_grads = {n: g.data.copy() for n, g in grads.items() if g is not None}
+            out = T.adam_step(params, grads, state)
+            for n, p in params.items():
+                assert _same_bits(p.data, kept[n]), n
+                g = grads[n]
+                assert g is None or _same_bits(g.data, kept_grads[n]), n
+                garr = np.zeros_like(p.data) if g is None else g.data
+                want[n] = _adam_reference(want[n][0], garr, want[n][1], want[n][2],
+                                          step, 1e-2)
+                assert _same_bits(out[n].data, want[n][0]), (n, step)
+                assert _same_bits(state.m[n], want[n][1]), (n, step)
+                assert _same_bits(state.v[n], want[n][2]), (n, step)
+                assert not np.shares_memory(out[n].data, p.data)
+            if first is None:
+                first = ({n: state.m[n] for n in shapes}, {n: state.v[n] for n in shapes})
+            for n in shapes:
+                assert state.m[n] is first[0][n] and state.v[n] is first[1][n]
+            params = out
+
+
+def _backward_of(op, *arrays, tracked=None):
+    """The recorded closure of one ``op`` on watched copies of ``arrays``
+    (only those flagged in ``tracked``), and the result's data."""
+    tape = T.Tape()
+    tracked = tracked or (True,) * len(arrays)
+    ins = [tape.watch(T.Tensor(a)) if k else T.Tensor(a) for a, k in zip(arrays, tracked)]
+    out = op(*ins)
+    return out.node.backward_fn, out.data
+
+
+def _gradient_probes(shape, seed):
+    """A C-contiguous upstream gradient and one with the same values laid out
+    as a transpose's backward hands them over (leading axes swapped)."""
+    g = rnd(shape, seed=seed, scale=2.0)
+    if len(shape) < 2:
+        return [g]
+    swapped = np.ascontiguousarray(np.swapaxes(g, 0, 1))
+    return [g, np.swapaxes(swapped, 0, 1)]
+
+
+_GRAD_SHAPES = ([(3, n) for n in _ROW_LENGTHS] + [(2, 5, n) for n in _ROW_LENGTHS]
+                + [(5, 2, n) for n in _ROW_LENGTHS])
+
+
+class TestBackwardKernelOracles:
+    """The softmax, layer-norm and mean gradients equal their former
+    allocate-everything expressions bit for bit, in the same memory layout,
+    for contiguous and transposed upstream gradients, and leave the gradient
+    they are handed and what they saved intact."""
+
+    @staticmethod
+    def _check(bwd, g, want):
+        keep = g.copy()
+        for _ in range(2):  # a second walk reads the same saved arrays
+            got = bwd(g)
+            assert _same_bits(g, keep)
+            for a, b in zip(got, want):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert _same_bits(a, b) and a.strides == b.strides
+
+    @pytest.mark.parametrize("shape", _GRAD_SHAPES, ids=str)
+    def test_softmax(self, shape):
+        x = rnd(shape, seed=shape[-1] + len(shape), scale=4.0)
+        for axis in (-1, 0):
+            bwd, out = _backward_of(lambda a: T.softmax(a, axis=axis), x)
+            for g in _gradient_probes(shape, seed=shape[-1]):
+                dot = (g * out).sum(axis=axis, keepdims=True)
+                self._check(bwd, g, (out * (g - dot),))
+
+    @pytest.mark.parametrize("shape", _GRAD_SHAPES, ids=str)
+    @pytest.mark.parametrize("tracked", [(True, True, True), (True, False, False),
+                                         (False, True, True)], ids=str)
+    def test_layer_norm(self, shape, tracked):
+        d = shape[-1]
+        x = rnd(shape, seed=d, scale=2.0)
+        gamma, beta = rnd((d,), seed=d + 1, scale=0.3) + 1, rnd((d,), seed=d + 2)
+        bwd, _ = _backward_of(T.layer_norm, x, gamma, beta, tracked=tracked)
+        mu = T._row_mean(x)
+        xc = x - mu
+        inv = 1.0 / np.sqrt(T._row_mean(xc * xc) + np.float32(1e-5))
+        xh = xc * inv
+        for g in _gradient_probes(shape, seed=d + 3):
+            lead = tuple(range(g.ndim - 1))
+            dxh = g * gamma
+            dx = inv * (dxh - T._row_mean(dxh) - xh * T._row_mean(dxh * xh))
+            want = (dx.astype(np.float32) if tracked[0] else None,
+                    ((g * xh).sum(axis=lead) if lead else g * xh).astype(np.float32)
+                    if tracked[1] else None,
+                    (g.sum(axis=lead) if lead else g).astype(np.float32)
+                    if tracked[2] else None)
+            self._check(bwd, g, want)
+
+    @pytest.mark.parametrize("shape", _GRAD_SHAPES, ids=str)
+    @pytest.mark.parametrize("axis, keepdims", [(None, False), (0, False), (-1, False),
+                                                (-1, True)])
+    def test_mean(self, shape, axis, keepdims):
+        x = rnd(shape, seed=shape[-1] + 7)
+        bwd, out = _backward_of(lambda a: T.mean(a, axis=axis, keepdims=keepdims), x)
+        n = x.size if axis is None else shape[axis]
+        for g in _gradient_probes(out.shape, seed=shape[-1] + 8):
+            gg = g if keepdims or axis is None else np.expand_dims(g, axis)
+            self._check(bwd, g, ((np.broadcast_to(gg, shape) / np.float32(n))
+                                 .astype(np.float32),))
+
+    @pytest.mark.parametrize("shape", [(8, 64, 32), (64, 8, 32), (8, 16, 320)], ids=str)
+    def test_layer_norm_backward_holds_at_most_two_arrays_beyond_its_result(self, shape):
+        x = rnd(shape, seed=140, scale=2.0)
+        gamma, beta = rnd(shape[-1:], seed=141) + 1, rnd(shape[-1:], seed=142)
+        bwd, _ = _backward_of(T.layer_norm, x, gamma, beta)
+        g = rnd(shape, seed=143)
+        full = g.nbytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grads = bwd(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert grads[0].nbytes == full
+        # the result, two full-size temporaries, and row means and the
+        # (d,) parameter gradients
+        assert peak <= 3 * full + full // 4, (peak, full)
 
 
 class TestDeterminismAndFiniteness:
