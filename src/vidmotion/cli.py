@@ -616,9 +616,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="pose-driven video motion editing, desk scale")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="config JSON path")
+    def common(p):
+        p.add_argument("--config", required=True, help="config JSON path")
         p.add_argument("--seed", type=int, default=None, help="override seed")
         p.add_argument("--out", default="out", help="output directory")
 

@@ -206,14 +206,14 @@ def ddim_sample(eps_fn: EpsFn, x_start: Tensor, ts: Sequence[int],
 
 
 def ddim_invert(eps_fn: EpsFn, x0: Tensor, ts: Sequence[int],
-                s: NoiseSchedule, phase: str = "invert") -> Trajectory:
+                s: NoiseSchedule) -> Trajectory:
     """Invert from clean data up along increasing ts.
 
     The predictor is evaluated at the current latent with the *target*
     timestep (the clean endpoint is never fed to the network).
     """
     return _trajectory(CLEAN_STEP, x0, _walk(eps_fn, x0, [CLEAN_STEP, *ts], s,
-                                             ddim_invert_step, phase))
+                                             ddim_invert_step, "invert"))
 
 
 def oracle_eps_fn(x0: Tensor, s: NoiseSchedule) -> EpsFn:

@@ -268,7 +268,7 @@ def text_embedding(prompt: str | None, d: int) -> Tensor:
 # forward passes
 
 
-def _tokens_from_latent(z: Tensor, cfg: NetConfig) -> Tensor:
+def _tokens_from_latent(z: Tensor) -> Tensor:
     f, c, h, w = z.shape
     return T.transpose(T.reshape(z, (f, c, h * w)), (0, 2, 1))
 
@@ -539,7 +539,7 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
     # enc0 is never gated, so its opening reads the latent and t alone and the
     # step's forwards share it
     if step.opening is None:
-        x = T.matmul(_tokens_from_latent(z, cfg), model.params["unet.in_proj"])
+        x = T.matmul(_tokens_from_latent(z), model.params["unet.in_proj"])
         step.opening = _opening(x, model, "enc0", t, "plain", None, cond)
     x = _unet_block(step.opening, model, "enc0", prompt, None, probe, cond)
     skip0 = x
@@ -604,7 +604,7 @@ def controlnet_forward(model: ModelWeights, z: Tensor, t: int,
     cfg = model.cfg
     cond = _OneForward(model) if cond is None else cond
     h0 = w0 = cfg.latent_size
-    x = T.matmul(_tokens_from_latent(z, cfg), model.params["control.in_proj"])
+    x = T.matmul(_tokens_from_latent(z), model.params["control.in_proj"])
     x = T.add(x, pose[0])
     x = _control_block(x, model, "c_enc0", t, cond)
     f0 = x

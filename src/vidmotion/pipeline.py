@@ -149,21 +149,21 @@ Control = Callable[[Tensor, int], Callable[[], dict[str, AD.ControlSide]]]
 
 
 def _predictor(model: N.ModelWeights, ts: list[int], prompt: str | None,
-               pose: dict[int, Tensor] | None, guidance: float = 1.0,
-               role: str = "plain", cache: I.ReconCache | None = None,
+               guidance: float = 1.0, role: str = "plain",
+               cache: I.ReconCache | None = None,
                masks: I.LatentMask | None = None,
                inj: I.InjectionSettings | None = None,
                cond: N.Conditioning | None = None,
                control: Control | None = None) -> D.EpsFn:
     """One branch's eps function over the sampler steps ``ts``: adapter
-    control sides from ``pose`` if given (or from ``control``, which
-    replaces it), classifier-free guidance (one forward at 1), and ``role``
-    inside the injection window of ``inj``, "plain" before it and at every
-    step without ``inj``. ``cond`` is the run's Conditioning (built here if
-    not given); each step's forwards share one StepContext, so under
-    guidance the uncond forward reuses the cond forward's first-block
-    opening and control sides, but builds its own injected blocks, so no
-    block outlives the forward that attends it.
+    control sides from ``control`` (none without it), classifier-free
+    guidance (one forward at 1), and ``role`` inside the injection window of
+    ``inj``, "plain" before it and at every step without ``inj``. ``cond``
+    is the run's Conditioning (built here if not given); each step's
+    forwards share one StepContext, so under guidance the uncond forward
+    reuses the cond forward's first-block opening and control sides, but
+    builds its own injected blocks, so no block outlives the forward that
+    attends it.
 
     A step's sides are asked for before its forwards run and handed over
     through its StepContext at the first controlled layer. An error in the
@@ -171,8 +171,6 @@ def _predictor(model: N.ModelWeights, ts: list[int], prompt: str | None,
     before the U-Net."""
     step_index = {t: idx for idx, t in enumerate(reversed(ts))}
     cond = N.Conditioning(model) if cond is None else cond
-    if control is None and pose is not None:
-        control = _computed(model, pose, cond)
 
     def eps_fn(x: Tensor, t: int) -> Tensor:
         step_role = (role if inj is not None
@@ -197,9 +195,14 @@ def _predictor(model: N.ModelWeights, ts: list[int], prompt: str | None,
     return eps_fn
 
 
-def _computed(model: N.ModelWeights, pose: dict[int, Tensor],
-              cond: N.Conditioning) -> Control:
-    """A Control that builds each step's sides from ``pose`` at once, here."""
+def _computed(model: N.ModelWeights, pose: dict[int, Tensor] | None,
+              cond: N.Conditioning | None) -> Control | None:
+    """The one place a pose pyramid (from N.pose_features) becomes a
+    Control: it builds each step's sides from ``pose`` at once, here. None
+    without a pose."""
+    if pose is None:
+        return None
+
     def control(x: Tensor, t: int) -> Callable[[], dict[str, AD.ControlSide]]:
         sides = N.control_sides(model, x, t, pose, cond)
         return lambda: sides
@@ -208,23 +211,15 @@ def _computed(model: N.ModelWeights, pose: dict[int, Tensor],
 
 def invert(model: N.ModelWeights, z0: Tensor, steps: int,
            schedule: D.NoiseSchedule | None = None,
-           eps_fn: D.EpsFn | None = None,
-           pose: dict[int, Tensor] | None = None,
-           prompt: str | None = None,
-           cond: N.Conditioning | None = None) -> D.Trajectory:
+           eps_fn: D.EpsFn | None = None) -> D.Trajectory:
     """DDIM inversion at guidance scale 1 (no extrapolation; the null-text
-    stage is deliberately absent and ``eps_fn`` overrides the predictor, for
-    oracle tests and for ``edit``'s step worker).
-
-    By default the predictor runs on the unconditional embedding; passing the
-    branches' ``prompt`` and ``pose`` (from N.pose_features) makes the
-    inversion share their conditioning, so reconstruction undoes it without a
-    predictor mismatch; ``cond`` shares the run's Conditioning with them.
+    stage is deliberately absent). The predictor is ``eps_fn`` if given
+    (``reconstruct``'s and ``edit``'s conditioned one, or an oracle in
+    tests), else the model on the unconditional embedding without control.
     """
     schedule = schedule or D.make_schedule(model.cfg.schedule_steps)
     ts = D.subsequence(schedule.timesteps, steps)
-    return D.ddim_invert(eps_fn or _predictor(model, ts, prompt, pose, cond=cond),
-                         z0, ts, schedule)
+    return D.ddim_invert(eps_fn or _predictor(model, ts, None), z0, ts, schedule)
 
 
 @dataclass
@@ -239,16 +234,19 @@ def reconstruct(model: N.ModelWeights, video: Tensor, skeletons: np.ndarray,
                 control_on_recon: bool = True,
                 eps_fn: D.EpsFn | None = None) -> ReconstructResult:
     """Invert the source then denoise it back under the source skeleton
-    condition at guidance 1, with no injection."""
+    condition at guidance 1, with no injection. Both walks run one
+    predictor (``eps_fn`` if given), so the reconstruction undoes the
+    inversion's conditioning exactly."""
     schedule = schedule or D.make_schedule(model.cfg.schedule_steps)
     z0 = N.encode_video(video, model.cfg)
-    pose = N.pose_features(model, skeletons) if control_on_recon else None
-    cond = N.Conditioning(model)
-    inv = invert(model, z0, steps, schedule, eps_fn=eps_fn, pose=pose,
-                 prompt=prompt, cond=cond)
     ts = D.subsequence(schedule.timesteps, steps)
-    traj = D.ddim_sample(eps_fn or _predictor(model, ts, prompt, pose, cond=cond),
-                         inv.final, ts, schedule, phase="reconstruct")
+    if eps_fn is None:
+        pose = N.pose_features(model, skeletons) if control_on_recon else None
+        cond = N.Conditioning(model)
+        eps_fn = _predictor(model, ts, prompt, cond=cond,
+                            control=_computed(model, pose, cond))
+    inv = invert(model, z0, steps, schedule, eps_fn=eps_fn)
+    traj = D.ddim_sample(eps_fn, inv.final, ts, schedule, phase="reconstruct")
     return ReconstructResult(traj.final, inv)
 
 
@@ -329,8 +327,8 @@ def _recon_walk(model: N.ModelWeights, x: Tensor, ts: list[int],
     the cache writes of its forward, which the editing forwards of that step
     read, then its final latent. An error ends it as its last message."""
     log = I.CacheLog()
-    eps_fn = _predictor(model, ts, prompt, pose, role="recon", cache=log,
-                        inj=inj, cond=cond)
+    eps_fn = _predictor(model, ts, prompt, role="recon", cache=log, inj=inj,
+                        cond=cond, control=_computed(model, pose, cond))
     try:
         for _, x in D.ddim_steps(eps_fn, x, ts, schedule, phase="edit"):
             yield log.take()
@@ -511,14 +509,14 @@ def edit(job: EditJob, model: N.ModelWeights,
     masks = I.LatentMask.from_rasters(np.asarray(job.source_masks),
                                       cfg.level_shapes())
     with _started(serve) as (send, recv):
-        inverting = _predictor(model, ts, job.prompt_source, None, cond=cond,
+        inverting = _predictor(model, ts, job.prompt_source, cond=cond,
                                control=(_asking(send, recv, "source")
                                         if source_pose is not None else None))
         inv = invert(model, z0, job.steps, schedule, eps_fn=inverting)
         send(("recon", inv.final, None))
-        editing = _predictor(model, ts, job.prompt_target, None, job.guidance,
-                             "edit", cache, masks, job.injection, cond,
-                             _asking(send, recv, "reference"))
+        editing = _predictor(model, ts, job.prompt_target, job.guidance, "edit",
+                             cache, masks, job.injection, cond,
+                             control=_asking(send, recv, "reference"))
         steps = D.ddim_steps(editing, inv.final, ts, schedule, phase="edit")
         for _ in ts:
             cache.replay(_received(recv()))

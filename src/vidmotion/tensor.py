@@ -581,14 +581,12 @@ def conv_temporal(x: Tensor, kernel: Tensor) -> Tensor:
 
 class AdamState:
     """Adam moment accumulators, one array per parameter that ``adam_step``
-    updates in place; step counter strictly increases."""
+    updates in place; step counter strictly increases. The moment decays
+    and ``eps`` are Adam's defaults."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, lr: float = 3e-5, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float = 3e-5):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}

@@ -169,8 +169,9 @@ def test_guided_step_shares_its_opening_and_control_but_not_blocks(model, latent
     counted(AD, "control_side", "control")
     counted(T, "matmul", "in_proj", lambda a, b: b is model.params["unet.in_proj"])
     counted(N, "_cs_sub_block", "enc0_cs", lambda x, m, lid, kv: lid == "enc0")
-    eps = P._predictor(model, [t], prompt, pose, 7.5, "edit", cache, masks,
-                       inj)(latent, t)
+    eps = P._predictor(model, [t], prompt, 7.5, "edit", cache, masks, inj,
+                       control=P._computed(model, pose, N.Conditioning(model))
+                       )(latent, t)
     gated = [lid for lid in N.BLOCK_ORDER if I.gate(lid, N.TOPOLOGY)]
     # each injecting forward builds its own blocks; the rest is built once
     assert counts == {"blocks": 2 * len(gated), "control": len(N.CONTROLLED_LAYERS),
@@ -214,8 +215,10 @@ def test_a_forwards_blocks_are_freed_before_its_step_ends(model, latent, drop,
     assert len(refs) == len(gated) * (2 if drop else 4)
     assert all(ref() is None for ref in refs)  # the step is alive, its blocks not
     monkeypatch.undo()
-    eps = P._predictor(model, [t], "a figure marching", pose, 7.5, "edit", cache,
-                       masks, inj)(latent, t)
+    eps = P._predictor(model, [t], "a figure marching", 7.5, "edit", cache,
+                       masks, inj,
+                       control=P._computed(model, pose, N.Conditioning(model))
+                       )(latent, t)
     want = D.cfg_combine(forward(None), eps_c, 7.5)
     np.testing.assert_array_equal(eps.data, want.data)
 

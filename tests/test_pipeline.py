@@ -196,6 +196,27 @@ class TestReconstruct:
         rms = float(np.sqrt(np.mean((rec.latent.data - z0.data) ** 2)))
         assert rms <= 1e-4
 
+    def test_inversion_and_sampling_run_one_predictor(self, base_model, schedule,
+                                                       monkeypatch):
+        built, used = [], {}
+
+        def recorded(owner, name, record):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                out = real(*args, **kwargs)
+                record(args, out)
+                return out
+            monkeypatch.setattr(owner, name, wrapper)
+
+        recorded(P, "_predictor", lambda args, fn: built.append(fn))
+        recorded(D, "ddim_invert", lambda args, _: used.setdefault("invert", args[0]))
+        recorded(D, "ddim_sample", lambda args, _: used.setdefault("sample", args[0]))
+        P.reconstruct(base_model, synth_video(), synth_skeletons(), "p", steps=2,
+                      schedule=schedule)
+        assert len(built) == 1
+        assert used["invert"] is used["sample"] is built[0]
+
     def test_deterministic_under_fixed_seed(self, schedule, net_config):
         outs = []
         for _ in range(2):

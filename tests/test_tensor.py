@@ -174,7 +174,7 @@ _CONSUMERS = {"scale": lambda a, **kw: T.scale(a, 0.125, **kw),
 
 class TestConsume:
     """``consume=True`` writes the result into the input's buffer, with the
-    bits of the copying default; softmax rows of up to 128 entries and
+    bits of the copying default; softmax rows of fewer than 128 entries and
     longer ones take the two branches of ``_row_max``."""
 
     @pytest.mark.parametrize("shape", _STACKS, ids=str)
