@@ -226,11 +226,12 @@ def cmd_align(cfg: C.Config, out_dir: str) -> int:
 
 def cmd_train(cfg: C.Config, out_dir: str) -> int:
     _require_paths(cfg, ["source_video", "source_skeletons"])
-    video = T.load_tensor(cfg.paths["source_video"])
-    skeletons = _load_raster_dir(cfg.paths["source_skeletons"])
-    # the model is not named here, so training frees its initial weights
-    result = P.one_shot_train(N.init_model(cfg.model, seed=cfg.seed), video,
-                              skeletons, cfg.prompt_source,
+    # neither the model nor the source is named here, so training frees the
+    # initial weights after the first step and the source once it is encoded
+    result = P.one_shot_train(N.init_model(cfg.model, seed=cfg.seed),
+                              T.load_tensor(cfg.paths["source_video"]),
+                              _load_raster_dir(cfg.paths["source_skeletons"]),
+                              cfg.prompt_source,
                               steps=cfg.training.steps, lr=cfg.training.lr,
                               schedule=_schedule_for(cfg), rng=T.Rng(cfg.seed))
     os.makedirs(out_dir, exist_ok=True)

@@ -14,15 +14,16 @@ attention and adapter layouts: ``init_model`` draws it, ``parameter_shapes``
 reads its shapes, and the forwards read weights back from the flat name ->
 Tensor map by prefix.
 
-What depends only on frozen weights, the prompt and the timestep (text
-keys/values, time rows, and the text sub-block's whole output for a one-token
-prompt such as the unconditional one) is built once per run in a
-``Conditioning``; what the forwards of one sampler step share (the first
-block's opening and the adapter control sides) is built once per step in a
-``StepContext``. Both reuses are exact: one key makes the text softmax exactly
-1, so that output does not depend on the stream, and enc0 is never gated, so
-its opening reads only the latent and the timestep. Injected reconstruction
-blocks are not shared: each injecting forward builds its own and drops it.
+What depends only on frozen weights and the prompt (text keys/values, and
+the text sub-block's whole output for a one-token prompt such as the
+unconditional one) is built once per run in a ``Conditioning``; what the
+forwards of one sampler step share (each block's time row, the first block's
+opening and the adapter control sides) is built once per step in a
+``StepContext``, and goes with the step. Both reuses are exact: one key makes
+the text softmax exactly 1, so that output does not depend on the stream, and
+enc0 is never gated, so its opening reads only the latent and the timestep.
+Injected reconstruction blocks are not shared: each injecting forward builds
+its own and drops it. The ControlNet builds its own time rows in each call.
 """
 from __future__ import annotations
 
@@ -305,11 +306,12 @@ def _frame_shifted(x: Tensor) -> Tensor:
 
 
 class Conditioning:
-    """What the forwards of one run compute from frozen weights and fixed
-    inputs alone, each built on first use and kept for the run: every U-Net
-    block's projected text keys and values per prompt, its text sub-block's
-    output for a one-token prompt, and every U-Net and ControlNet block's time
-    row per timestep.
+    """What the forwards of one run compute from frozen weights and the
+    prompt alone, each built on first use and kept for the run: every U-Net
+    block's projected text keys and values per prompt, and its text
+    sub-block's output for a one-token prompt. Time rows are not kept here:
+    a run's timesteps rarely repeat (training draws them at random), so each
+    step's StepContext builds its own.
 
     It holds only the frozen weights it reads (``names``), not the model, so
     a run that updates other weights, as training does, frees the old ones.
@@ -319,11 +321,8 @@ class Conditioning:
     """
 
     def __init__(self, model: ModelWeights):
-        self.names = frozenset(
-            ["unet.time_table"]
-            + [f"control.{lid}.time_proj" for lid in CONTROL_BLOCKS]
-            + [f"unet.{lid}.{w}" for lid in BLOCK_ORDER
-               for w in ("time_proj", "cross.w_k", "cross.w_v", "cross.w_out")])
+        self.names = frozenset(f"unet.{lid}.cross.{w}" for lid in BLOCK_ORDER
+                               for w in ("w_k", "w_v", "w_out"))
         tracked = sorted(n for n in self.names if model.params[n].node is not None)
         if tracked:
             raise T.TapeError(f"conditioning built from tracked weights {tracked}")
@@ -331,7 +330,6 @@ class Conditioning:
         self.params = {n: model.params[n] for n in self.names}
         self._text: dict[tuple[str, str | None], tuple[Tensor, Tensor]] = {}
         self._cross: dict[tuple[str, str | None], Tensor | None] = {}
-        self._time: dict[tuple[str, int], Tensor] = {}
 
     def text_kv(self, lid: str, prompt: str | None) -> tuple[Tensor, Tensor]:
         """U-Net block ``lid``'s text keys and values for ``prompt``, as
@@ -363,15 +361,6 @@ class Conditioning:
             self._cross[key] = out
         return self._cross[key]
 
-    def time_row(self, pre: str, t: int) -> Tensor:
-        """The (1, d) time embedding of block ``pre`` at timestep ``t``."""
-        row = self._time.get((pre, t))
-        if row is None:
-            p = self.params
-            row = self._time[pre, t] = T.matmul(
-                T.slice_axis(p["unet.time_table"], 0, t, t + 1), p[f"{pre}.time_proj"])
-        return row
-
 
 class _OneForward(Conditioning):
     """One forward's conditioning: built from its own weights, tracked ones
@@ -379,21 +368,29 @@ class _OneForward(Conditioning):
     full, since one forward has nothing to share them with."""
 
     def __init__(self, model: ModelWeights):
-        self.cfg, self.params, self._text, self._time = model.cfg, model.params, {}, {}
+        self.cfg, self.params, self._text = model.cfg, model.params, {}
 
     def cross_out(self, lid: str, prompt: str | None) -> None:
         return None
 
 
+def _time_row(model: ModelWeights, pre: str, t: int) -> Tensor:
+    """The (1, d) time embedding of block ``pre`` at timestep ``t``."""
+    p = model.params
+    return T.matmul(T.slice_axis(p["unet.time_table"], 0, t, t + 1),
+                    p[f"{pre}.time_proj"])
+
+
 @dataclass
 class StepContext:
     """What the U-Net forwards of one sampler step share, built by the first
-    forward that needs it: the first block's opening on the latent ``z`` at
-    ``t`` and each controlled layer's adapter control side. The cond and
-    uncond forwards under guidance read the same latent and control sides, so
-    one context serves both; forwards that differ in either must not share
-    one, and a forward on another timestep or latent refuses it. It holds no
-    injected block, so a forward's blocks are freed as that forward ends.
+    forward that needs it: each block's time row at ``t``, the first block's
+    opening on the latent ``z`` and each controlled layer's adapter control
+    side. The cond and uncond forwards under guidance read the same latent
+    and control sides, so one context serves both; forwards that differ in
+    either must not share one, and a forward on another timestep or latent
+    refuses it. It holds no injected block, so a forward's blocks are freed
+    as that forward ends, and what it holds is freed with the step.
 
     ``sides``, if given, hands over every controlled layer's control side at
     once (``control_sides`` of the step, built elsewhere); the first
@@ -404,6 +401,14 @@ class StepContext:
     sides: Callable[[], dict[str, AD.ControlSide]] | None = None
     opening: tuple[Tensor, Tensor] | None = None
     control: dict[str, AD.ControlSide] = field(default_factory=dict)
+    time: dict[str, Tensor] = field(default_factory=dict)
+
+    def time_row(self, model: ModelWeights, lid: str) -> Tensor:
+        """U-Net block ``lid``'s time row at ``t``, built on first use."""
+        row = self.time.get(lid)
+        if row is None:
+            row = self.time[lid] = _time_row(model, f"unet.{lid}", self.t)
+        return row
 
 
 def _cs_sub_block(x: Tensor, model: ModelWeights, lid: str, kv) -> Tensor:
@@ -443,11 +448,11 @@ def _conv_time_residual(x: Tensor, model: ModelWeights, pre: str,
     return T.add(x, h)
 
 
-def _opening(x: Tensor, model: ModelWeights, lid: str, t: int, role: str,
-             cs_kv, cond: Conditioning) -> tuple[Tensor, Tensor]:
+def _opening(x: Tensor, model: ModelWeights, lid: str, role: str, cs_kv,
+             step: StepContext) -> tuple[Tensor, Tensor]:
     """Block ``lid``'s conv/time residual and cross-frame sub-block on the
     stream ``x``: the sub-block's output and the stream after it."""
-    x = _conv_time_residual(x, model, f"unet.{lid}", cond.time_row(f"unet.{lid}", t))
+    x = _conv_time_residual(x, model, f"unet.{lid}", step.time_row(model, lid))
     cs = (_injected_cs_sub_block if role == "edit" and cs_kv is not None
           else _cs_sub_block)
     cs_out = cs(x, model, lid, cs_kv)
@@ -504,9 +509,11 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
     role "recon" writes decoder-layer keys/values to ``cache`` (a ReconCache,
     or a CacheLog that one replays); role "edit" replaces the gated layers'
     keys/values with injected stacks built from ``cache`` and ``masks``. The
-    plain role touches neither. ``cond`` (the run's Conditioning) and
-    ``step`` (the step's StepContext, built for ``z`` at ``t``) hand in what
-    other forwards have built already.
+    plain role touches neither. ``cond`` (the run's Conditioning: text keys
+    and values) and ``step`` (the step's StepContext, built for ``z`` at
+    ``t``: time rows, the first block's opening and control sides) hand in
+    what other forwards have built already; without them the forward builds
+    its own.
     """
     cfg = model.cfg
     want = (cfg.frames, cfg.channels, cfg.latent_size, cfg.latent_size)
@@ -532,7 +539,7 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
     def block(x: Tensor, lid: str) -> Tensor:
         cs_kv, temporal_kv = I.kv_hooks(role, lid, t, TOPOLOGY, BLOCK_LEVEL[lid],
                                         cache, masks, inj)
-        return _unet_block(_opening(x, model, lid, t, role, cs_kv, cond), model,
+        return _unet_block(_opening(x, model, lid, role, cs_kv, step), model,
                            lid, prompt, temporal_kv, probe, cond)
 
     h0 = w0 = cfg.latent_size
@@ -540,7 +547,7 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
     # step's forwards share it
     if step.opening is None:
         x = T.matmul(_tokens_from_latent(z), model.params["unet.in_proj"])
-        step.opening = _opening(x, model, "enc0", t, "plain", None, cond)
+        step.opening = _opening(x, model, "enc0", "plain", None, step)
     x = _unet_block(step.opening, model, "enc0", prompt, None, probe, cond)
     skip0 = x
     x = T.matmul(_pool2_tokens(x, h0, w0), model.params["unet.down_proj"])
@@ -558,10 +565,9 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
     return _latent_from_tokens(eps, cfg)
 
 
-def _control_block(x: Tensor, model: ModelWeights, lid: str, t: int,
-                   cond: Conditioning) -> Tensor:
+def _control_block(x: Tensor, model: ModelWeights, lid: str, t: int) -> Tensor:
     pre = f"control.{lid}"
-    x = _conv_time_residual(x, model, pre, cond.time_row(pre, t))
+    x = _conv_time_residual(x, model, pre, _time_row(model, pre, t))
     a_in = T.layer_norm(x, *model.ln(f"{pre}.ln_sp"))
     return T.add(x, A.attention(a_in, a_in, model.pset(f"{pre}.spatial")))
 
@@ -593,25 +599,23 @@ def pose_features(model: ModelWeights, skeletons: np.ndarray) -> dict[int, Tenso
 
 
 def controlnet_forward(model: ModelWeights, z: Tensor, t: int,
-                       pose: dict[int, Tensor],
-                       cond: Conditioning | None = None) -> dict[str, Tensor]:
+                       pose: dict[int, Tensor]) -> dict[str, Tensor]:
     """Per-block conditioning features from pose_features; zero at
-    construction. ``cond`` is the run's Conditioning, as for unet_forward.
+    construction. Each call builds its blocks' time rows at ``t``.
 
     Returns one feature block per conditioned U-Net layer, shaped like that
     layer's activations.
     """
     cfg = model.cfg
-    cond = _OneForward(model) if cond is None else cond
     h0 = w0 = cfg.latent_size
     x = T.matmul(_tokens_from_latent(z), model.params["control.in_proj"])
     x = T.add(x, pose[0])
-    x = _control_block(x, model, "c_enc0", t, cond)
+    x = _control_block(x, model, "c_enc0", t)
     f0 = x
     x = T.matmul(_pool2_tokens(x, h0, w0), model.params["control.down_proj"])
     x = T.add(x, pose[1])
-    x = _control_block(x, model, "c_enc1", t, cond)
-    x = _control_block(x, model, "c_mid", t, cond)
+    x = _control_block(x, model, "c_enc1", t)
+    x = _control_block(x, model, "c_mid", t)
     return {
         "dec1": T.matmul(x, model.params["control.zero.dec1"]),
         "dec0": T.matmul(f0, model.params["control.zero.dec0"]),
@@ -619,13 +623,12 @@ def controlnet_forward(model: ModelWeights, z: Tensor, t: int,
 
 
 def control_sides(model: ModelWeights, z: Tensor, t: int,
-                  pose: dict[int, Tensor],
-                  cond: Conditioning | None = None) -> dict[str, AD.ControlSide]:
+                  pose: dict[int, Tensor]) -> dict[str, AD.ControlSide]:
     """Each controlled layer's adapter control side for the latent ``z`` at
     ``t``: the ControlNet forward on the pose pyramid ``pose``, then what
     the layer's adapter builds from its features alone. It reads nothing of
     the U-Net's stream, so it can run beside the U-Net's encoder."""
-    feats = controlnet_forward(model, z, t, pose, cond)
+    feats = controlnet_forward(model, z, t, pose)
     return {lid: AD.control_side(feats[lid], _adapter_weights(model, lid))
             for lid in CONTROLLED_LAYERS}
 

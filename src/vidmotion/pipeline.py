@@ -93,14 +93,19 @@ def one_shot_train(model: N.ModelWeights, video: Tensor,
     ``model`` is rebound to the updated weights after every step, and the
     run's Conditioning holds only frozen weights, so a caller that keeps no
     reference to ``model`` has one copy of the trainable weights alive
-    between steps, beside Adam's two moments."""
+    between steps, beside Adam's two moments. Likewise ``video`` and
+    ``skeletons`` are let go once encoded, so a caller that keeps no
+    reference to them frees them before the first step. A step's graph,
+    time rows and control sides are freed before the next step builds its
+    own."""
     schedule = schedule or D.make_schedule(model.cfg.schedule_steps)
     rng = rng or T.Rng(0)
     z0 = N.encode_video(video, model.cfg)
+    pose = N.pose_features(model, skeletons)
+    del video, skeletons
     names = sorted(N.trainable_names(model))
     state = T.AdamState(lr=lr)
     losses: list[float] = []
-    pose = N.pose_features(model, skeletons)
     cond = N.Conditioning(model)
     for step in range(steps):
         t = rng.integer(0, schedule.timesteps)
@@ -125,16 +130,17 @@ def train_step(model: N.ModelWeights, params: dict[str, Tensor],
                prompt: str, cond: N.Conditioning | None = None
                ) -> tuple[float, dict[str, Tensor | None]]:
     """The loss of one step and the gradient of each of ``params`` (none if
-    the loss is not finite). The step's graph lives only in this frame, so it
-    is freed on return, before the next step builds its own. ``cond``, the
-    run's Conditioning, must read none of ``params``."""
+    the loss is not finite). The step's graph and StepContext live only in
+    this frame: backward frees each node's saved arrays as it passes, and
+    the rest is freed on return, before the next step builds its own.
+    ``cond``, the run's Conditioning, must read none of ``params``."""
     if cond is not None and not cond.names.isdisjoint(params):
         raise T.TapeError(f"conditioning reads trained weights "
                           f"{sorted(cond.names.intersection(params))}")
     tape = T.Tape()
     watched = {n: tape.watch(p) for n, p in params.items()}
     m = model.replace(watched)
-    step = N.StepContext(t, x_t, _computed(m, pose, cond)(x_t, t))
+    step = N.StepContext(t, x_t, _computed(m, pose)(x_t, t))
     loss = D.training_loss(N.unet_forward(m, x_t, t, prompt, cond=cond, step=step), eps)
     value = loss.item()
     if not np.isfinite(value):
@@ -195,8 +201,8 @@ def _predictor(model: N.ModelWeights, ts: list[int], prompt: str | None,
     return eps_fn
 
 
-def _computed(model: N.ModelWeights, pose: dict[int, Tensor] | None,
-              cond: N.Conditioning | None) -> Control | None:
+def _computed(model: N.ModelWeights,
+              pose: dict[int, Tensor] | None) -> Control | None:
     """The one place a pose pyramid (from N.pose_features) becomes a
     Control: it builds each step's sides from ``pose`` at once, here. None
     without a pose."""
@@ -204,7 +210,7 @@ def _computed(model: N.ModelWeights, pose: dict[int, Tensor] | None,
         return None
 
     def control(x: Tensor, t: int) -> Callable[[], dict[str, AD.ControlSide]]:
-        sides = N.control_sides(model, x, t, pose, cond)
+        sides = N.control_sides(model, x, t, pose)
         return lambda: sides
     return control
 
@@ -242,9 +248,7 @@ def reconstruct(model: N.ModelWeights, video: Tensor, skeletons: np.ndarray,
     ts = D.subsequence(schedule.timesteps, steps)
     if eps_fn is None:
         pose = N.pose_features(model, skeletons) if control_on_recon else None
-        cond = N.Conditioning(model)
-        eps_fn = _predictor(model, ts, prompt, cond=cond,
-                            control=_computed(model, pose, cond))
+        eps_fn = _predictor(model, ts, prompt, control=_computed(model, pose))
     inv = invert(model, z0, steps, schedule, eps_fn=eps_fn)
     traj = D.ddim_sample(eps_fn, inv.final, ts, schedule, phase="reconstruct")
     return ReconstructResult(traj.final, inv)
@@ -328,7 +332,7 @@ def _recon_walk(model: N.ModelWeights, x: Tensor, ts: list[int],
     read, then its final latent. An error ends it as its last message."""
     log = I.CacheLog()
     eps_fn = _predictor(model, ts, prompt, role="recon", cache=log, inj=inj,
-                        cond=cond, control=_computed(model, pose, cond))
+                        cond=cond, control=_computed(model, pose))
     try:
         for _, x in D.ddim_steps(eps_fn, x, ts, schedule, phase="edit"):
             yield log.take()
@@ -339,19 +343,18 @@ def _recon_walk(model: N.ModelWeights, x: Tensor, ts: list[int],
 
 
 def _control_reply(model: N.ModelWeights, x: Tensor, t: int,
-                   pose: dict[int, Tensor], cond: N.Conditioning):
+                   pose: dict[int, Tensor]):
     """A step's control sides, built with numpy overflow and invalid
     operations raised as in a sampler step, or the error that raised."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return N.control_sides(model, x, t, pose, cond)
+            return N.control_sides(model, x, t, pose)
     except Exception as exc:  # sent on, for the step that asked to raise
         return exc
 
 
 def _serve(requests: Iterator[tuple[str, Tensor, int | None]],
            model: N.ModelWeights, poses: dict[str, dict[int, Tensor] | None],
-           cond: N.Conditioning,
            walk: Callable[[Tensor], Iterator]) -> Iterator[object]:
     """``edit``'s step worker: its messages, in the order edit reads them.
 
@@ -367,7 +370,7 @@ def _serve(requests: Iterator[tuple[str, Tensor, int | None]],
         if kind == "recon":
             recon = walk(x)
         else:
-            yield _control_reply(model, x, t, poses[kind], cond)
+            yield _control_reply(model, x, t, poses[kind])
         yield from itertools.islice(recon, 1)
 
 
@@ -501,7 +504,7 @@ def edit(job: EditJob, model: N.ModelWeights,
     source_pose = (N.pose_features(model, job.source_skeletons)
                    if job.control_on_recon else None)
     serve = functools.partial(
-        _serve, model=model, cond=cond,
+        _serve, model=model,
         poses={"source": source_pose, "reference": N.pose_features(model, aligned)},
         walk=lambda z_t: _recon_walk(model, z_t, ts, schedule, job.prompt_source,
                                      source_pose, job.injection, cond))

@@ -18,12 +18,14 @@ A node saves only what the gradients of its tracked parents read, decided
 when the op is recorded: its backward closure captures arrays and shapes,
 never whole tensors, so a frozen weight's input is not kept for the weight's
 gradient. For a parent without a node the closure returns None and computes
-nothing. A closure leaves what it saved and the gradient it is handed intact,
-so a tape may be walked more than once; it writes in place only into arrays
-it has just made. Primitives take Tensors (an outside array comes in through
-Tensor(...)), and each decides once whether it records: with no tracked input
-it builds no closure and hands _result None, and _result records a node
-exactly when it is handed a backward function.
+nothing. A closure leaves what it saved and the gradient it is handed intact;
+it writes in place only into arrays it has just made. backward() drops each
+node's closure as it passes the node, so what the node saved is freed once
+its gradient has gone on to its parents, and a tape can be walked only once.
+Primitives take Tensors (an outside array comes in through Tensor(...)), and
+each decides once whether it records: with no tracked input it builds no
+closure and hands _result None, and _result records a node exactly when it
+is handed a backward function.
 """
 from __future__ import annotations
 
@@ -40,7 +42,8 @@ class ShapeError(ValueError):
 
 
 class TapeError(RuntimeError):
-    """Gradient bookkeeping misuse: wrong tape, non-scalar loss, mixed tapes."""
+    """Gradient bookkeeping misuse: wrong tape, non-scalar loss, mixed tapes,
+    a tape walked twice."""
 
 
 class FormatError(ValueError):
@@ -100,6 +103,7 @@ class Tape:
     def __init__(self):
         self.nodes: list[Node] = []
         self.gradients: dict[int, Tensor] = {}
+        self.walked = False  # set by backward(), which walks a tape once
 
     def watch(self, t: Tensor) -> Tensor:
         """Return a copy of ``t`` tracked as a leaf on this tape."""
@@ -112,7 +116,7 @@ class Tape:
         return node
 
     def grad(self, t: Tensor) -> Tensor | None:
-        """Gradient of the last backward() for the watched leaf ``t``.
+        """Gradient of backward() for the watched leaf ``t``.
 
         None if ``t`` is not a leaf of this tape or the loss did not reach
         it. Interior gradients are dropped as backward() propagates them.
@@ -124,19 +128,29 @@ class Tape:
 
 def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
     """Populate tape.gradients for every watched leaf reachable from a
-    scalar loss."""
+    scalar loss.
+
+    Each node's backward closure is dropped as the walk passes the node, so
+    the arrays it saved are freed as soon as its gradient has been handed
+    to its parents, not when the tape goes. A second walk of the same tape
+    would find no closures, so it raises TapeError."""
     if loss.node is None or loss.node._tape() is not tape:
         raise TapeError("loss is not recorded on this tape")
     if loss.data.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
+    if tape.walked:
+        raise TapeError("tape was walked already; its nodes dropped what "
+                        "their gradients read")
+    tape.walked = True
     grads: dict[int, np.ndarray] = {loss.node.idx: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        if node.backward_fn is None:
+        fn, node.backward_fn = node.backward_fn, None
+        if fn is None:
             continue
         g = grads.pop(node.idx, None)
         if g is None:
             continue
-        for parent, pg in zip(node.parents, node.backward_fn(g)):
+        for parent, pg in zip(node.parents, fn(g)):
             if parent is None or pg is None:
                 continue
             acc = grads.get(parent.idx)

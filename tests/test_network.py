@@ -31,9 +31,9 @@ def named_digest(named):
     return digest.hexdigest()
 
 
-def controlled(model, z, t, pose, cond=None):
+def controlled(model, z, t, pose):
     """A StepContext that hands a forward on ``z`` at ``t`` its control sides."""
-    sides = N.control_sides(model, z, t, pose, cond)
+    sides = N.control_sides(model, z, t, pose)
     return N.StepContext(t, z, lambda: sides)
 
 
@@ -170,7 +170,7 @@ def test_guided_step_shares_its_opening_and_control_but_not_blocks(model, latent
     counted(T, "matmul", "in_proj", lambda a, b: b is model.params["unet.in_proj"])
     counted(N, "_cs_sub_block", "enc0_cs", lambda x, m, lid, kv: lid == "enc0")
     eps = P._predictor(model, [t], prompt, 7.5, "edit", cache, masks, inj,
-                       control=P._computed(model, pose, N.Conditioning(model))
+                       control=P._computed(model, pose)
                        )(latent, t)
     gated = [lid for lid in N.BLOCK_ORDER if I.gate(lid, N.TOPOLOGY)]
     # each injecting forward builds its own blocks; the rest is built once
@@ -217,10 +217,35 @@ def test_a_forwards_blocks_are_freed_before_its_step_ends(model, latent, drop,
     monkeypatch.undo()
     eps = P._predictor(model, [t], "a figure marching", 7.5, "edit", cache,
                        masks, inj,
-                       control=P._computed(model, pose, N.Conditioning(model))
+                       control=P._computed(model, pose)
                        )(latent, t)
     want = D.cfg_combine(forward(None), eps_c, 7.5)
     np.testing.assert_array_equal(eps.data, want.data)
+
+
+@pytest.mark.parametrize("pose", [None, "computed"])
+def test_each_guided_step_builds_each_unet_time_row_once(model, latent, pose,
+                                                         monkeypatch):
+    projs = {id(w): name.rsplit(".", 1)[0] for name, w in model.params.items()
+             if name.endswith(".time_proj")}
+    built = []
+    real = T.matmul
+
+    def matmul(a, b):
+        if id(b) in projs:
+            built.append(projs[id(b)])
+        return real(a, b)
+    monkeypatch.setattr(T, "matmul", matmul)
+    control = (None if pose is None else
+               P._computed(model, N.pose_features(model, skeleton_stack())))
+    eps_fn = P._predictor(model, [21], "a figure marching", 7.5, control=control)
+    unet = [f"unet.{lid}" for lid in N.BLOCK_ORDER]
+    controlnet = [] if pose is None else [f"control.{lid}" for lid in N.CONTROL_BLOCKS]
+    for _ in range(2):  # a second step at the same t builds its own rows
+        built.clear()
+        eps_fn(latent, 21)
+        assert sorted(pre for pre in built if pre.startswith("unet.")) == sorted(unet)
+        assert [pre for pre in built if pre.startswith("control.")] == controlnet
 
 
 def test_step_sides_are_taken_once_and_reach_the_output(model, latent):
@@ -272,20 +297,20 @@ class TestConditioning:
                                                                   latent):
         cond = N.Conditioning(model)
         assert cond.text_kv("dec1", "p") is cond.text_kv("dec1", "p")
-        assert cond.time_row("control.c_mid", 9) is cond.time_row("control.c_mid", 9)
+        step = N.StepContext(9, latent)
+        assert step.time_row(model, "mid") is step.time_row(model, "mid")
         pose = N.pose_features(model, skeleton_stack())
         for t in (9, 9, 400):
-            feats = N.controlnet_forward(model, latent, t, pose, cond)
+            feats = N.controlnet_forward(model, latent, t, pose)
             np.testing.assert_array_equal(
                 feats["dec0"].data, N.controlnet_forward(model, latent, t, pose)["dec0"].data)
             shared = N.unet_forward(model, latent, t, "p", cond=cond,
-                                    step=controlled(model, latent, t, pose, cond))
+                                    step=controlled(model, latent, t, pose))
             alone = N.unet_forward(model, latent, t, "p",
                                    step=controlled(model, latent, t, pose))
             np.testing.assert_array_equal(shared.data, alone.data)
 
-    @pytest.mark.parametrize("name", ["unet.dec0.cross.w_k", "unet.enc0.cross.w_out",
-                                      "unet.time_table", "control.c_enc1.time_proj"])
+    @pytest.mark.parametrize("name", ["unet.dec0.cross.w_k", "unet.enc0.cross.w_out"])
     def test_built_from_a_watched_weight_raises(self, model, name):
         tape = T.Tape()
         watched = model.replace({name: tape.watch(model.params[name])})

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -133,6 +134,35 @@ class TestOneShotTrain:
         one, three = traced_peak(1), traced_peak(3)
         state = 2 * sum(base_model.params[n].data.nbytes for n in trainable)
         assert three <= one + state + 0.05 * one, (one, three, state)
+
+    def test_source_and_time_rows_are_freed_as_training_goes(self, base_model,
+                                                             schedule, monkeypatch):
+        # the caller keeps no reference to the video or the skeletons, so
+        # training frees them once encoded; each step's time rows go with it
+        source = [synth_video(), synth_skeletons()]
+        source_refs = [weakref.ref(source[0].data), weakref.ref(source[1])]
+        time_projs = {id(w) for name, w in base_model.params.items()
+                      if name.endswith(".time_proj")}
+        rows, seen = [], []
+        real_matmul, real_step = T.matmul, P.train_step
+
+        def matmul(a, b):
+            out = real_matmul(a, b)
+            if id(b) in time_projs:
+                rows.append((len(seen), weakref.ref(out.data)))
+            return out
+
+        def train_step(*args, **kwargs):
+            seen.append([ref() is None for ref in source_refs]
+                        + [ref() is None for _, ref in rows])
+            return real_step(*args, **kwargs)
+        monkeypatch.setattr(T, "matmul", matmul)
+        monkeypatch.setattr(P, "train_step", train_step)
+        P.one_shot_train(base_model, source.pop(0), source.pop(0), "p", steps=3,
+                         schedule=schedule, rng=T.Rng(0))
+        assert len(seen) == 3 and all(all(freed) for freed in seen)
+        # 5 U-Net rows and 3 ControlNet rows in each step
+        assert [step for step, _ in rows] == [1] * 8 + [2] * 8 + [3] * 8
 
     def test_training_descends_and_freezes(self, base_model, schedule, training_run):
         frozen = set(base_model.params) - N.trainable_names(base_model)

@@ -392,14 +392,39 @@ class TestTapeLifetime:
         g = T.repeat_axis(T.slice_axis(T.softmax(n, axis=-1), 1, 1, 2), 1, 3)
         s = T.concat([T.silu(g), T.mul(h, x)], axis=1)
         loss = T.mean(T.mul(s, T.Tensor(rnd((2, 6, 4), seed=68))))
-        T.backward(tape, loss)
         want = keep_all_backward(tape, loss)
+        T.backward(tape, loss)
         leaves = (x, w, gamma, beta)
         assert set(tape.gradients) == {t.node.idx for t in leaves}
         for t in (h, n, g, s, loss):
             assert tape.grad(t) is None
         for t in leaves:
             np.testing.assert_array_equal(tape.grad(t).data, want[t.node.idx])
+
+
+class TestBackwardFreesAsItGoes:
+    def test_saved_arrays_are_freed_once_their_gradient_has_passed(self):
+        tape = T.Tape()
+        x = tape.watch(T.Tensor(rnd((3, 5), seed=70)))
+        probs = T.softmax(T.matmul(x, T.Tensor(rnd((5, 4), seed=71))))
+        saved = weakref.ref(probs.data)  # the softmax backward reads its output
+        loss = T.mean(T.mul(probs, T.Tensor(rnd((3, 4), seed=72))))
+        del probs
+        assert saved() is not None
+        T.backward(tape, loss)
+        assert saved() is None  # while the tape, x and the loss are alive
+        assert all(node.backward_fn is None for node in tape.nodes)
+        assert tape.grad(x).shape == (3, 5)
+
+    def test_second_walk_raises(self):
+        tape = T.Tape()
+        x = tape.watch(T.Tensor(rnd((2, 3), seed=73)))
+        loss = T.mean(T.silu(x))
+        T.backward(tape, loss)
+        grad = tape.grad(x)
+        with pytest.raises(T.TapeError, match="walked already"):
+            T.backward(tape, loss)
+        assert tape.grad(x) is grad
 
 
 # every primitive with more than one operand: (op, operand shapes, and per
