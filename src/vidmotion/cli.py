@@ -145,11 +145,18 @@ def _refuse_non_directory(out_dir: str) -> None:
 
 
 def _model_for(cfg: C.Config, checkpoint: str | None) -> N.ModelWeights:
-    if checkpoint:
-        return N.load_checkpoint(checkpoint)
-    if "checkpoint" in cfg.paths:
-        return N.load_checkpoint(cfg.paths["checkpoint"])
-    return N.init_model(cfg.model, seed=cfg.seed)
+    """The model of ``checkpoint`` or of the config's checkpoint path, else
+    a new one of the config's model. A checkpoint's time embeddings cover
+    the noise schedule it was built for, so one built for another number of
+    timesteps than the config's schedule is refused."""
+    if not checkpoint and "checkpoint" not in cfg.paths:
+        return N.init_model(cfg.model, seed=cfg.seed)
+    model = N.load_checkpoint(checkpoint or cfg.paths["checkpoint"])
+    if model.cfg.schedule_steps != cfg.schedule.timesteps:
+        raise C.ConfigError(f"the checkpoint's time embeddings cover a "
+                            f"{model.cfg.schedule_steps}-step schedule, but "
+                            f"schedule.timesteps is {cfg.schedule.timesteps}")
+    return model
 
 
 def _schedule_for(cfg: C.Config) -> D.NoiseSchedule:
@@ -261,7 +268,7 @@ def cmd_reconstruct(cfg: C.Config, out_dir: str, checkpoint: str | None) -> int:
     z0 = N.encode_video(video, model.cfg)
     with open(os.path.join(out_dir, "reconstruct_report.json"), "w") as fh:
         json.dump({
-            "inversion_timesteps": result.inversion.timesteps,
+            "inversion_timesteps": result.inversion_timesteps,
             "metrics_vs_source": frame_metrics(z0, result.latent),
         }, fh, indent=1, sort_keys=True)
     print(f"reconstructed -> {out_dir}")
@@ -282,7 +289,7 @@ def cmd_edit(cfg: C.Config, out_dir: str, checkpoint: str | None) -> int:
     with open(os.path.join(out_dir, "edit_report.json"), "w") as fh:
         json.dump({
             "align": result.align_reports,
-            "inversion_timesteps": result.inversion.timesteps,
+            "inversion_timesteps": result.inversion_timesteps,
             "cache": {k: getattr(result.cache, k) for k in
                       ("writes", "reads_cs", "reads_temporal", "peak_bytes")},
             "sampler": {"steps": job.steps, "guidance": job.guidance},

@@ -230,8 +230,10 @@ def invert(model: N.ModelWeights, z0: Tensor, steps: int,
 
 @dataclass
 class ReconstructResult:
+    """The reconstructed latent and the timesteps the inversion reached;
+    the inversion's latents are let go before the walk back starts."""
     latent: Tensor
-    inversion: D.Trajectory
+    inversion_timesteps: list[int]
 
 
 def reconstruct(model: N.ModelWeights, video: Tensor, skeletons: np.ndarray,
@@ -242,7 +244,8 @@ def reconstruct(model: N.ModelWeights, video: Tensor, skeletons: np.ndarray,
     """Invert the source then denoise it back under the source skeleton
     condition at guidance 1, with no injection. Both walks run one
     predictor (``eps_fn`` if given), so the reconstruction undoes the
-    inversion's conditioning exactly."""
+    inversion's conditioning exactly. Only the end latent and the timesteps
+    of the inversion outlive it."""
     schedule = schedule or D.make_schedule(model.cfg.schedule_steps)
     z0 = N.encode_video(video, model.cfg)
     ts = D.subsequence(schedule.timesteps, steps)
@@ -250,17 +253,22 @@ def reconstruct(model: N.ModelWeights, video: Tensor, skeletons: np.ndarray,
         pose = N.pose_features(model, skeletons) if control_on_recon else None
         eps_fn = _predictor(model, ts, prompt, control=_computed(model, pose))
     inv = invert(model, z0, steps, schedule, eps_fn=eps_fn)
-    traj = D.ddim_sample(eps_fn, inv.final, ts, schedule, phase="reconstruct")
-    return ReconstructResult(traj.final, inv)
+    z_t, inversion_ts = inv.final, inv.timesteps
+    del inv, z0
+    traj = D.ddim_sample(eps_fn, z_t, ts, schedule, phase="reconstruct")
+    return ReconstructResult(traj.final, inversion_ts)
 
 
 @dataclass
 class EditResult:
+    """The edited and reconstructed latents, the aligned reference
+    skeletons and their reports, the timesteps the inversion reached (not
+    its latents, which ``edit`` lets go once it has z_T) and the cache."""
     edited: Tensor
     reconstructed: Tensor
     aligned_skeletons: np.ndarray
     align_reports: list[dict]
-    inversion: D.Trajectory
+    inversion_timesteps: list[int]
     cache: I.ReconCache
 
 
@@ -343,34 +351,41 @@ def _recon_walk(model: N.ModelWeights, x: Tensor, ts: list[int],
 
 
 def _control_reply(model: N.ModelWeights, x: Tensor, t: int,
-                   pose: dict[int, Tensor]):
-    """A step's control sides, built with numpy overflow and invalid
-    operations raised as in a sampler step, or the error that raised."""
+                   pose: Callable[[], dict[int, Tensor]]):
+    """A step's control sides from the pyramid ``pose()`` returns, built
+    with numpy overflow and invalid operations raised as in a sampler step,
+    or the error that raised."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return N.control_sides(model, x, t, pose)
+            return N.control_sides(model, x, t, pose())
     except Exception as exc:  # sent on, for the step that asked to raise
         return exc
 
 
 def _serve(requests: Iterator[tuple[str, Tensor, int | None]],
-           model: N.ModelWeights, poses: dict[str, dict[int, Tensor] | None],
-           walk: Callable[[Tensor], Iterator]) -> Iterator[object]:
+           model: N.ModelWeights, skeletons: dict[str, np.ndarray | None],
+           walk: Callable[[Tensor, dict[int, Tensor] | None], Iterator]
+           ) -> Iterator[object]:
     """``edit``'s step worker: its messages, in the order edit reads them.
 
-    A control request (the name of a pose in ``poses``, a step's latent and
-    t) gets that step's control sides, or the error building them raised.
-    A ("recon", z_T, None) request starts ``walk`` from z_T, and from then
-    on the walk runs one step ahead: its first message at once, and each
-    later one after the reply to the next control request. So while the
-    editing walk runs, the messages read W_0, S_0, W_1, S_1, ..., the final
-    latent (W a step's cache writes, S its control sides)."""
+    A control request (the name of a skeleton stack in ``skeletons``, a
+    step's latent and t) gets that step's control sides, or the error
+    building them raised. The worker encodes each stack's pose pyramid
+    (``N.pose_features``) on its first request, as part of that reply, and
+    keeps it. A ("recon", z_T, None) request starts ``walk`` from z_T and
+    the "source" pyramid (None without a source stack), and from then on
+    the walk runs one step ahead: its first message at once, and each later
+    one after the reply to the next control request. So while the editing
+    walk runs, the messages read W_0, S_0, W_1, S_1, ..., the final latent
+    (W a step's cache writes, S its control sides)."""
+    pose = functools.cache(lambda kind: None if skeletons[kind] is None
+                           else N.pose_features(model, skeletons[kind]))
     recon = iter(())
     for kind, x, t in requests:
         if kind == "recon":
-            recon = walk(x)
+            recon = walk(x, pose("source"))
         else:
-            yield _control_reply(model, x, t, poses[kind])
+            yield _control_reply(model, x, t, functools.partial(pose, kind))
         yield from itertools.islice(recon, 1)
 
 
@@ -487,9 +502,12 @@ def edit(job: EditJob, model: N.ModelWeights,
     branch. Before each editing step the ReconCache takes the keys/values
     the reconstruction branch wrote at that step, and the editing forwards
     (target prompt and guidance) read them at gated layers. The step worker
-    (``_serve``) builds the control sides of each inversion and editing step
-    and runs the reconstruction branch. A non-finite value names the half it
-    arose in; the reconstruction half is named when both fail at one step.
+    (``_serve``) encodes the source and aligned reference poses, builds the
+    control sides of each inversion and editing step and runs the
+    reconstruction branch; this process holds no pose pyramid when the
+    worker is forked, and keeps only z_T and the timesteps of the
+    inversion. A non-finite value names the half it arose in; the
+    reconstruction half is named when both fail at one step.
     """
     cfg = model.cfg
     job.validate(cfg)
@@ -501,26 +519,28 @@ def edit(job: EditJob, model: N.ModelWeights,
     ts = D.subsequence(schedule.timesteps, job.steps)
 
     cond = N.Conditioning(model)
-    source_pose = (N.pose_features(model, job.source_skeletons)
-                   if job.control_on_recon else None)
     serve = functools.partial(
         _serve, model=model,
-        poses={"source": source_pose, "reference": N.pose_features(model, aligned)},
-        walk=lambda z_t: _recon_walk(model, z_t, ts, schedule, job.prompt_source,
-                                     source_pose, job.injection, cond))
+        skeletons={"source": job.source_skeletons if job.control_on_recon else None,
+                   "reference": aligned},
+        walk=lambda z_t, pose: _recon_walk(model, z_t, ts, schedule,
+                                           job.prompt_source, pose, job.injection,
+                                           cond))
     cache = I.ReconCache()
     masks = I.LatentMask.from_rasters(np.asarray(job.source_masks),
                                       cfg.level_shapes())
     with _started(serve) as (send, recv):
         inverting = _predictor(model, ts, job.prompt_source, cond=cond,
                                control=(_asking(send, recv, "source")
-                                        if source_pose is not None else None))
+                                        if job.control_on_recon else None))
         inv = invert(model, z0, job.steps, schedule, eps_fn=inverting)
-        send(("recon", inv.final, None))
+        z_t, inversion_ts = inv.final, inv.timesteps
+        del inv, z0
+        send(("recon", z_t, None))
         editing = _predictor(model, ts, job.prompt_target, job.guidance, "edit",
                              cache, masks, job.injection, cond,
                              control=_asking(send, recv, "reference"))
-        steps = D.ddim_steps(editing, inv.final, ts, schedule, phase="edit")
+        steps = D.ddim_steps(editing, z_t, ts, schedule, phase="edit")
         for _ in ts:
             cache.replay(_received(recv()))
             try:
@@ -528,4 +548,4 @@ def edit(job: EditJob, model: N.ModelWeights,
             except D.NonFiniteError as exc:
                 raise _in_half(exc, "editing") from None
         recon = _received(recv())
-    return EditResult(edited, recon, aligned, reports, inv, cache)
+    return EditResult(edited, recon, aligned, reports, inversion_ts, cache)

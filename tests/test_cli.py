@@ -556,6 +556,28 @@ class TestConfigHandling:
         assert peak < 1 << 20
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["edit", "reconstruct"])
+    @pytest.mark.parametrize("timesteps", [10, 1000, 2000],
+                             ids=["fewer", "matched", "more"])
+    def test_checkpoint_schedule_must_match_the_config(
+            self, tmp_path, capsys, monkeypatch, command, timesteps):
+        # the checkpoint's time embeddings cover 1,000 timesteps
+        _, cfg = make_job_dir(tmp_path,
+                              config_extra={"schedule": {"timesteps": timesteps}})
+        ckpt = tmp_path / "ckpt"
+        N.save_checkpoint(ckpt, N.init_model(N.NetConfig(), seed=7))
+        real, ran = getattr(P, command), []
+        monkeypatch.setattr(P, command, lambda *a, **k: ran.append(a) or real(*a, **k))
+        out = tmp_path / "o"
+        code = main([command, "--steps", "1", "--config", str(cfg),
+                     "--checkpoint", str(ckpt), "--out", str(out)])
+        if timesteps == 1000:
+            assert code == 0 and len(ran) == 1
+            return
+        assert code == 2 and ran == [] and not out.exists()
+        assert_one_line_error(capsys, "1000-step",
+                              f"schedule.timesteps is {timesteps}")
+
     def test_seed_override_applies(self, tmp_path):
         _, cfg = make_job_dir(tmp_path)
         out_a = tmp_path / "a"

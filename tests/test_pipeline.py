@@ -247,6 +247,24 @@ class TestReconstruct:
         assert len(built) == 1
         assert used["invert"] is used["sample"] is built[0]
 
+    def test_no_inversion_latent_outlives_the_call(self, base_model, schedule,
+                                                  monkeypatch):
+        refs = []
+        real = D.ddim_invert
+
+        def recorded(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            refs.extend(weakref.ref(latent.data) for _, latent in traj.points)
+            return traj
+
+        monkeypatch.setattr(D, "ddim_invert", recorded)
+        rec = P.reconstruct(base_model, synth_video(), synth_skeletons(), "p",
+                            steps=3, schedule=schedule)
+        assert len(refs) == 4
+        assert [ref() is None for ref in refs] == [True] * 4
+        ts = D.subsequence(schedule.timesteps, 3)
+        assert rec.inversion_timesteps == [D.CLEAN_STEP, *ts]
+
     def test_deterministic_under_fixed_seed(self, schedule, net_config):
         outs = []
         for _ in range(2):
@@ -502,6 +520,41 @@ class TestReconPlacement:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         for name in ("writes", "reads_cs", "reads_temporal", "peak_bytes"):
             assert getattr(here.cache, name) == getattr(forked.cache, name)
+
+    @pytest.mark.parametrize("control_on_recon", [True, False],
+                             ids=["recon-control", "no-recon-control"])
+    def test_the_worker_encodes_the_poses(self, base_model, schedule, place,
+                                          monkeypatch, control_on_recon):
+        job = make_job(steps=2, control_on_recon=control_on_recon)
+        encoded = []
+        real = N.pose_features
+        monkeypatch.setattr(N, "pose_features",
+                            lambda model, sk: encoded.append(sk) or real(model, sk))
+        pids = place(True)
+        P.edit(job, base_model, schedule)
+        # a forked worker's calls append to its own copy of the list
+        assert len(pids) == 1 and encoded == []
+        place(False)
+        res = P.edit(job, base_model, schedule)
+        # one pyramid per stack: the source's only under the source pose
+        want = [job.source_skeletons] * control_on_recon + [res.aligned_skeletons]
+        assert len(encoded) == len(want)
+        assert all(got is stack for got, stack in zip(encoded, want))
+
+    @pytest.mark.parametrize("fork", [False, True], ids=["here", "forked"])
+    def test_peak_is_flat_in_steps(self, base_model, schedule, place, fork):
+        place(fork)
+        peaks = {}
+        for steps in (10, 40):
+            job = make_job(steps=steps)
+            tracemalloc.start()
+            try:
+                P.edit(job, base_model, schedule)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # one 8 KiB latent per step would add 240 KiB
+        assert peaks[40] - peaks[10] <= 128 << 10, peaks
 
     def test_steps_before_the_window_send_no_writes(self, base_model, schedule):
         job = make_job(steps=4, injection=I.InjectionSettings(window_fraction=0.5))
