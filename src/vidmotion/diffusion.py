@@ -7,7 +7,7 @@ whenever the noise prediction is held fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -67,30 +67,12 @@ def subsequence(timesteps: int, count: int) -> list[int]:
 
 @dataclass
 class Trajectory:
-    """Ordered (timestep, latent) pairs from a sampling or inversion run."""
+    """The end of a sampling or inversion walk: the timesteps it passed
+    through, its start included, and the latent it reached. The latents in
+    between are not kept; ``ddim_steps`` yields them one at a time."""
 
-    points: list[tuple[int, Tensor]] = field(default_factory=list)
-
-    def append(self, t: int, latent: Tensor) -> None:
-        if self.points:
-            ts = [t0 for t0, _ in self.points]
-            if latent.shape != self.points[0][1].shape:
-                raise ScheduleError("trajectory latents must share one shape")
-            if t == ts[-1]:
-                raise ScheduleError("trajectory timesteps must be strictly monotone")
-            if len(ts) >= 2:
-                direction = 1 if ts[1] > ts[0] else -1
-                if (t - ts[-1]) * direction <= 0:
-                    raise ScheduleError("trajectory timesteps must be strictly monotone")
-        self.points.append((t, latent))
-
-    @property
-    def timesteps(self) -> list[int]:
-        return [t for t, _ in self.points]
-
-    @property
-    def final(self) -> Tensor:
-        return self.points[-1][1]
+    timesteps: list[int]
+    final: Tensor
 
 
 def q_sample(x0: Tensor, t: int, eps: Tensor, s: NoiseSchedule) -> Tensor:
@@ -182,15 +164,6 @@ def _walk(eps_fn: EpsFn, x: Tensor, path: list[int], s: NoiseSchedule,
         yield b, x
 
 
-def _trajectory(t0: int, x0: Tensor,
-                points: Iterator[tuple[int, Tensor]]) -> Trajectory:
-    traj = Trajectory()
-    traj.append(t0, x0)
-    for t, x in points:
-        traj.append(t, x)
-    return traj
-
-
 def ddim_steps(eps_fn: EpsFn, x_start: Tensor, ts: Sequence[int],
                s: NoiseSchedule, phase: str = "sample"
                ) -> Iterator[tuple[int, Tensor]]:
@@ -199,10 +172,18 @@ def ddim_steps(eps_fn: EpsFn, x_start: Tensor, ts: Sequence[int],
     return _walk(eps_fn, x_start, [*reversed(ts), CLEAN_STEP], s, ddim_step, phase)
 
 
+def _end(eps_fn: EpsFn, x: Tensor, path: list[int], s: NoiseSchedule,
+         step: Callable[..., Tensor], phase: str) -> Trajectory:
+    """Walk ``path`` as ``_walk`` does and keep only the latent it reaches."""
+    for _, x in _walk(eps_fn, x, path, s, step, phase):
+        pass
+    return Trajectory(path, x)
+
+
 def ddim_sample(eps_fn: EpsFn, x_start: Tensor, ts: Sequence[int],
                 s: NoiseSchedule, phase: str = "sample") -> Trajectory:
     """Denoise along decreasing ts (ending at the clean endpoint)."""
-    return _trajectory(ts[-1], x_start, ddim_steps(eps_fn, x_start, ts, s, phase))
+    return _end(eps_fn, x_start, [*reversed(ts), CLEAN_STEP], s, ddim_step, phase)
 
 
 def ddim_invert(eps_fn: EpsFn, x0: Tensor, ts: Sequence[int],
@@ -212,8 +193,7 @@ def ddim_invert(eps_fn: EpsFn, x0: Tensor, ts: Sequence[int],
     The predictor is evaluated at the current latent with the *target*
     timestep (the clean endpoint is never fed to the network).
     """
-    return _trajectory(CLEAN_STEP, x0, _walk(eps_fn, x0, [CLEAN_STEP, *ts], s,
-                                             ddim_invert_step, "invert"))
+    return _end(eps_fn, x0, [CLEAN_STEP, *ts], s, ddim_invert_step, "invert")
 
 
 def oracle_eps_fn(x0: Tensor, s: NoiseSchedule) -> EpsFn:

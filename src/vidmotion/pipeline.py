@@ -222,6 +222,7 @@ def invert(model: N.ModelWeights, z0: Tensor, steps: int,
     stage is deliberately absent). The predictor is ``eps_fn`` if given
     (``reconstruct``'s and ``edit``'s conditioned one, or an oracle in
     tests), else the model on the unconditional embedding without control.
+    Returns the walk's timesteps and its end latent z_T, nothing between.
     """
     schedule = schedule or D.make_schedule(model.cfg.schedule_steps)
     ts = D.subsequence(schedule.timesteps, steps)
@@ -230,8 +231,8 @@ def invert(model: N.ModelWeights, z0: Tensor, steps: int,
 
 @dataclass
 class ReconstructResult:
-    """The reconstructed latent and the timesteps the inversion reached;
-    the inversion's latents are let go before the walk back starts."""
+    """The reconstructed latent and the timesteps the inversion passed
+    through; neither walk keeps a latent between its ends."""
     latent: Tensor
     inversion_timesteps: list[int]
 
@@ -244,8 +245,8 @@ def reconstruct(model: N.ModelWeights, video: Tensor, skeletons: np.ndarray,
     """Invert the source then denoise it back under the source skeleton
     condition at guidance 1, with no injection. Both walks run one
     predictor (``eps_fn`` if given), so the reconstruction undoes the
-    inversion's conditioning exactly. Only the end latent and the timesteps
-    of the inversion outlive it."""
+    inversion's conditioning exactly. Each walk keeps only its end latent,
+    so memory stays flat in ``steps``."""
     schedule = schedule or D.make_schedule(model.cfg.schedule_steps)
     z0 = N.encode_video(video, model.cfg)
     ts = D.subsequence(schedule.timesteps, steps)
@@ -253,17 +254,16 @@ def reconstruct(model: N.ModelWeights, video: Tensor, skeletons: np.ndarray,
         pose = N.pose_features(model, skeletons) if control_on_recon else None
         eps_fn = _predictor(model, ts, prompt, control=_computed(model, pose))
     inv = invert(model, z0, steps, schedule, eps_fn=eps_fn)
-    z_t, inversion_ts = inv.final, inv.timesteps
-    del inv, z0
-    traj = D.ddim_sample(eps_fn, z_t, ts, schedule, phase="reconstruct")
-    return ReconstructResult(traj.final, inversion_ts)
+    del z0
+    traj = D.ddim_sample(eps_fn, inv.final, ts, schedule, phase="reconstruct")
+    return ReconstructResult(traj.final, inv.timesteps)
 
 
 @dataclass
 class EditResult:
     """The edited and reconstructed latents, the aligned reference
-    skeletons and their reports, the timesteps the inversion reached (not
-    its latents, which ``edit`` lets go once it has z_T) and the cache."""
+    skeletons and their reports, the timesteps the inversion passed
+    through (the walk keeps no latent but z_T) and the cache."""
     edited: Tensor
     reconstructed: Tensor
     aligned_skeletons: np.ndarray
@@ -534,13 +534,12 @@ def edit(job: EditJob, model: N.ModelWeights,
                                control=(_asking(send, recv, "source")
                                         if job.control_on_recon else None))
         inv = invert(model, z0, job.steps, schedule, eps_fn=inverting)
-        z_t, inversion_ts = inv.final, inv.timesteps
-        del inv, z0
-        send(("recon", z_t, None))
+        del z0
+        send(("recon", inv.final, None))
         editing = _predictor(model, ts, job.prompt_target, job.guidance, "edit",
                              cache, masks, job.injection, cond,
                              control=_asking(send, recv, "reference"))
-        steps = D.ddim_steps(editing, z_t, ts, schedule, phase="edit")
+        steps = D.ddim_steps(editing, inv.final, ts, schedule, phase="edit")
         for _ in ts:
             cache.replay(_received(recv()))
             try:
@@ -548,4 +547,4 @@ def edit(job: EditJob, model: N.ModelWeights,
             except D.NonFiniteError as exc:
                 raise _in_half(exc, "editing") from None
         recon = _received(recv())
-    return EditResult(edited, recon, aligned, reports, inversion_ts, cache)
+    return EditResult(edited, recon, aligned, reports, inv.timesteps, cache)

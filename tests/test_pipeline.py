@@ -250,20 +250,38 @@ class TestReconstruct:
     def test_no_inversion_latent_outlives_the_call(self, base_model, schedule,
                                                   monkeypatch):
         refs = []
-        real = D.ddim_invert
+        invert, step = D.ddim_invert, D.ddim_invert_step
 
-        def recorded(*args, **kwargs):
-            traj = real(*args, **kwargs)
-            refs.extend(weakref.ref(latent.data) for _, latent in traj.points)
-            return traj
+        def inverted(eps_fn, z0, *args):  # z0, then each latent a step makes
+            refs.append(weakref.ref(z0.data))
+            return invert(eps_fn, z0, *args)
 
-        monkeypatch.setattr(D, "ddim_invert", recorded)
+        def stepped(*args):
+            x = step(*args)
+            refs.append(weakref.ref(x.data))
+            return x
+
+        monkeypatch.setattr(D, "ddim_invert", inverted)
+        monkeypatch.setattr(D, "ddim_invert_step", stepped)
         rec = P.reconstruct(base_model, synth_video(), synth_skeletons(), "p",
                             steps=3, schedule=schedule)
         assert len(refs) == 4
         assert [ref() is None for ref in refs] == [True] * 4
         ts = D.subsequence(schedule.timesteps, 3)
         assert rec.inversion_timesteps == [D.CLEAN_STEP, *ts]
+
+    def test_peak_is_flat_in_steps(self, base_model, schedule):
+        peaks = {}
+        for steps in (10, 40):
+            tracemalloc.start()
+            try:
+                P.reconstruct(base_model, synth_video(), synth_skeletons(), "p",
+                              steps=steps, schedule=schedule)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # one 8 KiB latent per step would add 240 KiB
+        assert peaks[40] - peaks[10] <= 128 << 10, peaks
 
     def test_deterministic_under_fixed_seed(self, schedule, net_config):
         outs = []
