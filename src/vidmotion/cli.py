@@ -35,7 +35,7 @@ _INPUT_ERRORS = (N.ConfigError, P.JobError, SK.EmptyMaskError,
                  SK.RasterError, SK.KeypointError, D.ScheduleError,
                  T.ShapeError, T.FormatError, I.MaskError, I.CacheError,
                  I.GateError, FileNotFoundError, NotADirectoryError,
-                 IsADirectoryError, FileExistsError)
+                 IsADirectoryError, FileExistsError, PermissionError)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +290,9 @@ def cmd_edit(cfg: C.Config, out_dir: str, checkpoint: str | None) -> int:
         json.dump({
             "align": result.align_reports,
             "inversion_timesteps": result.inversion_timesteps,
-            "cache": {k: getattr(result.cache, k) for k in
-                      ("writes", "reads_cs", "reads_temporal", "peak_bytes")},
+            "cache": {"writes": result.cache.writes,
+                      "peak_bytes": result.cache.peak_bytes,
+                      **{f"reads_{kind}": n for kind, n in result.cache.reads.items()}},
             "sampler": {"steps": job.steps, "guidance": job.guidance},
             "injection_enabled": job.injection.enabled,
         }, fh, indent=1, sort_keys=True)

@@ -3,11 +3,12 @@
 The reconstruction branch's keys/values are split rowwise by a binary token
 mask, then stacked together with the editing branch's current-frame block;
 the editing branch's preceding-frame block is never built. Each injecting
-forward builds the reconstruction part of its stack with ``CsMask.block``,
-the builder ``build_injected_kv`` uses, and drops it when its attention
-returns. Temporal attention is injected wholesale. ``kv_hooks`` decides
-which U-Net blocks inject and hands each one the key/value hooks its
-attention kernels apply.
+forward builds the reconstruction part of its stack with ``CsMask.block``
+(the 5N pieces ``build_injected_kv`` joins, or the kept rows alone) and
+drops it when its attention returns. Temporal attention is injected
+wholesale. ``kv_hooks`` decides which U-Net blocks inject and hands each one
+the key/value hooks its attention kernels apply, which put into and get
+from one ``ReconCache`` by kind, "cs" or "temporal".
 """
 from __future__ import annotations
 
@@ -86,37 +87,17 @@ def join_current(block: Block, edit_cur: tuple[Tensor, Tensor]) -> tuple[Tensor,
 
 
 def build_injected_kv(recon: tuple[Tensor, Tensor, Tensor, Tensor],
-                      edit_cur: tuple[Tensor, Tensor],
-                      drop_masked_tokens: bool = False,
-                      mask=None) -> tuple[Tensor, Tensor]:
+                      edit_cur: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
     """Stack [K_fg, K_bg, K_cur] (and likewise for values) along the token
-    axis, for one frame (n x d blocks) or all frames (F x n x d blocks).
-
-    Default keeps zeroed rows, giving exactly 5N tokens for N-token frames.
-    With ``drop_masked_tokens`` the zeroed rows are removed instead (3N
-    tokens): ``CsMask.block`` takes the kept rows of K_fg + K_bg, which
-    equals the undecoupled keys bit for bit, with one frame as a 1-frame
-    stack. It takes them outside the tape, so tracked ``recon`` is refused.
-    """
+    axis, for one frame (n x d blocks) or all frames (F x n x d blocks):
+    exactly 5N tokens for N-token frames, zeroed rows kept."""
     k_fg, v_fg, k_bg, v_bg = recon
     widths = {t.shape[-1] for t in (k_fg, v_fg, k_bg, v_bg, *edit_cur)}
     if len(widths) != 1:
         raise T.ShapeError(f"key/value widths disagree: {sorted(widths)}")
     if k_fg.shape != k_bg.shape or v_fg.shape != v_bg.shape:
         raise T.ShapeError("foreground/background blocks must match shapes")
-    if not drop_masked_tokens:
-        return join_current(([k_fg, k_bg], [v_fg, v_bg]), edit_cur)
-    if any(x.node is not None for x in recon):
-        raise T.TapeError("drop mode cannot differentiate through recon keys/values")
-    m = _check_mask(mask, k_fg.shape[:-1])
-
-    def stack(x: Tensor) -> Tensor:
-        return T.reshape(x, (-1, *x.shape[-2:]))
-
-    block = CsMask.of(m.reshape(-1, m.shape[-1])).block(
-        stack(T.add(k_fg, k_bg)), stack(T.add(v_fg, v_bg)), True)
-    return tuple(T.reshape(x, (*k_fg.shape[:-2], *x.shape[1:]))
-                 for x in join_current(block, tuple(map(stack, edit_cur))))
+    return join_current(([k_fg, k_bg], [v_fg, v_bg]), edit_cur)
 
 
 def gate(layer_id: str, topology: dict[str, str], inject_mid: bool = False) -> bool:
@@ -175,13 +156,17 @@ class CsMask:
 
     def block(self, k: Tensor, v: Tensor, drop_masked_tokens: bool) -> Block:
         """[K_fg; K_bg] pieces of cached (F, 2N, d) keys, or with
-        ``drop_masked_tokens`` their rows in kept order: the undecoupled keys
-        equal K_fg + K_bg bit for bit, and the cache's arrays are outside
-        any tape, so the rows are taken from them directly."""
+        ``drop_masked_tokens`` their rows in kept order (3N tokens once
+        joined): the undecoupled keys equal K_fg + K_bg bit for bit, so the
+        rows are taken from them directly. That is outside the tape, so
+        tracked keys are refused there rather than losing their gradient."""
         if k.shape[:-1] != self.keep.shape[:-1]:
             raise MaskError(f"mask shape {self.keep.shape[:-1]} != (frames, "
                             f"tokens) {k.shape[:-1]}")
         if drop_masked_tokens:
+            if k.node is not None or v.node is not None:
+                raise T.TapeError("dropped rows take recon keys/values off the tape")
+
             def kept(x: Tensor) -> Tensor:
                 flat = x.data.reshape(-1, x.shape[-1])
                 return Tensor(np.take(flat, self.rows, axis=0).reshape(x.shape))
@@ -228,109 +213,87 @@ def kv_hooks(role: str, layer: str, t: int, topology: dict[str, str], level: int
              ) -> tuple[A.KVHook | None, A.KVHook | None]:
     """The (cross-frame, temporal) key/value hooks of U-Net block ``layer`` at
     step ``t``, or None where the block does not inject. "recon" hooks project
-    the stacks and copy them into ``cache``. "edit" hooks are handed the
-    current frame's tokens only: the cross-frame hook projects them and puts
-    the reconstruction block (masks of ``level``) before them, and the
-    temporal hook returns the cached stacks without projecting anything.
-    Each call of the cross-frame hook reads the cache and builds its own
-    block, which lives only as long as the stacks it is joined into."""
+    the stacks and put them into ``cache`` as "cs" and "temporal" entries.
+    "edit" hooks are handed the current frame's tokens only: the cross-frame
+    hook projects them and puts the reconstruction block (masks of ``level``)
+    before them, and the temporal hook returns the cached stacks without
+    projecting anything. Each call of the cross-frame hook reads the cache
+    and builds its own block, which lives only as long as the stacks it is
+    joined into."""
     if inj is None or not gate(layer, topology, inj.inject_mid):
         return None, None
     if role == "recon":
-        def writer(put):
+        def writer(kind):
             def hook(src: Tensor, p: A.ProjectionSet) -> tuple[Tensor, Tensor]:
                 k, v = A.project_kv(src, p)
-                put(layer, t, k.data, v.data)
+                cache.put(kind, layer, t, k.data, v.data)
                 return k, v
             return hook
-        return writer(cache.put_cs), writer(cache.put_temporal)
+        return writer("cs"), writer("temporal")
     if role == "edit" and inj.enabled:
         cs_mask = masks.cs(level)
 
         def inject_cs(src: Tensor, p: A.ProjectionSet) -> tuple[Tensor, Tensor]:
-            block = cs_mask.block(*cache.get_cs(layer, t), inj.drop_masked_tokens)
+            block = cs_mask.block(*cache.get("cs", layer, t), inj.drop_masked_tokens)
             return join_current(block, A.project_kv(src, p))
 
-        return inject_cs, lambda src, p: cache.get_temporal(layer, t)
+        return inject_cs, lambda src, p: cache.get("temporal", layer, t)
     return None, None
 
 
 class ReconCache:
     """One-step hand-off of reconstruction keys/values to the editing branch.
 
-    Per gated layer it holds the latest step's (t, k, v): cross-frame stacks
-    are (frames, 2N, d), temporal stacks (locations, frames, d). A write
-    replaces the layer's previous step, a second write of the same (layer, t)
-    is rejected, and a read of any other step misses. It holds the arrays it
-    is handed, uncopied, since tensors are immutable. ``peak_bytes`` is the
-    most the cache held at once.
+    Per kind and gated layer it holds the latest step's (t, k, v): "cs"
+    stacks are (frames, 2N, d), "temporal" stacks (locations, frames, d). A
+    write replaces the entry's previous step, a second write of the same
+    (kind, layer, t) is rejected, and a read of any other step misses. It
+    holds the arrays it is handed, uncopied, since tensors are immutable.
+    ``reads`` counts each kind's reads; ``peak_bytes`` is the most it held.
     """
 
     def __init__(self):
-        self.cs: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
-        self.temporal: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
+        self.held: dict[tuple[str, str], tuple[int, np.ndarray, np.ndarray]] = {}
         self.writes = 0
-        self.reads_cs = 0
-        self.reads_temporal = 0
+        self.reads = {"cs": 0, "temporal": 0}
         self.peak_bytes = 0
 
-    def _put(self, store: dict, layer: str, t: int,
-             k: np.ndarray, v: np.ndarray) -> None:
-        if layer in store and store[layer][0] == t:
-            raise CacheError(f"duplicate cache write for ({layer!r}, t={t})")
-        store[layer] = (t, k, v)
+    def put(self, kind: str, layer: str, t: int,
+            k: np.ndarray, v: np.ndarray) -> None:
+        key = (kind, layer)
+        if key in self.held and self.held[key][0] == t:
+            raise CacheError(f"duplicate cache write for {kind} ({layer!r}, t={t})")
+        self.held[key] = (t, k, v)
         self.writes += 1
-        nbytes = sum(hk.nbytes + hv.nbytes for _, hk, hv in
-                     (*self.cs.values(), *self.temporal.values()))
+        nbytes = sum(hk.nbytes + hv.nbytes for _, hk, hv in self.held.values())
         self.peak_bytes = max(self.peak_bytes, nbytes)
 
-    @staticmethod
-    def _get(store: dict, kind: str, layer: str, t: int) -> tuple[Tensor, Tensor]:
-        held = store.get(layer)
+    def get(self, kind: str, layer: str, t: int) -> tuple[Tensor, Tensor]:
+        held = self.held.get((kind, layer))
         if held is None or held[0] != t:
             raise CacheError(f"cache miss: {kind} entry ({layer!r}, t={t})")
+        self.reads[kind] += 1
         return Tensor(held[1]), Tensor(held[2])
 
-    def put_cs(self, layer: str, t: int, k: np.ndarray, v: np.ndarray) -> None:
-        self._put(self.cs, layer, t, k, v)
-
-    def put_temporal(self, layer: str, t: int, k: np.ndarray, v: np.ndarray) -> None:
-        self._put(self.temporal, layer, t, k, v)
-
     def replay(self, writes: list[Write]) -> None:
-        """Apply the writes a CacheLog took, in their order."""
-        for kind, *write in writes:
-            (self.put_cs if kind == "cs" else self.put_temporal)(*write)
-
-    def get_cs(self, layer: str, t: int) -> tuple[Tensor, Tensor]:
-        kv = self._get(self.cs, "cross-frame", layer, t)
-        self.reads_cs += 1
-        return kv
-
-    def get_temporal(self, layer: str, t: int) -> tuple[Tensor, Tensor]:
-        kv = self._get(self.temporal, "temporal", layer, t)
-        self.reads_temporal += 1
-        return kv
+        """Put the writes a CacheLog took, in their order."""
+        for write in writes:
+            self.put(*write)
 
 
-# One cache write: "cs" or "temporal", then the put's (layer, t, k, v).
+# One cache write: a ReconCache.put's (kind, layer, t, k, v).
 Write = tuple[str, str, int, np.ndarray, np.ndarray]
 
 
-class CacheLog:
+class CacheLog(list):
     """Takes the reconstruction forwards' cache writes in a ReconCache's
     place, in order, for a ReconCache to ``replay`` elsewhere."""
 
-    def __init__(self):
-        self.writes: list[Write] = []
-
-    def put_cs(self, layer: str, t: int, k: np.ndarray, v: np.ndarray) -> None:
-        self.writes.append(("cs", layer, t, k, v))
-
-    def put_temporal(self, layer: str, t: int, k: np.ndarray, v: np.ndarray) -> None:
-        self.writes.append(("temporal", layer, t, k, v))
+    def put(self, *write) -> None:
+        self.append(write)
 
     def take(self) -> list[Write]:
         """The writes since the last take."""
-        writes, self.writes = self.writes, []
+        writes = self[:]
+        self.clear()
         return writes

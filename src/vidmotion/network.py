@@ -240,20 +240,14 @@ def parameter_checksum(model: ModelWeights, names: set[str] | None = None) -> st
 # ---------------------------------------------------------------------------
 # text conditioning
 
-_EMBED_CACHE: dict[tuple[str, int], np.ndarray] = {}
 UNCOND_TOKEN = "\x00uncond"
 
 
 def _token_vector(token: str, d: int) -> np.ndarray:
-    key = (token, d)
-    cached = _EMBED_CACHE.get(key)
-    if cached is None:
-        seed = int.from_bytes(
-            hashlib.blake2b(f"{token}|{d}".encode(), digest_size=8).digest(), "little")
-        gen = np.random.Generator(np.random.PCG64(seed))
-        cached = gen.normal(0.0, 1.0, d).astype(np.float32)
-        _EMBED_CACHE[key] = cached
-    return cached
+    seed = int.from_bytes(
+        hashlib.blake2b(f"{token}|{d}".encode(), digest_size=8).digest(), "little")
+    gen = np.random.Generator(np.random.PCG64(seed))
+    return gen.normal(0.0, 1.0, d).astype(np.float32)
 
 
 def text_embedding(prompt: str | None, d: int) -> Tensor:
@@ -506,14 +500,14 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
                  step: StepContext | None = None) -> Tensor:
     """Predict noise for a latent video block.
 
-    role "recon" writes decoder-layer keys/values to ``cache`` (a ReconCache,
-    or a CacheLog that one replays); role "edit" replaces the gated layers'
-    keys/values with injected stacks built from ``cache`` and ``masks``. The
-    plain role touches neither. ``cond`` (the run's Conditioning: text keys
-    and values) and ``step`` (the step's StepContext, built for ``z`` at
-    ``t``: time rows, the first block's opening and control sides) hand in
-    what other forwards have built already; without them the forward builds
-    its own.
+    role "recon" puts each gated layer's keys/values into ``cache`` (a
+    ReconCache, or a CacheLog that one replays) as a "cs" and a "temporal"
+    entry; role "edit" replaces the gated layers' keys/values with injected
+    stacks built from those entries and ``masks``. The plain role touches
+    neither. ``cond`` (the run's Conditioning: text keys and values) and
+    ``step`` (the step's StepContext, built for ``z`` at ``t``: time rows,
+    the first block's opening and control sides) hand in what other forwards
+    have built already; without them the forward builds its own.
     """
     cfg = model.cfg
     want = (cfg.frames, cfg.channels, cfg.latent_size, cfg.latent_size)
@@ -657,8 +651,9 @@ def save_checkpoint(directory, model: ModelWeights) -> None:
 
 def load_checkpoint(directory) -> ModelWeights:
     """Read a save_checkpoint directory; a manifest whose config, tensor
-    names or shapes do not describe an init_model of that config raises
-    ConfigError before any tensor file is read."""
+    names or shapes do not describe an init_model of that config, or whose
+    tensor files are not regular files (no path, no link) of the directory
+    and of their shape's size, raises ConfigError before any is read."""
     import json
     import os
 
@@ -686,6 +681,14 @@ def load_checkpoint(directory) -> ModelWeights:
                 or meta.get("shape") != want[name]):
             raise ConfigError(f"{path}: tensor {name} entry {meta!r} does not "
                               f"name a file of shape {want[name]}")
+        fname, shape = meta["file"], meta["shape"]
+        full = os.path.join(directory, fname)
+        size = 10 + 4 * len(shape) + 4 * math.prod(shape)  # its MELT bytes
+        if (os.path.basename(fname) != fname or os.path.islink(full)
+                or not os.path.isfile(full) or os.path.getsize(full) != size):
+            what = ("Is a directory" if os.path.isdir(full) else
+                    f"not a regular file of {size} bytes in the checkpoint directory")
+            raise ConfigError(f"{path}: tensor {name} file {fname!r}: {what}")
     params = {}
     for name, meta in tensors.items():
         t = T.load_tensor(os.path.join(directory, meta["file"]))

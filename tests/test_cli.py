@@ -209,6 +209,21 @@ class TestTrainCommand:
         assert "unet.enc0.cs.w_q" in model.params
 
 
+def misplaced_tensor(case, ckpt, raw):
+    """Write a tensor's MELT bytes ``raw`` where ``case`` puts them, and
+    return the manifest's file entry for them."""
+    outside = ckpt.parent / "outside.melt"
+    if case in ("parent-dir", "absolute"):
+        outside.write_bytes(raw)
+        return "../outside.melt" if case == "parent-dir" else str(outside)
+    if case == "subdirectory":
+        (ckpt / "sub").mkdir()
+        (ckpt / "sub" / "t.melt").write_bytes(raw)
+        return "sub/t.melt"
+    (ckpt / "unet_out_b.melt").write_bytes(raw + bytes(4))
+    return "unet_out_b.melt"
+
+
 class TestEditCommand:
     def test_full_edit_writes_artifacts(self, tmp_path):
         _, cfg = make_job_dir(tmp_path)
@@ -330,6 +345,27 @@ class TestEditCommand:
         assert_one_line_error(capsys, "manifest.json")
 
 
+    @pytest.mark.parametrize("case", ["parent-dir", "absolute", "subdirectory",
+                                      "wrong-size"])
+    def test_checkpoint_tensor_outside_its_directory_or_size_exits_2(
+            self, tmp_path, capsys, monkeypatch, case):
+        _, cfg = make_job_dir(tmp_path)
+        ckpt = tmp_path / "ckpt"
+        N.save_checkpoint(ckpt, N.init_model(N.NetConfig(), seed=7))
+        manifest = ckpt / "manifest.json"
+        blob = json.loads(manifest.read_text())
+        raw = (ckpt / "unet_out_b.melt").read_bytes()
+        blob["tensors"]["unet.out_b"]["file"] = misplaced_tensor(case, ckpt, raw)
+        manifest.write_text(json.dumps(blob))
+        reads = []
+        load = T.load_tensor
+        monkeypatch.setattr(T, "load_tensor", lambda path: reads.append(path) or load(path))
+        assert main(["edit", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_error(capsys, "manifest.json", "unet.out_b")
+        assert reads == []  # refused before any tensor file is read
+
+
 class TestReconstructCommand:
     def test_writes_reconstruction_and_report(self, tmp_path):
         _, cfg = make_job_dir(tmp_path)
@@ -390,6 +426,21 @@ class TestConfigHandling:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, monkeypatch):
+        # root reads a mode-000 file, so the refusal is made by ``open``
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": 1}))
+        real_open = open
+
+        def refusing(file, *args, **kwargs):
+            if str(file) == str(cfg):
+                raise PermissionError(13, "Permission denied", str(file))
+            return real_open(file, *args, **kwargs)
+        monkeypatch.setattr("builtins.open", refusing)
+        assert main(["align", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_error(capsys, "Permission denied")
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

@@ -107,63 +107,6 @@ class TestBuildInjectedKv:
         with pytest.raises(T.ShapeError):
             I.build_injected_kv(recon, (T.zeros((2, 5)), T.zeros((2, 5))))
 
-    def test_drop_masked_tokens_variant(self):
-        n, d = 2, 3
-        k_r, v_r = T.Tensor(rnd((2 * n, d), 15)), T.Tensor(rnd((2 * n, d), 16))
-        mask = np.array([1.0, 0.0, 1.0, 0.0])
-        recon = I.decouple_kv(k_r, v_r, mask)
-        cur = (T.Tensor(rnd((n, d), 17)), T.Tensor(rnd((n, d), 18)))
-        k_inj, _ = I.build_injected_kv(recon, cur, drop_masked_tokens=True,
-                                       mask=mask)
-        assert k_inj.shape == (3 * n, d)  # 2N kept rows + N current
-        np.testing.assert_array_equal(k_inj.data[0], k_r.data[0])
-        np.testing.assert_array_equal(k_inj.data[1], k_r.data[2])
-        np.testing.assert_array_equal(k_inj.data[2], k_r.data[1])
-        np.testing.assert_array_equal(k_inj.data[3], k_r.data[3])
-
-    @pytest.mark.parametrize("tracked", range(4))
-    def test_drop_mode_refuses_tracked_reconstruction_keys(self, tracked):
-        n, d = 2, 3
-        mask = np.array([1.0, 0.0, 1.0, 0.0])
-        recon = list(I.decouple_kv(T.Tensor(rnd((2 * n, d), 19)),
-                                   T.Tensor(rnd((2 * n, d), 20)), mask))
-        tape = T.Tape()
-        recon[tracked] = tape.watch(recon[tracked])
-        cur = (T.Tensor(rnd((n, d), 21)), T.Tensor(rnd((n, d), 22)))
-        with pytest.raises(T.TapeError):
-            I.build_injected_kv(tuple(recon), cur, drop_masked_tokens=True, mask=mask)
-        k_inj, v_inj = I.build_injected_kv(tuple(recon), cur)  # default mode records
-        assert (k_inj if tracked in (0, 2) else v_inj).node is not None
-
-    def test_drop_mode_keeps_the_current_frames_gradient(self):
-        n, d = 2, 3
-        mask = np.array([0.0, 1.0, 1.0, 0.0])
-        recon = I.decouple_kv(T.Tensor(rnd((2 * n, d), 23)),
-                              T.Tensor(rnd((2 * n, d), 24)), mask)
-        tape = T.Tape()
-        k_cu = tape.watch(T.Tensor(rnd((n, d), 25)))
-        k_inj, _ = I.build_injected_kv(recon, (k_cu, T.Tensor(rnd((n, d), 26))),
-                                       drop_masked_tokens=True, mask=mask)
-        T.backward(tape, T.sum(k_inj))
-        np.testing.assert_array_equal(tape.grad(k_cu).data, np.ones((n, d)))
-
-    @pytest.mark.parametrize("frames", [None, 3])
-    def test_drop_mode_builds_through_cs_mask(self, frames, monkeypatch):
-        lead = () if frames is None else (frames,)
-        n, d = 2, 3
-        mask = np.stack([rmask(2 * n, 27 + f) for f in range(frames or 1)])
-        mask = mask.reshape(*lead, 2 * n)
-        recon = I.decouple_kv(T.Tensor(rnd((*lead, 2 * n, d), 28)),
-                              T.Tensor(rnd((*lead, 2 * n, d), 29)), mask)
-        cur = (T.Tensor(rnd((*lead, n, d), 30)), T.Tensor(rnd((*lead, n, d), 31)))
-        blocks = []
-        real = I.CsMask.block
-        monkeypatch.setattr(I.CsMask, "block",
-                            lambda self, *a: blocks.append(a[0].shape) or real(self, *a))
-        k_inj, _ = I.build_injected_kv(recon, cur, drop_masked_tokens=True, mask=mask)
-        assert blocks == [(frames or 1, 2 * n, d)]
-        assert k_inj.shape == (*lead, 3 * n, d)
-
 
 class TestFrameAxis:
     F, N, D = 3, 4, 5
@@ -180,16 +123,27 @@ class TestFrameAxis:
         k_cu, v_cu = rnd((f, n, d), 43), rnd((f, n, d), 44)
         masks = self.frame_masks()
         recon = I.decouple_kv(T.Tensor(k), T.Tensor(v), masks)
-        k_inj, v_inj = I.build_injected_kv(
-            recon, (T.Tensor(k_cu), T.Tensor(v_cu)), drop, masks)
+        if drop:
+            k_inj, v_inj = I.join_current(
+                I.CsMask.of(masks).block(T.Tensor(k), T.Tensor(v), True),
+                (T.Tensor(k_cu), T.Tensor(v_cu)))
+        else:
+            k_inj, v_inj = I.build_injected_kv(recon, (T.Tensor(k_cu), T.Tensor(v_cu)))
         for i in range(f):
             recon_i = I.decouple_kv(T.Tensor(k[i]), T.Tensor(v[i]), masks[i])
             for batched, single in zip(recon, recon_i):
                 np.testing.assert_array_equal(batched.data[i], single.data)
-            k_i, v_i = I.build_injected_kv(
-                recon_i, (T.Tensor(k_cu[i]), T.Tensor(v_cu[i])), drop, masks[i])
-            np.testing.assert_array_equal(k_inj.data[i], k_i.data)
-            np.testing.assert_array_equal(v_inj.data[i], v_i.data)
+            if drop:  # frame i alone, as a 1-frame stack
+                one = slice(i, i + 1)
+                k_i, v_i = (x.data[0] for x in I.join_current(
+                    I.CsMask.of(masks[one]).block(T.Tensor(k[one]), T.Tensor(v[one]),
+                                                  True),
+                    (T.Tensor(k_cu[one]), T.Tensor(v_cu[one]))))
+            else:
+                k_i, v_i = (x.data for x in I.build_injected_kv(
+                    recon_i, (T.Tensor(k_cu[i]), T.Tensor(v_cu[i]))))
+            np.testing.assert_array_equal(k_inj.data[i], k_i)
+            np.testing.assert_array_equal(v_inj.data[i], v_i)
             fg = masks[i].astype(bool)
             if drop:
                 want = np.concatenate([k[i][fg], k[i][~fg], k_cu[i]])
@@ -204,10 +158,8 @@ class TestFrameAxis:
         short = self.frame_masks()[:2]
         with pytest.raises(I.MaskError):
             I.decouple_kv(k, k, short)
-        recon = I.decouple_kv(k, k, self.frame_masks())
-        cur = (T.zeros((f, n, d)), T.zeros((f, n, d)))
         with pytest.raises(I.MaskError):
-            I.build_injected_kv(recon, cur, drop_masked_tokens=True, mask=short)
+            I.CsMask.of(short).block(k, k, drop_masked_tokens=True)
 
 
 class TestCsMask:
@@ -231,17 +183,53 @@ class TestCsMask:
         np.testing.assert_array_equal(
             v_block.data, np.take_along_axis(v_fg.data + v_bg.data, rows, axis=-2))
 
-    @pytest.mark.parametrize("drop", [False, True], ids=["5n", "drop"])
-    def test_block_joined_with_current_equals_build_injected_kv(self, drop):
+    def test_block_joined_with_current_equals_build_injected_kv(self):
         m = self.mask("random")
         k = T.Tensor(rnd((self.F, self.N2, self.D), 53))
         v = T.Tensor(rnd((self.F, self.N2, self.D), 54))
         cur = (T.Tensor(rnd((self.F, self.N2 // 2, self.D), 55)),
                T.Tensor(rnd((self.F, self.N2 // 2, self.D), 56)))
-        got = I.join_current(I.CsMask.of(m).block(k, v, drop), cur)
-        want = I.build_injected_kv(I.decouple_kv(k, v, m), cur, drop, m)
+        got = I.join_current(I.CsMask.of(m).block(k, v, False), cur)
+        want = I.build_injected_kv(I.decouple_kv(k, v, m), cur)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.data, w.data)
+
+    def test_drop_masked_tokens_variant(self):
+        n, d = 2, 3
+        k_r = T.Tensor(rnd((1, 2 * n, d), 15))
+        v_r = T.Tensor(rnd((1, 2 * n, d), 16))
+        mask = np.array([[1.0, 0.0, 1.0, 0.0]])
+        cur = (T.Tensor(rnd((1, n, d), 17)), T.Tensor(rnd((1, n, d), 18)))
+        k_inj, _ = I.join_current(I.CsMask.of(mask).block(k_r, v_r, True), cur)
+        assert k_inj.shape == (1, 3 * n, d)  # 2N kept rows + N current
+        np.testing.assert_array_equal(k_inj.data[0, 0], k_r.data[0, 0])
+        np.testing.assert_array_equal(k_inj.data[0, 1], k_r.data[0, 2])
+        np.testing.assert_array_equal(k_inj.data[0, 2], k_r.data[0, 1])
+        np.testing.assert_array_equal(k_inj.data[0, 3], k_r.data[0, 3])
+
+    @pytest.mark.parametrize("tracked", range(2))
+    def test_drop_mode_refuses_tracked_reconstruction_keys(self, tracked):
+        n, d = 2, 3
+        cs = I.CsMask.of(np.array([[1.0, 0.0, 1.0, 0.0]]))
+        kv = [T.Tensor(rnd((1, 2 * n, d), 19)), T.Tensor(rnd((1, 2 * n, d), 20))]
+        tape = T.Tape()
+        kv[tracked] = tape.watch(kv[tracked])
+        cur = (T.Tensor(rnd((1, n, d), 21)), T.Tensor(rnd((1, n, d), 22)))
+        with pytest.raises(T.TapeError):
+            cs.block(*kv, True)
+        k_inj, v_inj = I.join_current(cs.block(*kv, False), cur)  # 5N pieces record
+        assert (k_inj if tracked == 0 else v_inj).node is not None
+
+    def test_drop_mode_keeps_the_current_frames_gradient(self):
+        n, d = 2, 3
+        cs = I.CsMask.of(np.array([[0.0, 1.0, 1.0, 0.0]]))
+        block = cs.block(T.Tensor(rnd((1, 2 * n, d), 23)),
+                         T.Tensor(rnd((1, 2 * n, d), 24)), True)
+        tape = T.Tape()
+        k_cu = tape.watch(T.Tensor(rnd((1, n, d), 25)))
+        k_inj, _ = I.join_current(block, (k_cu, T.Tensor(rnd((1, n, d), 26))))
+        T.backward(tape, T.sum(k_inj))
+        np.testing.assert_array_equal(tape.grad(k_cu).data, np.ones((1, n, d)))
 
     def test_latent_mask_prepares_each_level_once_and_validates(self):
         masks = (rnd((3, 32, 32), 57) > 0).astype(np.float32)
@@ -327,31 +315,61 @@ class TestReconCache:
     def test_write_once_then_read(self):
         c = I.ReconCache()
         k0, v0 = rnd((2, 4, 3), 33), rnd((2, 4, 3), 34)
-        c.put_cs("dec0", 5, k0, v0)
-        k, v = c.get_cs("dec0", 5)
+        c.put("cs", "dec0", 5, k0, v0)
+        k, v = c.get("cs", "dec0", 5)
         np.testing.assert_array_equal(k.data, k0)
         np.testing.assert_array_equal(v.data, v0)
-        assert c.writes == 1 and c.reads_cs == 1
+        assert c.writes == 1 and c.reads == {"cs": 1, "temporal": 0}
 
     def test_duplicate_write_rejected(self):
         c = I.ReconCache()
-        c.put_cs("dec0", 5, rnd((2, 4, 3), 35), rnd((2, 4, 3), 36))
+        c.put("cs", "dec0", 5, rnd((2, 4, 3), 35), rnd((2, 4, 3), 36))
         with pytest.raises(I.CacheError):
-            c.put_cs("dec0", 5, rnd((2, 4, 3), 35), rnd((2, 4, 3), 36))
+            c.put("cs", "dec0", 5, rnd((2, 4, 3), 35), rnd((2, 4, 3), 36))
 
     def test_miss_raises_with_key(self):
         c = I.ReconCache()
         with pytest.raises(I.CacheError) as exc:
-            c.get_cs("dec1", 7)
+            c.get("cs", "dec1", 7)
         assert "dec1" in str(exc.value) and "t=7" in str(exc.value)
 
     def test_read_of_a_spent_step_misses(self):
         c = I.ReconCache()
-        c.put_temporal("dec1", 3, rnd((2, 4, 3), 37), rnd((2, 4, 3), 38))
+        c.put("temporal", "dec1", 3, rnd((2, 4, 3), 37), rnd((2, 4, 3), 38))
         k4, v4 = rnd((2, 4, 3), 39), rnd((2, 4, 3), 40)
-        c.put_temporal("dec1", 4, k4, v4)
+        c.put("temporal", "dec1", 4, k4, v4)
         with pytest.raises(I.CacheError, match="cache miss"):
-            c.get_temporal("dec1", 3)
-        k, v = c.get_temporal("dec1", 4)
+            c.get("temporal", "dec1", 3)
+        k, v = c.get("temporal", "dec1", 4)
         np.testing.assert_array_equal(k.data, k4)
         np.testing.assert_array_equal(v.data, v4)
+
+    def test_kinds_of_one_layer_and_step_live_side_by_side(self):
+        c = I.ReconCache()
+        cs_kv = rnd((2, 4, 3), 41), rnd((2, 4, 3), 42)
+        temporal_kv = rnd((4, 2, 3), 43), rnd((4, 2, 3), 44)
+        c.put("cs", "dec0", 5, *cs_kv)
+        c.put("temporal", "dec0", 5, *temporal_kv)
+        for kind, want, reads in (("temporal", temporal_kv, {"cs": 0, "temporal": 1}),
+                                  ("cs", cs_kv, {"cs": 1, "temporal": 1}),
+                                  ("cs", cs_kv, {"cs": 2, "temporal": 1})):
+            for got, w in zip(c.get(kind, "dec0", 5), want):
+                assert got.data is w
+            assert c.reads == reads
+        assert c.writes == 2
+        assert c.peak_bytes == sum(x.nbytes for x in (*cs_kv, *temporal_kv))
+
+    def test_replays_a_logs_writes_in_order(self):
+        log = I.CacheLog()
+        writes = [("cs", "dec0", 5, rnd((2, 4, 3), 45), rnd((2, 4, 3), 46)),
+                  ("temporal", "dec0", 5, rnd((4, 2, 3), 47), rnd((4, 2, 3), 48))]
+        for write in writes:
+            log.put(*write)
+        taken = log.take()
+        assert taken == writes and log.take() == []
+        c = I.ReconCache()
+        c.replay(taken)
+        assert c.writes == 2
+        for kind, layer, t, k, v in writes:
+            got_k, got_v = c.get(kind, layer, t)
+            assert got_k.data is k and got_v.data is v

@@ -79,16 +79,22 @@ def per_frame_cs_edit(x, model, lid, t, cache, masks, drop):
     kv_in = T.concat([N._frame_shifted(a_in), a_in], axis=1)
     k = T.matmul(kv_in, pset.w_k)
     v = T.matmul(kv_in, pset.w_v)
-    k_r, v_r = cache.get_cs(lid, t)
+    k_r, v_r = cache.get("cs", lid, t)
     outs = []
     for i in range(frames):
         mask2n = masks.cs_mask(level)[i]
-        recon = I.decouple_kv(T.Tensor(k_r.data[i]), T.Tensor(v_r.data[i]), mask2n)
         k_i = T.reshape(T.slice_axis(k, 0, i, i + 1), (2 * n, d))
         v_i = T.reshape(T.slice_axis(v, 0, i, i + 1), (2 * n, d))
         cur = (T.slice_axis(k_i, 0, n, 2 * n), T.slice_axis(v_i, 0, n, 2 * n))
-        k_inj, v_inj = I.build_injected_kv(recon, cur, drop_masked_tokens=drop,
-                                           mask=mask2n)
+        if drop:  # the kept rows: foreground, then background, in token order
+            fg = mask2n.astype(bool)
+            kept = [T.Tensor(np.concatenate([r.data[i][fg], r.data[i][~fg]]))
+                    for r in (k_r, v_r)]
+            k_inj, v_inj = (T.concat([b, c], axis=0) for b, c in zip(kept, cur))
+        else:
+            recon = I.decouple_kv(T.Tensor(k_r.data[i]), T.Tensor(v_r.data[i]),
+                                  mask2n)
+            k_inj, v_inj = I.build_injected_kv(recon, cur)
         q_i = T.reshape(T.slice_axis(q, 0, i, i + 1), (n, d))
         outs.append(T.reshape(A.attend(q_i, k_inj, v_inj), (1, n, d)))
     return T.matmul(T.concat(outs, axis=0), pset.w_out)
@@ -116,7 +122,7 @@ def test_batched_cs_injection_equals_per_frame_reference(model, lid, drop):
     got = N._injected_cs_sub_block(x, model, lid, edit_cs)
     want = per_frame_cs_edit(x, model, lid, 21, cache, masks, drop)
     np.testing.assert_array_equal(got.data, want.data)
-    assert cache.reads_cs == 2
+    assert cache.reads["cs"] == 2
 
 
 @pytest.mark.parametrize("drop", [False, True], ids=["5n", "drop"])
@@ -143,7 +149,7 @@ def test_each_forward_builds_its_block_equal_to_per_frame_builds(model, drop,
         got = N._injected_cs_sub_block(x, model, lid, edit_cs)
         np.testing.assert_array_equal(got.data, want.data)
     assert built == [lid, lid]
-    assert cache.reads_cs == 4  # each forward and each reference reads
+    assert cache.reads["cs"] == 4  # each forward and each reference reads
 
 
 @pytest.mark.parametrize("prompt", ["a figure marching", "marching"])
@@ -176,7 +182,7 @@ def test_guided_step_shares_its_opening_and_control_but_not_blocks(model, latent
     # each injecting forward builds its own blocks; the rest is built once
     assert counts == {"blocks": 2 * len(gated), "control": len(N.CONTROLLED_LAYERS),
                       "in_proj": 1, "enc0_cs": 1}
-    assert cache.reads_cs == cache.reads_temporal == 2 * len(gated)
+    assert cache.reads == {"cs": 2 * len(gated), "temporal": 2 * len(gated)}
     # the same step with nothing shared: every forward builds its own
     eps_c, eps_u = (N.unet_forward(model, latent, t, text, role="edit", cache=cache,
                                    masks=masks, inj=inj,
@@ -377,14 +383,13 @@ class TestUnetForward:
         cache = I.ReconCache()
         N.unet_forward(model, latent, 9, "p", role="recon", cache=cache)
         gated = [lid for lid in N.BLOCK_ORDER if N.TOPOLOGY[lid] == "decoder"]
-        assert set(cache.cs) == set(gated)
-        assert set(cache.temporal) == set(gated)
-        assert {t for t, _, _ in cache.cs.values()} == {9}
+        assert set(cache.held) == {(kind, lid) for kind in ("cs", "temporal")
+                                   for lid in gated}
+        assert {t for t, _, _ in cache.held.values()} == {9}
         out = N.unet_forward(model, latent, 9, "p", role="edit", cache=cache,
                              masks=mask_pyramid(), inj=I.InjectionSettings())
         assert out.shape == latent.shape
-        assert cache.reads_cs == len(gated)
-        assert cache.reads_temporal == len(gated)
+        assert cache.reads == {"cs": len(gated), "temporal": len(gated)}
 
     def test_edit_role_cache_miss_surfaces(self, model, latent):
         cache = I.ReconCache()
@@ -412,7 +417,7 @@ class TestUnetForward:
         cache = I.ReconCache()
         inj = I.InjectionSettings(inject_mid=True)
         N.unet_forward(model, latent, 7, "p", role="recon", cache=cache, inj=inj)
-        assert "mid" in cache.cs
+        assert ("cs", "mid") in cache.held
 
     def test_recon_equals_edit_full_foreground_configuration(self, model):
         # same token stream through both branches of one sub-block: temporal
@@ -429,7 +434,7 @@ class TestUnetForward:
         np.testing.assert_array_equal(edit_t.data, recon_t.data)
 
         N._cs_sub_block(stream, model, "dec0", recon_cs)
-        k_r, v_r = (T.Tensor(s.data[3]) for s in cache.get_cs("dec0", 21))
+        k_r, v_r = (T.Tensor(s.data[3]) for s in cache.get("cs", "dec0", 21))
         mask2n = full_fg.cs_mask(0)[3]
         recon_parts = I.decouple_kv(k_r, v_r, mask2n)
         assert (recon_parts[2].data == 0).all()  # background block all zero

@@ -336,13 +336,14 @@ class TestEdit:
         res = P.edit(job, base_model, schedule)
         assert np.isfinite(res.edited.data).all()
         gated = [lid for lid in N.BLOCK_ORDER if N.TOPOLOGY[lid] == "decoder"]
-        assert res.cache.reads_cs == len(gated) * job.steps
-        assert res.cache.reads_temporal == len(gated) * job.steps
-        # the cache holds one step per gated layer: the last sampler step's
+        assert res.cache.reads == {"cs": len(gated) * job.steps,
+                                   "temporal": len(gated) * job.steps}
+        # the cache holds one step per kind and gated layer: the last
+        # sampler step's
         ts = D.subsequence(schedule.timesteps, job.steps)
-        for store in (res.cache.cs, res.cache.temporal):
-            assert set(store) == set(gated)
-            assert {t for t, _, _ in store.values()} == {ts[0]}
+        assert set(res.cache.held) == {(kind, lid) for kind in ("cs", "temporal")
+                                       for lid in gated}
+        assert {t for t, _, _ in res.cache.held.values()} == {ts[0]}
         # one cross-frame and one temporal stack per gated layer and step
         assert res.cache.writes == 2 * len(gated) * job.steps
 
@@ -400,7 +401,7 @@ class TestEdit:
         res = P.edit(job, base_model, schedule)
         gated = 2
         # 40% of 5 steps -> the trailing 2 steps inject
-        assert res.cache.reads_cs == gated * 2
+        assert res.cache.reads["cs"] == gated * 2
 
     def test_guided_injection_window_counts_a_read_per_forward(self, base_model,
                                                                schedule):
@@ -408,8 +409,8 @@ class TestEdit:
         job = make_job(steps=5, guidance=7.5, injection=inj)
         res = P.edit(job, base_model, schedule)
         gated, forwards, steps = 2, 2, 2  # cond and uncond in the trailing 2 steps
-        assert res.cache.reads_cs == gated * forwards * steps
-        assert res.cache.reads_temporal == gated * forwards * steps
+        assert res.cache.reads == {"cs": gated * forwards * steps,
+                                   "temporal": gated * forwards * steps}
 
     def test_mis_shaped_video_fails_before_alignment(self, base_model, schedule):
         # frame 3's empty reference mask would fail alignment; the video's
@@ -536,7 +537,7 @@ class TestReconPlacement:
         for name in ("edited", "reconstructed"):
             a, b = getattr(here, name).data, getattr(forked, name).data
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        for name in ("writes", "reads_cs", "reads_temporal", "peak_bytes"):
+        for name in ("writes", "reads", "peak_bytes"):
             assert getattr(here.cache, name) == getattr(forked.cache, name)
 
     @pytest.mark.parametrize("control_on_recon", [True, False],
