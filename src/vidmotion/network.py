@@ -14,9 +14,11 @@ attention and adapter layouts: ``init_model`` draws it, ``parameter_shapes``
 reads its shapes, and the forwards read weights back from the flat name ->
 Tensor map by prefix.
 
-What depends only on frozen weights and the prompt (text keys/values, and
-the text sub-block's whole output for a one-token prompt such as the
-unconditional one) is built once per run in a ``Conditioning``; what the
+What depends only on the text weights and the prompt (each block's text
+keys/values, and the text sub-block's whole output for a one-token prompt
+such as the unconditional one) is built once and kept in the weights'
+``text`` dict, which ``ModelWeights.replace`` hands on unless it replaces a
+text weight; one-shot training tunes none, so a run builds it once. What the
 forwards of one sampler step share (each block's time row, the first block's
 opening and the adapter control sides) is built once per step in a
 ``StepContext``, and goes with the step. Both reuses are exact: one key makes
@@ -55,6 +57,10 @@ BLOCK_LEVEL = {"enc0": 0, "enc1": 1, "mid": 1, "dec1": 1, "dec0": 0}
 CONTROL_BLOCKS = ("c_enc0", "c_enc1", "c_mid")
 CONTROL_LEVEL = {"c_enc0": 0, "c_enc1": 1, "c_mid": 1}
 CONTROLLED_LAYERS = ("dec1", "dec0")  # blocks that receive adapted residuals
+# every U-Net block's text sub-block weights
+_TEXT_WEIGHTS = frozenset(f"unet.{lid}.{w}" for lid in BLOCK_ORDER
+                          for w in ("ln_cross.gamma", "ln_cross.beta", "cross.w_q",
+                                    "cross.w_k", "cross.w_v", "cross.w_out"))
 
 
 @dataclass
@@ -111,10 +117,13 @@ def net_config(values: dict, where: str = "") -> NetConfig:
 
 @dataclass
 class ModelWeights:
-    """All tensors by canonical name, plus the configuration they belong to."""
+    """All tensors by canonical name, the configuration they belong to, and
+    ``text``: what ``_text`` has built from them, which the weights that
+    ``replace`` derives share unless their text weights differ."""
 
     cfg: NetConfig
     params: dict[str, Tensor]
+    text: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def replace(self, subs: dict[str, Tensor]) -> "ModelWeights":
         merged = dict(self.params)
@@ -122,7 +131,10 @@ class ModelWeights:
             if name not in merged:
                 raise KeyError(f"unknown parameter {name!r}")
             merged[name] = value
-        return ModelWeights(self.cfg, merged)
+        got = ModelWeights(self.cfg, merged)
+        if _TEXT_WEIGHTS.isdisjoint(subs):
+            got.text = self.text
+        return got
 
     def pset(self, prefix: str) -> A.ProjectionSet:
         return A.ProjectionSet.from_named(self.params, prefix)
@@ -299,73 +311,29 @@ def _frame_shifted(x: Tensor) -> Tensor:
                     axis=0)
 
 
-class Conditioning:
-    """What the forwards of one run compute from frozen weights and the
-    prompt alone, each built on first use and kept for the run: every U-Net
-    block's projected text keys and values per prompt, and its text
-    sub-block's output for a one-token prompt. Time rows are not kept here:
-    a run's timesteps rarely repeat (training draws them at random), so each
-    step's StepContext builds its own.
-
-    It holds only the frozen weights it reads (``names``), not the model, so
-    a run that updates other weights, as training does, frees the old ones.
-    A tracked weight would need its rows rebuilt at every step for its
-    gradient, so building from one raises TapeError; a forward handed no
-    Conditioning builds its own from its own weights, tracked or not.
-    """
-
-    def __init__(self, model: ModelWeights):
-        self.names = frozenset(f"unet.{lid}.cross.{w}" for lid in BLOCK_ORDER
-                               for w in ("w_k", "w_v", "w_out"))
-        tracked = sorted(n for n in self.names if model.params[n].node is not None)
-        if tracked:
-            raise T.TapeError(f"conditioning built from tracked weights {tracked}")
-        self.cfg = model.cfg
-        self.params = {n: model.params[n] for n in self.names}
-        self._text: dict[tuple[str, str | None], tuple[Tensor, Tensor]] = {}
-        self._cross: dict[tuple[str, str | None], Tensor | None] = {}
-
-    def text_kv(self, lid: str, prompt: str | None) -> tuple[Tensor, Tensor]:
-        """U-Net block ``lid``'s text keys and values for ``prompt``, as
-        ``attention.project_kv`` projects them."""
-        kv = self._text.get((lid, prompt))
-        if kv is None:
-            text = text_embedding(prompt, self.cfg.widths[BLOCK_LEVEL[lid]])
-            p = self.params
-            kv = self._text[lid, prompt] = (T.matmul(text, p[f"unet.{lid}.cross.w_k"]),
-                                            T.matmul(text, p[f"unet.{lid}.cross.w_v"]))
-        return kv
-
-    def cross_out(self, lid: str, prompt: str | None) -> Tensor | None:
-        """U-Net block ``lid``'s text sub-block output for a one-token
-        ``prompt`` (the unconditional one among them), or None for a longer
-        prompt. One key makes the softmax exactly 1 for every query, so the
-        output is the value row through ``w_out`` whatever the stream; it is
-        built as the sub-block builds it, from the full (F, N, 1) stack of
-        ones, so its bits equal the sub-block's."""
-        key = (lid, prompt)
-        if key not in self._cross:
-            k, v = self.text_kv(lid, prompt)
-            out = None
-            if k.shape[0] == 1:
-                cfg = self.cfg
-                n = math.prod(cfg.level_hw(BLOCK_LEVEL[lid]))
-                ones = Tensor(np.ones((cfg.frames, n, 1), np.float32))
-                out = T.matmul(T.matmul(ones, v), self.params[f"unet.{lid}.cross.w_out"])
-            self._cross[key] = out
-        return self._cross[key]
-
-
-class _OneForward(Conditioning):
-    """One forward's conditioning: built from its own weights, tracked ones
-    included, so that their gradients reach them. Its text sub-blocks run in
-    full, since one forward has nothing to share them with."""
-
-    def __init__(self, model: ModelWeights):
-        self.cfg, self.params, self._text = model.cfg, model.params, {}
-
-    def cross_out(self, lid: str, prompt: str | None) -> None:
-        return None
+def _text(model: ModelWeights, lid: str, prompt: str | None
+          ) -> tuple[Tensor, Tensor, Tensor | None]:
+    """U-Net block ``lid``'s text keys and values for ``prompt`` and, for a
+    one-token prompt (the unconditional one among them) when none of the
+    block's text weights is tracked, its text sub-block output (else None),
+    kept in ``model.text``. One key makes the softmax exactly 1 for every
+    query, so that output is the value row through ``w_out`` whatever the
+    stream; built as the sub-block builds it, from the full (F, N, 1) stack
+    of ones, its bits equal the sub-block's."""
+    built = model.text.get((lid, prompt))
+    if built is None:
+        cfg, p = model.cfg, model.params
+        text = text_embedding(prompt, cfg.widths[BLOCK_LEVEL[lid]])
+        k = T.matmul(text, p[f"unet.{lid}.cross.w_k"])
+        v = T.matmul(text, p[f"unet.{lid}.cross.w_v"])
+        out = None
+        if k.shape[0] == 1 and all(p[name].node is None for name in _TEXT_WEIGHTS
+                                   if name.startswith(f"unet.{lid}.")):
+            n = math.prod(cfg.level_hw(BLOCK_LEVEL[lid]))
+            ones = Tensor(np.ones((cfg.frames, n, 1), np.float32))
+            out = T.matmul(T.matmul(ones, v), p[f"unet.{lid}.cross.w_out"])
+        built = model.text[lid, prompt] = (k, v, out)
+    return built
 
 
 def _time_row(model: ModelWeights, pre: str, t: int) -> Tensor:
@@ -377,24 +345,25 @@ def _time_row(model: ModelWeights, pre: str, t: int) -> Tensor:
 
 @dataclass
 class StepContext:
-    """What the U-Net forwards of one sampler step share, built by the first
-    forward that needs it: each block's time row at ``t``, the first block's
-    opening on the latent ``z`` and each controlled layer's adapter control
-    side. The cond and uncond forwards under guidance read the same latent
-    and control sides, so one context serves both; forwards that differ in
-    either must not share one, and a forward on another timestep or latent
-    refuses it. It holds no injected block, so a forward's blocks are freed
-    as that forward ends, and what it holds is freed with the step.
+    """What the U-Net forwards of one sampler step share: each block's time
+    row at ``t`` and the first block's opening on the latent ``z``, built by
+    the first forward that needs them, and the adapter control sides. The
+    cond and uncond forwards under guidance read the same latent and control
+    sides, so one context serves both; forwards that differ in either must
+    not share one, and a forward on another timestep or latent refuses it.
+    It holds no injected block, so a forward's blocks are freed as that
+    forward ends, and what it holds is freed with the step. Text keys and
+    values depend on no step; the weights keep them (``ModelWeights.text``).
 
     ``sides``, if given, hands over every controlled layer's control side at
-    once (``control_sides`` of the step, built elsewhere); the first
-    controlled layer takes them. Without it the forward is unconditioned."""
+    once (``control_sides`` of the step, built elsewhere); each controlled
+    layer calls it, and each call returns the same sides. Without it the
+    forward is unconditioned."""
 
     t: int
     z: Tensor
     sides: Callable[[], dict[str, AD.ControlSide]] | None = None
     opening: tuple[Tensor, Tensor] | None = None
-    control: dict[str, AD.ControlSide] = field(default_factory=dict)
     time: dict[str, Tensor] = field(default_factory=dict)
 
     def time_row(self, model: ModelWeights, lid: str) -> Tensor:
@@ -454,17 +423,16 @@ def _opening(x: Tensor, model: ModelWeights, lid: str, role: str, cs_kv,
 
 
 def _unet_block(opened: tuple[Tensor, Tensor], model: ModelWeights, lid: str,
-                prompt: str | None, temporal_kv, probe,
-                cond: Conditioning) -> Tensor:
+                prompt: str | None, temporal_kv, probe) -> Tensor:
     """The rest of block ``lid`` after its ``_opening``: text cross and
     temporal sub-blocks."""
     cs_out, x = opened
     if probe is not None:
         probe[(lid, "cs")] = cs_out.data
 
-    cross_out = cond.cross_out(lid, prompt)
+    k, v, cross_out = _text(model, lid, prompt)
     if cross_out is None:
-        cross_out = _cross_sub_block(x, model, lid, cond.text_kv(lid, prompt))
+        cross_out = _cross_sub_block(x, model, lid, (k, v))
     if probe is not None:
         probe[(lid, "cross")] = cross_out.data
     x = T.add(x, cross_out)
@@ -482,13 +450,11 @@ def _adapter_weights(model: ModelWeights, lid: str) -> AD.AdapterWeights:
 
 def _adapted(x: Tensor, model: ModelWeights, lid: str, step: StepContext) -> Tensor:
     """x plus the adapter's residual for controlled layer ``lid``, its
-    control side taken from ``step.sides``, once per step."""
+    control side taken from ``step.sides``."""
     if step.sides is None:
         return x
-    if not step.control:
-        step.control = step.sides()
     w = _adapter_weights(model, lid)
-    return T.add(x, AD.adapter_apply(step.control[lid], x, w))
+    return T.add(x, AD.adapter_apply(step.sides()[lid], x, w))
 
 
 def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
@@ -496,7 +462,7 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
                  cache: I.ReconCache | I.CacheLog | None = None,
                  masks: I.LatentMask | None = None,
                  inj: I.InjectionSettings | None = None,
-                 probe: dict | None = None, cond: Conditioning | None = None,
+                 probe: dict | None = None,
                  step: StepContext | None = None) -> Tensor:
     """Predict noise for a latent video block.
 
@@ -504,10 +470,10 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
     ReconCache, or a CacheLog that one replays) as a "cs" and a "temporal"
     entry; role "edit" replaces the gated layers' keys/values with injected
     stacks built from those entries and ``masks``. The plain role touches
-    neither. ``cond`` (the run's Conditioning: text keys and values) and
-    ``step`` (the step's StepContext, built for ``z`` at ``t``: time rows,
-    the first block's opening and control sides) hand in what other forwards
-    have built already; without them the forward builds its own.
+    neither. ``step`` (the step's StepContext, built for ``z`` at ``t``:
+    time rows, the first block's opening and control sides) hands in what
+    the step's other forwards have built already; without it the forward
+    builds its own.
     """
     cfg = model.cfg
     want = (cfg.frames, cfg.channels, cfg.latent_size, cfg.latent_size)
@@ -523,7 +489,6 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
         raise ConfigError("reconstruction role needs a cache to write")
     if role == "edit" and inj.enabled and (cache is None or masks is None):
         raise ConfigError("editing role with injection needs cache and masks")
-    cond = _OneForward(model) if cond is None else cond
     step = StepContext(t, z) if step is None else step
     if step.t != t:
         raise ConfigError(f"step context of t={step.t} handed to a forward at t={t}")
@@ -534,7 +499,7 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
         cs_kv, temporal_kv = I.kv_hooks(role, lid, t, TOPOLOGY, BLOCK_LEVEL[lid],
                                         cache, masks, inj)
         return _unet_block(_opening(x, model, lid, role, cs_kv, step), model,
-                           lid, prompt, temporal_kv, probe, cond)
+                           lid, prompt, temporal_kv, probe)
 
     h0 = w0 = cfg.latent_size
     # enc0 is never gated, so its opening reads the latent and t alone and the
@@ -542,7 +507,7 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
     if step.opening is None:
         x = T.matmul(_tokens_from_latent(z), model.params["unet.in_proj"])
         step.opening = _opening(x, model, "enc0", "plain", None, step)
-    x = _unet_block(step.opening, model, "enc0", prompt, None, probe, cond)
+    x = _unet_block(step.opening, model, "enc0", prompt, None, probe)
     skip0 = x
     x = T.matmul(_pool2_tokens(x, h0, w0), model.params["unet.down_proj"])
     x = block(x, "enc1")

@@ -9,7 +9,9 @@ cache hands off one step at a time. The reconstruction branch reads nothing
 of the editing branch, and a step's ControlNet features read nothing of its
 U-Net stream, so where the host allows it a forked step worker, on another
 CPU, builds each step's adapter control sides while the U-Net encoder runs
-here, and runs the reconstruction branch one step ahead.
+here, and runs the reconstruction branch one step ahead. The text keys and
+values are the weights' own (``network.ModelWeights.text``), built once for
+every predictor and training step that shares the weights.
 """
 from __future__ import annotations
 
@@ -90,14 +92,14 @@ def one_shot_train(model: N.ModelWeights, video: Tensor,
     """Fine-tune only the adapter and temporal attention to re-predict the
     noise on the source video (uniform timesteps, Adam, constant lr).
 
-    ``model`` is rebound to the updated weights after every step, and the
-    run's Conditioning holds only frozen weights, so a caller that keeps no
-    reference to ``model`` has one copy of the trainable weights alive
-    between steps, beside Adam's two moments. Likewise ``video`` and
-    ``skeletons`` are let go once encoded, so a caller that keeps no
-    reference to them frees them before the first step. A step's graph,
-    time rows and control sides are freed before the next step builds its
-    own."""
+    ``model`` is rebound to the updated weights after every step; they
+    share its text keys and values (``N.ModelWeights.text``), so a run
+    builds those once. A caller that keeps no reference to ``model`` has
+    one copy of the trainable weights alive between steps, beside Adam's
+    two moments. Likewise ``video`` and ``skeletons`` are let go once
+    encoded, so a caller that keeps no reference to them frees them before
+    the first step. A step's graph, time rows and control sides are freed
+    before the next step builds its own."""
     schedule = schedule or D.make_schedule(model.cfg.schedule_steps)
     rng = rng or T.Rng(0)
     z0 = N.encode_video(video, model.cfg)
@@ -106,14 +108,12 @@ def one_shot_train(model: N.ModelWeights, video: Tensor,
     names = sorted(N.trainable_names(model))
     state = T.AdamState(lr=lr)
     losses: list[float] = []
-    cond = N.Conditioning(model)
     for step in range(steps):
         t = rng.integer(0, schedule.timesteps)
         eps = rng.normal(z0.shape)
         params = {n: model.params[n] for n in names}
         value, grads = train_step(model, params, pose,
-                                  D.q_sample(z0, t, eps, schedule), t, eps, prompt,
-                                  cond)
+                                  D.q_sample(z0, t, eps, schedule), t, eps, prompt)
         if not np.isfinite(value):
             raise RuntimeError(f"non-finite training loss {value} at step {step} "
                                f"(timestep {t})")
@@ -127,21 +127,16 @@ def one_shot_train(model: N.ModelWeights, video: Tensor,
 
 def train_step(model: N.ModelWeights, params: dict[str, Tensor],
                pose: dict[int, Tensor], x_t: Tensor, t: int, eps: Tensor,
-               prompt: str, cond: N.Conditioning | None = None
-               ) -> tuple[float, dict[str, Tensor | None]]:
+               prompt: str) -> tuple[float, dict[str, Tensor | None]]:
     """The loss of one step and the gradient of each of ``params`` (none if
     the loss is not finite). The step's graph and StepContext live only in
     this frame: backward frees each node's saved arrays as it passes, and
-    the rest is freed on return, before the next step builds its own.
-    ``cond``, the run's Conditioning, must read none of ``params``."""
-    if cond is not None and not cond.names.isdisjoint(params):
-        raise T.TapeError(f"conditioning reads trained weights "
-                          f"{sorted(cond.names.intersection(params))}")
+    the rest is freed on return, before the next step builds its own."""
     tape = T.Tape()
     watched = {n: tape.watch(p) for n, p in params.items()}
     m = model.replace(watched)
     step = N.StepContext(t, x_t, _computed(m, pose)(x_t, t))
-    loss = D.training_loss(N.unet_forward(m, x_t, t, prompt, cond=cond, step=step), eps)
+    loss = D.training_loss(N.unet_forward(m, x_t, t, prompt, step=step), eps)
     value = loss.item()
     if not np.isfinite(value):
         return value, {}
@@ -150,7 +145,9 @@ def train_step(model: N.ModelWeights, params: dict[str, Tensor],
 
 
 # A predictor's control: called with a step's latent and t, it asks for that
-# step's control sides and returns the function that hands them over.
+# step's control sides and returns the function that hands them over. Each
+# controlled layer calls that function, so it may be called more than once,
+# and returns the same sides or raises the same error each time.
 Control = Callable[[Tensor, int], Callable[[], dict[str, AD.ControlSide]]]
 
 
@@ -159,24 +156,22 @@ def _predictor(model: N.ModelWeights, ts: list[int], prompt: str | None,
                cache: I.ReconCache | None = None,
                masks: I.LatentMask | None = None,
                inj: I.InjectionSettings | None = None,
-               cond: N.Conditioning | None = None,
                control: Control | None = None) -> D.EpsFn:
     """One branch's eps function over the sampler steps ``ts``: adapter
     control sides from ``control`` (none without it), classifier-free
     guidance (one forward at 1), and ``role`` inside the injection window of
-    ``inj``, "plain" before it and at every step without ``inj``. ``cond``
-    is the run's Conditioning (built here if not given); each step's
-    forwards share one StepContext, so under guidance the uncond forward
-    reuses the cond forward's first-block opening and control sides, but
-    builds its own injected blocks, so no block outlives the forward that
-    attends it.
+    ``inj``, "plain" before it and at every step without ``inj``. The
+    forwards read their text keys and values from ``model``, which keeps
+    them for every predictor that shares it. Each step's forwards share one
+    StepContext, so under guidance the uncond forward reuses the cond
+    forward's first-block opening and control sides, but builds its own
+    injected blocks, so no block outlives the forward that attends it.
 
     A step's sides are asked for before its forwards run and handed over
-    through its StepContext at the first controlled layer. An error in the
+    through its StepContext to each controlled layer. An error in the
     control work outranks one of the forwards, as when the ControlNet ran
     before the U-Net."""
     step_index = {t: idx for idx, t in enumerate(reversed(ts))}
-    cond = N.Conditioning(model) if cond is None else cond
 
     def eps_fn(x: Tensor, t: int) -> Tensor:
         step_role = (role if inj is not None
@@ -186,7 +181,7 @@ def _predictor(model: N.ModelWeights, ts: list[int], prompt: str | None,
 
         def forward(text: str | None) -> Tensor:
             return N.unet_forward(model, x, t, text, role=step_role, cache=cache,
-                                  masks=masks, inj=inj, cond=cond, step=step)
+                                  masks=masks, inj=inj, step=step)
 
         try:
             eps_c = forward(prompt)
@@ -333,14 +328,14 @@ def _in_half(exc: Exception, half: str) -> Exception:
 
 def _recon_walk(model: N.ModelWeights, x: Tensor, ts: list[int],
                 schedule: D.NoiseSchedule, prompt: str,
-                pose: dict[int, Tensor] | None, inj: I.InjectionSettings,
-                cond: N.Conditioning) -> Iterator[list[I.Write] | Tensor | Exception]:
+                pose: dict[int, Tensor] | None, inj: I.InjectionSettings
+                ) -> Iterator[list[I.Write] | Tensor | Exception]:
     """``edit``'s reconstruction branch as messages: for each sampler step
     the cache writes of its forward, which the editing forwards of that step
     read, then its final latent. An error ends it as its last message."""
     log = I.CacheLog()
     eps_fn = _predictor(model, ts, prompt, role="recon", cache=log, inj=inj,
-                        cond=cond, control=_computed(model, pose))
+                        control=_computed(model, pose))
     try:
         for _, x in D.ddim_steps(eps_fn, x, ts, schedule, phase="edit"):
             yield log.take()
@@ -518,26 +513,24 @@ def edit(job: EditJob, model: N.ModelWeights,
                                        job.align_first_frame_only)
     ts = D.subsequence(schedule.timesteps, job.steps)
 
-    cond = N.Conditioning(model)
     serve = functools.partial(
         _serve, model=model,
         skeletons={"source": job.source_skeletons if job.control_on_recon else None,
                    "reference": aligned},
         walk=lambda z_t, pose: _recon_walk(model, z_t, ts, schedule,
-                                           job.prompt_source, pose, job.injection,
-                                           cond))
+                                           job.prompt_source, pose, job.injection))
     cache = I.ReconCache()
     masks = I.LatentMask.from_rasters(np.asarray(job.source_masks),
                                       cfg.level_shapes())
     with _started(serve) as (send, recv):
-        inverting = _predictor(model, ts, job.prompt_source, cond=cond,
+        inverting = _predictor(model, ts, job.prompt_source,
                                control=(_asking(send, recv, "source")
                                         if job.control_on_recon else None))
         inv = invert(model, z0, job.steps, schedule, eps_fn=inverting)
         del z0
         send(("recon", inv.final, None))
         editing = _predictor(model, ts, job.prompt_target, job.guidance, "edit",
-                             cache, masks, job.injection, cond,
+                             cache, masks, job.injection,
                              control=_asking(send, recv, "reference"))
         steps = D.ddim_steps(editing, inv.final, ts, schedule, phase="edit")
         for _ in ts:

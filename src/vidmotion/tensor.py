@@ -727,7 +727,11 @@ def tensor_from_bytes(raw: bytes) -> Tensor:
         raise FormatError(f"{len(raw) - end} trailing bytes after the MELT "
                           f"payload at byte {end}")
     data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-    return Tensor(data.reshape(dims).astype(np.float32))
+    try:
+        data = data.reshape(dims)
+    except ValueError:  # an empty shape whose other dims overflow numpy's size
+        raise FormatError(f"MELT shape {tuple(dims)} at byte 10 is too large") from None
+    return Tensor(data.astype(np.float32))
 
 
 def save_tensor(path, t: Tensor) -> None:

@@ -154,8 +154,23 @@ def test_setting_labels_change_one_field(tmp_path, label, section, key, value):
             else loaded.injection.window_fraction) == value
 
 
+def test_one_word_train_label_rewrites_only_the_source(tmp_path):
+    config = {"seed": 2, "prompts": {"source": "a figure walking right",
+                                     "target": "a figure marching right"},
+              "sampler": {"steps": 50, "guidance": 7.5}}
+    src = tmp_path / "config.json"
+    src.write_text(json.dumps(config))
+    out = identity.CONFIGS["train-one-word"](str(src), str(tmp_path / "one.json"))
+    assert identity.COMMANDS["train-one-word"] == ("train",)
+    with open(out) as fh:
+        got = json.load(fh)
+    config["prompts"]["source"] = "walking"
+    assert got == config
+    assert load_config(out).prompt_source == "walking"
+
+
 def test_every_seed_runs_every_label():
-    assert len(identity.SEEDS) * len(identity.COMMANDS) == 36
+    assert len(identity.SEEDS) * len(identity.COMMANDS) == 39
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),

@@ -254,16 +254,17 @@ def test_each_guided_step_builds_each_unet_time_row_once(model, latent, pose,
         assert [pre for pre in built if pre.startswith("control.")] == controlnet
 
 
-def test_step_sides_are_taken_once_and_reach_the_output(model, latent):
+def test_step_sides_reach_the_cond_and_uncond_output(model, latent):
     pose = N.pose_features(model, skeleton_stack())
     sides = N.control_sides(model, latent, 9, pose)
-    taken = []
-    step = N.StepContext(9, latent, lambda: taken.append(9) or sides)
-    got = {prompt: N.unet_forward(model, latent, 9, prompt, step=step)
-           for prompt in ("p", None)}
-    assert taken == [9] and step.control is sides
-    plain = N.unet_forward(model, latent, 9, "p")
-    assert not np.array_equal(plain.data, got["p"].data)
+    step = N.StepContext(9, latent, lambda: sides)
+    for prompt in ("p", None):  # the guided pair, in its order
+        got = N.unet_forward(model, latent, 9, prompt, step=step)
+        alone = N.unet_forward(model, latent, 9, prompt,
+                               step=N.StepContext(9, latent, lambda: sides))
+        np.testing.assert_array_equal(got.data, alone.data)
+        plain = N.unet_forward(model, latent, 9, prompt)
+        assert not np.array_equal(plain.data, got.data)
 
 
 @pytest.mark.parametrize("prompt", [None, "", "marching"])
@@ -271,38 +272,44 @@ def test_step_sides_are_taken_once_and_reach_the_output(model, latent):
 def test_one_token_cross_output_equals_the_sub_block(model, lid, prompt):
     level = N.BLOCK_LEVEL[lid]
     shape = (CFG.frames, math.prod(CFG.level_hw(level)), CFG.widths[level])
-    cond = N.Conditioning(model)
-    got = cond.cross_out(lid, prompt)
-    assert got is cond.cross_out(lid, prompt)
+    fresh = N.ModelWeights(model.cfg, model.params)
+    k, v, got = N._text(fresh, lid, prompt)
+    assert N._text(fresh, lid, prompt)[2] is got
     for seed in (90, 91, 92):
         x = T.Tensor(rnd(shape, seed=seed, scale=3.0))
-        want = N._cross_sub_block(x, model, lid, cond.text_kv(lid, prompt))
+        want = N._cross_sub_block(x, model, lid, (k, v))
         np.testing.assert_array_equal(got.data, want.data)
 
 
 @pytest.mark.parametrize("prompt, shared", [(None, True), ("marching", True),
                                             ("a figure marching right", False)])
-def test_only_one_token_prompts_skip_the_text_sub_block(model, latent, prompt, shared,
-                                                        monkeypatch):
+@pytest.mark.parametrize("weight", ["cross.w_q", "ln_cross.beta"])
+def test_only_one_token_prompts_skip_the_text_sub_block(
+        model, latent, prompt, shared, weight, monkeypatch):
     calls = []
     real = N._cross_sub_block
     monkeypatch.setattr(N, "_cross_sub_block",
                         lambda x, m, lid, kv: calls.append(lid) or real(x, m, lid, kv))
-    cond = N.Conditioning(model)
-    assert (cond.cross_out("dec0", prompt) is not None) == shared
-    eps = N.unet_forward(model, latent, 9, prompt, cond=cond)
+    fresh = N.ModelWeights(model.cfg, model.params)
+    assert (N._text(fresh, "dec0", prompt)[2] is not None) == shared
+    eps = N.unet_forward(fresh, latent, 9, prompt)
     assert calls == ([] if shared else list(N.BLOCK_ORDER))
     calls.clear()
-    alone = N.unet_forward(model, latent, 9, prompt)  # a one-forward conditioning
+    # a watched text weight in every block: each sub-block runs, for its gradient
+    tape = T.Tape()
+    watched = model.replace({n: tape.watch(model.params[n])
+                             for n in (f"unet.{lid}.{weight}" for lid in N.BLOCK_ORDER)})
+    assert N._text(watched, "dec0", prompt)[2] is None
+    alone = N.unet_forward(watched, latent, 9, prompt)
     assert calls == list(N.BLOCK_ORDER)
     np.testing.assert_array_equal(eps.data, alone.data)
 
 
-class TestConditioning:
+class TestTextMemo:
     def test_rows_are_built_once_and_equal_a_forward_without_them(self, model,
                                                                   latent):
-        cond = N.Conditioning(model)
-        assert cond.text_kv("dec1", "p") is cond.text_kv("dec1", "p")
+        fresh = N.ModelWeights(model.cfg, model.params)
+        assert N._text(fresh, "dec1", "p") is N._text(fresh, "dec1", "p")
         step = N.StepContext(9, latent)
         assert step.time_row(model, "mid") is step.time_row(model, "mid")
         pose = N.pose_features(model, skeleton_stack())
@@ -310,38 +317,44 @@ class TestConditioning:
             feats = N.controlnet_forward(model, latent, t, pose)
             np.testing.assert_array_equal(
                 feats["dec0"].data, N.controlnet_forward(model, latent, t, pose)["dec0"].data)
-            shared = N.unet_forward(model, latent, t, "p", cond=cond,
+            shared = N.unet_forward(fresh, latent, t, "p",
                                     step=controlled(model, latent, t, pose))
-            alone = N.unet_forward(model, latent, t, "p",
-                                   step=controlled(model, latent, t, pose))
+            alone = N.unet_forward(N.ModelWeights(model.cfg, model.params), latent, t,
+                                   "p", step=controlled(model, latent, t, pose))
             np.testing.assert_array_equal(shared.data, alone.data)
 
-    @pytest.mark.parametrize("name", ["unet.dec0.cross.w_k", "unet.enc0.cross.w_out"])
-    def test_built_from_a_watched_weight_raises(self, model, name):
-        tape = T.Tape()
-        watched = model.replace({name: tape.watch(model.params[name])})
-        with pytest.raises(T.TapeError, match=name):
-            N.Conditioning(watched)
-
-    def test_training_step_rejects_conditioning_of_a_trained_weight(self, model,
-                                                                    latent):
-        name = "unet.mid.cross.w_v"
-        with pytest.raises(T.TapeError, match=name):
-            P.train_step(model, {name: model.params[name]},
-                         N.pose_features(model, skeleton_stack()), latent, 5,
-                         T.Tensor(rnd(latent.shape, seed=82)), "p",
-                         N.Conditioning(model))
-
-    def test_keeps_no_trainable_array_alive(self, model, latent):
+    def test_keeps_no_trainable_array_alive(self, latent):
         # a fresh model, so that nothing else holds its arrays
         fresh = N.init_model(CFG, seed=7)
         refs = {n: weakref.ref(fresh.params[n].data) for n in N.trainable_names(fresh)}
-        cond = N.Conditioning(fresh)
+        eps = N.unet_forward(fresh, latent, 9, "p")
+        trained = fresh.replace({n: T.Tensor(fresh.params[n].data.copy()) for n in refs})
+        assert trained.text is fresh.text and trained.text
         del fresh
         assert [n for n, ref in refs.items() if ref() is not None] == []
-        eps = N.unet_forward(model, latent, 9, "p", cond=cond)
-        alone = N.unet_forward(model, latent, 9, "p")
-        np.testing.assert_array_equal(eps.data, alone.data)
+        again = N.unet_forward(trained, latent, 9, "p")
+        np.testing.assert_array_equal(eps.data, again.data)
+
+    @pytest.mark.parametrize("name, shared", [
+        ("adapter0.out_proj", True), ("unet.dec0.temporal.w_v", True),
+        ("unet.dec0.cross.w_k", False), ("unet.enc0.ln_cross.gamma", False)])
+    def test_replace_keeps_the_memo_unless_a_text_weight_changes(self, model,
+                                                                 latent, name,
+                                                                 shared):
+        fresh = N.ModelWeights(model.cfg, model.params)
+        N.unet_forward(fresh, latent, 9, "p")
+        got = fresh.replace({name: T.Tensor(fresh.params[name].data + 1.0)})
+        assert (got.text is fresh.text) == shared
+        assert got.text if shared else got.text == {}
+        assert fresh.replace({}).text is fresh.text
+
+    def test_text_weights_name_every_text_sub_block_weight(self, model):
+        prefixes = tuple(f"unet.{lid}.{sub}." for lid in N.BLOCK_ORDER
+                         for sub in ("cross", "ln_cross"))
+        want = {n for n in model.params if n.startswith(prefixes)}
+        assert N._TEXT_WEIGHTS == want and len(want) == 6 * len(N.BLOCK_ORDER)
+        with pytest.raises(TypeError):  # the memo is no constructor argument
+            N.ModelWeights(model.cfg, model.params, {})
 
     def test_step_context_of_another_timestep_rejected(self, model, latent):
         with pytest.raises(N.ConfigError, match="t=5"):
@@ -695,10 +708,12 @@ def inline_repeat_cross_sub_block(x, model, lid, text_kv):
 
 def training_gradients(model, latent):
     """Gradients of one training loss (conditioned U-Net, squared error) with
-    respect to every trainable parameter."""
+    respect to every trainable parameter. The prompt has several tokens, so
+    that every text sub-block runs."""
     trainable = {n: model.params[n] for n in N.trainable_names(model)}
     _, grads = P.train_step(model, trainable, N.pose_features(model, skeleton_stack()),
-                            latent, 417, T.Tensor(rnd(latent.shape, seed=80)), "p")
+                            latent, 417, T.Tensor(rnd(latent.shape, seed=80)),
+                            "a figure marching right")
     return {n: g.data for n, g in grads.items()}
 
 
@@ -716,8 +731,11 @@ def test_training_gradients_match_inline_sub_blocks_within_rounding(
     got = training_gradients(model, latent)
     monkeypatch.setattr(N, "_cs_sub_block", inline_cs_sub_block)
     monkeypatch.setattr(N, "_temporal_sub_block", inline_temporal_sub_block)
-    monkeypatch.setattr(N, "_cross_sub_block", inline_repeat_cross_sub_block)
+    crossed = []
+    monkeypatch.setattr(N, "_cross_sub_block", lambda x, m, lid, kv: crossed.append(lid)
+                        or inline_repeat_cross_sub_block(x, m, lid, kv))
     want = training_gradients(model, latent)
+    assert crossed == list(N.BLOCK_ORDER)
     assert set(got) == set(want) == N.trainable_names(model)
     for name, grad in want.items():
         scale = np.abs(grad).max()

@@ -19,6 +19,21 @@ from vidmotion import skeleton as SK
 from vidmotion import tensor as T
 
 
+def count_text_embeddings(monkeypatch):
+    """The prompts ``N.text_embedding`` is called with from now on."""
+    calls = []
+    real = N.text_embedding
+    monkeypatch.setattr(N, "text_embedding",
+                        lambda prompt, d: calls.append(prompt) or real(prompt, d))
+    return calls
+
+
+def tracked_text(model):
+    """The keys of ``model.text`` whose entry holds a tracked tensor."""
+    return [key for key, built in model.text.items()
+            if any(t is not None and t.node is not None for t in built)]
+
+
 class TestOneShotTrain:
     def test_zero_steps_leaves_weights_bit_exact(self, base_model, schedule):
         res = P.one_shot_train(base_model, synth_video(), synth_skeletons(),
@@ -93,15 +108,41 @@ class TestOneShotTrain:
             assert np.abs(grad.data).max() > 0, name
             assert grad.data.tobytes() == every[name].data.tobytes(), name
 
+    def test_a_run_builds_each_block_text_once_from_frozen_weights(
+            self, base_model, schedule, monkeypatch):
+        embedded = count_text_embeddings(monkeypatch)
+        fresh = N.ModelWeights(base_model.cfg, base_model.params)
+        res = P.one_shot_train(fresh, synth_video(), synth_skeletons(),
+                               "a figure walking right", steps=3,
+                               schedule=schedule, rng=T.Rng(0))
+        assert len(embedded) == len(N.BLOCK_ORDER)
+        assert res.model.text is fresh.text and res.model.text
+        assert tracked_text(res.model) == []
+
+    def test_a_step_watching_text_weights_leaves_the_memo_untracked(
+            self, base_model, schedule):
+        fresh = N.ModelWeights(base_model.cfg, base_model.params)
+        z0 = N.encode_video(synth_video(), fresh.cfg)
+        eps = T.Rng(3).normal(z0.shape)
+        x_t = D.q_sample(z0, 40, eps, schedule)
+        pose = N.pose_features(fresh, synth_skeletons())
+        P.train_step(fresh, fresh.params, pose, x_t, 40, eps, "p")
+        assert fresh.text == {}
+        P.train_step(fresh, {n: fresh.params[n] for n in N.trainable_names(fresh)},
+                     pose, x_t, 40, eps, "p")
+        assert fresh.text and tracked_text(fresh) == []
+
     def test_later_steps_add_adam_state_but_no_second_graph(self, base_model, schedule):
         # each step's graph is freed before the next one is built, so three
         # steps peak above one step only by what the first update adds: new
         # weights and Adam's two moments, each the size of the trainable
         # weights. One step's graph is several times that size.
         def traced_peak(steps):
+            # weights of their own, so that each run builds its text rows
+            model = N.ModelWeights(base_model.cfg, base_model.params)
             tracemalloc.start()
             try:
-                P.one_shot_train(base_model, synth_video(), synth_skeletons(), "p",
+                P.one_shot_train(model, synth_video(), synth_skeletons(), "p",
                                  steps=steps, schedule=schedule, rng=T.Rng(0))
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -120,11 +161,13 @@ class TestOneShotTrain:
         trainable = sorted(N.trainable_names(base_model))
 
         def traced_peak(steps):
+            # weights of their own, so that each run builds its text rows
+            model = N.ModelWeights(base_model.cfg, base_model.params)
             tracemalloc.start()
             try:
                 P.one_shot_train(
-                    base_model.replace({n: T.Tensor(base_model.params[n].data.copy())
-                                        for n in trainable}),
+                    model.replace({n: T.Tensor(model.params[n].data.copy())
+                                   for n in trainable}),
                     synth_video(), synth_skeletons(), "p",
                     steps=steps, schedule=schedule, rng=T.Rng(0))
                 return tracemalloc.get_traced_memory()[1]
@@ -273,9 +316,11 @@ class TestReconstruct:
     def test_peak_is_flat_in_steps(self, base_model, schedule):
         peaks = {}
         for steps in (10, 40):
+            # weights of their own, so that each run builds its text rows
+            model = N.ModelWeights(base_model.cfg, base_model.params)
             tracemalloc.start()
             try:
-                P.reconstruct(base_model, synth_video(), synth_skeletons(), "p",
+                P.reconstruct(model, synth_video(), synth_skeletons(), "p",
                               steps=steps, schedule=schedule)
                 peaks[steps] = tracemalloc.get_traced_memory()[1]
             finally:
@@ -316,6 +361,15 @@ class TestEdit:
                             job.prompt_source, steps=5, schedule=schedule)
         np.testing.assert_array_equal(res.edited.data, rec.latent.data)
         np.testing.assert_array_equal(res.reconstructed.data, rec.latent.data)
+
+    def test_in_process_run_builds_each_prompt_text_once_per_block(
+            self, base_model, schedule, monkeypatch):
+        monkeypatch.setattr(P, "_fork_worker", lambda: False)
+        embedded = count_text_embeddings(monkeypatch)
+        job = make_job(steps=3, guidance=7.5)
+        P.edit(job, N.ModelWeights(base_model.cfg, base_model.params), schedule)
+        assert sorted(embedded, key=str) == sorted(
+            [job.prompt_source, job.prompt_target, None] * len(N.BLOCK_ORDER), key=str)
 
     def test_reconstructed_equals_reconstruct_per_control_flag(self, base_model,
                                                                schedule):
@@ -566,9 +620,11 @@ class TestReconPlacement:
         peaks = {}
         for steps in (10, 40):
             job = make_job(steps=steps)
+            # weights of their own, so that each run builds its text rows
+            model = N.ModelWeights(base_model.cfg, base_model.params)
             tracemalloc.start()
             try:
-                P.edit(job, base_model, schedule)
+                P.edit(job, model, schedule)
                 peaks[steps] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -580,7 +636,7 @@ class TestReconPlacement:
         ts = D.subsequence(schedule.timesteps, job.steps)
         x = T.Tensor(np.zeros((8, 4, 8, 8), np.float32))
         *steps, last = P._recon_walk(base_model, x, ts, schedule, job.prompt_source,
-                                     None, job.injection, N.Conditioning(base_model))
+                                     None, job.injection)
         gated = sum(N.TOPOLOGY[lid] == "decoder" for lid in N.BLOCK_ORDER)
         assert [len(writes) for writes in steps] == [0, 0, 2 * gated, 2 * gated]
         assert isinstance(last, T.Tensor)

@@ -565,14 +565,19 @@ class TestUntrackedFastPath:
             calls[0] += 1
             return counted(*args, **kwargs)
 
-        monkeypatch.setattr(T, "_result", counting)
         latent = T.Tensor(rnd((net_config.frames, net_config.channels, 8, 8),
                               seed=121, scale=0.5))
-        plain = N.unet_forward(base_model, latent, 10, "p")
+        # weights of their own, their text rows built before the count, so
+        # that both counted forwards read them from the same memo
+        model = N.ModelWeights(base_model.cfg, base_model.params)
+        N.unet_forward(model, latent, 10, "p")
+        monkeypatch.setattr(T, "_result", counting)
+        plain = N.unet_forward(model, latent, 10, "p")
         untracked, calls[0] = calls[0], 0
         name = "unet.enc0.temporal.w_q"  # trainable, and read by every forward
         tape = T.Tape()
-        watched = base_model.replace({name: tape.watch(base_model.params[name])})
+        watched = model.replace({name: tape.watch(model.params[name])})
+        assert watched.text is model.text
         tracked = N.unet_forward(watched, latent, 10, "p")
         assert untracked > 0 and calls[0] == untracked
         assert plain.node is None and tracked.node is not None
@@ -966,7 +971,10 @@ class TestMeltContainer:
         (b"MELT\x01\x00\x02", "byte 7"),
         (b"MELT\x01\x00" + (2).to_bytes(4, "little") + bytes(4), "byte 14"),
         (T.tensor_bytes(T.zeros((2, 3)))[:-1], "byte 41"),
-    ], ids=["bad-magic", "short-header", "truncated-dims", "truncated-payload"])
+        (b"MELT\x01\x00" + (3).to_bytes(4, "little") + (0xe4000000).to_bytes(4, "little")
+         + bytes(4) + (0x24000000).to_bytes(4, "little"), "byte 10"),
+    ], ids=["bad-magic", "short-header", "truncated-dims", "truncated-payload",
+            "empty-oversized-shape"])
     def test_malformed_bytes_raise_format_error_naming_offset(self, raw, where):
         with pytest.raises(T.FormatError, match=where):
             T.tensor_from_bytes(raw)

@@ -15,8 +15,9 @@ one-token text output), ``edit`` pinned to one CPU (so its step worker runs
 in the same process, not in a forked child), ``edit`` without the source
 pose (so the inversion asks the worker for no control sides) and ``edit``
 injecting over the last half of the steps only (so the reconstruction walk
-sends no cache writes before it), ``train``, ``reconstruct`` and ``align``
-run on both sides, and their output trees are compared file by file.
+sends no cache writes before it), ``train``, ``train`` on a one-word source
+prompt (so every forward of the run reads one-token text outputs),
+``reconstruct`` and ``align`` run on both sides, and their output trees are compared file by file.
 
 Without ``--tolerance`` every file must be byte-identical. With it, each
 value of a MELT tensor or of ``loss.csv`` may differ from REV's by at most
@@ -54,6 +55,7 @@ COMMANDS = {
     "edit-no-recon-control": ("edit",),
     "edit-half-window": ("edit",),
     "train": ("train",),
+    "train-one-word": ("train",),
     "reconstruct": ("reconstruct",),
     "align": ("align",),
 }
@@ -89,6 +91,7 @@ CONFIGS = {  # label -> config rewrite
     "edit-one-word": one_word_target,
     "edit-no-recon-control": setting("alignment", "control_on_recon", False),
     "edit-half-window": setting("injection", "window_fraction", 0.5),
+    "train-one-word": setting("prompts", "source", "walking"),
 }
 
 
