@@ -6,6 +6,7 @@ whenever the noise prediction is held fixed.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -21,7 +22,7 @@ class ScheduleError(ValueError):
 
 
 class NonFiniteError(RuntimeError):
-    """A sampler step overflowed or produced a non-finite latent."""
+    """A guarded stage overflowed or produced a non-finite value."""
 
 
 CLEAN_STEP = -1  # timestep sentinel for the fully-denoised endpoint (alpha_bar = 1)
@@ -136,19 +137,19 @@ def cfg_combine(eps_uncond: Tensor, eps_cond: Tensor, scale: float) -> Tensor:
 EpsFn = Callable[[Tensor, int], Tensor]
 
 
-def _finite_step(where: str, predict: Callable[[], Tensor],
-                 move: Callable[[Tensor], Tensor]) -> Tensor:
-    """Run one sampler step, the predictor and then the elementwise move,
-    with numpy overflow and invalid operations raised. The first non-finite
-    value raises NonFiniteError ``where``."""
+@contextlib.contextmanager
+def guard(where: str) -> Iterator[Callable[[object, str], None]]:
+    """Run a stage with numpy overflow and invalid operations raised, the
+    first as NonFiniteError ``where``. The block's ``finite(value, what)``
+    raises it too for a value made non-finite without one (by a NaN input)."""
+    def finite(value, what: str) -> None:
+        if not np.isfinite(value).all():
+            raise NonFiniteError(f"{where}: {what} is not finite")
     try:
         with np.errstate(over="raise", invalid="raise"):
-            x = move(predict())
+            yield finite
     except FloatingPointError as exc:
         raise NonFiniteError(f"{where}: {exc}") from None
-    if not np.isfinite(x.data).all():
-        raise NonFiniteError(f"{where}: the new latent is not finite")
-    return x
 
 
 def _walk(eps_fn: EpsFn, x: Tensor, path: list[int], s: NoiseSchedule,
@@ -159,8 +160,9 @@ def _walk(eps_fn: EpsFn, x: Tensor, path: list[int], s: NoiseSchedule,
     for i, (a, b) in enumerate(zip(path, path[1:])):
         t = max(a, b)
         where = f"non-finite value in {phase} step {i + 1}/{len(path) - 1} (t={t})"
-        x = _finite_step(where, lambda: eps_fn(x, t),
-                         lambda eps: step(x, eps, a, b, s))
+        with guard(where) as finite:
+            x = step(x, eps_fn(x, t), a, b, s)
+            finite(x.data, "the new latent")
         yield b, x
 
 

@@ -38,6 +38,7 @@ import numpy as np
 
 from . import adapter as AD
 from . import attention as A
+from . import diffusion as D
 from . import injection as I
 from . import tensor as T
 from .tensor import Tensor
@@ -671,7 +672,9 @@ def encode_video(video: Tensor, cfg: NetConfig) -> Tensor:
         raise ConfigError(f"video shape {video.shape} does not match config {want}")
     f, c, h, w = want
     k = cfg.pool
-    g = T.reshape(video, (f, c, h // k, k, w // k, k))
-    g = T.mean(g, axis=3)
-    g = T.mean(g, axis=4)
+    with D.guard("non-finite value in encode") as finite:
+        g = T.reshape(video, (f, c, h // k, k, w // k, k))
+        g = T.mean(g, axis=3)
+        g = T.mean(g, axis=4)
+        finite(g.data, "the latent")
     return g

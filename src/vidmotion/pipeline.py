@@ -112,14 +112,14 @@ def one_shot_train(model: N.ModelWeights, video: Tensor,
         t = rng.integer(0, schedule.timesteps)
         eps = rng.normal(z0.shape)
         params = {n: model.params[n] for n in names}
-        value, grads = train_step(model, params, pose,
-                                  D.q_sample(z0, t, eps, schedule), t, eps, prompt)
-        if not np.isfinite(value):
-            raise RuntimeError(f"non-finite training loss {value} at step {step} "
-                               f"(timestep {t})")
+        where = f"non-finite value in train step {step + 1}/{steps} (t={t})"
+        with D.guard(where) as finite:
+            value, grads = train_step(model, params, pose,
+                                      D.q_sample(z0, t, eps, schedule), t, eps, prompt)
+            finite(value, "the loss")
+            model = model.replace(T.adam_step(params, grads, state))
         # grads and the old weights are not held while the next step builds
         # its graph
-        model = model.replace(T.adam_step(params, grads, state))
         del grads, params
         losses.append(value)
     return TrainResult(model, losses)
@@ -128,18 +128,16 @@ def one_shot_train(model: N.ModelWeights, video: Tensor,
 def train_step(model: N.ModelWeights, params: dict[str, Tensor],
                pose: dict[int, Tensor], x_t: Tensor, t: int, eps: Tensor,
                prompt: str) -> tuple[float, dict[str, Tensor | None]]:
-    """The loss of one step and the gradient of each of ``params`` (none if
-    the loss is not finite). The step's graph and StepContext live only in
-    this frame: backward frees each node's saved arrays as it passes, and
-    the rest is freed on return, before the next step builds its own."""
+    """The loss of one step and the gradient of each of ``params``. The
+    step's graph and StepContext live only in this frame: backward frees
+    each node's saved arrays as it passes, and the rest is freed on return,
+    before the next step builds its own."""
     tape = T.Tape()
     watched = {n: tape.watch(p) for n, p in params.items()}
     m = model.replace(watched)
     step = N.StepContext(t, x_t, _computed(m, pose)(x_t, t))
     loss = D.training_loss(N.unet_forward(m, x_t, t, prompt, step=step), eps)
     value = loss.item()
-    if not np.isfinite(value):
-        return value, {}
     T.backward(tape, loss)
     return value, {n: tape.grad(w) for n, w in watched.items()}
 
@@ -318,14 +316,6 @@ def _fork_worker() -> bool:
             and threading.active_count() == 1)
 
 
-def _in_half(exc: Exception, half: str) -> Exception:
-    """``exc``, or for a NonFiniteError one that names the ``half`` it
-    arose in."""
-    if isinstance(exc, D.NonFiniteError):
-        return D.NonFiniteError(f"{exc} in the {half} half")
-    return exc
-
-
 def _recon_walk(model: N.ModelWeights, x: Tensor, ts: list[int],
                 schedule: D.NoiseSchedule, prompt: str,
                 pose: dict[int, Tensor] | None, inj: I.InjectionSettings
@@ -337,19 +327,18 @@ def _recon_walk(model: N.ModelWeights, x: Tensor, ts: list[int],
     eps_fn = _predictor(model, ts, prompt, role="recon", cache=log, inj=inj,
                         control=_computed(model, pose))
     try:
-        for _, x in D.ddim_steps(eps_fn, x, ts, schedule, phase="edit"):
+        for _, x in D.ddim_steps(eps_fn, x, ts, schedule, phase="reconstruct"):
             yield log.take()
+        yield x
     except Exception as exc:  # sent on, for edit to raise
-        yield _in_half(exc, "reconstruction")
-        return
-    yield x
+        yield exc
 
 
 def _control_reply(model: N.ModelWeights, x: Tensor, t: int,
                    pose: Callable[[], dict[int, Tensor]]):
     """A step's control sides from the pyramid ``pose()`` returns, built
-    with numpy overflow and invalid operations raised as in a sampler step,
-    or the error that raised."""
+    with numpy overflow and invalid operations raised as under ``D.guard``,
+    or the error that raised; the asking step's guard names it."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             return N.control_sides(model, x, t, pose())
@@ -458,34 +447,39 @@ def _started(serve: Callable[[Iterator], Iterator]
     enlarged to 1 MiB where the platform allows it, so that a step's
     messages fit and neither process wakes the other per 64 KiB. Leaving
     the ``with`` block kills and reaps the child, however the block ends.
-    Elsewhere each ``recv`` advances ``serve`` in this process, on the
-    requests sent so far."""
-    if not _fork_worker():
-        requests = collections.deque()
-        messages = serve(iter(requests.popleft, None))
-        yield requests.append, lambda: next(messages)
-        return
-    # here, so importing vidmotion loads no module numpy does not
-    import fcntl
-    import signal
-    requests_r, requests_w = os.pipe()
-    messages_r, messages_w = os.pipe()
-    if hasattr(fcntl, "F_SETPIPE_SZ"):
-        for fd in (requests_w, messages_w):
-            with contextlib.suppress(OSError):  # beyond the host's limit
-                fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    pid = os.fork()
-    if pid == 0:
-        _serve_forked(serve, requests_r, messages_w, (requests_w, messages_r))
-    try:
-        os.close(requests_r)
-        os.close(messages_w)
-        with open(messages_r, "rb") as messages:
-            yield functools.partial(_send, requests_w), lambda: _load(messages)
-    finally:
-        os.close(requests_w)
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+    Elsewhere, or where the fork fails, each ``recv`` advances ``serve`` in
+    this process, on the requests sent so far."""
+    if _fork_worker():
+        # here, so importing vidmotion loads no module numpy does not
+        import fcntl
+        import signal
+        requests_r, requests_w = os.pipe()
+        messages_r, messages_w = os.pipe()
+        if hasattr(fcntl, "F_SETPIPE_SZ"):
+            for fd in (requests_w, messages_w):
+                with contextlib.suppress(OSError):  # beyond the host's limit
+                    fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        try:
+            pid = os.fork()
+        except OSError:  # out of processes or memory: no pipe is left open
+            for fd in (requests_r, requests_w, messages_r, messages_w):
+                os.close(fd)
+        else:
+            if pid == 0:
+                _serve_forked(serve, requests_r, messages_w, (requests_w, messages_r))
+            try:
+                os.close(requests_r)
+                os.close(messages_w)
+                with open(messages_r, "rb") as messages:
+                    yield functools.partial(_send, requests_w), lambda: _load(messages)
+            finally:
+                os.close(requests_w)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            return
+    requests = collections.deque()
+    messages = serve(iter(requests.popleft, None))
+    yield requests.append, lambda: next(messages)
 
 
 def edit(job: EditJob, model: N.ModelWeights,
@@ -501,8 +495,8 @@ def edit(job: EditJob, model: N.ModelWeights,
     control sides of each inversion and editing step and runs the
     reconstruction branch; this process holds no pose pyramid when the
     worker is forked, and keeps only z_T and the timesteps of the
-    inversion. A non-finite value names the half it arose in; the
-    reconstruction half is named when both fail at one step.
+    inversion. A non-finite value names the walk it arose in, "reconstruct"
+    or "edit"; the reconstruction walk is named when both fail at one step.
     """
     cfg = model.cfg
     job.validate(cfg)
@@ -535,9 +529,6 @@ def edit(job: EditJob, model: N.ModelWeights,
         steps = D.ddim_steps(editing, inv.final, ts, schedule, phase="edit")
         for _ in ts:
             cache.replay(_received(recv()))
-            try:
-                _, edited = next(steps)
-            except D.NonFiniteError as exc:
-                raise _in_half(exc, "editing") from None
+            _, edited = next(steps)
         recon = _received(recv())
     return EditResult(edited, recon, aligned, reports, inv.timesteps, cache)

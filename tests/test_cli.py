@@ -198,6 +198,19 @@ class TestTrainCommand:
             f"trained 6 steps: first-3 mean {np.mean(losses[:3]):.4f}, "
             f"last-3 mean {np.mean(losses[3:]):.4f}")
 
+    def test_diverging_run_exits_1_naming_the_step(self, tmp_path, capsys):
+        # lr 1e30 leaves finite ~1e30 weights after step 1, whose forward
+        # overflows in step 2
+        _, cfg = make_job_dir(tmp_path, config_extra={
+            "training": {"steps": 20, "lr": 1e30}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--config", str(cfg), "--out", str(out),
+                         "--steps", "5"]) == 1
+        assert_one_line_error(capsys, "error: non-finite value in train step 2/5 (t=")
+        assert not out.exists()
+
     def test_checkpoint_round_trips_through_loader(self, tmp_path):
         from vidmotion import network as N
         _, cfg = make_job_dir(tmp_path)
@@ -386,6 +399,20 @@ class TestReconstructCommand:
             main(["reconstruct", "--config", str(cfg),
                   "--out", str(tmp_path / "o"), *flag])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["edit", "train", "reconstruct"])
+def test_overflowing_video_exits_1_naming_the_encoder(tmp_path, capsys, command):
+    # finite pixels whose pooled sum overflows float32
+    root, cfg = make_job_dir(tmp_path)
+    T.save_tensor(root / "video.melt",
+                  T.Tensor(np.full((8, 4, 32, 32), 3e38, np.float32)))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert_one_line_error(capsys, "error: non-finite value in encode: overflow")
+    assert not out.exists()
 
 
 # case -> (corrupt the job directory, commands that read the input, needles)

@@ -169,6 +169,15 @@ def test_one_word_train_label_rewrites_only_the_source(tmp_path):
     assert load_config(out).prompt_source == "walking"
 
 
+def test_numstat_totals_sum_every_text_file():
+    numstat = ("29\t41\tsrc/vidmotion/pipeline.py\n"
+               "3\t0\tsrc/vidmotion/diffusion.py\n"
+               "-\t-\tsrc/vidmotion/blob.bin\n"
+               "0\t7\tsrc/vidmotion/network.py\n")
+    assert identity.numstat_totals(numstat) == (32, 48)
+    assert identity.numstat_totals("") == (0, 0)
+
+
 def test_every_seed_runs_every_label():
     assert len(identity.SEEDS) * len(identity.COMMANDS) == 39
 

@@ -218,13 +218,28 @@ class TestOneShotTrain:
         last10 = float(np.mean(training_run.losses[-10:]))
         assert last10 <= 0.5 * first10
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_loss_aborts_with_diagnostics(self, base_model, schedule):
         bad = base_model.replace({
             "unet.out_proj": T.Tensor(np.full((32, 4), 1e30, np.float32))})
-        with pytest.raises(RuntimeError, match="non-finite"):
+        t = T.Rng(0).integer(0, schedule.timesteps)  # the first step's t
+        with pytest.raises(D.NonFiniteError,
+                           match=rf"^non-finite value in train step 1/3 \(t={t}\): "
+                                 r"overflow encountered in \w+$"):
             P.one_shot_train(bad, synth_video(), synth_skeletons(), "p",
                              steps=3, schedule=schedule, rng=T.Rng(0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_loss_without_fp_exception_is_named(self, base_model, schedule):
+        # a NaN weight spreads quietly, with no overflow or invalid operation
+        bad = base_model.replace({
+            "unet.out_proj": T.Tensor(np.full((32, 4), np.nan, np.float32))})
+        t = T.Rng(0).integer(0, schedule.timesteps)
+        with pytest.raises(D.NonFiniteError) as err:
+            P.one_shot_train(bad, synth_video(), synth_skeletons(), "p",
+                             steps=3, schedule=schedule, rng=T.Rng(0))
+        assert str(err.value) == (f"non-finite value in train step 1/3 (t={t}): "
+                                  "the loss is not finite")
 
 
 class TestInvert:
@@ -475,10 +490,13 @@ class TestEdit:
         with pytest.raises(N.ConfigError, match=r"video shape \(6, 4, 32, 32\)"):
             P.edit(job, base_model, schedule)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_value_names_the_editing_half(self, base_model, schedule):
         job = make_job(steps=3, guidance=1e30)
-        with pytest.raises(D.NonFiniteError, match=r"edit step .* in the editing half$"):
+        ts = D.subsequence(schedule.timesteps, 3)
+        with pytest.raises(D.NonFiniteError,
+                           match=rf"^non-finite value in edit step 2/3 \(t={ts[1]}\): "
+                                 r"overflow encountered in \w+$"):
             P.edit(job, base_model, schedule)
 
     def test_job_validation_catches_frame_mismatch(self, base_model):
@@ -631,6 +649,25 @@ class TestReconPlacement:
         # one 8 KiB latent per step would add 240 KiB
         assert peaks[40] - peaks[10] <= 128 << 10, peaks
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="no /proc/self/fd to count open files")
+    def test_failed_fork_serves_in_process_and_leaks_no_fd(self, base_model,
+                                                           schedule, monkeypatch):
+        def refused():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        job = make_job(steps=2)
+        monkeypatch.setattr(P, "_fork_worker", lambda: False)
+        here = P.edit(job, base_model, schedule)
+        monkeypatch.setattr(P, "_fork_worker", lambda: True)
+        monkeypatch.setattr(P.os, "fork", refused)
+        fds = len(os.listdir("/proc/self/fd"))
+        failed = P.edit(job, base_model, schedule)
+        assert len(os.listdir("/proc/self/fd")) == fds
+        for name in ("edited", "reconstructed"):
+            a, b = getattr(here, name).data, getattr(failed, name).data
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_steps_before_the_window_send_no_writes(self, base_model, schedule):
         job = make_job(steps=4, injection=I.InjectionSettings(window_fraction=0.5))
         ts = D.subsequence(schedule.timesteps, job.steps)
@@ -652,9 +689,8 @@ class TestReconPlacement:
         place(fork)
         with pytest.raises(D.NonFiniteError) as err:
             P.edit(make_job(steps=3), base_model, schedule)
-        assert str(err.value) == (f"non-finite value in edit step 2/3 (t={ts[1]}): "
-                                  "the new latent is not finite in the "
-                                  "reconstruction half")
+        assert str(err.value) == (f"non-finite value in reconstruct step 2/3 "
+                                  f"(t={ts[1]}): the new latent is not finite")
 
     @pytest.mark.parametrize("phase,control_on_recon", [
         ("invert", True), ("edit", False)], ids=["invert", "edit"])
@@ -690,13 +726,13 @@ class TestReconPlacement:
         assert texts[0] == texts[1]
         assert texts[0].startswith(f"non-finite value in {phase} step 2/3 "
                                    f"(t={ts[1]}): {message}")
-        assert texts[0].endswith(" in the editing half") == (phase == "edit")
 
     @pytest.mark.parametrize("patch,error", [
         pytest.param(None, None, id="success"),
-        pytest.param(("recon", _nan), r"in the reconstruction half$",
-                     id="recon-non-finite"),
-        pytest.param(("edit", _nan), r"in the editing half$", id="edit-non-finite"),
+        pytest.param(("recon", _nan), r"^non-finite value in reconstruct step 2/3 "
+                     r"\(t=\d+\): the new latent is not finite$", id="recon-non-finite"),
+        pytest.param(("edit", _nan), r"^non-finite value in edit step 2/3 "
+                     r"\(t=\d+\): the new latent is not finite$", id="edit-non-finite"),
         pytest.param(("edit", _interrupt), None, id="edit-interrupted"),
         pytest.param(("recon", _exit), r"stopped before its last message",
                      id="worker-died"),

@@ -23,8 +23,10 @@ Without ``--tolerance`` every file must be byte-identical. With it, each
 value of a MELT tensor or of ``loss.csv`` may differ from REV's by at most
 ABS + REL * |REV's value|; every other file must still be byte-identical. A
 mismatching file is named, and for MELT and ``loss.csv`` files the largest
-absolute and relative gaps are printed. Exit 0 when every tree matches, 1
-when one does not or a command fails, 2 on a usage error.
+absolute and relative gaps are printed. After the verdicts it prints the
+lines ``src/`` gained and lost against REV (``git diff --numstat``, working
+tree included). Exit 0 when every tree matches, 1 when one does not or a
+command fails, 2 on a usage error.
 """
 from __future__ import annotations
 
@@ -229,9 +231,20 @@ def _run(src: str, argv: list[str], preexec=None) -> str | None:
     return f"exit {proc.returncode}: {lines[-1] if lines else ''}"
 
 
-def _git(*args: str) -> None:
-    subprocess.run(["git", "-C", ROOT, *args], check=True,
-                   stdout=subprocess.DEVNULL)
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", ROOT, *args], check=True,
+                          stdout=subprocess.PIPE, text=True).stdout
+
+
+def numstat_totals(numstat: str) -> tuple[int, int]:
+    """The lines added and deleted over every file of ``git diff --numstat``
+    output; a binary file, counted as ``-``, adds none."""
+    added = deleted = 0
+    for line in numstat.splitlines():
+        plus, minus, _ = line.split("\t", 2)
+        if plus != "-":
+            added, deleted = added + int(plus), deleted + int(minus)
+    return added, deleted
 
 
 def _check_tree(name: str, argv: list[str], sides: dict[str, str], work: str,
@@ -290,11 +303,15 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="identity-") as work:
         try:
             bad = check(args.against, args.tolerance, work)
+            numstat = _git("diff", "--numstat", args.against, "--", "src")
         except subprocess.CalledProcessError as exc:
             print(f"git failed: {exc}", file=sys.stderr)
             return 2
     trees = len(SEEDS) * len(COMMANDS)
     print(f"{trees - bad}/{trees} output trees match {args.against}")
+    added, deleted = numstat_totals(numstat)
+    print(f"src/: +{added} -{deleted} lines (net {added - deleted:+d}) "
+          f"against {args.against}")
     return 1 if bad else 0
 
 
