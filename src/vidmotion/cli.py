@@ -12,7 +12,6 @@ import errno
 import functools
 import gc
 import json
-import math
 import os
 import sys
 import time
@@ -181,30 +180,6 @@ def _write_latent_outputs(out_dir, name: str, latent: T.Tensor) -> None:
                      np.concatenate(tiles, axis=1))
 
 
-def frame_metrics(a: T.Tensor, b: T.Tensor) -> list[dict]:
-    """Per-frame RMSE and PSNR (reference range from the first argument).
-
-    Identical frames report PSNR as +inf.
-    """
-    if a.shape != b.shape:
-        raise T.ShapeError(f"frame metric shapes differ: {a.shape} vs {b.shape}")
-    out = []
-    for f in range(a.shape[0]):
-        ref = a.data[f].astype(np.float64)
-        diff = ref - b.data[f].astype(np.float64)
-        mse = float((diff * diff).mean())
-        rmse = math.sqrt(mse)
-        data_range = float(ref.max() - ref.min())
-        if mse == 0.0:
-            psnr = math.inf
-        elif data_range == 0.0:
-            psnr = -math.inf if mse > 0 else math.inf
-        else:
-            psnr = 10.0 * math.log10(data_range * data_range / mse)
-        out.append({"rmse": rmse, "psnr": psnr})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -265,11 +240,10 @@ def cmd_reconstruct(cfg: C.Config, out_dir: str, checkpoint: str | None) -> int:
                            control_on_recon=cfg.control_on_recon)
     os.makedirs(out_dir, exist_ok=True)
     _write_latent_outputs(out_dir, "reconstructed", result.latent)
-    z0 = N.encode_video(video, model.cfg)
     with open(os.path.join(out_dir, "reconstruct_report.json"), "w") as fh:
         json.dump({
             "inversion_timesteps": result.inversion_timesteps,
-            "metrics_vs_source": frame_metrics(z0, result.latent),
+            "metrics_vs_source": result.metrics_vs_source,
         }, fh, indent=1, sort_keys=True)
     print(f"reconstructed -> {out_dir}")
     return 0

@@ -126,6 +126,9 @@ def config_from_dict(blob: dict) -> Config:
     for section, cls in _DATACLASS_SECTIONS.items():
         if section in blob:
             setattr(cfg, section, _section(blob, section, cls))
+    if cfg.schedule.timesteps < 2:  # as make_schedule needs, before any command runs
+        raise ConfigError(f"schedule.timesteps must be >= 2, "
+                          f"got {cfg.schedule.timesteps}")
     m = blob.get("model", {})
     _check_keys("model", m)
     cfg.model = N.net_config({**asdict(N.NetConfig()), **m,

@@ -1,4 +1,5 @@
-"""Finite-difference gradient oracle shared by tests and the selftest."""
+"""Finite-difference gradient oracle shared by tests and the selftest: one
+tape step (``tape_gradient``) and one comparison (``gradient_error``)."""
 from __future__ import annotations
 
 from typing import Callable
@@ -36,15 +37,30 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.linalg.norm(a - n) / denom)
 
 
+def tape_gradient(f: Callable[[T.Tensor], T.Tensor], x0: np.ndarray) -> np.ndarray:
+    """The tape gradient of scalar ``f`` at ``x0``."""
+    tape = T.Tape()
+    x = tape.watch(T.Tensor(x0))
+    T.backward(tape, f(x))
+    return tape.grad(x).data
+
+
+def gradient_error(f: Callable[[T.Tensor], T.Tensor], x0: np.ndarray,
+                   analytic: np.ndarray, h: float = 1e-3) -> float:
+    """``relative_error`` of ``analytic`` against the central differences of
+    scalar ``f`` at ``x0``. They re-evaluate the forward pass only, so they
+    stay independent of every backward rule that ``analytic`` came from."""
+    numeric = numeric_gradient(lambda arr: f(T.Tensor(arr)).item(),
+                               np.array(x0, dtype=np.float32), h=h)
+    return relative_error(analytic, numeric)
+
+
 def directional_check(f: Callable[[T.Tensor], T.Tensor], x0: np.ndarray,
                       direction: np.ndarray, h: float = 1e-3,
                       tol: float = 1e-3) -> tuple[bool, float]:
     """Compare the tape gradient's projection onto ``direction`` against the
     central difference of the forward pass along it."""
-    tape = T.Tape()
-    x = tape.watch(T.Tensor(x0))
-    T.backward(tape, f(x))
-    analytic = float(np.dot(tape.grad(x).data.reshape(-1).astype(np.float64),
+    analytic = float(np.dot(tape_gradient(f, x0).reshape(-1).astype(np.float64),
                             direction.reshape(-1).astype(np.float64)))
     base = np.asarray(x0, dtype=np.float64)
     v = np.asarray(direction, dtype=np.float64)
@@ -58,20 +74,6 @@ def directional_check(f: Callable[[T.Tensor], T.Tensor], x0: np.ndarray,
 
 def check_gradient(f: Callable[[T.Tensor], T.Tensor], x0: np.ndarray,
                    h: float = 1e-3, tol: float = 1e-3) -> tuple[bool, float]:
-    """Compare the tape gradient of scalar ``f`` at x0 against central differences.
-
-    The numeric side re-evaluates the forward pass only, so it stays
-    independent of every backward rule it is checking.
-    """
-    tape = T.Tape()
-    x = tape.watch(T.Tensor(x0))
-    loss = f(x)
-    T.backward(tape, loss)
-    analytic = tape.grad(x).data
-
-    def forward(arr: np.ndarray) -> float:
-        return f(T.Tensor(arr)).item()
-
-    numeric = numeric_gradient(forward, np.array(x0, dtype=np.float32), h=h)
-    err = relative_error(analytic, numeric)
+    """Compare the tape gradient of scalar ``f`` at x0 against central differences."""
+    err = gradient_error(f, x0, tape_gradient(f, x0), h)
     return err <= tol, err

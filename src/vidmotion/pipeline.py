@@ -222,12 +222,38 @@ def invert(model: N.ModelWeights, z0: Tensor, steps: int,
     return D.ddim_invert(eps_fn or _predictor(model, ts, None), z0, ts, schedule)
 
 
+def frame_metrics(a: Tensor, b: Tensor) -> list[dict]:
+    """Per-frame RMSE and PSNR (reference range from the first argument).
+
+    Identical frames report PSNR as +inf.
+    """
+    if a.shape != b.shape:
+        raise T.ShapeError(f"frame metric shapes differ: {a.shape} vs {b.shape}")
+    out = []
+    for f in range(a.shape[0]):
+        ref = a.data[f].astype(np.float64)
+        diff = ref - b.data[f].astype(np.float64)
+        mse = float((diff * diff).mean())
+        rmse = math.sqrt(mse)
+        data_range = float(ref.max() - ref.min())
+        if mse == 0.0:
+            psnr = math.inf
+        elif data_range == 0.0:
+            psnr = -math.inf if mse > 0 else math.inf
+        else:
+            psnr = 10.0 * math.log10(data_range * data_range / mse)
+        out.append({"rmse": rmse, "psnr": psnr})
+    return out
+
+
 @dataclass
 class ReconstructResult:
-    """The reconstructed latent and the timesteps the inversion passed
-    through; neither walk keeps a latent between its ends."""
+    """The reconstructed latent, the timesteps the inversion passed through
+    (neither walk keeps a latent between its ends) and the latent's
+    ``frame_metrics`` against the encoded source."""
     latent: Tensor
     inversion_timesteps: list[int]
+    metrics_vs_source: list[dict]
 
 
 def reconstruct(model: N.ModelWeights, video: Tensor, skeletons: np.ndarray,
@@ -239,7 +265,8 @@ def reconstruct(model: N.ModelWeights, video: Tensor, skeletons: np.ndarray,
     condition at guidance 1, with no injection. Both walks run one
     predictor (``eps_fn`` if given), so the reconstruction undoes the
     inversion's conditioning exactly. Each walk keeps only its end latent,
-    so memory stays flat in ``steps``."""
+    so memory stays flat in ``steps``; the encoded source is kept to score
+    the reconstruction against (``frame_metrics``)."""
     schedule = schedule or D.make_schedule(model.cfg.schedule_steps)
     z0 = N.encode_video(video, model.cfg)
     ts = D.subsequence(schedule.timesteps, steps)
@@ -247,9 +274,8 @@ def reconstruct(model: N.ModelWeights, video: Tensor, skeletons: np.ndarray,
         pose = N.pose_features(model, skeletons) if control_on_recon else None
         eps_fn = _predictor(model, ts, prompt, control=_computed(model, pose))
     inv = invert(model, z0, steps, schedule, eps_fn=eps_fn)
-    del z0
     traj = D.ddim_sample(eps_fn, inv.final, ts, schedule, phase="reconstruct")
-    return ReconstructResult(traj.final, inv.timesteps)
+    return ReconstructResult(traj.final, inv.timesteps, frame_metrics(z0, traj.final))
 
 
 @dataclass

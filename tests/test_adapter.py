@@ -3,6 +3,7 @@ import pytest
 
 from vidmotion import adapter as AD
 from vidmotion import attention as A
+from vidmotion import gradcheck as G
 from vidmotion import tensor as T
 
 
@@ -145,3 +146,27 @@ class TestGradCheck:
         others = [v["ok"] for k, v in report.items()
                   if k not in ("adapter.conv1", "__all__")]
         assert all(others)
+
+    def test_each_weight_is_gradchecks_verdict(self):
+        # the report is check_gradient's, on the loss drawn from the rng in
+        # the order m0, z0, probe, and the transform sees the tape gradient
+        w = make_weights(27, d=4)
+        seen = {}
+
+        def spy(name, grad):
+            seen[name] = grad
+            return grad
+        report = AD.adapter_grad_check(w, T.Rng(28), frames=2, tokens=2,
+                                       grad_transform=spy)
+        rng = T.Rng(28)
+        m0, z0, probe = (rng.normal((2, 2, 4), s) for s in (0.7, 0.7, 1.0))
+        names = sorted(w.named)
+        assert sorted(report) == sorted([*names, "__all__"]) and sorted(seen) == names
+        for name in names:
+            def loss(x):
+                w_x = AD.AdapterWeights({**w.named, name: x})
+                return T.mean(T.mul(AD.adapter_forward(m0, z0, w_x), probe))
+            ok, err = G.check_gradient(loss, w.named[name].data)
+            assert report[name] == {"rel_err": err, "ok": ok}
+            np.testing.assert_array_equal(seen[name],
+                                          G.tape_gradient(loss, w.named[name].data))

@@ -20,7 +20,8 @@ from vidmotion import network as N
 from vidmotion import pipeline as P
 from vidmotion import skeleton as SK
 from vidmotion import tensor as T
-from vidmotion.cli import frame_metrics, main
+from vidmotion.cli import main
+from vidmotion.pipeline import frame_metrics
 
 
 def write_frames(directory, rasters, binary=False):
@@ -389,6 +390,23 @@ class TestReconstructCommand:
         assert len(report["metrics_vs_source"]) == 8
         assert report["inversion_timesteps"][0] == -1
 
+    def test_encodes_the_source_once(self, tmp_path, monkeypatch):
+        _, cfg = make_job_dir(tmp_path)
+        encode, encoded = N.encode_video, []
+
+        def counted(*args):
+            encoded.append(encode(*args))
+            return encoded[-1]
+        monkeypatch.setattr(N, "encode_video", counted)
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", str(cfg), "--out", str(out),
+                     "--steps", "2"]) == 0
+        assert len(encoded) == 1
+        # the report scores the written latent against that one encode
+        report = json.loads((out / "reconstruct_report.json").read_text())
+        written = T.load_tensor(out / "reconstructed.melt")
+        assert report["metrics_vs_source"] == frame_metrics(encoded[0], written)
+
     @pytest.mark.parametrize("flag", [["--guidance", "3"], ["--no-injection"],
                                       ["--inject-mid"], ["--drop-masked-tokens"]],
                              ids=["guidance", "no-injection", "inject-mid",
@@ -501,6 +519,18 @@ class TestConfigHandling:
         assert main(["align", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
         assert_one_line_error(capsys, needle)
+
+    @pytest.mark.parametrize("timesteps", [-5, 0, 1])
+    def test_schedule_of_fewer_than_two_timesteps_exits_2(self, tmp_path, capsys,
+                                                          timesteps):
+        # an align config that runs once its schedule is long enough
+        _, cfg = make_job_dir(tmp_path,
+                              config_extra={"schedule": {"timesteps": timesteps}})
+        out = tmp_path / "o"
+        assert main(["align", "--config", str(cfg), "--out", str(out)]) == 2
+        assert_one_line_error(
+            capsys, f"error: schedule.timesteps must be >= 2, got {timesteps}")
+        assert not out.exists()
 
     def test_invalid_utf8_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from vidmotion import cli
 from vidmotion import tensor as T
 from vidmotion.config import load_config
 
@@ -176,6 +178,30 @@ def test_numstat_totals_sum_every_text_file():
                "0\t7\tsrc/vidmotion/network.py\n")
     assert identity.numstat_totals(numstat) == (32, 48)
     assert identity.numstat_totals("") == (0, 0)
+
+
+SELFTEST_RUN = ("PASS  gradient-primitives        0.01s  worst relative error 1.11e-04\n"
+                "FAIL  gradient-adapter           0.24s  failing: ['adapter.conv1']\n"
+                "FAILED: 1 failure(s), 0.4s total\n")
+
+
+def test_timeless_drops_only_the_seconds():
+    slower = (SELFTEST_RUN.replace(" 0.01s", "12.50s").replace("0.24s", "1.00s")
+              .replace("0.4s total", "13.9s total"))
+    assert identity.timeless(SELFTEST_RUN) == identity.timeless(slower) == [
+        "PASS  gradient-primitives  worst relative error 1.11e-04",
+        "FAIL  gradient-adapter  failing: ['adapter.conv1']",
+        "FAILED: 1 failure(s)"]
+    # what a row reports is kept
+    assert (identity.timeless(SELFTEST_RUN.replace("1.11e-04", "1.12e-04"))
+            != identity.timeless(SELFTEST_RUN))
+
+
+def test_timeless_drops_every_time_of_a_real_selftest(capsys):
+    assert cli.main(["selftest"]) == 0
+    lines = identity.timeless(capsys.readouterr().out)
+    assert len(lines) == 16 and lines[-1] == "OK: 0 failure(s)"
+    assert not [line for line in lines if re.search(r"\d\.\d+s\b", line)]
 
 
 def test_every_seed_runs_every_label():

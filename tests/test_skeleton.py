@@ -1,9 +1,11 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vidmotion import skeleton as S
 
@@ -172,6 +174,28 @@ class TestAlign:
         with pytest.raises(S.RasterError):
             S.align(np.zeros((8, 8)), np.ones((8, 8)),
                     np.zeros((9, 9)), np.ones((9, 9)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_fuzz_aligns_any_masks_or_raises_a_raster_error(self, data):
+        side = st.integers(1, 11)
+        source = data.draw(st.tuples(side, side), label="source shape")
+        reference = data.draw(st.one_of(st.just(source), st.tuples(side, side)),
+                              label="reference shape")
+
+        def raster(shape, values):
+            return data.draw(arrays(np.float32, shape, elements=values))
+        mask, intensity = st.sampled_from([0.0, 1.0]), st.floats(0, 255, width=32)
+        args = (raster(source, intensity), raster(source, mask),
+                raster(reference, intensity), raster(reference, mask))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a clipped paste
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                res = S.align(*args)
+            except (S.EmptyMaskError, S.RasterError):
+                return
+        assert res.skeleton.shape == source and np.isfinite(res.skeleton).all()
 
 
 def zero_filled_shift(img, dx, dy):

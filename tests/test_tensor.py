@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vidmotion import tensor as T
-from vidmotion.gradcheck import check_gradient, numeric_gradient, relative_error
+from vidmotion.gradcheck import (check_gradient, gradient_error, numeric_gradient,
+                                 relative_error, tape_gradient)
 
 
 def rnd(shape, seed=0, scale=1.0):
@@ -1019,3 +1020,15 @@ def test_numeric_gradient_oracle_on_known_function():
     x = rnd((5,), seed=90)
     g = numeric_gradient(lambda a: float((a.astype(np.float64) ** 2).sum()), x.copy())
     assert relative_error(2 * x, g) < 1e-5
+
+
+def test_tape_gradient_and_gradient_error_on_known_function():
+    # f(x) = mean(x^2), grad 2x / size
+    x = rnd((5,), seed=91)
+
+    def f(t):
+        return T.mean(T.mul(t, t))
+    np.testing.assert_allclose(tape_gradient(f, x), 2 * x / 5, rtol=1e-6)
+    assert gradient_error(f, x, 2 * x / 5) < 1e-4  # float32 forward
+    assert gradient_error(f, x, 3 * x / 5) > 0.1
+    assert check_gradient(f, x) == (True, gradient_error(f, x, tape_gradient(f, x)))

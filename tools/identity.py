@@ -18,23 +18,29 @@ injecting over the last half of the steps only (so the reconstruction walk
 sends no cache writes before it), ``train``, ``train`` on a one-word source
 prompt (so every forward of the run reads one-token text outputs),
 ``reconstruct`` and ``align`` run on both sides, and their output trees are compared file by file.
+``selftest`` and ``selftest --corrupt-gradient`` run on both sides too, and
+their exit codes and printed lines, each row's seconds and the total time
+dropped, must agree.
 
 Without ``--tolerance`` every file must be byte-identical. With it, each
 value of a MELT tensor or of ``loss.csv`` may differ from REV's by at most
 ABS + REL * |REV's value|; every other file must still be byte-identical. A
 mismatching file is named, and for MELT and ``loss.csv`` files the largest
-absolute and relative gaps are printed. After the verdicts it prints the
-lines ``src/`` gained and lost against REV (``git diff --numstat``, working
-tree included). Exit 0 when every tree matches, 1 when one does not or a
-command fails, 2 on a usage error.
+absolute and relative gaps are printed, and so are the lines in which
+the two ``selftest`` outputs differ. After the verdicts it prints the lines
+``src/`` gained and lost against REV (``git diff --numstat``, working tree
+included). Exit 0 when every tree and ``selftest`` output matches, 1 when
+one does not or a command fails, 2 on a usage error.
 """
 from __future__ import annotations
 
 import argparse
+import difflib
 import functools
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -61,6 +67,7 @@ COMMANDS = {
     "reconstruct": ("reconstruct",),
     "align": ("align",),
 }
+SELFTESTS = (("selftest",), ("selftest", "--corrupt-gradient"))
 
 
 def rewrite(config: str, out: str, change: Callable[[dict], None]) -> str:
@@ -215,16 +222,32 @@ def compare_trees(base: str, head: str,
     return found
 
 
-def _run(src: str, argv: list[str], preexec=None) -> str | None:
+_ROW_SECONDS = re.compile(r"^((?:PASS|FAIL)  \S+) +\d+\.\d+s  ")
+_TOTAL_SECONDS = re.compile(r", \d+\.\d+s total$")
+
+
+def timeless(stdout: str) -> list[str]:
+    """``selftest``'s lines with each row's seconds and the total time
+    dropped."""
+    return [_TOTAL_SECONDS.sub("", _ROW_SECONDS.sub(r"\1  ", line))
+            for line in stdout.splitlines()]
+
+
+def _cli(src: str, argv: list[str], preexec=None) -> subprocess.CompletedProcess:
     """Run one vidmotion command with ``src`` on the path, calling
-    ``preexec`` in its process first; None on success, else the exit code
-    and the last line it printed."""
+    ``preexec`` in its process first."""
     env = dict(os.environ, PYTHONPATH=src)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"  # as the benchmark runs
-    proc = subprocess.run([sys.executable, "-m", "vidmotion.cli", *argv],
+    return subprocess.run([sys.executable, "-m", "vidmotion.cli", *argv],
                           env=env, capture_output=True, text=True,
                           preexec_fn=preexec)
+
+
+def _run(src: str, argv: list[str], preexec=None) -> str | None:
+    """``_cli``; None on success, else the exit code and the last line it
+    printed."""
+    proc = _cli(src, argv, preexec)
     if proc.returncode == 0:
         return None
     lines = (proc.stderr or proc.stdout).strip().splitlines()
@@ -266,9 +289,28 @@ def _check_tree(name: str, argv: list[str], sides: dict[str, str], work: str,
     return matched
 
 
-def check(rev: str, tolerance: tuple[float, float] | None, work: str) -> int:
-    """Run every command on both sides under ``work``; return the number of
-    output trees that do not match."""
+def _check_selftest(argv: tuple[str, ...], sides: dict[str, str]) -> bool:
+    """Run ``selftest`` on both sides, print whether their exit codes and
+    ``timeless`` lines agree (and the lines that differ), and return
+    whether they do."""
+    runs = [_cli(sides[side], list(argv)) for side in ("base", "head")]
+    codes = [proc.returncode for proc in runs]
+    base, head = (timeless(proc.stdout) for proc in runs)
+    matched = codes[0] == codes[1] and base == head
+    verdict = (f"identical apart from timings (exit {codes[1]})" if matched
+               else f"MISMATCH (exit {codes[0]} -> {codes[1]})")
+    print(f"{' '.join(argv)}: {verdict}")
+    for line in difflib.ndiff(base, head):
+        if line.startswith(("- ", "+ ")):
+            print(f"  {line}")
+    return matched
+
+
+def check(rev: str, tolerance: tuple[float, float] | None,
+          work: str) -> tuple[int, int]:
+    """Run every command and ``selftest`` on both sides under ``work``;
+    return the number of output trees and of ``selftest`` runs that do not
+    match."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     import inputs
 
@@ -287,7 +329,7 @@ def check(rev: str, tolerance: tuple[float, float] | None, work: str) -> int:
                 bad += not _check_tree(f"seed {seed} {label}",
                                        [command, "--config", path, *flags],
                                        sides, work, tolerance, PREEXEC.get(label))
-        return bad
+        return bad, sum(not _check_selftest(argv, sides) for argv in SELFTESTS)
     finally:
         _git("worktree", "remove", "--force", base_root)
 
@@ -302,17 +344,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="identity-") as work:
         try:
-            bad = check(args.against, args.tolerance, work)
+            bad, bad_selftests = check(args.against, args.tolerance, work)
             numstat = _git("diff", "--numstat", args.against, "--", "src")
         except subprocess.CalledProcessError as exc:
             print(f"git failed: {exc}", file=sys.stderr)
             return 2
     trees = len(SEEDS) * len(COMMANDS)
     print(f"{trees - bad}/{trees} output trees match {args.against}")
+    print(f"{len(SELFTESTS) - bad_selftests}/{len(SELFTESTS)} selftest runs "
+          f"match {args.against} apart from timings")
     added, deleted = numstat_totals(numstat)
     print(f"src/: +{added} -{deleted} lines (net {added - deleted:+d}) "
           f"against {args.against}")
-    return 1 if bad else 0
+    return 1 if bad or bad_selftests else 0
 
 
 if __name__ == "__main__":
