@@ -2,11 +2,12 @@
 
 Consumes per-level control features (queries) and U-Net latents (keys/values)
 and returns an adapted residual through two parallel paths: a global path
-(pose-query cross-attention then temporal attention) and a local path (two
-temporal convolutions). The shared output projection is zero-initialized, so
-an untrained adapter passes its control features through unchanged. What
-reads only the control features (the pose queries and the local path) is its
-``ControlSide``, which forwards that share the features can share.
+(pose-query cross-attention then a temporal ``attention.sub_block``) and a
+local path (two temporal convolutions). The shared output projection is
+zero-initialized, so an untrained adapter passes its control features through
+unchanged. What reads only the control features (the pose queries and the
+local path) is its ``ControlSide``, which forwards that share the features
+can share.
 
 ``adapter_layout`` declares each weight's name, shape and init once;
 ``init_adapter`` draws it, the network composes it into its own layout, and
@@ -93,13 +94,11 @@ def control_side(m: Tensor, w: AdapterWeights) -> ControlSide:
 
 
 def adapter_global_path(c: ControlSide, z: Tensor, w: AdapterWeights) -> Tensor:
-    """Cross-attention (pose queries over latents) followed by temporal
-    attention, each preceded by layer norm of the adapter stream."""
+    """Cross-attention (the control side's layer-normed pose queries over
+    latents) followed by one layer-normed ``attention.sub_block`` over "time"."""
     g1 = T.matmul(A.attend(c.q, *A.project_kv(z, w.cross)), w.cross.w_out)
-    t_in = T.transpose(T.layer_norm(g1, w["ln_temporal.gamma"],
-                                    w["ln_temporal.beta"]), (1, 0, 2))
-    g2 = A.temporal_attention(t_in, w.temporal)
-    return T.transpose(g2, (1, 0, 2))
+    return A.sub_block(g1, (w["ln_temporal.gamma"], w["ln_temporal.beta"]),
+                       w.temporal, "time")
 
 
 def adapter_local_path(m: Tensor, w: AdapterWeights) -> Tensor:

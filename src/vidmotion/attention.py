@@ -1,5 +1,6 @@
 """Attention kernels: scaled-dot attention, cross-frame (preceding+current)
-attention, per-location temporal attention, and pose-query cross-attention.
+attention, per-location temporal attention, and pose-query cross-attention,
+and ``sub_block``, the pre-norm attention every network block is built from.
 
 Single head throughout; tokens are rows, projections right-multiply. Every
 kernel takes one rank-2 token matrix (n, d) or a rank-3 stack (B, n, d) whose
@@ -114,3 +115,23 @@ def content_cross_attention(m: Tensor, z: Tensor, p: ProjectionSet) -> Tensor:
     """Pose-feature queries attend over the frame latent; one output row per
     pose token."""
     return attention(m, z, p)
+
+
+def sub_block(x: Tensor, ln: tuple[Tensor, Tensor], p: ProjectionSet, over: str,
+              kv: KVHook | None = None) -> Tensor:
+    """Layer norm (gain and bias ``ln``) of the (F, N, d) stream ``x``, then
+    each frame's tokens attend over ``over``: "tokens", their own frame (or
+    what the ``kv`` hook hands over); "frames", the preceding and current
+    frame (frame 0 precedes itself); "time", their location in every frame."""
+    a_in = T.layer_norm(x, *ln)
+    if over == "tokens":
+        return attention(a_in, a_in, p, kv)
+    if over == "frames":
+        f = x.shape[0]
+        prev = a_in if f == 1 else T.concat(
+            [T.slice_axis(a_in, 0, 0, 1), T.slice_axis(a_in, 0, 0, f - 1)], axis=0)
+        return cs_attention(prev, a_in, p, kv)
+    if over == "time":  # (locations, frames, d) stacks, and back
+        return T.transpose(temporal_attention(T.transpose(a_in, (1, 0, 2)), p, kv),
+                           (1, 0, 2))
+    raise ValueError(f"sub_block attends over 'tokens', 'frames' or 'time', got {over!r}")

@@ -2,12 +2,12 @@
 the pose encoder.
 
 Two resolution levels; each U-Net block runs cross-frame attention, text
-cross-attention, and temporal attention (residual + pre-layer-norm each)
-through the attention kernels, with key/value hooks from ``injection.kv_hooks``
-that write the ReconCache (reconstruction role) or inject from it (editing).
-Spatial mixing comes from the attention kernels, so all "convolutions" are
-pointwise token projections and resolution changes are average-pool / nearest
-repeat.
+cross-attention, and temporal attention (residual + pre-layer-norm each), and
+each ControlNet block one spatial attention, all through ``_sub_block`` and so
+``attention.sub_block``. Key/value hooks from ``injection.kv_hooks`` write the
+ReconCache (reconstruction role) or inject from it (editing). Spatial mixing
+comes from the attention kernels, so all "convolutions" are pointwise token
+projections and resolution changes are average-pool / nearest repeat.
 
 ``_layout`` lists every weight once, as (name, shape, init), composed from the
 attention and adapter layouts: ``init_model`` draws it, ``parameter_shapes``
@@ -303,15 +303,6 @@ def _upsample2_tokens(x: Tensor, h: int, w: int) -> Tensor:
     return T.reshape(g, (f, 4 * h * w, d))
 
 
-def _frame_shifted(x: Tensor) -> Tensor:
-    """Stack of preceding-frame tokens with the frame-0 clamp."""
-    frames = x.shape[0]
-    if frames == 1:
-        return x
-    return T.concat([T.slice_axis(x, 0, 0, 1), T.slice_axis(x, 0, 0, frames - 1)],
-                    axis=0)
-
-
 def _text(model: ModelWeights, lid: str, prompt: str | None
           ) -> tuple[Tensor, Tensor, Tensor | None]:
     """U-Net block ``lid``'s text keys and values for ``prompt`` and, for a
@@ -375,31 +366,10 @@ class StepContext:
         return row
 
 
-def _cs_sub_block(x: Tensor, model: ModelWeights, lid: str, kv) -> Tensor:
-    a_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_cs"))
-    return A.cs_attention(_frame_shifted(a_in), a_in, model.pset(f"unet.{lid}.cs"), kv)
-
-
-def _injected_cs_sub_block(x: Tensor, model: ModelWeights, lid: str, kv) -> Tensor:
-    """The editing role's cross-frame sub-block at an injecting layer: the
-    ``kv`` hook puts the reconstruction block before the current frame's keys
-    and values, so no preceding-frame stack is built."""
-    a_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_cs"))
-    return A.attention(a_in, a_in, model.pset(f"unet.{lid}.cs"), kv)
-
-
-def _cross_sub_block(x: Tensor, model: ModelWeights, lid: str,
-                     text_kv: tuple[Tensor, Tensor]) -> Tensor:
-    c_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_cross"))
-    p = model.pset(f"unet.{lid}.cross")
-    return T.matmul(A.attend(T.matmul(c_in, p.w_q), *text_kv), p.w_out)
-
-
-def _temporal_sub_block(x: Tensor, model: ModelWeights, lid: str, kv) -> Tensor:
-    t_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_temporal"))
-    stacks = T.transpose(t_in, (1, 0, 2))  # (locations, frames, d)
-    out = A.temporal_attention(stacks, model.pset(f"unet.{lid}.temporal"), kv)
-    return T.transpose(out, (1, 0, 2))
+def _sub_block(x: Tensor, model: ModelWeights, pre: str, ln: str, proj: str,
+               over: str, kv: A.KVHook | None = None) -> Tensor:
+    """``A.sub_block`` with block ``pre``'s layer norm ``ln`` and projections ``proj``."""
+    return A.sub_block(x, model.ln(f"{pre}.{ln}"), model.pset(f"{pre}.{proj}"), over, kv)
 
 
 def _conv_time_residual(x: Tensor, model: ModelWeights, pre: str,
@@ -415,34 +385,31 @@ def _conv_time_residual(x: Tensor, model: ModelWeights, pre: str,
 def _opening(x: Tensor, model: ModelWeights, lid: str, role: str, cs_kv,
              step: StepContext) -> tuple[Tensor, Tensor]:
     """Block ``lid``'s conv/time residual and cross-frame sub-block on the
-    stream ``x``: the sub-block's output and the stream after it."""
-    x = _conv_time_residual(x, model, f"unet.{lid}", step.time_row(model, lid))
-    cs = (_injected_cs_sub_block if role == "edit" and cs_kv is not None
-          else _cs_sub_block)
-    cs_out = cs(x, model, lid, cs_kv)
+    stream ``x``: the sub-block's output and the stream after it. An editing
+    ``cs_kv`` hook builds the whole injected stack, so it attends "tokens"."""
+    pre = f"unet.{lid}"
+    x = _conv_time_residual(x, model, pre, step.time_row(model, lid))
+    over = "tokens" if role == "edit" and cs_kv is not None else "frames"
+    cs_out = _sub_block(x, model, pre, "ln_cs", "cs", over, cs_kv)
     return cs_out, T.add(x, cs_out)
 
 
 def _unet_block(opened: tuple[Tensor, Tensor], model: ModelWeights, lid: str,
                 prompt: str | None, temporal_kv, probe) -> Tensor:
-    """The rest of block ``lid`` after its ``_opening``: text cross and
-    temporal sub-blocks."""
+    """The rest of block ``lid`` after its ``_opening``: text cross (its hook
+    hands over the weights' text keys and values) and temporal sub-blocks."""
+    pre = f"unet.{lid}"
     cs_out, x = opened
-    if probe is not None:
-        probe[(lid, "cs")] = cs_out.data
-
     k, v, cross_out = _text(model, lid, prompt)
     if cross_out is None:
-        cross_out = _cross_sub_block(x, model, lid, (k, v))
-    if probe is not None:
-        probe[(lid, "cross")] = cross_out.data
+        cross_out = _sub_block(x, model, pre, "ln_cross", "cross", "tokens",
+                               lambda src, p: (k, v))
     x = T.add(x, cross_out)
-
-    temp_out = _temporal_sub_block(x, model, lid, temporal_kv)
+    temp_out = _sub_block(x, model, pre, "ln_temporal", "temporal", "time", temporal_kv)
     if probe is not None:
-        probe[(lid, "temporal")] = temp_out.data
-    x = T.add(x, temp_out)
-    return x
+        probe.update({(lid, "cs"): cs_out.data, (lid, "cross"): cross_out.data,
+                      (lid, "temporal"): temp_out.data})
+    return T.add(x, temp_out)
 
 
 def _adapter_weights(model: ModelWeights, lid: str) -> AD.AdapterWeights:
@@ -528,8 +495,7 @@ def unet_forward(model: ModelWeights, z: Tensor, t: int, prompt: str | None,
 def _control_block(x: Tensor, model: ModelWeights, lid: str, t: int) -> Tensor:
     pre = f"control.{lid}"
     x = _conv_time_residual(x, model, pre, _time_row(model, pre, t))
-    a_in = T.layer_norm(x, *model.ln(f"{pre}.ln_sp"))
-    return T.add(x, A.attention(a_in, a_in, model.pset(f"{pre}.spatial")))
+    return T.add(x, _sub_block(x, model, pre, "ln_sp", "spatial", "tokens"))
 
 
 def pose_features(model: ModelWeights, skeletons: np.ndarray) -> dict[int, Tensor]:

@@ -157,13 +157,14 @@ def _predictor(model: N.ModelWeights, ts: list[int], prompt: str | None,
                control: Control | None = None) -> D.EpsFn:
     """One branch's eps function over the sampler steps ``ts``: adapter
     control sides from ``control`` (none without it), classifier-free
-    guidance (one forward at 1), and ``role`` inside the injection window of
-    ``inj``, "plain" before it and at every step without ``inj``. The
-    forwards read their text keys and values from ``model``, which keeps
-    them for every predictor that shares it. Each step's forwards share one
-    StepContext, so under guidance the uncond forward reuses the cond
-    forward's first-block opening and control sides, but builds its own
-    injected blocks, so no block outlives the forward that attends it.
+    guidance (one forward at 0, the uncond, and at 1, the cond), and ``role``
+    inside the injection window of ``inj``, "plain" before it and at every
+    step without ``inj``. The forwards read their text keys and values from
+    ``model``, which keeps them for every predictor that shares it. Each
+    step's forwards share one StepContext, so under guidance the uncond
+    forward reuses the cond forward's first-block opening and control sides,
+    but builds its own injected blocks, so no block outlives the forward
+    that attends it.
 
     A step's sides are asked for before its forwards run and handed over
     through its StepContext to each controlled layer. An error in the
@@ -182,6 +183,8 @@ def _predictor(model: N.ModelWeights, ts: list[int], prompt: str | None,
                                   masks=masks, inj=inj, step=step)
 
         try:
+            if guidance == 0.0:
+                return forward(None)
             eps_c = forward(prompt)
             if guidance == 1.0:
                 return eps_c

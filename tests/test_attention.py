@@ -356,12 +356,85 @@ class TestKeyValueHook:
         np.testing.assert_array_equal(out.data, want.data)
 
 
-@pytest.mark.parametrize("kernel", ["attend", "cs", "temporal", "cross"])
+def layer_norm_weights(seed, d):
+    """A layer norm's gain and bias, away from the identity."""
+    return T.Tensor(1.0 + rnd(d, seed, 0.2)), T.Tensor(rnd(d, seed + 1, 0.2))
+
+
+def swapped_kv(seen):
+    """A key/value hook that records what it is handed and projects its
+    keys and values with each other's weights."""
+    def hook(src, p):
+        seen.append(src.shape)
+        return T.matmul(src, p.w_v), T.matmul(src, p.w_k)
+    return hook
+
+
+class TestSubBlock:
+    """``sub_block`` against the layer norm and kernel calls it replaces."""
+
+    @staticmethod
+    def composed(x, ln, p, over, kv):
+        a_in = T.layer_norm(x, *ln)
+        if over == "tokens":
+            return A.attention(a_in, a_in, p, kv)
+        if over == "frames":
+            frames = x.shape[0]
+            prev = a_in if frames == 1 else T.concat(
+                [T.slice_axis(a_in, 0, 0, 1), T.slice_axis(a_in, 0, 0, frames - 1)], axis=0)
+            return A.cs_attention(prev, a_in, p, kv)
+        stacks = T.transpose(a_in, (1, 0, 2))
+        return T.transpose(A.temporal_attention(stacks, p, kv), (1, 0, 2))
+
+    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hook"])
+    @pytest.mark.parametrize("frames", [1, 4])
+    @pytest.mark.parametrize("over", ["tokens", "frames", "time"])
+    def test_equals_the_composition_it_replaces(self, over, frames, hooked):
+        d = 8
+        p, ln = pset(100, d), layer_norm_weights(101, d)
+        x = T.Tensor(rnd((frames, 5, d), 103, scale=2.0))
+        seen_got, seen_want = [], []
+        got = A.sub_block(x, ln, p, over, swapped_kv(seen_got) if hooked else None)
+        want = self.composed(x, ln, p, over, swapped_kv(seen_want) if hooked else None)
+        assert got.shape == x.shape
+        np.testing.assert_array_equal(got.data, want.data)
+        assert seen_got == seen_want == ([{"tokens": (frames, 5, d),
+                                          "frames": (frames, 10, d),
+                                          "time": (5, frames, d)}[over]] if hooked else [])
+
+    def test_frame_zero_attends_itself_twice(self):
+        d = 8
+        p, ln = pset(104, d), layer_norm_weights(105, d)
+        x = T.Tensor(rnd((3, 5, d), 107))
+        got = A.sub_block(x, ln, p, "frames")
+        a_in = T.layer_norm(T.Tensor(x.data[:1]), *ln)
+        np.testing.assert_array_equal(got.data[:1], A.cs_attention(a_in, a_in, p).data)
+
+    def test_time_attends_each_location_across_frames(self):
+        d = 8
+        p, ln = pset(108, d), layer_norm_weights(109, d)
+        x = T.Tensor(rnd((4, 3, d), 111))
+        got = A.sub_block(x, ln, p, "time").data
+        a_in = T.layer_norm(x, *ln).data
+        for loc in range(3):
+            want = A.temporal_attention(T.Tensor(a_in[:, loc]), p).data
+            np.testing.assert_allclose(got[:, loc], want, atol=1e-6)
+
+    def test_unknown_over_rejected(self):
+        with pytest.raises(ValueError, match="'space'"):
+            A.sub_block(T.zeros((2, 3, 4)), layer_norm_weights(112, 4), pset(113, 4),
+                        "space")
+
+
+@pytest.mark.parametrize("kernel", ["attend", "cs", "temporal", "cross",
+                                    "tokens", "frames", "time"])
 def test_kernels_differentiable_end_to_end(kernel):
     d = 6
     p = pset(50, d)
     other = T.Tensor(rnd((3, d), 51))
-    probe = T.Tensor(rnd((3, d), 52))
+    # sub_block's modes take an (F, N, d) stream
+    shape = (3, 2, d) if kernel in ("tokens", "frames", "time") else (3, d)
+    probe = T.Tensor(rnd(shape, 52))
 
     def f(x):
         if kernel == "attend":
@@ -370,11 +443,13 @@ def test_kernels_differentiable_end_to_end(kernel):
             out = A.cs_attention(other, x, p)
         elif kernel == "temporal":
             out = A.temporal_attention(x, p)
-        else:
+        elif kernel == "cross":
             out = A.content_cross_attention(x, other, p)
+        else:
+            out = A.sub_block(x, layer_norm_weights(54, d), p, kernel)
         return T.mean(T.mul(out, probe))
 
-    ok, err = check_gradient(f, rnd((3, d), 53, scale=0.7), h=1e-3, tol=1e-3)
+    ok, err = check_gradient(f, rnd(shape, 53, scale=0.7), h=1e-3, tol=1e-3)
     assert ok, f"{kernel}: relative error {err}"
 
 

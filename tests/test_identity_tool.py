@@ -11,7 +11,9 @@ import sys
 import numpy as np
 import pytest
 
+from test_cli import make_job_dir
 from vidmotion import cli
+from vidmotion import pipeline as P
 from vidmotion import tensor as T
 from vidmotion.config import load_config
 
@@ -224,3 +226,35 @@ def test_one_cpu_label_runs_edit_without_the_worker():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "False"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity on this platform")
+@pytest.mark.parametrize("command", [("edit", "--drop-masked-tokens"), ("train",)],
+                         ids=["edit", "train"])
+def test_op_count_sees_every_op_of_the_in_process_job(tmp_path, monkeypatch, command):
+    _, cfg = make_job_dir(tmp_path, config_extra={
+        "training": {"steps": 2, "lr": 3e-5}, "sampler": {"steps": 2, "guidance": 7.5}})
+    argv = [*command, "--config", str(cfg)]
+    src = os.path.join(identity.ROOT, "src")
+    got = identity.op_count(src, [*argv, "--out", str(tmp_path / "child")])
+    # the same job in this process, with its step worker kept in-process
+    ops, result = [0], T._result
+
+    def counted(*args, **kwargs):
+        ops[0] += 1
+        return result(*args, **kwargs)
+    monkeypatch.setattr(T, "_result", counted)
+    monkeypatch.setattr(P, "_fork_worker", lambda: False)
+    assert cli.main([*argv, "--out", str(tmp_path / "here")]) == 0
+    assert got == ops[0] > 0
+    assert identity.op_count(src, [*command, "--config", str(tmp_path / "none.json"),
+                                   "--out", str(tmp_path / "failed")]) is None
+
+
+def test_op_line_shows_both_sides_and_the_change():
+    assert identity.op_line("edit", {"base": 66571, "head": 66570}) == (
+        "tensor ops, one in-process seed-1 edit: 66,571 -> 66,570 (-1)")
+    assert identity.op_line("train", {"base": 18577, "head": None}) == (
+        "tensor ops, one in-process seed-1 train: 18,577 -> failed")
+    assert set(identity.OP_COUNTED) <= set(identity.COMMANDS)

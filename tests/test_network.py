@@ -68,6 +68,17 @@ def mixed_mask_pyramid(seed=4):
     return I.LatentMask.from_rasters(masks, CFG.level_shapes())
 
 
+def frame_shifted(x):
+    """Each frame's preceding frame's tokens, frame 0 its own."""
+    return T.concat([T.slice_axis(x, 0, 0, 1), T.slice_axis(x, 0, 0, x.shape[0] - 1)],
+                    axis=0)
+
+
+def sub_block(x, model, lid, proj, over, kv=None):
+    """U-Net block ``lid``'s sub-block with projections ``proj``."""
+    return N._sub_block(x, model, f"unet.{lid}", f"ln_{proj}", proj, over, kv)
+
+
 def per_frame_cs_edit(x, model, lid, t, cache, masks, drop):
     """Reference: the editing branch's cross-frame sub-block, one frame at a
     time, each frame's injected stack built and attended on its own."""
@@ -76,7 +87,7 @@ def per_frame_cs_edit(x, model, lid, t, cache, masks, drop):
     a_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_cs"))
     frames, n, d = a_in.shape
     q = T.matmul(a_in, pset.w_q)
-    kv_in = T.concat([N._frame_shifted(a_in), a_in], axis=1)
+    kv_in = T.concat([frame_shifted(a_in), a_in], axis=1)
     k = T.matmul(kv_in, pset.w_k)
     v = T.matmul(kv_in, pset.w_v)
     k_r, v_r = cache.get("cs", lid, t)
@@ -115,14 +126,38 @@ def test_batched_cs_injection_equals_per_frame_reference(model, lid, drop):
     assert I.gate(lid, N.TOPOLOGY, inj.inject_mid)
     cache = I.ReconCache()
     recon_cs, _ = block_hooks("recon", lid, cache, inj=inj)
-    N._cs_sub_block(T.Tensor(rnd(shape, seed=70)), model, lid, recon_cs)
+    sub_block(T.Tensor(rnd(shape, seed=70)), model, lid, "cs", "frames", recon_cs)
     masks = mixed_mask_pyramid()
     x = T.Tensor(rnd(shape, seed=71))
     edit_cs, _ = block_hooks("edit", lid, cache, masks, inj)
-    got = N._injected_cs_sub_block(x, model, lid, edit_cs)
+    got = sub_block(x, model, lid, "cs", "tokens", edit_cs)
     want = per_frame_cs_edit(x, model, lid, 21, cache, masks, drop)
     np.testing.assert_array_equal(got.data, want.data)
     assert cache.reads["cs"] == 2
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["5n", "drop"])
+def test_edit_forward_injects_each_gated_layer_as_the_per_frame_reference(
+        model, latent, drop, monkeypatch):
+    t = 21
+    inj = I.InjectionSettings(inject_mid=True, drop_masked_tokens=drop)
+    cache = I.ReconCache()
+    N.unet_forward(model, latent, t, "a figure walking", role="recon", cache=cache,
+                   inj=inj)
+    masks, seen, real = mixed_mask_pyramid(), {}, N._sub_block
+
+    def watched(x, m, pre, ln, proj, *rest):
+        out = real(x, m, pre, ln, proj, *rest)
+        if proj == "cs":
+            seen[pre.split(".")[1]] = x, out
+        return out
+    monkeypatch.setattr(N, "_sub_block", watched)
+    N.unet_forward(model, latent, t, "a figure marching", role="edit", cache=cache,
+                   masks=masks, inj=inj)
+    for lid in (lid for lid in N.BLOCK_ORDER if I.gate(lid, N.TOPOLOGY, True)):
+        x, got = seen[lid]
+        want = per_frame_cs_edit(x, model, lid, t, cache, masks, drop)
+        np.testing.assert_array_equal(got.data, want.data)
 
 
 @pytest.mark.parametrize("drop", [False, True], ids=["5n", "drop"])
@@ -134,7 +169,7 @@ def test_each_forward_builds_its_block_equal_to_per_frame_builds(model, drop,
     inj = I.InjectionSettings(drop_masked_tokens=drop)
     cache = I.ReconCache()
     recon_cs, _ = block_hooks("recon", lid, cache, inj=inj)
-    N._cs_sub_block(T.Tensor(rnd(shape, seed=72)), model, lid, recon_cs)
+    sub_block(T.Tensor(rnd(shape, seed=72)), model, lid, "cs", "frames", recon_cs)
     masks = mixed_mask_pyramid()
     xs = [T.Tensor(rnd(shape, seed=seed)) for seed in (73, 74)]
     # the per-frame references build their stacks before the count starts
@@ -146,7 +181,7 @@ def test_each_forward_builds_its_block_equal_to_per_frame_builds(model, drop,
     for x, want in zip(xs, wants):
         edit_cs, _ = I.kv_hooks("edit", lid, 21, N.TOPOLOGY, level, cache, masks,
                                 inj)
-        got = N._injected_cs_sub_block(x, model, lid, edit_cs)
+        got = sub_block(x, model, lid, "cs", "tokens", edit_cs)
         np.testing.assert_array_equal(got.data, want.data)
     assert built == [lid, lid]
     assert cache.reads["cs"] == 4  # each forward and each reference reads
@@ -174,7 +209,8 @@ def test_guided_step_shares_its_opening_and_control_but_not_blocks(model, latent
     counted(I.CsMask, "block", "blocks")
     counted(AD, "control_side", "control")
     counted(T, "matmul", "in_proj", lambda a, b: b is model.params["unet.in_proj"])
-    counted(N, "_cs_sub_block", "enc0_cs", lambda x, m, lid, kv: lid == "enc0")
+    counted(N, "_sub_block", "enc0_cs",
+            lambda x, m, pre, ln, proj, *rest: (pre, proj) == ("unet.enc0", "cs"))
     eps = P._predictor(model, [t], prompt, 7.5, "edit", cache, masks, inj,
                        control=P._computed(model, pose)
                        )(latent, t)
@@ -191,6 +227,27 @@ def test_guided_step_shares_its_opening_and_control_but_not_blocks(model, latent
     assert counts == {"blocks": 4 * len(gated), "control": 3 * len(N.CONTROLLED_LAYERS),
                       "in_proj": 3, "enc0_cs": 3}
     np.testing.assert_array_equal(eps.data, D.cfg_combine(eps_u, eps_c, 7.5).data)
+
+
+def test_guidance_zero_runs_only_the_uncond_forward(model, latent, monkeypatch):
+    ts = [41, 21, 1]
+    cache, masks, inj = I.ReconCache(), mask_pyramid(), I.InjectionSettings()
+    real, calls = N.unet_forward, []
+    monkeypatch.setattr(N, "unet_forward", lambda m, z, t, prompt, **kw:
+                        calls.append((prompt, kw["role"])) or real(m, z, t, prompt, **kw))
+    eps_fn = P._predictor(model, ts, "a figure marching", 0.0, "edit", cache, masks, inj)
+    gated = [lid for lid in N.BLOCK_ORDER if I.gate(lid, N.TOPOLOGY)]
+    reads = 0
+    for t in ts:
+        real(model, latent, t, "a figure walking", role="recon", cache=cache)
+        calls.clear()
+        before = cache.reads["cs"]
+        eps = eps_fn(latent, t)
+        assert calls == [(None, "edit")]
+        reads += cache.reads["cs"] - before
+        want = real(model, latent, t, None, role="edit", cache=cache, masks=masks, inj=inj)
+        np.testing.assert_array_equal(eps.data, want.data)
+    assert reads == len(ts) * len(gated)
 
 
 @pytest.mark.parametrize("drop", [False, True], ids=["5n", "drop"])
@@ -277,7 +334,7 @@ def test_one_token_cross_output_equals_the_sub_block(model, lid, prompt):
     assert N._text(fresh, lid, prompt)[2] is got
     for seed in (90, 91, 92):
         x = T.Tensor(rnd(shape, seed=seed, scale=3.0))
-        want = N._cross_sub_block(x, model, lid, (k, v))
+        want = sub_block(x, model, lid, "cross", "tokens", lambda src, p: (k, v))
         np.testing.assert_array_equal(got.data, want.data)
 
 
@@ -287,9 +344,13 @@ def test_one_token_cross_output_equals_the_sub_block(model, lid, prompt):
 def test_only_one_token_prompts_skip_the_text_sub_block(
         model, latent, prompt, shared, weight, monkeypatch):
     calls = []
-    real = N._cross_sub_block
-    monkeypatch.setattr(N, "_cross_sub_block",
-                        lambda x, m, lid, kv: calls.append(lid) or real(x, m, lid, kv))
+    real = N._sub_block
+
+    def counted(x, m, pre, ln, proj, *rest):
+        if proj == "cross":
+            calls.append(pre.split(".")[1])
+        return real(x, m, pre, ln, proj, *rest)
+    monkeypatch.setattr(N, "_sub_block", counted)
     fresh = N.ModelWeights(model.cfg, model.params)
     assert (N._text(fresh, "dec0", prompt)[2] is not None) == shared
     eps = N.unet_forward(fresh, latent, 9, prompt)
@@ -442,11 +503,11 @@ class TestUnetForward:
             np.ones((CFG.frames, 32, 32), np.float32), CFG.level_shapes())
         recon_cs, recon_temporal = block_hooks("recon", "dec0", cache)
         _, edit_temporal = block_hooks("edit", "dec0", cache, full_fg)
-        recon_t = N._temporal_sub_block(stream, model, "dec0", recon_temporal)
-        edit_t = N._temporal_sub_block(stream, model, "dec0", edit_temporal)
+        recon_t = sub_block(stream, model, "dec0", "temporal", "time", recon_temporal)
+        edit_t = sub_block(stream, model, "dec0", "temporal", "time", edit_temporal)
         np.testing.assert_array_equal(edit_t.data, recon_t.data)
 
-        N._cs_sub_block(stream, model, "dec0", recon_cs)
+        sub_block(stream, model, "dec0", "cs", "frames", recon_cs)
         k_r, v_r = (T.Tensor(s.data[3]) for s in cache.get("cs", "dec0", 21))
         mask2n = full_fg.cs_mask(0)[3]
         recon_parts = I.decouple_kv(k_r, v_r, mask2n)
@@ -511,6 +572,18 @@ class TestControlnetForward:
         for key in base:
             assert np.isfinite(bumped[key].data).all()
         assert not np.array_equal(base["dec1"].data, bumped["dec1"].data)
+
+    def test_each_frames_features_read_only_that_frame(self, model, latent):
+        """The spatial blocks attend each frame's own tokens, so one frame's
+        pose map moves that frame's features and no other's."""
+        sk = skeleton_stack()
+        base = N.controlnet_forward(model, latent, 3, N.pose_features(model, sk))
+        sk[3] = 255.0 - sk[3]
+        bumped = N.controlnet_forward(model, latent, 3, N.pose_features(model, sk))
+        others = [f for f in range(CFG.frames) if f != 3]
+        for key in base:
+            np.testing.assert_array_equal(bumped[key].data[others], base[key].data[others])
+            assert not np.array_equal(bumped[key].data[3], base[key].data[3])
 
 
 class TestPoseFeatures:
@@ -677,7 +750,7 @@ def inline_cs_sub_block(x, model, lid, kv):
     pset = model.pset(f"unet.{lid}.cs")
     a_in = T.layer_norm(x, *model.ln(f"unet.{lid}.ln_cs"))
     q = T.matmul(a_in, pset.w_q)
-    kv_in = T.concat([N._frame_shifted(a_in), a_in], axis=1)
+    kv_in = T.concat([frame_shifted(a_in), a_in], axis=1)
     k = T.matmul(kv_in, pset.w_k)
     v = T.matmul(kv_in, pset.w_v)
     return T.matmul(A.attend(q, k, v), pset.w_out)
@@ -729,11 +802,19 @@ def test_training_gradients_match_inline_sub_blocks_within_rounding(
     model = model.replace({f"adapter{lvl}.out_proj": T.Tensor(rnd((d, d), 81 + lvl, 0.1))
                            for lvl, d in enumerate(CFG.widths)})
     got = training_gradients(model, latent)
-    monkeypatch.setattr(N, "_cs_sub_block", inline_cs_sub_block)
-    monkeypatch.setattr(N, "_temporal_sub_block", inline_temporal_sub_block)
-    crossed = []
-    monkeypatch.setattr(N, "_cross_sub_block", lambda x, m, lid, kv: crossed.append(lid)
-                        or inline_repeat_cross_sub_block(x, m, lid, kv))
+    real, crossed = N._sub_block, []
+
+    def inline(x, m, pre, ln, proj, over, kv=None):
+        lid = pre.split(".")[1]
+        if proj == "cs":
+            return inline_cs_sub_block(x, m, lid, kv)
+        if proj == "temporal":
+            return inline_temporal_sub_block(x, m, lid, kv)
+        if proj == "cross":
+            crossed.append(lid)
+            return inline_repeat_cross_sub_block(x, m, lid, kv(x, m.pset(pre + ".cross")))
+        return real(x, m, pre, ln, proj, over, kv)  # the ControlNet's spatial block
+    monkeypatch.setattr(N, "_sub_block", inline)
     want = training_gradients(model, latent)
     assert crossed == list(N.BLOCK_ORDER)
     assert set(got) == set(want) == N.trainable_names(model)

@@ -27,10 +27,14 @@ value of a MELT tensor or of ``loss.csv`` may differ from REV's by at most
 ABS + REL * |REV's value|; every other file must still be byte-identical. A
 mismatching file is named, and for MELT and ``loss.csv`` files the largest
 absolute and relative gaps are printed, and so are the lines in which
-the two ``selftest`` outputs differ. After the verdicts it prints the lines
-``src/`` gained and lost against REV (``git diff --numstat``, working tree
-included). Exit 0 when every tree and ``selftest`` output matches, 1 when
-one does not or a command fails, 2 on a usage error.
+the two ``selftest`` outputs differ. After the verdicts it prints each
+side's tensor-op count for one ``edit``, ``edit --drop-masked-tokens
+--inject-mid`` and ``train`` job on seed 1 (calls of
+``vidmotion.tensor._result`` in a child interpreter pinned to one CPU, so the
+step worker runs in-process and every op is counted), and the lines ``src/``
+gained and lost against REV (``git diff --numstat``, working tree included).
+The op counts are informational. Exit 0 when every tree and ``selftest``
+output matches, 1 when one does not or a command fails, 2 on a usage error.
 """
 from __future__ import annotations
 
@@ -68,6 +72,19 @@ COMMANDS = {
     "align": ("align",),
 }
 SELFTESTS = (("selftest",), ("selftest", "--corrupt-gradient"))
+OP_COUNTED = ("edit", "edit-drop-mid", "train")  # labels whose seed-1 ops are counted
+_COUNT_OPS = """\
+import sys
+from vidmotion import cli, tensor
+ops, result = [0], tensor._result
+def counted(*args, **kwargs):
+    ops[0] += 1
+    return result(*args, **kwargs)
+tensor._result = counted
+code = cli.main(sys.argv[1:])
+print(ops[0])
+sys.exit(code)
+"""
 
 
 def rewrite(config: str, out: str, change: Callable[[dict], None]) -> str:
@@ -233,15 +250,33 @@ def timeless(stdout: str) -> list[str]:
             for line in stdout.splitlines()]
 
 
-def _cli(src: str, argv: list[str], preexec=None) -> subprocess.CompletedProcess:
+def _cli(src: str, argv: list[str], preexec=None,
+         program: tuple[str, ...] = ("-m", "vidmotion.cli")) -> subprocess.CompletedProcess:
     """Run one vidmotion command with ``src`` on the path, calling
-    ``preexec`` in its process first."""
+    ``preexec`` in its process first; ``program`` is what the interpreter
+    runs it with."""
     env = dict(os.environ, PYTHONPATH=src)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"  # as the benchmark runs
-    return subprocess.run([sys.executable, "-m", "vidmotion.cli", *argv],
+    return subprocess.run([sys.executable, *program, *argv],
                           env=env, capture_output=True, text=True,
                           preexec_fn=preexec)
+
+
+def op_count(src: str, argv: list[str]) -> int | None:
+    """The tensor ops of one vidmotion command run with ``src`` on the path,
+    pinned to one CPU so that its step worker runs in-process; None if the
+    command fails."""
+    proc = _cli(src, argv, one_cpu, ("-c", _COUNT_OPS))
+    return int(proc.stdout.split()[-1]) if proc.returncode == 0 else None
+
+
+def op_line(label: str, counts: dict[str, int | None]) -> str:
+    """How the two sides' op counts of one ``label`` job compare."""
+    base, head = counts["base"], counts["head"]
+    shown = ["failed" if n is None else f"{n:,}" for n in (base, head)]
+    delta = "" if base is None or head is None else f" ({head - base:+,d})"
+    return f"tensor ops, one in-process seed-1 {label}: {shown[0]} -> {shown[1]}{delta}"
 
 
 def _run(src: str, argv: list[str], preexec=None) -> str | None:
@@ -307,10 +342,10 @@ def _check_selftest(argv: tuple[str, ...], sides: dict[str, str]) -> bool:
 
 
 def check(rev: str, tolerance: tuple[float, float] | None,
-          work: str) -> tuple[int, int]:
+          work: str) -> tuple[int, int, list[str]]:
     """Run every command and ``selftest`` on both sides under ``work``;
     return the number of output trees and of ``selftest`` runs that do not
-    match."""
+    match, and the ``op_line`` of each ``OP_COUNTED`` label."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     import inputs
 
@@ -318,7 +353,7 @@ def check(rev: str, tolerance: tuple[float, float] | None,
     _git("worktree", "add", "--detach", "--quiet", base_root, rev)
     try:
         sides = {"base": os.path.join(base_root, "src"), "head": os.path.join(ROOT, "src")}
-        bad = 0
+        bad, counted = 0, []
         for seed in SEEDS:
             inputs_dir = os.path.join(work, f"inputs-{seed}")
             config = inputs.write_inputs(seed, inputs_dir)
@@ -329,7 +364,14 @@ def check(rev: str, tolerance: tuple[float, float] | None,
                 bad += not _check_tree(f"seed {seed} {label}",
                                        [command, "--config", path, *flags],
                                        sides, work, tolerance, PREEXEC.get(label))
-        return bad, sum(not _check_selftest(argv, sides) for argv in SELFTESTS)
+                if seed == 1 and label in OP_COUNTED:
+                    out = os.path.join(work, "ops-out", label)
+                    counted.append(op_line(label, {
+                        side: op_count(src, [command, "--config", path, *flags,
+                                             "--out", os.path.join(out, side)])
+                        for side, src in sides.items()}))
+        bad_selftests = sum(not _check_selftest(argv, sides) for argv in SELFTESTS)
+        return bad, bad_selftests, counted
     finally:
         _git("worktree", "remove", "--force", base_root)
 
@@ -344,7 +386,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="identity-") as work:
         try:
-            bad, bad_selftests = check(args.against, args.tolerance, work)
+            bad, bad_selftests, counted = check(args.against, args.tolerance, work)
             numstat = _git("diff", "--numstat", args.against, "--", "src")
         except subprocess.CalledProcessError as exc:
             print(f"git failed: {exc}", file=sys.stderr)
@@ -353,6 +395,7 @@ def main(argv=None) -> int:
     print(f"{trees - bad}/{trees} output trees match {args.against}")
     print(f"{len(SELFTESTS) - bad_selftests}/{len(SELFTESTS)} selftest runs "
           f"match {args.against} apart from timings")
+    print("\n".join(counted))
     added, deleted = numstat_totals(numstat)
     print(f"src/: +{added} -{deleted} lines (net {added - deleted:+d}) "
           f"against {args.against}")
