@@ -102,33 +102,19 @@ def _load_raster_dir(path, mask: bool = False) -> np.ndarray:
     return np.stack(frames).astype(np.float32)
 
 
-def _require_paths(cfg: C.Config, keys: list[str]) -> None:
+def _inputs(cfg: C.Config, *keys: str) -> list:
+    """The inputs at the config's paths ``keys``, in order: the MELT video,
+    or a directory's PGM frames (masks thresholded). Every path is checked
+    present and existing before any is read."""
     missing = [k for k in keys if k not in cfg.paths]
     if missing:
         raise C.ConfigError(f"config paths missing: {missing}")
     for k in keys:
         if not os.path.exists(cfg.paths[k]):
             raise FileNotFoundError(f"{k}: no such path {cfg.paths[k]}")
-
-
-def _load_job(cfg: C.Config) -> P.EditJob:
-    _require_paths(cfg, ["source_video", "source_masks", "source_skeletons",
-                         "ref_skeletons", "ref_masks"])
-    video = T.load_tensor(cfg.paths["source_video"])
-    return P.EditJob(
-        video=video,
-        source_masks=_load_raster_dir(cfg.paths["source_masks"], mask=True),
-        source_skeletons=_load_raster_dir(cfg.paths["source_skeletons"]),
-        ref_skeletons=_load_raster_dir(cfg.paths["ref_skeletons"]),
-        ref_masks=_load_raster_dir(cfg.paths["ref_masks"], mask=True),
-        prompt_source=cfg.prompt_source,
-        prompt_target=cfg.prompt_target,
-        steps=cfg.sampler.steps,
-        guidance=cfg.sampler.guidance,
-        injection=cfg.injection,
-        align_first_frame_only=cfg.align_first_frame_only,
-        control_on_recon=cfg.control_on_recon,
-    )
+    return [T.load_tensor(cfg.paths[k]) if k == "source_video"
+            else _load_raster_dir(cfg.paths[k], mask=k.endswith("_masks"))
+            for k in keys]
 
 
 def _refuse_non_directory(out_dir: str) -> None:
@@ -143,14 +129,14 @@ def _refuse_non_directory(out_dir: str) -> None:
         raise OSError(code, os.strerror(code), out_dir)
 
 
-def _model_for(cfg: C.Config, checkpoint: str | None) -> N.ModelWeights:
-    """The model of ``checkpoint`` or of the config's checkpoint path, else
-    a new one of the config's model. A checkpoint's time embeddings cover
-    the noise schedule it was built for, so one built for another number of
-    timesteps than the config's schedule is refused."""
-    if not checkpoint and "checkpoint" not in cfg.paths:
+def _model_for(cfg: C.Config) -> N.ModelWeights:
+    """The model of the config's checkpoint path, else a new one of the
+    config's model. A checkpoint's time embeddings cover the noise schedule
+    it was built for, so one built for another number of timesteps than the
+    config's schedule is refused."""
+    if "checkpoint" not in cfg.paths:
         return N.init_model(cfg.model, seed=cfg.seed)
-    model = N.load_checkpoint(checkpoint or cfg.paths["checkpoint"])
+    model = N.load_checkpoint(cfg.paths["checkpoint"])
     if model.cfg.schedule_steps != cfg.schedule.timesteps:
         raise C.ConfigError(f"the checkpoint's time embeddings cover a "
                             f"{model.cfg.schedule_steps}-step schedule, but "
@@ -185,17 +171,12 @@ def _write_latent_outputs(out_dir, name: str, latent: T.Tensor) -> None:
 
 
 def cmd_align(cfg: C.Config, out_dir: str) -> int:
-    _require_paths(cfg, ["source_masks", "source_skeletons",
-                         "ref_skeletons", "ref_masks"])
-    src_sk = _load_raster_dir(cfg.paths["source_skeletons"])
-    src_m = _load_raster_dir(cfg.paths["source_masks"], mask=True)
-    ref_sk = _load_raster_dir(cfg.paths["ref_skeletons"])
-    ref_m = _load_raster_dir(cfg.paths["ref_masks"], mask=True)
-    counts = {arr.shape[0] for arr in (src_sk, src_m, ref_sk, ref_m)}
+    rasters = _inputs(cfg, "source_skeletons", "source_masks",
+                      "ref_skeletons", "ref_masks")
+    counts = {arr.shape[0] for arr in rasters}
     if len(counts) != 1:
         raise P.JobError(f"frame counts disagree across inputs: {sorted(counts)}")
-    aligned, reports = P.align_skeletons(src_sk, src_m, ref_sk, ref_m,
-                                         cfg.align_first_frame_only)
+    aligned, reports = P.align_skeletons(*rasters, cfg.alignment.first_frame_only)
     os.makedirs(out_dir, exist_ok=True)
     for i, (raster, report) in enumerate(zip(aligned, reports)):
         SK.write_pgm(os.path.join(out_dir, f"aligned_{i:03d}.pgm"), raster)
@@ -207,13 +188,11 @@ def cmd_align(cfg: C.Config, out_dir: str) -> int:
 
 
 def cmd_train(cfg: C.Config, out_dir: str) -> int:
-    _require_paths(cfg, ["source_video", "source_skeletons"])
-    # neither the model nor the source is named here, so training frees the
+    source = _inputs(cfg, "source_video", "source_skeletons")
+    # the call alone holds the model and the source, so training frees the
     # initial weights after the first step and the source once it is encoded
     result = P.one_shot_train(N.init_model(cfg.model, seed=cfg.seed),
-                              T.load_tensor(cfg.paths["source_video"]),
-                              _load_raster_dir(cfg.paths["source_skeletons"]),
-                              cfg.prompt_source,
+                              source.pop(0), source.pop(0), cfg.prompts.source,
                               steps=cfg.training.steps, lr=cfg.training.lr,
                               schedule=_schedule_for(cfg), rng=T.Rng(cfg.seed))
     os.makedirs(out_dir, exist_ok=True)
@@ -230,14 +209,12 @@ def cmd_train(cfg: C.Config, out_dir: str) -> int:
     return 0
 
 
-def cmd_reconstruct(cfg: C.Config, out_dir: str, checkpoint: str | None) -> int:
-    _require_paths(cfg, ["source_video", "source_skeletons"])
-    model = _model_for(cfg, checkpoint)
-    video = T.load_tensor(cfg.paths["source_video"])
-    skeletons = _load_raster_dir(cfg.paths["source_skeletons"])
-    result = P.reconstruct(model, video, skeletons, cfg.prompt_source,
+def cmd_reconstruct(cfg: C.Config, out_dir: str) -> int:
+    model = _model_for(cfg)
+    video, skeletons = _inputs(cfg, "source_video", "source_skeletons")
+    result = P.reconstruct(model, video, skeletons, cfg.prompts.source,
                            steps=cfg.sampler.steps, schedule=_schedule_for(cfg),
-                           control_on_recon=cfg.control_on_recon)
+                           control_on_recon=cfg.alignment.control_on_recon)
     os.makedirs(out_dir, exist_ok=True)
     _write_latent_outputs(out_dir, "reconstructed", result.latent)
     with open(os.path.join(out_dir, "reconstruct_report.json"), "w") as fh:
@@ -249,9 +226,16 @@ def cmd_reconstruct(cfg: C.Config, out_dir: str, checkpoint: str | None) -> int:
     return 0
 
 
-def cmd_edit(cfg: C.Config, out_dir: str, checkpoint: str | None) -> int:
-    model = _model_for(cfg, checkpoint)
-    job = _load_job(cfg)
+def cmd_edit(cfg: C.Config, out_dir: str) -> int:
+    model = _model_for(cfg)
+    # the path keys name EditJob's first five fields, in order
+    job = P.EditJob(*_inputs(cfg, "source_video", "source_masks", "source_skeletons",
+                             "ref_skeletons", "ref_masks"),
+                    prompt_source=cfg.prompts.source, prompt_target=cfg.prompts.target,
+                    steps=cfg.sampler.steps, guidance=cfg.sampler.guidance,
+                    injection=cfg.injection,
+                    align_first_frame_only=cfg.alignment.first_frame_only,
+                    control_on_recon=cfg.alignment.control_on_recon)
     result = P.edit(job, model, _schedule_for(cfg))
     os.makedirs(out_dir, exist_ok=True)
     _write_latent_outputs(out_dir, "edited", result.edited)
@@ -599,6 +583,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="pose-driven video motion editing, desk scale")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # every flag but --config and --out stores its value, None when it is
+    # not given, under the section.field it overrides
     def common(p):
         p.add_argument("--config", required=True, help="config JSON path")
         p.add_argument("--seed", type=int, default=None, help="override seed")
@@ -609,21 +595,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="one-shot training on the source")
     common(p_train)
-    p_train.add_argument("--steps", type=int, default=None,
+    p_train.add_argument("--steps", type=int, default=None, dest="training.steps",
                          help="override training steps")
 
     for name in ("edit", "reconstruct"):
         p_cmd = sub.add_parser(name)
         common(p_cmd)
-        p_cmd.add_argument("--checkpoint", default=None,
+        p_cmd.add_argument("--checkpoint", default=None, dest="paths.checkpoint",
                            help="trained checkpoint directory")
-        p_cmd.add_argument("--steps", type=int, default=None,
+        p_cmd.add_argument("--steps", type=int, default=None, dest="sampler.steps",
                            help="override sampler steps")
     p_edit = sub.choices["edit"]  # guidance and injection: editing branch only
-    p_edit.add_argument("--guidance", type=float, default=None)
-    p_edit.add_argument("--no-injection", action="store_true")
-    p_edit.add_argument("--inject-mid", action="store_true")
-    p_edit.add_argument("--drop-masked-tokens", action="store_true")
+    p_edit.add_argument("--guidance", type=float, default=None,
+                        dest="sampler.guidance")
+    p_edit.add_argument("--no-injection", action="store_false", default=None,
+                        dest="injection.enabled")
+    p_edit.add_argument("--inject-mid", action="store_true", default=None,
+                        dest="injection.inject_mid")
+    p_edit.add_argument("--drop-masked-tokens", action="store_true", default=None,
+                        dest="injection.drop_masked_tokens")
 
     p_self = sub.add_parser("selftest", help="run the invariant suite")
     p_self.add_argument("--seed", type=int, default=0)
@@ -632,20 +622,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_fields(args) -> list[tuple[str, str, object]]:
-    """(section, field, value) of every config field a command-line flag
-    sets; section "" is the top level."""
-    steps_section = "training" if args.command == "train" else "sampler"
-    fields = [("", "seed", args.seed),
-              (steps_section, "steps", getattr(args, "steps", None)),
-              ("sampler", "guidance", getattr(args, "guidance", None))]
-    if getattr(args, "no_injection", False):
-        fields.append(("injection", "enabled", False))
-    if getattr(args, "inject_mid", False):
-        fields.append(("injection", "inject_mid", True))
-    if getattr(args, "drop_masked_tokens", False):
-        fields.append(("injection", "drop_masked_tokens", True))
-    return [f for f in fields if f[2] is not None]
+def _flag_fields(args) -> dict[str, object]:
+    """The value of each config field, by ``section.field``, that a
+    command-line flag sets."""
+    return {dest: value for dest, value in vars(args).items()
+            if value is not None and dest not in ("command", "config", "out")}
 
 
 def main(argv=None) -> int:
@@ -658,15 +639,9 @@ def main(argv=None) -> int:
             return cmd_selftest(seed=seed, corrupt_gradient=args.corrupt_gradient)
         cfg = C.load_config(args.config, _flag_fields(args))
         _refuse_non_directory(args.out)
-        if args.command == "align":
-            return cmd_align(cfg, args.out)
-        if args.command == "train":
-            return cmd_train(cfg, args.out)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(cfg, args.out, args.checkpoint)
-        if args.command == "edit":
-            return cmd_edit(cfg, args.out, args.checkpoint)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        command = {"align": cmd_align, "train": cmd_train,
+                   "reconstruct": cmd_reconstruct, "edit": cmd_edit}[args.command]
+        return command(cfg, args.out)
     except json.JSONDecodeError as exc:
         print(f"error: config parse failure at line {exc.lineno} "
               f"column {exc.colno}: {exc.msg}", file=sys.stderr)

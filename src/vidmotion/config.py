@@ -1,10 +1,17 @@
 """Run configuration: one JSON document drives every command.
 
-Validation is strict: unknown keys are rejected at every level so typos fail
-loudly instead of silently running defaults.
+``config_from_dict`` reads each section into its dataclass field by field.
+``_field`` checks each field against the type of its default and against
+the rule ``RULES`` declares for it; the two cross-field rules of ``ORDERED``
+are checked once every section is read. Unknown keys are rejected at every
+level, so typos fail loudly instead of silently running defaults, and a
+field's refused value raises a ConfigError whose message opens with the
+field's ``section.field``. ``load_config`` writes each command-line override
+over its field before decoding, so a flag is checked like the file.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -36,6 +43,18 @@ class SamplerConfig:
 
 
 @dataclass
+class AlignmentConfig:
+    first_frame_only: bool = False
+    control_on_recon: bool = True
+
+
+@dataclass
+class PromptsConfig:
+    source: str = ""
+    target: str = ""
+
+
+@dataclass
 class Config:
     seed: int = 0
     model: N.NetConfig = field(default_factory=N.NetConfig)
@@ -43,36 +62,54 @@ class Config:
     training: TrainingConfig = field(default_factory=TrainingConfig)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     injection: I.InjectionSettings = field(default_factory=I.InjectionSettings)
-    align_first_frame_only: bool = False
-    control_on_recon: bool = True
-    prompt_source: str = ""
-    prompt_target: str = ""
+    alignment: AlignmentConfig = field(default_factory=AlignmentConfig)
+    prompts: PromptsConfig = field(default_factory=PromptsConfig)
     paths: dict[str, str] = field(default_factory=dict)
 
 
-# sections decoded field by field into their dataclass, schedule first: the
-# model's schedule_steps is the schedule's timesteps
-_DATACLASS_SECTIONS = {"schedule": ScheduleConfig, "training": TrainingConfig,
-                       "sampler": SamplerConfig, "injection": I.InjectionSettings}
+# sections read field by field into their dataclass, before the model
+# section: the model's schedule_steps is the schedule's timesteps
+_SECTIONS = {"schedule": ScheduleConfig, "training": TrainingConfig,
+             "sampler": SamplerConfig, "injection": I.InjectionSettings,
+             "alignment": AlignmentConfig, "prompts": PromptsConfig}
+_PATHS = ("source_video", "source_masks", "source_skeletons", "ref_skeletons",
+          "ref_masks", "checkpoint")
 
 _SECTION_FIELDS = {
-    **{section: {f.name for f in fields(cls)}
-       for section, cls in _DATACLASS_SECTIONS.items()},
+    **{section: {f.name for f in fields(cls)} for section, cls in _SECTIONS.items()},
     "model": {f.name for f in fields(N.NetConfig)} - {"schedule_steps"},
-    "alignment": {"first_frame_only", "control_on_recon"},
-    "prompts": {"source", "target"},
-    "paths": {"source_video", "source_masks", "source_skeletons",
-              "ref_skeletons", "ref_masks", "checkpoint"},
+    "paths": set(_PATHS),
 }
 _TOP_KEYS = {"seed"} | set(_SECTION_FIELDS)
 
+# section.field -> (whether a value of the field's type holds, what it must be)
+RULES = {
+    "seed": (lambda v: v >= 0, ">= 0"),
+    "schedule.timesteps": (lambda v: v >= 2, ">= 2"),  # as D.make_schedule needs
+    "schedule.beta_min": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "schedule.beta_max": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "training.steps": (lambda v: v >= 0, ">= 0"),
+    "training.lr": (lambda v: v > 0, "> 0"),
+    "sampler.steps": (lambda v: v >= 1, ">= 1"),
+    "sampler.guidance": (lambda v: v >= 0, ">= 0"),
+    "injection.window_fraction": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    **{f"paths.{key}": (lambda v: v != "" and "\0" not in v,
+                        "a non-empty path without NUL") for key in _PATHS},
+}
+# (low, high): fields whose values must satisfy low <= high
+ORDERED = (("schedule.beta_min", "schedule.beta_max"),
+           ("sampler.steps", "schedule.timesteps"))
 
-def _check_keys(section: str, blob: dict) -> None:
-    if not isinstance(blob, dict):
+
+def _values(blob: dict, section: str) -> dict:
+    """``blob[section]`` ({} when absent), once its keys are checked."""
+    values = blob.get(section, {})
+    if not isinstance(values, dict):
         raise ConfigError(f"section {section!r} must be an object")
-    unknown = set(blob) - _SECTION_FIELDS[section]
+    unknown = set(values) - _SECTION_FIELDS[section]
     if unknown:
         raise ConfigError(f"unknown key(s) in {section!r}: {sorted(unknown)}")
+    return values
 
 
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number",
@@ -83,12 +120,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _field(blob: dict, section: str, name: str, default, minimum: int | None = None):
-    """``blob[name]`` (``default`` when absent), of the type of ``default``.
+def _field(blob: dict, section: str, name: str, default):
+    """``blob[name]`` (``default`` when absent), of the type of ``default``
+    and under the rule of ``RULES`` for ``section.name``, if any.
 
     An int field takes only a JSON integer and a float field any finite
-    number; ``minimum`` bounds an integer field. ConfigError names
-    ``section.name``.
+    number. ConfigError names ``section.name``.
     """
     value = blob.get(name, default)
     kind = type(default)
@@ -101,17 +138,17 @@ def _field(blob: dict, section: str, name: str, default, minimum: int | None = N
     where = f"{section}.{name}" if section else name
     if not ok:
         raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where} must be >= {minimum}, got {value!r}")
+    rule = RULES.get(where)
+    if rule is not None and not rule[0](value):
+        raise ConfigError(f"{where} must be {rule[1]}, got {value!r}")
     return value
 
 
 def _section(blob: dict, section: str, cls):
     """Build dataclass ``cls`` from ``blob[section]``, field by field."""
-    _check_keys(section, blob[section])
+    values = _values(blob, section)
     defaults = cls()
-    return cls(**{f.name: _field(blob[section], section, f.name,
-                                 getattr(defaults, f.name))
+    return cls(**{f.name: _field(values, section, f.name, getattr(defaults, f.name))
                   for f in fields(cls)})
 
 
@@ -121,48 +158,24 @@ def config_from_dict(blob: dict) -> Config:
     unknown = set(blob) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
-    cfg = Config()
-    cfg.seed = _field(blob, "", "seed", 0, minimum=0)
-    for section, cls in _DATACLASS_SECTIONS.items():
-        if section in blob:
-            setattr(cfg, section, _section(blob, section, cls))
-    if cfg.schedule.timesteps < 2:  # as make_schedule needs, before any command runs
-        raise ConfigError(f"schedule.timesteps must be >= 2, "
-                          f"got {cfg.schedule.timesteps}")
-    m = blob.get("model", {})
-    _check_keys("model", m)
-    cfg.model = N.net_config({**asdict(N.NetConfig()), **m,
+    cfg = Config(seed=_field(blob, "", "seed", 0),
+                 **{section: _section(blob, section, cls)
+                    for section, cls in _SECTIONS.items()})
+    cfg.model = N.net_config({**asdict(N.NetConfig()), **_values(blob, "model"),
                               "schedule_steps": cfg.schedule.timesteps}, "model.")
-    a = blob.get("alignment", {})
-    _check_keys("alignment", a)
-    cfg.align_first_frame_only = _field(a, "alignment", "first_frame_only", False)
-    cfg.control_on_recon = _field(a, "alignment", "control_on_recon", True)
-    prompts = blob.get("prompts", {})
-    _check_keys("prompts", prompts)
-    cfg.prompt_source = _field(prompts, "prompts", "source", "")
-    cfg.prompt_target = _field(prompts, "prompts", "target", "")
-    paths = blob.get("paths", {})
-    _check_keys("paths", paths)
+    paths = _values(blob, "paths")
     cfg.paths = {k: _field(paths, "paths", k, "") for k in paths}
-    _validate(cfg)
+    for low, high in ORDERED:
+        a, b = (functools.reduce(getattr, key.split("."), cfg) for key in (low, high))
+        if a > b:
+            raise ConfigError(f"{low} {a!r} must be <= {high} {b!r}")
     return cfg
 
 
-def _validate(cfg: Config) -> None:
-    if cfg.training.steps < 0 or cfg.training.lr <= 0:
-        raise ConfigError("training needs steps >= 0 and lr > 0")
-    if cfg.sampler.steps < 1:
-        raise ConfigError("sampler needs at least one step")
-    if cfg.sampler.guidance < 0:
-        raise ConfigError("guidance must be >= 0")
-    if not 0.0 <= cfg.injection.window_fraction <= 1.0:
-        raise ConfigError("injection window_fraction must lie in [0, 1]")
-
-
-def load_config(path, overrides=()) -> Config:
-    """Config from the JSON file at ``path``, with each ``(section, field,
-    value)`` of ``overrides`` written over the file's before decoding, so an
-    override is checked like the file (section "" is the top level)."""
+def load_config(path, overrides: dict | None = None) -> Config:
+    """Config from the JSON file at ``path``, with the value of each
+    ``section.field`` (or top-level field) of ``overrides`` written over the
+    file's before decoding, so an override is checked like the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -170,7 +183,8 @@ def load_config(path, overrides=()) -> Config:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     blob = json.loads(text)  # json.JSONDecodeError carries line/column
     if isinstance(blob, dict):  # config_from_dict rejects any other root
-        for section, name, value in overrides:
+        for key, value in (overrides or {}).items():
+            section, _, name = key.rpartition(".")
             target = blob.setdefault(section, {}) if section else blob
             if isinstance(target, dict):  # else config_from_dict rejects it
                 target[name] = value

@@ -615,7 +615,7 @@ def load_checkpoint(directory) -> ModelWeights:
                               f"name a file of shape {want[name]}")
         fname, shape = meta["file"], meta["shape"]
         full = os.path.join(directory, fname)
-        size = 10 + 4 * len(shape) + 4 * math.prod(shape)  # its MELT bytes
+        size = T.melt_size(shape)
         if (os.path.basename(fname) != fname or os.path.islink(full)
                 or not os.path.isfile(full) or os.path.getsize(full) != size):
             what = ("Is a directory" if os.path.isdir(full) else

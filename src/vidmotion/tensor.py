@@ -693,6 +693,13 @@ _VERSION = 1
 _DTYPE_F32 = 0
 
 
+def melt_size(shape: Sequence[int]) -> int:
+    """Bytes of the MELT container of a tensor of ``shape``: the 10-byte
+    head (magic, version, dtype code, u32 rank), the u32 dims and the f32
+    payload."""
+    return 10 + 4 * len(shape) + 4 * math.prod(shape)
+
+
 def tensor_bytes(t: Tensor) -> bytes:
     """Serialize: magic, version, dtype code, rank u32, dims u32, f32 payload (LE)."""
     dims = t.shape
@@ -719,7 +726,7 @@ def tensor_from_bytes(raw: bytes) -> Tensor:
                           f"needs {offset} header bytes")
     dims = struct.unpack_from(f"<{rank}I", raw, 10)
     count = math.prod(dims)
-    end = offset + 4 * count
+    end = melt_size(dims)
     if len(raw) < end:
         raise FormatError(f"MELT payload truncated at byte {len(raw)}: shape "
                           f"{tuple(dims)} needs {end} bytes")

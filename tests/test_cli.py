@@ -510,8 +510,15 @@ class TestConfigHandling:
         ({"seed": 1.5}, "seed"),
         ({"model": {"image_size": 20}}, "latent size"),
         ({"model": {"time_width": 31}}, "time_width"),
+        ({"training": {"lr": 0}}, "training.lr"),
+        ({"training": {"steps": -1}}, "training.steps"),
+        ({"sampler": {"steps": 0}}, "sampler.steps"),
+        ({"sampler": {"guidance": -1}}, "sampler.guidance"),
+        ({"injection": {"window_fraction": 1.5}}, "injection.window_fraction"),
     ], ids=["pool-zero", "frames-string", "steps-string", "window-string",
-            "widths-string", "seed-float", "odd-latent", "odd-time-width"])
+            "widths-string", "seed-float", "odd-latent", "odd-time-width",
+            "lr-zero", "training-steps-negative", "sampler-steps-zero",
+            "guidance-negative", "window-above-one"])
     def test_ill_typed_or_out_of_range_field_exits_2(self, tmp_path, capsys,
                                                      blob, needle):
         cfg = tmp_path / "c.json"
@@ -530,6 +537,52 @@ class TestConfigHandling:
         assert main(["align", "--config", str(cfg), "--out", str(out)]) == 2
         assert_one_line_error(
             capsys, f"error: schedule.timesteps must be >= 2, got {timesteps}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["align", "train", "reconstruct", "edit"])
+    @pytest.mark.parametrize("extra,line", [
+        ({"schedule": {"beta_max": 1.5}},
+         "error: schedule.beta_max must be in (0, 1), got 1.5"),
+        ({"schedule": {"beta_min": 0.05, "beta_max": 0.02}},
+         "error: schedule.beta_min 0.05 must be <= schedule.beta_max 0.02"),
+        ({"sampler": {"steps": 2000}},
+         "error: sampler.steps 2000 must be <= schedule.timesteps 1000"),
+    ], ids=["beta-max-above-one", "betas-swapped", "more-steps-than-timesteps"])
+    def test_one_config_gets_one_verdict_whatever_the_command(
+            self, tmp_path, capsys, monkeypatch, command, extra, line):
+        def reached(*args, **kwargs):
+            raise AssertionError("work began on a config that cannot run")
+
+        for job in ("align_skeletons", "one_shot_train", "reconstruct", "edit"):
+            monkeypatch.setattr(P, job, reached)
+        monkeypatch.setattr(N, "init_model", reached)
+        _, cfg = make_job_dir(tmp_path, config_extra=extra)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == line + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["edit", "reconstruct"])
+    @pytest.mark.parametrize("case", ["empty", "nul", "empty-flag"])
+    def test_empty_or_nul_checkpoint_path_exits_2(self, tmp_path, capsys,
+                                                 monkeypatch, command, case):
+        # the working directory holds a checkpoint, which an empty path,
+        # joined to "manifest.json", would name
+        ckpt = tmp_path / "ckpt"
+        N.save_checkpoint(ckpt, N.init_model(N.NetConfig(), seed=7))
+        monkeypatch.chdir(ckpt)
+        _, cfg = make_job_dir(tmp_path)
+        blob = json.loads(cfg.read_text())
+        argv = [command, "--steps", "2", "--config", str(cfg)]
+        if case == "empty-flag":
+            blob["paths"]["checkpoint"] = str(ckpt)
+            argv += ["--checkpoint", ""]
+        else:
+            blob["paths"]["checkpoint"] = "" if case == "empty" else "a\u0000b"
+        cfg.write_text(json.dumps(blob))
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert_one_line_error(capsys, "paths.checkpoint")
         assert not out.exists()
 
     def test_invalid_utf8_exits_2(self, tmp_path, capsys):

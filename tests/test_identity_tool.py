@@ -154,8 +154,7 @@ def test_setting_labels_change_one_field(tmp_path, label, section, key, value):
     assert got == {**config, section: {key: value}}
     assert json.loads(src.read_text()) == config
     loaded = load_config(out)
-    assert (loaded.control_on_recon if section == "alignment"
-            else loaded.injection.window_fraction) == value
+    assert getattr(getattr(loaded, section), key) == value
 
 
 def test_one_word_train_label_rewrites_only_the_source(tmp_path):
@@ -170,7 +169,7 @@ def test_one_word_train_label_rewrites_only_the_source(tmp_path):
         got = json.load(fh)
     config["prompts"]["source"] = "walking"
     assert got == config
-    assert load_config(out).prompt_source == "walking"
+    assert load_config(out).prompts.source == "walking"
 
 
 def test_numstat_totals_sum_every_text_file():

@@ -963,6 +963,12 @@ class TestMeltContainer:
         assert raw[14:18] == (3).to_bytes(4, "little")
         assert len(raw) == 18 + 4 * 6
 
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (2, 0, 5), (1, 2, 3, 4)],
+                             ids=["rank-0", "rank-1", "rank-2", "rank-3-empty", "rank-4"])
+    def test_melt_size_is_the_container_length(self, shape):
+        t = T.Tensor(np.ones(shape, np.float32))
+        assert len(T.tensor_bytes(t)) == T.melt_size(shape)
+
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             T.tensor_from_bytes(b"NOPE" + bytes(20))
