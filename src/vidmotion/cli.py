@@ -16,6 +16,7 @@ import os
 import sys
 import time
 import weakref
+from dataclasses import fields
 
 import numpy as np
 
@@ -130,17 +131,24 @@ def _refuse_non_directory(out_dir: str) -> None:
 
 
 def _model_for(cfg: C.Config) -> N.ModelWeights:
-    """The model of the config's checkpoint path, else a new one of the
-    config's model. A checkpoint's time embeddings cover the noise schedule
-    it was built for, so one built for another number of timesteps than the
-    config's schedule is refused."""
+    """The weights every command but ``align`` starts from: the config's
+    checkpoint, else a new model of the config's ``model`` section. A
+    checkpoint must describe that model field by field; its time embeddings
+    cover the noise schedule it was built for, so one built for another
+    number of timesteps than the config's schedule is refused too."""
     if "checkpoint" not in cfg.paths:
         return N.init_model(cfg.model, seed=cfg.seed)
     model = N.load_checkpoint(cfg.paths["checkpoint"])
-    if model.cfg.schedule_steps != cfg.schedule.timesteps:
-        raise C.ConfigError(f"the checkpoint's time embeddings cover a "
-                            f"{model.cfg.schedule_steps}-step schedule, but "
-                            f"schedule.timesteps is {cfg.schedule.timesteps}")
+    for f in fields(N.NetConfig):
+        have, want = getattr(model.cfg, f.name), getattr(cfg.model, f.name)
+        if have == want:
+            continue
+        if f.name == "schedule_steps":
+            raise C.ConfigError(f"the checkpoint's time embeddings cover a "
+                                f"{have}-step schedule, but "
+                                f"schedule.timesteps is {want}")
+        raise C.ConfigError(f"the checkpoint's model.{f.name} is {have!r}, "
+                            f"but the config's is {want!r}")
     return model
 
 
@@ -191,10 +199,10 @@ def cmd_train(cfg: C.Config, out_dir: str) -> int:
     source = _inputs(cfg, "source_video", "source_skeletons")
     # the call alone holds the model and the source, so training frees the
     # initial weights after the first step and the source once it is encoded
-    result = P.one_shot_train(N.init_model(cfg.model, seed=cfg.seed),
-                              source.pop(0), source.pop(0), cfg.prompts.source,
-                              steps=cfg.training.steps, lr=cfg.training.lr,
-                              schedule=_schedule_for(cfg), rng=T.Rng(cfg.seed))
+    result = P.one_shot_train(_model_for(cfg), source.pop(0), source.pop(0),
+                              cfg.prompts.source, steps=cfg.training.steps,
+                              lr=cfg.training.lr, schedule=_schedule_for(cfg),
+                              rng=T.Rng(cfg.seed))
     os.makedirs(out_dir, exist_ok=True)
     N.save_checkpoint(os.path.join(out_dir, "checkpoint"), result.model)
     with open(os.path.join(out_dir, "loss.csv"), "w") as fh:
@@ -328,8 +336,8 @@ def _selftest_checks(seed: int, corrupt_gradient: bool):
                                          else f"failing: {bad}")
 
     def check_unet_gradient():
-        cfg = N.NetConfig()
-        model = N.init_model(cfg, seed=seed)
+        model = _model_for(C.Config(seed=seed))
+        cfg = model.cfg
         z = T.Tensor(gen((cfg.frames, cfg.channels, 8, 8), 0.5))
         probe = T.Tensor(gen(z.shape))
         name = "unet.dec0.temporal.w_out"
@@ -371,8 +379,9 @@ def _selftest_checks(seed: int, corrupt_gradient: bool):
         del x
         if kept() is not None:
             return False, "a frozen weight's input outlived the forward"
-        cfg = N.NetConfig()
-        model = N.init_model(cfg, seed=seed + 5).replace({
+        model = _model_for(C.Config(seed=seed + 5))
+        cfg = model.cfg
+        model = model.replace({
             f"adapter{lvl}.out_proj": T.Tensor(gen((d, d), 0.1))
             for lvl, d in enumerate(cfg.widths)})
         z = T.Tensor(gen((cfg.frames, cfg.channels, cfg.latent_size, cfg.latent_size)))
@@ -454,8 +463,8 @@ def _selftest_checks(seed: int, corrupt_gradient: bool):
         return True, f"round trip rms {rms:.2e}, inverse gap {gap:.2e}"
 
     def check_gating():
-        cfg = N.NetConfig()
-        model = N.init_model(cfg, seed=seed + 3)
+        model = _model_for(C.Config(seed=seed + 3))
+        cfg = model.cfg
         z = T.Tensor(gen((cfg.frames, cfg.channels, 8, 8), 0.5))
         cache = I.ReconCache()
         N.unet_forward(model, z, 7, "p", role="recon", cache=cache)

@@ -159,9 +159,8 @@ def _opening_layout(pre: str, d: int, time_width: int, conv_std: float) -> T.Lay
             (f"{pre}.time_proj", (time_width, d), 1.0 / math.sqrt(time_width))]
 
 
-def _layout(cfg: NetConfig, pretrained_control: bool = False) -> T.Layout:
-    """Every tensor of the network: name, shape and init, in draw order,
-    except that ``init_model`` draws pretrained ``control.zero.*`` last."""
+def _layout(cfg: NetConfig) -> T.Layout:
+    """Every tensor of the network: name, shape and init, in draw order."""
     d0, d1 = cfg.widths
     tw = cfg.time_width
     layout = [
@@ -203,25 +202,19 @@ def _layout(cfg: NetConfig, pretrained_control: bool = False) -> T.Layout:
         layout += [*_opening_layout(pre, d, tw, 1.0 / math.sqrt(d)),
                    *AD.layer_norm_layout(f"{pre}.ln_sp", d),
                    *A.projection_layout(f"{pre}.spatial", d, out_std=0.1 / math.sqrt(d))]
-    # zero at construction; pretrained, small seeded values so the pose path
-    # carries signal
-    for lid, d in zip(CONTROLLED_LAYERS, (d1, d0)):
-        layout.append((f"control.zero.{lid}", (d, d),
-                       0.5 / math.sqrt(d) if pretrained_control else T.zeros))
     for level, d in enumerate(cfg.widths):
         layout += AD.adapter_layout(f"adapter{level}", d)
+    # the ControlNet output projections, drawn last: small seeded values, the
+    # stand-in for a pre-trained conditioning network, so the pose path
+    # carries signal
+    layout += [(f"control.zero.{lid}", (d, d), 0.5 / math.sqrt(d))
+               for lid, d in zip(CONTROLLED_LAYERS, (d1, d0))]
     return layout
 
 
-def init_model(cfg: NetConfig, seed: int, pretrained_control: bool = True) -> ModelWeights:
-    """Seeded construction from ``_layout``. ControlNet output projections
-    are zero at construction; with ``pretrained_control`` they are drawn, after
-    every other weight, as the stand-in for a pre-trained conditioning
-    network."""
-    layout = _layout(cfg, pretrained_control)
-    drawn = T.Rng(seed).draw(sorted(
-        layout, key=lambda entry: entry[0].startswith("control.zero.")))
-    return ModelWeights(cfg, {name: drawn[name] for name, _, _ in layout})
+def init_model(cfg: NetConfig, seed: int) -> ModelWeights:
+    """Seeded construction from ``_layout``, drawn in its order."""
+    return ModelWeights(cfg, T.Rng(seed).draw(_layout(cfg)))
 
 
 def parameter_shapes(cfg: NetConfig) -> dict[str, tuple[int, ...]]:
@@ -526,8 +519,8 @@ def pose_features(model: ModelWeights, skeletons: np.ndarray) -> dict[int, Tenso
 
 def controlnet_forward(model: ModelWeights, z: Tensor, t: int,
                        pose: dict[int, Tensor]) -> dict[str, Tensor]:
-    """Per-block conditioning features from pose_features; zero at
-    construction. Each call builds its blocks' time rows at ``t``.
+    """Per-block conditioning features from pose_features. Each call builds
+    its blocks' time rows at ``t``.
 
     Returns one feature block per conditioned U-Net layer, shaped like that
     layer's activations.
@@ -585,7 +578,8 @@ def load_checkpoint(directory) -> ModelWeights:
     """Read a save_checkpoint directory; a manifest whose config, tensor
     names or shapes do not describe an init_model of that config, or whose
     tensor files are not regular files (no path, no link) of the directory
-    and of their shape's size, raises ConfigError before any is read."""
+    and of their shape's size, raises ConfigError before any is read, and
+    so does a tensor that holds a non-finite value once it is read."""
     import json
     import os
 
@@ -627,6 +621,8 @@ def load_checkpoint(directory) -> ModelWeights:
         if list(t.shape) != meta["shape"]:
             raise ConfigError(f"checkpoint tensor {name} has shape "
                               f"{t.shape}, manifest says {meta['shape']}")
+        if not np.isfinite(t.data).all():
+            raise ConfigError(f"{path}: tensor {name} holds a non-finite value")
         params[name] = t
     return ModelWeights(cfg, params)
 

@@ -24,7 +24,7 @@ import math
 import os
 import pickle
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, NoReturn
 
 import numpy as np
@@ -49,13 +49,13 @@ class EditJob:
     source_skeletons: np.ndarray  # (F, image, image) intensities
     ref_skeletons: np.ndarray
     ref_masks: np.ndarray
-    prompt_source: str = ""
-    prompt_target: str = ""
-    steps: int = 50
-    guidance: float = 7.5
-    injection: I.InjectionSettings = field(default_factory=I.InjectionSettings)
-    align_first_frame_only: bool = False
-    control_on_recon: bool = True
+    prompt_source: str
+    prompt_target: str
+    steps: int
+    guidance: float
+    injection: I.InjectionSettings
+    align_first_frame_only: bool
+    control_on_recon: bool
 
     def validate(self, cfg: N.NetConfig) -> None:
         """Check every input but the video, whose shape ``N.encode_video``
@@ -85,10 +85,8 @@ class TrainResult:
 
 
 def one_shot_train(model: N.ModelWeights, video: Tensor,
-                   skeletons: np.ndarray, prompt: str,
-                   steps: int = 300, lr: float = 3e-5,
-                   schedule: D.NoiseSchedule | None = None,
-                   rng: T.Rng | None = None) -> TrainResult:
+                   skeletons: np.ndarray, prompt: str, steps: int, lr: float,
+                   schedule: D.NoiseSchedule, rng: T.Rng) -> TrainResult:
     """Fine-tune only the adapter and temporal attention to re-predict the
     noise on the source video (uniform timesteps, Adam, constant lr).
 
@@ -100,8 +98,6 @@ def one_shot_train(model: N.ModelWeights, video: Tensor,
     encoded, so a caller that keeps no reference to them frees them before
     the first step. A step's graph, time rows and control sides are freed
     before the next step builds its own."""
-    schedule = schedule or D.make_schedule(model.cfg.schedule_steps)
-    rng = rng or T.Rng(0)
     z0 = N.encode_video(video, model.cfg)
     pose = N.pose_features(model, skeletons)
     del video, skeletons
@@ -212,15 +208,13 @@ def _computed(model: N.ModelWeights,
 
 
 def invert(model: N.ModelWeights, z0: Tensor, steps: int,
-           schedule: D.NoiseSchedule | None = None,
-           eps_fn: D.EpsFn | None = None) -> D.Trajectory:
+           schedule: D.NoiseSchedule, eps_fn: D.EpsFn | None = None) -> D.Trajectory:
     """DDIM inversion at guidance scale 1 (no extrapolation; the null-text
     stage is deliberately absent). The predictor is ``eps_fn`` if given
     (``reconstruct``'s and ``edit``'s conditioned one, or an oracle in
     tests), else the model on the unconditional embedding without control.
     Returns the walk's timesteps and its end latent z_T, nothing between.
     """
-    schedule = schedule or D.make_schedule(model.cfg.schedule_steps)
     ts = D.subsequence(schedule.timesteps, steps)
     return D.ddim_invert(eps_fn or _predictor(model, ts, None), z0, ts, schedule)
 
@@ -260,8 +254,7 @@ class ReconstructResult:
 
 
 def reconstruct(model: N.ModelWeights, video: Tensor, skeletons: np.ndarray,
-                prompt: str, steps: int = 50,
-                schedule: D.NoiseSchedule | None = None,
+                prompt: str, steps: int, schedule: D.NoiseSchedule,
                 control_on_recon: bool = True,
                 eps_fn: D.EpsFn | None = None) -> ReconstructResult:
     """Invert the source then denoise it back under the source skeleton
@@ -270,7 +263,6 @@ def reconstruct(model: N.ModelWeights, video: Tensor, skeletons: np.ndarray,
     inversion's conditioning exactly. Each walk keeps only its end latent,
     so memory stays flat in ``steps``; the encoded source is kept to score
     the reconstruction against (``frame_metrics``)."""
-    schedule = schedule or D.make_schedule(model.cfg.schedule_steps)
     z0 = N.encode_video(video, model.cfg)
     ts = D.subsequence(schedule.timesteps, steps)
     if eps_fn is None:
@@ -296,7 +288,7 @@ class EditResult:
 
 def align_skeletons(source_skeletons: np.ndarray, source_masks: np.ndarray,
                     ref_skeletons: np.ndarray, ref_masks: np.ndarray,
-                    first_frame_only: bool = False) -> tuple[np.ndarray, list[dict]]:
+                    first_frame_only: bool) -> tuple[np.ndarray, list[dict]]:
     """Per-frame skeleton alignment, or with ``first_frame_only`` the frame-0
     source and reference masks reused for every frame; alignment errors
     carry the frame index."""
@@ -512,7 +504,7 @@ def _started(serve: Callable[[Iterator], Iterator]
 
 
 def edit(job: EditJob, model: N.ModelWeights,
-         schedule: D.NoiseSchedule | None = None) -> EditResult:
+         schedule: D.NoiseSchedule) -> EditResult:
     """Full two-branch motion edit.
 
     Encode the source video, align the reference skeletons, invert the
@@ -530,7 +522,6 @@ def edit(job: EditJob, model: N.ModelWeights,
     cfg = model.cfg
     job.validate(cfg)
     z0 = N.encode_video(job.video, cfg)
-    schedule = schedule or D.make_schedule(cfg.schedule_steps)
     aligned, reports = align_skeletons(job.source_skeletons, job.source_masks,
                                        job.ref_skeletons, job.ref_masks,
                                        job.align_first_frame_only)

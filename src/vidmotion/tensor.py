@@ -599,7 +599,7 @@ class AdamState:
     and ``eps`` are Adam's defaults."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, lr: float = 3e-5):
+    def __init__(self, lr: float):
         self.lr = lr
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from vidmotion import diffusion as D
+from vidmotion import injection as I
 from vidmotion import network as N
 from vidmotion import pipeline as P
 from vidmotion import skeleton as SK
@@ -72,6 +73,9 @@ def make_job(**overrides):
         prompt_target="a figure marching right",
         steps=6,
         guidance=1.0,
+        injection=I.InjectionSettings(),
+        align_first_frame_only=False,
+        control_on_recon=True,
     )
     defaults.update(overrides)
     return P.EditJob(**defaults)

@@ -1,8 +1,10 @@
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -34,7 +36,7 @@ def write_frames(directory, rasters, binary=False):
             SK.write_pgm(path, r)
 
 
-def make_job_dir(tmp_path, *, ref_shift=3.0, config_extra=None):
+def make_job_dir(tmp_path, *, ref_shift=3.0, config_extra=None, checkpoint=None):
     root = tmp_path / "job"
     root.mkdir(exist_ok=True)
     T.save_tensor(root / "video.melt", synth_video())
@@ -57,6 +59,8 @@ def make_job_dir(tmp_path, *, ref_shift=3.0, config_extra=None):
     }
     if config_extra:
         blob.update(config_extra)
+    if checkpoint is not None:
+        blob["paths"]["checkpoint"] = str(checkpoint)
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps(blob, indent=1))
     return root, cfg_path
@@ -211,6 +215,16 @@ class TestTrainCommand:
                          "--steps", "5"]) == 1
         assert_one_line_error(capsys, "error: non-finite value in train step 2/5 (t=")
         assert not out.exists()
+
+    def test_starts_from_the_config_checkpoint(self, tmp_path):
+        # a checkpoint of another seed than the config's, trained 0 steps
+        ckpt = tmp_path / "ckpt"
+        N.save_checkpoint(ckpt, N.init_model(N.NetConfig(), seed=11))
+        _, cfg = make_job_dir(tmp_path, checkpoint=ckpt)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out),
+                     "--steps", "0"]) == 0
+        assert tree_bytes(out / "checkpoint") == tree_bytes(ckpt)
 
     def test_checkpoint_round_trips_through_loader(self, tmp_path):
         from vidmotion import network as N
@@ -739,6 +753,50 @@ class TestConfigHandling:
         assert_one_line_error(capsys, "1000-step",
                               f"schedule.timesteps is {timesteps}")
 
+    @pytest.mark.parametrize("command", ["train", "reconstruct", "edit"])
+    @pytest.mark.parametrize("name,value", [
+        ("frames", 4), ("image_size", 16), ("channels", 3), ("widths", [16, 32]),
+        ("time_width", 16), ("pool", 2)],
+        ids=["frames", "image_size", "channels", "widths", "time_width", "pool"])
+    def test_checkpoint_must_describe_the_config_model(
+            self, tmp_path, capsys, monkeypatch, command, name, value):
+        # the checkpoint is of the default model, the config's differs in one field
+        have = getattr(N.NetConfig(), name)
+        want = tuple(value) if isinstance(value, list) else value
+
+        def reached(*args, **kwargs):
+            raise AssertionError("a job ran on a checkpoint of another model")
+
+        for job in ("one_shot_train", "reconstruct", "edit"):
+            monkeypatch.setattr(P, job, reached)
+        ckpt = tmp_path / "ckpt"
+        N.save_checkpoint(ckpt, N.init_model(N.NetConfig(), seed=7))
+        _, cfg = make_job_dir(tmp_path, config_extra={"model": {name: value}},
+                              checkpoint=ckpt)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: the checkpoint's model.{name} is {have!r}, "
+            f"but the config's is {want!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "reconstruct", "edit"])
+    def test_checkpoint_with_a_non_finite_weight_exits_2(self, tmp_path, capsys,
+                                                         command):
+        ckpt = tmp_path / "ckpt"
+        model = N.init_model(N.NetConfig(), seed=7)
+        name = "unet.dec0.cs.w_q"
+        w = model.params[name].data.copy()
+        w[0, 0] = np.nan
+        N.save_checkpoint(ckpt, model.replace({name: T.Tensor(w)}))
+        _, cfg = make_job_dir(tmp_path, checkpoint=ckpt)
+        out = tmp_path / "o"
+        assert main([command, "--steps", "2", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert_one_line_error(capsys, f"{ckpt / 'manifest.json'}: tensor {name} "
+                                      "holds a non-finite value")
+        assert not out.exists()
+
     def test_seed_override_applies(self, tmp_path):
         _, cfg = make_job_dir(tmp_path)
         out_a = tmp_path / "a"
@@ -953,3 +1011,18 @@ def test_freed_heap_is_reused_across_forwards():
         step(t)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 500, f"{faults} minor page faults in 10 steady-state steps"
+
+
+def test_every_error_class_reaches_a_handler_of_main():
+    # an error class that is neither an input error (exit 2) nor a
+    # RuntimeError (exit 1) would escape main as a traceback
+    import vidmotion
+    classes = set()
+    for info in pkgutil.iter_modules(vidmotion.__path__):
+        module = importlib.import_module(f"vidmotion.{info.name}")
+        classes |= {obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__}
+    assert len(classes) >= 13
+    assert sorted(c.__qualname__ for c in classes if not issubclass(
+        c, (*cli._INPUT_ERRORS, RuntimeError))) == []

@@ -1,15 +1,19 @@
 """The config decoder: README's schema block, the rule table and fuzzed
 overrides of every documented field."""
+import inspect
 import json
 import math
 import os
-from dataclasses import fields
+from dataclasses import MISSING, astuple, fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vidmotion import config as C
+from vidmotion import diffusion as D
+from vidmotion import pipeline as P
+from vidmotion import tensor as T
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
 
@@ -85,3 +89,23 @@ def test_fuzzed_overrides_decode_or_name_their_field(base_config, overrides):
     for key, value in overrides.items():
         if not key.startswith("model."):
             assert value_at(cfg, key) == value, key
+
+
+def test_each_setting_default_is_declared_once():
+    # the defaults that stay declared twice agree
+    schedule = D.make_schedule()
+    assert astuple(C.ScheduleConfig()) == (schedule.timesteps, schedule.beta_min,
+                                          schedule.beta_max)
+    assert C.Config().model.schedule_steps == C.Config().schedule.timesteps
+    control = inspect.signature(P.reconstruct).parameters["control_on_recon"]
+    assert control.default == C.AlignmentConfig().control_on_recon
+    # and the pipeline declares none of the settings its caller passes
+    settings_of = {P.one_shot_train: None, P.invert: ("steps", "schedule"),
+                   P.reconstruct: ("steps", "schedule"), P.edit: None,
+                   P.align_skeletons: None, T.AdamState: None}
+    defaulted = [f"{fn.__qualname__}({name})" for fn, names in settings_of.items()
+                 for name, p in inspect.signature(fn).parameters.items()
+                 if p.default is not p.empty and (names is None or name in names)]
+    defaulted += [f"EditJob.{f.name}" for f in fields(P.EditJob)
+                  if f.default is not MISSING or f.default_factory is not MISSING]
+    assert defaulted == []

@@ -172,6 +172,20 @@ def test_one_word_train_label_rewrites_only_the_source(tmp_path):
     assert load_config(out).prompts.source == "walking"
 
 
+def test_no_checkpoint_label_drops_only_the_checkpoint(tmp_path):
+    config = {"seed": 2, "prompts": {"source": "a figure walking right"},
+              "paths": {"source_video": "video.melt", "checkpoint": "checkpoint"}}
+    src = tmp_path / "config.json"
+    src.write_text(json.dumps(config))
+    out = identity.CONFIGS["train-no-checkpoint"](str(src), str(tmp_path / "no.json"))
+    assert identity.COMMANDS["train-no-checkpoint"] == ("train",)
+    with open(out) as fh:
+        got = json.load(fh)
+    assert got == {**config, "paths": {"source_video": "video.melt"}}
+    assert json.loads(src.read_text()) == config
+    assert load_config(out).paths == {"source_video": "video.melt"}
+
+
 def test_numstat_totals_sum_every_text_file():
     numstat = ("29\t41\tsrc/vidmotion/pipeline.py\n"
                "3\t0\tsrc/vidmotion/diffusion.py\n"
@@ -206,7 +220,7 @@ def test_timeless_drops_every_time_of_a_real_selftest(capsys):
 
 
 def test_every_seed_runs_every_label():
-    assert len(identity.SEEDS) * len(identity.COMMANDS) == 39
+    assert len(identity.SEEDS) * len(identity.COMMANDS) == 42
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),

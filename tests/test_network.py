@@ -31,6 +31,12 @@ def named_digest(named):
     return digest.hexdigest()
 
 
+def zero_control(model):
+    """``model`` with its ControlNet output projections zeroed."""
+    return model.replace({n: T.zeros(w.shape) for n, w in model.params.items()
+                          if n.startswith("control.zero.")})
+
+
 def controlled(model, z, t, pose):
     """A StepContext that hands a forward on ``z`` at ``t`` its control sides."""
     sides = N.control_sides(model, z, t, pose)
@@ -531,7 +537,7 @@ class TestUnetForward:
 
 class TestZeroConditioningNeutrality:
     def test_conditioned_equals_unconditioned_at_zero_init(self, latent):
-        pristine = N.init_model(CFG, seed=11, pretrained_control=False)
+        pristine = zero_control(N.init_model(CFG, seed=11))
         pose = N.pose_features(pristine, skeleton_stack())
         feats = N.controlnet_forward(pristine, latent, 4, pose)
         for f in feats.values():
@@ -678,7 +684,9 @@ class TestWeightsPlumbing:
          "72eba8fa6dc9ad919582e31f604ff60de0fc07e84a41454e8e48398ea8c9e50f"),
     ], ids=["zero-control", "small"])
     def test_init_model_draw_order_pinned(self, cfg, seed, pretrained, digest):
-        model = N.init_model(cfg, seed, pretrained_control=pretrained)
+        model = N.init_model(cfg, seed)
+        if not pretrained:
+            model = zero_control(model)
         assert N.parameter_checksum(model) == digest
 
     def test_init_groups_pinned(self):

@@ -37,7 +37,7 @@ def tracked_text(model):
 class TestOneShotTrain:
     def test_zero_steps_leaves_weights_bit_exact(self, base_model, schedule):
         res = P.one_shot_train(base_model, synth_video(), synth_skeletons(),
-                               "p", steps=0, schedule=schedule, rng=T.Rng(0))
+                               "p", steps=0, lr=3e-5, schedule=schedule, rng=T.Rng(0))
         assert res.losses == []
         assert N.parameter_checksum(res.model) == N.parameter_checksum(base_model)
 
@@ -72,7 +72,7 @@ class TestOneShotTrain:
         gc.disable()
         try:
             P.one_shot_train(base_model, synth_video(), synth_skeletons(), "p",
-                             steps=2, schedule=schedule, rng=T.Rng(0))
+                             steps=2, lr=3e-5, schedule=schedule, rng=T.Rng(0))
             gc.set_debug(gc.DEBUG_SAVEALL)
             gc.collect()
             leaked = [type(o).__name__ for o in gc.garbage[start:]
@@ -114,7 +114,7 @@ class TestOneShotTrain:
         fresh = N.ModelWeights(base_model.cfg, base_model.params)
         res = P.one_shot_train(fresh, synth_video(), synth_skeletons(),
                                "a figure walking right", steps=3,
-                               schedule=schedule, rng=T.Rng(0))
+                               lr=3e-5, schedule=schedule, rng=T.Rng(0))
         assert len(embedded) == len(N.BLOCK_ORDER)
         assert res.model.text is fresh.text and res.model.text
         assert tracked_text(res.model) == []
@@ -143,7 +143,7 @@ class TestOneShotTrain:
             tracemalloc.start()
             try:
                 P.one_shot_train(model, synth_video(), synth_skeletons(), "p",
-                                 steps=steps, schedule=schedule, rng=T.Rng(0))
+                                 steps=steps, lr=3e-5, schedule=schedule, rng=T.Rng(0))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -169,7 +169,7 @@ class TestOneShotTrain:
                     model.replace({n: T.Tensor(model.params[n].data.copy())
                                    for n in trainable}),
                     synth_video(), synth_skeletons(), "p",
-                    steps=steps, schedule=schedule, rng=T.Rng(0))
+                    steps=steps, lr=3e-5, schedule=schedule, rng=T.Rng(0))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -202,7 +202,7 @@ class TestOneShotTrain:
         monkeypatch.setattr(T, "matmul", matmul)
         monkeypatch.setattr(P, "train_step", train_step)
         P.one_shot_train(base_model, source.pop(0), source.pop(0), "p", steps=3,
-                         schedule=schedule, rng=T.Rng(0))
+                         lr=3e-5, schedule=schedule, rng=T.Rng(0))
         assert len(seen) == 3 and all(all(freed) for freed in seen)
         # 5 U-Net rows and 3 ControlNet rows in each step
         assert [step for step, _ in rows] == [1] * 8 + [2] * 8 + [3] * 8
@@ -227,7 +227,7 @@ class TestOneShotTrain:
                            match=rf"^non-finite value in train step 1/3 \(t={t}\): "
                                  r"overflow encountered in \w+$"):
             P.one_shot_train(bad, synth_video(), synth_skeletons(), "p",
-                             steps=3, schedule=schedule, rng=T.Rng(0))
+                             steps=3, lr=3e-5, schedule=schedule, rng=T.Rng(0))
 
     @pytest.mark.filterwarnings("error")
     def test_nan_loss_without_fp_exception_is_named(self, base_model, schedule):
@@ -237,7 +237,7 @@ class TestOneShotTrain:
         t = T.Rng(0).integer(0, schedule.timesteps)
         with pytest.raises(D.NonFiniteError) as err:
             P.one_shot_train(bad, synth_video(), synth_skeletons(), "p",
-                             steps=3, schedule=schedule, rng=T.Rng(0))
+                             steps=3, lr=3e-5, schedule=schedule, rng=T.Rng(0))
         assert str(err.value) == (f"non-finite value in train step 1/3 (t={t}): "
                                   "the loss is not finite")
 
@@ -772,10 +772,11 @@ class TestReconPlacement:
         code = textwrap.dedent("""
             import sys
             from conftest import make_job
-            from vidmotion import network as N, pipeline as P
+            from vidmotion import diffusion as D, network as N, pipeline as P
             P._fork_worker = lambda: True
             sys.stdout.write("left in the buffer\\n")
-            P.edit(make_job(steps=2), N.init_model(N.NetConfig(), seed=3))
+            P.edit(make_job(steps=2), N.init_model(N.NetConfig(), seed=3),
+                   D.make_schedule())
         """)
         src = os.path.dirname(os.path.dirname(os.path.abspath(P.__file__)))
         tests = os.path.dirname(os.path.abspath(__file__))

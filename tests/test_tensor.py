@@ -762,10 +762,11 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(T.ShapeError):
-            T.adam_step({"w": T.zeros((2,))}, {"w": T.zeros((3,))}, T.AdamState())
+            T.adam_step({"w": T.zeros((2,))}, {"w": T.zeros((3,))},
+                        T.AdamState(lr=3e-5))
 
     def test_step_counter_strictly_increases(self):
-        state = T.AdamState()
+        state = T.AdamState(lr=3e-5)
         p = {"w": T.zeros((2,))}
         for want in (1, 2, 3):
             T.adam_step(p, {"w": T.zeros((2,))}, state)

@@ -17,7 +17,9 @@ pose (so the inversion asks the worker for no control sides) and ``edit``
 injecting over the last half of the steps only (so the reconstruction walk
 sends no cache writes before it), ``train``, ``train`` on a one-word source
 prompt (so every forward of the run reads one-token text outputs),
-``reconstruct`` and ``align`` run on both sides, and their output trees are compared file by file.
+``train`` without ``paths.checkpoint`` (so it draws its model from the seed
+instead of loading the bench checkpoint), ``reconstruct`` and ``align`` run
+on both sides, and their output trees are compared file by file.
 ``selftest`` and ``selftest --corrupt-gradient`` run on both sides too, and
 their exit codes and printed lines, each row's seconds and the total time
 dropped, must agree.
@@ -68,6 +70,7 @@ COMMANDS = {
     "edit-half-window": ("edit",),
     "train": ("train",),
     "train-one-word": ("train",),
+    "train-no-checkpoint": ("train",),
     "reconstruct": ("reconstruct",),
     "align": ("align",),
 }
@@ -106,6 +109,13 @@ def one_word_target(config: str, out: str) -> str:
     return rewrite(config, out, change)
 
 
+def no_checkpoint(config: str, out: str) -> str:
+    """``rewrite`` with ``paths.checkpoint`` dropped."""
+    def change(values: dict) -> None:
+        del values["paths"]["checkpoint"]
+    return rewrite(config, out, change)
+
+
 def setting(section: str, key: str, value) -> Callable[[str, str], str]:
     """A config rewrite that sets ``key`` of ``section`` to ``value``."""
     def change(values: dict) -> None:
@@ -118,6 +128,7 @@ CONFIGS = {  # label -> config rewrite
     "edit-no-recon-control": setting("alignment", "control_on_recon", False),
     "edit-half-window": setting("injection", "window_fraction", 0.5),
     "train-one-word": setting("prompts", "source", "walking"),
+    "train-no-checkpoint": no_checkpoint,
 }
 
 
