@@ -13,6 +13,7 @@ import functools
 import gc
 import json
 import os
+import stat
 import sys
 import time
 import weakref
@@ -34,8 +35,7 @@ from . import tensor as T
 _INPUT_ERRORS = (N.ConfigError, P.JobError, SK.EmptyMaskError,
                  SK.RasterError, SK.KeypointError, D.ScheduleError,
                  T.ShapeError, T.FormatError, I.MaskError, I.CacheError,
-                 I.GateError, FileNotFoundError, NotADirectoryError,
-                 IsADirectoryError, FileExistsError, PermissionError)
+                 I.GateError, OSError)
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +120,17 @@ def _inputs(cfg: C.Config, *keys: str) -> list:
 
 def _refuse_non_directory(out_dir: str) -> None:
     """Reject an ``--out`` that cannot become a directory before a job runs:
-    the path, or else its nearest existing ancestor, is not a directory.
-    The directory itself is made only once the job has succeeded."""
-    path = os.path.abspath(out_dir)
-    while not os.path.exists(path):
-        path = os.path.dirname(path)
-    if not os.path.isdir(path):
-        code = errno.EEXIST if path == os.path.abspath(out_dir) else errno.ENOTDIR
-        raise OSError(code, os.strerror(code), out_dir)
+    an empty path, an existing non-directory, or one whose ``stat`` fails
+    other than for a missing name (too long, a symlink loop, a file on the
+    way). The directory itself is made only once the job has succeeded."""
+    if not out_dir:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_dir)
+    try:
+        mode = os.stat(out_dir).st_mode
+    except FileNotFoundError:  # made, with its missing parents, after the job
+        return
+    if not stat.S_ISDIR(mode):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out_dir)
 
 
 def _model_for(cfg: C.Config) -> N.ModelWeights:
@@ -651,10 +654,6 @@ def main(argv=None) -> int:
         command = {"align": cmd_align, "train": cmd_train,
                    "reconstruct": cmd_reconstruct, "edit": cmd_edit}[args.command]
         return command(cfg, args.out)
-    except json.JSONDecodeError as exc:
-        print(f"error: config parse failure at line {exc.lineno} "
-              f"column {exc.colno}: {exc.msg}", file=sys.stderr)
-        return 2
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

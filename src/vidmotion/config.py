@@ -12,7 +12,6 @@ over its field before decoding, so a flag is checked like the file.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
@@ -176,12 +175,7 @@ def load_config(path, overrides: dict | None = None) -> Config:
     """Config from the JSON file at ``path``, with the value of each
     ``section.field`` (or top-level field) of ``overrides`` written over the
     file's before decoding, so an override is checked like the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
-    blob = json.loads(text)  # json.JSONDecodeError carries line/column
+    blob = N.read_json(path)
     if isinstance(blob, dict):  # config_from_dict rejects any other root
         for key, value in (overrides or {}).items():
             section, _, name = key.rpartition(".")

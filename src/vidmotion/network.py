@@ -30,6 +30,7 @@ its own and drops it. The ControlNet builds its own time rows in each call.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
@@ -47,6 +48,18 @@ from .tensor import Tensor
 class ConfigError(ValueError):
     """Malformed or inconsistent configuration, or input that does not match
     the network configuration."""
+
+
+def read_json(path):
+    """The JSON document in the file at ``path``. A file that is not UTF-8
+    JSON, or nests too deep for json, raises ConfigError naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 TOPOLOGY: dict[str, str] = {
@@ -555,7 +568,6 @@ def control_sides(model: ModelWeights, z: Tensor, t: int,
 def save_checkpoint(directory, model: ModelWeights) -> None:
     """Directory of MELT tensors plus a JSON manifest (shapes, topology,
     gating table). Writes are deterministic: same weights, same bytes."""
-    import json
     import os
 
     os.makedirs(directory, exist_ok=True)
@@ -580,15 +592,10 @@ def load_checkpoint(directory) -> ModelWeights:
     tensor files are not regular files (no path, no link) of the directory
     and of their shape's size, raises ConfigError before any is read, and
     so does a tensor that holds a non-finite value once it is read."""
-    import json
     import os
 
     path = os.path.join(directory, "manifest.json")
-    with open(path) as fh:
-        try:
-            manifest = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{path}: not JSON: {exc}") from None
+    manifest = read_json(path)
     if not isinstance(manifest, dict):
         raise ConfigError(f"{path}: manifest must be a JSON object")
     if not isinstance(manifest.get("config"), dict):

@@ -418,15 +418,17 @@ _PIPE_BYTES = 1 << 20
 
 
 def _load(pipe):
+    """The next object pickled into ``pipe``; its end, or a message cut
+    short, means the writer stopped."""
     try:
         return pickle.load(pipe)
-    except EOFError:
+    except (EOFError, pickle.UnpicklingError):
         raise RuntimeError(_STOPPED) from None
 
 
-def _send(fd: int, request) -> None:
-    """Pickle ``request`` into the pipe ``fd``."""
-    data = memoryview(pickle.dumps(request, pickle.HIGHEST_PROTOCOL))
+def _send(fd: int, message) -> None:
+    """Pickle ``message`` into the pipe ``fd``, for ``_load`` at its other end."""
+    data = memoryview(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
     try:
         while data:
             data = data[os.write(fd, data):]
@@ -434,29 +436,21 @@ def _send(fd: int, request) -> None:
         raise RuntimeError(_STOPPED) from None
 
 
-def _requests(pipe) -> Iterator:
-    """The requests pickled into ``pipe``, until the parent closes it."""
-    with contextlib.suppress(EOFError):
-        while True:
-            yield pickle.load(pipe)
-
-
 def _serve_forked(serve: Callable[[Iterator], Iterator], requests_fd: int,
                   messages_fd: int, parent_fds: tuple[int, ...]) -> NoReturn:
     """In the forked child: run ``serve`` on the requests of one pipe and
-    pickle each message into the other, then leave without flushing the
-    stdio buffers or running the exit hooks it inherited."""
-    code = 1
+    pickle each message into the other until either pipe is closed, then
+    leave without flushing the stdio buffers or running the exit hooks it
+    inherited. The parent kills and reaps the child, so its exit status is
+    never read."""
     try:
         for fd in parent_fds:
             os.close(fd)
-        with open(requests_fd, "rb") as requests, open(messages_fd, "wb") as out:
-            for message in serve(_requests(requests)):
-                pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
-                out.flush()
-        code = 0
+        with open(requests_fd, "rb") as requests:
+            for message in serve(iter(functools.partial(_load, requests), None)):
+                _send(messages_fd, message)
     finally:
-        os._exit(code)
+        os._exit(0)
 
 
 @contextlib.contextmanager

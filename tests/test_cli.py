@@ -1,10 +1,12 @@
 import contextlib
+import errno
 import importlib
 import io
 import json
 import math
 import os
 import pkgutil
+import string
 import subprocess
 import sys
 import tracemalloc
@@ -486,6 +488,50 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
 
+    def test_malformed_json_error_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"seed": 1,\n "oops"')
+        assert main(["align", "--config", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: Expecting ':' delimiter: line 2 column 8 (char 19)\n")
+
+    @pytest.mark.parametrize("where", ["config", "manifest"])
+    def test_json_nested_too_deep_exits_2(self, tmp_path, capsys, where):
+        _, cfg = make_job_dir(tmp_path)
+        path, argv = cfg, ["align", "--config", str(cfg)]
+        if where == "manifest":
+            ckpt = tmp_path / "ckpt"
+            N.save_checkpoint(ckpt, N.init_model(N.NetConfig(), seed=7))
+            path = ckpt / "manifest.json"
+            argv = ["reconstruct", "--steps", "1", "--config", str(cfg),
+                    "--checkpoint", str(ckpt)]
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert_one_line_error(capsys, str(path), "recursion")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,command", [
+        ("--config", "align"), ("--checkpoint", "reconstruct"),
+        ("--checkpoint", "edit")],
+        ids=["config", "checkpoint-reconstruct", "checkpoint-edit"])
+    @pytest.mark.parametrize("case,code", [
+        ("overlong", errno.ENAMETOOLONG), ("loop", errno.ELOOP)],
+        ids=["overlong", "loop"])
+    def test_unopenable_input_path_exits_2_with_one_line(
+            self, tmp_path, capsys, flag, command, case, code):
+        _, cfg = make_job_dir(tmp_path)
+        path = tmp_path / ("x" * 5000 if case == "overlong" else "loop")
+        if case == "loop":
+            path.symlink_to(path.name)
+        argv = ([command, "--config", str(path)] if flag == "--config"
+                else [command, "--config", str(cfg), "--checkpoint", str(path)])
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert_one_line_error(capsys, os.strerror(code), str(path))
+        assert not out.exists()
+
     def test_unreadable_config_exits_2(self, tmp_path, capsys, monkeypatch):
         # root reads a mode-000 file, so the refusal is made by ``open``
         cfg = tmp_path / "c.json"
@@ -686,6 +732,33 @@ class TestConfigHandling:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert_one_line_error(capsys, "Not a directory", "afile")
         assert afile.read_text() == "kept"
+
+    @pytest.mark.parametrize("command,job", [
+        ("align", "align_skeletons"), ("train", "one_shot_train"),
+        ("reconstruct", "reconstruct"), ("edit", "edit")],
+        ids=["align", "train", "reconstruct", "edit"])
+    @pytest.mark.parametrize("case,code", [
+        ("empty", errno.ENOENT), ("overlong", errno.ENAMETOOLONG),
+        ("under-overlong", errno.ENAMETOOLONG), ("loop", errno.ELOOP),
+        ("under-loop", errno.ELOOP)],
+        ids=["empty", "overlong", "under-overlong", "loop", "under-loop"])
+    def test_unusable_out_rejected_before_the_job_runs(
+            self, tmp_path, capsys, monkeypatch, command, job, case, code):
+        def reached(*args, **kwargs):
+            raise AssertionError(f"{job} ran although --out is unusable")
+
+        monkeypatch.setattr(P, job, reached)
+        _, cfg = make_job_dir(tmp_path)
+        loop = tmp_path / "loop"
+        loop.symlink_to(loop.name)
+        overlong = tmp_path / ("x" * 5000)
+        out = {"empty": "", "overlong": overlong, "under-overlong": overlong / "sub",
+               "loop": loop, "under-loop": loop / "sub"}[case]
+        monkeypatch.chdir(tmp_path)  # where an empty --out would be made
+        before = sorted(os.listdir(tmp_path))
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert_one_line_error(capsys, os.strerror(code), repr(str(out)))
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_manifest_odd_time_width_rejected_before_any_tensor_is_read(
             self, tmp_path, capsys, monkeypatch):
@@ -888,6 +961,25 @@ class TestFuzzedInputs:
                                 "--config", str(root / "config.json"),
                                 "--checkpoint", str(root / "ckpt"),
                                 "--out", str(root / "fuzzed_out")])
+
+    @settings(max_examples=40, deadline=None)
+    @given(out=st.integers(0, 5000).flatmap(
+        lambda n: st.text(string.ascii_letters + "_/", min_size=n, max_size=n))
+        .filter(lambda s: not s.startswith("/")))
+    def test_out_path_exits_cleanly(self, fuzz_job, out):
+        # relative to a directory of its own, so that every --out lies in it;
+        # with no frames aligned, align writes only its report
+        root, _, _ = fuzz_job
+        cwd = root / "out_cwd"
+        cwd.mkdir(exist_ok=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(cwd)
+            mp.setattr(P, "align_skeletons", lambda *args: ([], []))
+            code, err = run_cli(["align", "--config", str(root / "config.json"),
+                                 "--out", out])
+        assert code in (0, 2)
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1
+                             and "Traceback" not in err), err
 
 
 class TestSelftestCommand:

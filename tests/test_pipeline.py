@@ -1,6 +1,8 @@
 import gc
+import io
 import math
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -11,6 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import make_job, synth_masks, synth_skeletons, synth_video
+from test_cli import make_job_dir
+from vidmotion import cli
 from vidmotion import diffusion as D
 from vidmotion import injection as I
 from vidmotion import network as N
@@ -552,6 +556,22 @@ def _exit_in_child(parent=os.getpid()):
     return effect
 
 
+def _cut_in_child(kind, parent=os.getpid()):
+    """A ``P._send`` that, in a forked worker, writes the first half of its
+    first message of type ``kind`` and then ends the worker."""
+    real = P._send
+
+    def send(fd, message):
+        if os.getpid() != parent and isinstance(message, kind):
+            data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+            half = memoryview(data)[:len(data) // 2]
+            while half:
+                half = half[os.write(fd, half):]
+            os._exit(3)
+        real(fd, message)
+    return send
+
+
 @pytest.fixture
 def place(monkeypatch):
     """``place(fork)`` forces edit's placement of its step worker and
@@ -764,6 +784,36 @@ class TestReconPlacement:
         [pid] = pids
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+    @pytest.mark.parametrize("kind", [list, dict],
+                             ids=["cache-writes", "control-reply"])
+    def test_a_message_cut_short_stops_the_edit(self, base_model, schedule, place,
+                                                 monkeypatch, tmp_path, capsys, kind):
+        # a step's cache writes are a list and its control sides a dict
+        monkeypatch.setattr(P, "_send", _cut_in_child(kind))
+        pids = place(True)
+        with pytest.raises(RuntimeError, match="stopped before its last message"):
+            P.edit(make_job(steps=3), base_model, schedule)
+        _, cfg = make_job_dir(tmp_path)
+        out = tmp_path / "o"
+        assert cli.main(["edit", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {P._STOPPED}\n"
+        assert not out.exists()
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_messages_cut_short_read_as_stopped(self, base_model, schedule):
+        ts = D.subsequence(schedule.timesteps, 2)
+        x = T.Tensor(np.zeros((8, 4, 8, 8), np.float32))
+        writes = next(P._recon_walk(base_model, x, ts, schedule, "p", None,
+                                    I.InjectionSettings()))
+        data = pickle.dumps(writes, pickle.HIGHEST_PROTOCOL)
+        assert len(P._load(io.BytesIO(data))) == len(writes) > 0
+        for n in range(0, len(data), max(1, len(data) // 500)):
+            with pytest.raises(RuntimeError, match="stopped before its last message"):
+                P._load(io.BytesIO(data[:n]))
 
     def test_buffered_stdout_is_printed_once(self):
         # stdout to a pipe is block-buffered, so the text is still in the
