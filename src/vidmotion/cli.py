@@ -1,8 +1,8 @@
 """Command-line entry points: align, train, reconstruct, edit, selftest.
 
 Exit codes: 0 success, 1 check failure, 2 usage or input error. Every
-command writes only under its --out directory and is byte-deterministic for
-a fixed config and seed.
+command writes one new --out directory, whole or not at all, and is
+byte-deterministic for a fixed config and seed.
 """
 from __future__ import annotations
 
@@ -13,8 +13,9 @@ import functools
 import gc
 import json
 import os
-import stat
+import shutil
 import sys
+import tempfile
 import time
 import weakref
 from dataclasses import fields
@@ -118,19 +119,27 @@ def _inputs(cfg: C.Config, *keys: str) -> list:
             for k in keys]
 
 
-def _refuse_non_directory(out_dir: str) -> None:
-    """Reject an ``--out`` that cannot become a directory before a job runs:
-    an empty path, an existing non-directory, or one whose ``stat`` fails
-    other than for a missing name (too long, a symlink loop, a file on the
-    way). The directory itself is made only once the job has succeeded."""
-    if not out_dir:
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_dir)
+def _stage(out_dir: str) -> str:
+    """A new directory beside ``out_dir``, of the mode ``os.mkdir`` gives, for
+    a command's tree; ``main`` renames it to ``out_dir``. As for mkdir(1),
+    ``out_dir`` must not exist, not even as a link, and its parent must be an
+    existing directory: "link/" is the link itself, "gone/../o" has none."""
     try:
-        mode = os.stat(out_dir).st_mode
-    except FileNotFoundError:  # made, with its missing parents, after the job
-        return
-    if not stat.S_ISDIR(mode):
+        os.stat(out_dir)  # an empty, overlong or looping name, a file on the way
+    except FileNotFoundError:
+        if not out_dir:
+            raise
+    path = out_dir.rstrip(os.sep) or os.sep  # not normpath, which drops "gone/.."
+    if os.path.lexists(path):
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out_dir)
+    parent, name = os.path.split(path)
+    if not os.path.isdir(parent or os.curdir):
+        raise FileNotFoundError(errno.ENOENT, "no such parent directory", out_dir)
+    staging = tempfile.mkdtemp(prefix=f".{name}.partial-", dir=parent or os.curdir)
+    umask = os.umask(0)
+    os.umask(umask)
+    os.chmod(staging, 0o777 & ~umask)
+    return staging
 
 
 def _model_for(cfg: C.Config) -> N.ModelWeights:
@@ -163,7 +172,7 @@ def _schedule_for(cfg: C.Config) -> D.NoiseSchedule:
 def _write_latent_outputs(out_dir, name: str, latent: T.Tensor) -> None:
     T.save_tensor(os.path.join(out_dir, f"{name}.melt"), latent)
     preview_dir = os.path.join(out_dir, f"{name}_previews")
-    os.makedirs(preview_dir, exist_ok=True)
+    os.mkdir(preview_dir)
     data = latent.data
     frames, channels = data.shape[0], data.shape[1]
     for f in range(frames):
@@ -181,24 +190,22 @@ def _write_latent_outputs(out_dir, name: str, latent: T.Tensor) -> None:
 # commands
 
 
-def cmd_align(cfg: C.Config, out_dir: str) -> int:
+def cmd_align(cfg: C.Config, out_dir: str) -> str:
     rasters = _inputs(cfg, "source_skeletons", "source_masks",
                       "ref_skeletons", "ref_masks")
     counts = {arr.shape[0] for arr in rasters}
     if len(counts) != 1:
         raise P.JobError(f"frame counts disagree across inputs: {sorted(counts)}")
     aligned, reports = P.align_skeletons(*rasters, cfg.alignment.first_frame_only)
-    os.makedirs(out_dir, exist_ok=True)
     for i, (raster, report) in enumerate(zip(aligned, reports)):
         SK.write_pgm(os.path.join(out_dir, f"aligned_{i:03d}.pgm"), raster)
         report["frame"] = i
     with open(os.path.join(out_dir, "align_report.json"), "w") as fh:
         json.dump(reports, fh, indent=1, sort_keys=True)
-    print(f"aligned {len(reports)} frames -> {out_dir}")
-    return 0
+    return f"aligned {len(reports)} frames -> {out_dir}"
 
 
-def cmd_train(cfg: C.Config, out_dir: str) -> int:
+def cmd_train(cfg: C.Config, out_dir: str) -> str:
     source = _inputs(cfg, "source_video", "source_skeletons")
     # the call alone holds the model and the source, so training frees the
     # initial weights after the first step and the source once it is encoded
@@ -206,38 +213,34 @@ def cmd_train(cfg: C.Config, out_dir: str) -> int:
                               cfg.prompts.source, steps=cfg.training.steps,
                               lr=cfg.training.lr, schedule=_schedule_for(cfg),
                               rng=T.Rng(cfg.seed))
-    os.makedirs(out_dir, exist_ok=True)
     N.save_checkpoint(os.path.join(out_dir, "checkpoint"), result.model)
     with open(os.path.join(out_dir, "loss.csv"), "w") as fh:
         fh.write("step,loss\n")
         for i, value in enumerate(result.losses):
             fh.write(f"{i},{value:.8f}\n")
-    if result.losses:
-        n = len(result.losses)
-        k = max(1, min(10, n // 2))  # disjoint windows from two steps on
-        print(f"trained {n} steps: first-{k} mean {np.mean(result.losses[:k]):.4f}, "
-              f"last-{k} mean {np.mean(result.losses[-k:]):.4f}")
-    return 0
+    n = len(result.losses)
+    k = max(1, min(10, n // 2))  # disjoint windows from two steps on
+    return (f"trained {n} steps: first-{k} mean {np.mean(result.losses[:k]):.4f}, "
+            f"last-{k} mean {np.mean(result.losses[-k:]):.4f}" if n
+            else "trained 0 steps")
 
 
-def cmd_reconstruct(cfg: C.Config, out_dir: str) -> int:
+def cmd_reconstruct(cfg: C.Config, out_dir: str) -> str:
     model = _model_for(cfg)
     video, skeletons = _inputs(cfg, "source_video", "source_skeletons")
     result = P.reconstruct(model, video, skeletons, cfg.prompts.source,
                            steps=cfg.sampler.steps, schedule=_schedule_for(cfg),
                            control_on_recon=cfg.alignment.control_on_recon)
-    os.makedirs(out_dir, exist_ok=True)
     _write_latent_outputs(out_dir, "reconstructed", result.latent)
     with open(os.path.join(out_dir, "reconstruct_report.json"), "w") as fh:
         json.dump({
             "inversion_timesteps": result.inversion_timesteps,
             "metrics_vs_source": result.metrics_vs_source,
         }, fh, indent=1, sort_keys=True)
-    print(f"reconstructed -> {out_dir}")
-    return 0
+    return f"reconstructed -> {out_dir}"
 
 
-def cmd_edit(cfg: C.Config, out_dir: str) -> int:
+def cmd_edit(cfg: C.Config, out_dir: str) -> str:
     model = _model_for(cfg)
     # the path keys name EditJob's first five fields, in order
     job = P.EditJob(*_inputs(cfg, "source_video", "source_masks", "source_skeletons",
@@ -248,11 +251,10 @@ def cmd_edit(cfg: C.Config, out_dir: str) -> int:
                     align_first_frame_only=cfg.alignment.first_frame_only,
                     control_on_recon=cfg.alignment.control_on_recon)
     result = P.edit(job, model, _schedule_for(cfg))
-    os.makedirs(out_dir, exist_ok=True)
     _write_latent_outputs(out_dir, "edited", result.edited)
     _write_latent_outputs(out_dir, "reconstructed", result.reconstructed)
     aligned_dir = os.path.join(out_dir, "aligned")
-    os.makedirs(aligned_dir, exist_ok=True)
+    os.mkdir(aligned_dir)
     for i, raster in enumerate(result.aligned_skeletons):
         SK.write_pgm(os.path.join(aligned_dir, f"frame_{i:03d}.pgm"), raster)
     with open(os.path.join(out_dir, "edit_report.json"), "w") as fh:
@@ -265,8 +267,7 @@ def cmd_edit(cfg: C.Config, out_dir: str) -> int:
             "sampler": {"steps": job.steps, "guidance": job.guidance},
             "injection_enabled": job.injection.enabled,
         }, fh, indent=1, sort_keys=True)
-    print(f"edited -> {out_dir}")
-    return 0
+    return f"edited -> {out_dir}"
 
 
 # ---------------------------------------------------------------------------
@@ -650,15 +651,21 @@ def main(argv=None) -> int:
             seed = C.config_from_dict({"seed": args.seed}).seed
             return cmd_selftest(seed=seed, corrupt_gradient=args.corrupt_gradient)
         cfg = C.load_config(args.config, _flag_fields(args))
-        _refuse_non_directory(args.out)
         command = {"align": cmd_align, "train": cmd_train,
                    "reconstruct": cmd_reconstruct, "edit": cmd_edit}[args.command]
-        return command(cfg, args.out)
+        staging = _stage(args.out)
+        try:
+            summary = command(cfg, staging)
+            os.rename(staging, args.out)
+        finally:  # gone after the rename; a killed run leaves it as its marker
+            shutil.rmtree(staging, ignore_errors=True)
+        print(summary.replace(staging, args.out))  # a summary names its tree
+        return 0
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RuntimeError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

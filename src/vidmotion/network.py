@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
@@ -568,8 +569,6 @@ def control_sides(model: ModelWeights, z: Tensor, t: int,
 def save_checkpoint(directory, model: ModelWeights) -> None:
     """Directory of MELT tensors plus a JSON manifest (shapes, topology,
     gating table). Writes are deterministic: same weights, same bytes."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     manifest = {
         "config": asdict(model.cfg),
@@ -592,8 +591,6 @@ def load_checkpoint(directory) -> ModelWeights:
     tensor files are not regular files (no path, no link) of the directory
     and of their shape's size, raises ConfigError before any is read, and
     so does a tensor that holds a non-finite value once it is read."""
-    import os
-
     path = os.path.join(directory, "manifest.json")
     manifest = read_json(path)
     if not isinstance(manifest, dict):

@@ -5,16 +5,18 @@ import io
 import json
 import math
 import os
+import pathlib
 import pkgutil
 import string
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import synth_masks, synth_skeletons, synth_video
@@ -74,6 +76,36 @@ def assert_one_line_error(capsys, *needles):
     assert "Traceback" not in err
     for needle in needles:
         assert needle in err, err
+
+
+def listing(root):
+    """Every entry under ``root``, links not followed: a file's bytes, a
+    link's target, or "dir"."""
+    out = {}
+    for dirpath, dirs, files in os.walk(root):
+        for name in dirs + files:
+            path = os.path.join(dirpath, name)
+            out[os.path.relpath(path, root)] = (
+                "link:" + os.readlink(path) if os.path.islink(path)
+                else "dir" if os.path.isdir(path) else open(path, "rb").read())
+    return out
+
+
+def staged(directory):
+    """The staging directories left in ``directory``."""
+    return [n for n in os.listdir(directory) if ".partial-" in n]
+
+
+def make_out_fixtures(where):
+    """Beside each other: a file, an empty and a non-empty directory, links
+    to each, a dangling link and a link to itself."""
+    (where / "f").write_text("kept")
+    (where / "d").mkdir()
+    (where / "full").mkdir()
+    (where / "full" / "kept").write_text("kept")
+    for link, target in (("lf", "f"), ("ld", "full"), ("dl", "nowhere"),
+                         ("loop", "loop")):
+        (where / link).symlink_to(target)
 
 
 def tree_bytes(directory):
@@ -883,6 +915,140 @@ class TestConfigHandling:
         assert not np.array_equal(a, b)
 
 
+class TestOutTree:
+    @pytest.mark.parametrize("command,job", [
+        ("align", "align_skeletons"), ("train", "one_shot_train"),
+        ("reconstruct", "reconstruct"), ("edit", "edit")],
+        ids=["align", "train", "reconstruct", "edit"])
+    @pytest.mark.parametrize("case,needle", [
+        ("empty-dir", "File exists"), ("full-dir", "File exists"),
+        ("dangling-link", "File exists"), ("dir-link", "File exists"),
+        ("missing-parent", "no such parent directory"),
+        ("1500-levels", "no such parent directory")],
+        ids=["empty-dir", "full-dir", "dangling-link", "dir-link",
+             "missing-parent", "1500-levels"])
+    def test_out_mkdir_would_refuse_rejected_before_the_job_runs(
+            self, tmp_path, capsys, monkeypatch, command, job, case, needle):
+        def reached(*args, **kwargs):
+            raise AssertionError(f"{job} ran although --out is refused")
+
+        monkeypatch.setattr(P, job, reached)
+        _, cfg = make_job_dir(tmp_path)
+        where = tmp_path / "where"
+        where.mkdir()
+        make_out_fixtures(where)
+        out = {"empty-dir": where / "d", "full-dir": where / "full",
+               "dangling-link": where / "dl", "dir-link": where / "ld",
+               "missing-parent": where / "gone" / "o",
+               "1500-levels": where.joinpath(*["a"] * 1500)}[case]
+        before = listing(where)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert_one_line_error(capsys, needle, repr(str(out)))
+        assert listing(where) == before
+
+    def test_second_command_into_one_out_rejected(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # reconstruct, then edit into the same --out, merged the two trees
+        _, cfg = make_job_dir(tmp_path)
+        out = tmp_path / "merged"
+        assert main(["reconstruct", "--steps", "1", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        before = listing(tmp_path)
+
+        def reached(*args, **kwargs):
+            raise AssertionError("edit ran although --out exists")
+
+        monkeypatch.setattr(P, "edit", reached)
+        assert main(["edit", "--steps", "1", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert_one_line_error(capsys, "File exists", repr(str(out)))
+        assert listing(tmp_path) == before
+        assert sorted(os.listdir(out)) == [
+            "reconstruct_report.json", "reconstructed.melt", "reconstructed_previews"]
+
+    @pytest.mark.parametrize("error,needle", [
+        (MemoryError(), "error: MemoryError"),
+        (MemoryError("Unable to allocate 3.35 GiB for an array with shape "
+                     "(30000, 30000) and data type float32"),
+         "Unable to allocate 3.35 GiB")], ids=["bare", "numpy-worded"])
+    def test_memory_error_exits_1_with_one_line(self, tmp_path, capsys,
+                                                monkeypatch, error, needle):
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(P, "reconstruct", exhausted)
+        _, cfg = make_job_dir(tmp_path)
+        out = tmp_path / "o"
+        assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 1
+        assert_one_line_error(capsys, needle)
+        assert not out.exists() and staged(tmp_path) == []
+
+    def test_full_disk_mid_write_leaves_no_tree(self, tmp_path, capsys,
+                                                monkeypatch):
+        # the third PGM is the edited latent's third preview frame, written
+        # after edited.melt
+        write, calls = SK.write_pgm, []
+
+        def disk_full(path, raster):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            write(path, raster)
+
+        _, cfg = make_job_dir(tmp_path)
+        monkeypatch.setattr(SK, "write_pgm", disk_full)
+        out = tmp_path / "o"
+        assert main(["edit", "--steps", "1", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert_one_line_error(capsys, os.strerror(errno.ENOSPC),
+                              os.path.join(str(tmp_path), ".o.partial-"))
+        assert len(calls) == 3 and "edited_previews" in calls[-1]
+        assert not out.exists() and staged(tmp_path) == []
+
+    def test_killed_run_leaves_its_staging_directory_as_the_marker(self, tmp_path):
+        _, cfg = make_job_dir(tmp_path)
+        out = tmp_path / "o"
+        pid = os.fork()
+        if pid == 0:  # the child dies in its first write, past every handler
+            try:
+                SK.write_pgm = lambda *args: os._exit(7)
+                with contextlib.redirect_stderr(io.StringIO()):
+                    main(["align", "--config", str(cfg), "--out", str(out)])
+            finally:
+                os._exit(1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 7
+        assert not out.exists()
+        (marker,) = staged(tmp_path)
+        assert marker.startswith(".o.partial-")
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o002],
+                             ids=["022", "027", "002"])
+    def test_published_root_has_the_mode_mkdir_gives(self, tmp_path, monkeypatch,
+                                                     umask):
+        monkeypatch.setattr(P, "align_skeletons", lambda *args: ([], []))
+        _, cfg = make_job_dir(tmp_path)
+        out = tmp_path / "o"
+        previous = os.umask(umask)
+        try:
+            assert main(["align", "--config", str(cfg), "--out", str(out)]) == 0
+            (tmp_path / "by-mkdir").mkdir()
+        finally:
+            os.umask(previous)
+        assert os.stat(out).st_mode & 0o7777 == 0o777 & ~umask
+        assert os.stat(out).st_mode == os.stat(tmp_path / "by-mkdir").st_mode
+
+    def test_summary_names_out_not_the_staging_directory(self, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(P, "align_skeletons", lambda *args: ([], []))
+        _, cfg = make_job_dir(tmp_path)
+        out = tmp_path / "o"
+        assert main(["align", "--config", str(cfg), "--out", str(out) + "/"]) == 0
+        assert capsys.readouterr().out == f"aligned 0 frames -> {out}/\n"
+        assert sorted(os.listdir(tmp_path)) == ["job", "o"]
+
+
 def json_values(ints):
     return st.recursive(
         st.none() | st.booleans() | ints | st.floats() | st.text(max_size=8),
@@ -980,6 +1146,39 @@ class TestFuzzedInputs:
         assert code in (0, 2)
         assert err == "" or (err.startswith("error: ") and err.count("\n") == 1
                              and "Traceback" not in err), err
+
+    @settings(max_examples=60, deadline=None)
+    @given(first=st.sampled_from(["f", "d", "full", "lf", "ld", "dl", "loop", "new"]),
+           rest=st.lists(st.sampled_from(["f", "d", "full", "ld", "dl", "new",
+                                          ".", ".."]), max_size=2),
+           slash=st.booleans())
+    def test_out_published_whole_or_not_at_all(self, fuzz_job, first, rest, slash):
+        # two components past the first cannot climb out of ``where``
+        root, _, _ = fuzz_job
+        out = "/".join([first, *rest]) + "/" * slash
+        with (tempfile.TemporaryDirectory(dir=root) as where,
+              pytest.MonkeyPatch.context() as mp):
+            make_out_fixtures(pathlib.Path(where))
+            mp.chdir(where)
+            mp.setattr(P, "align_skeletons",
+                       lambda *args: ([np.zeros((4, 4), np.float32)], [{}]))
+            before = listing(where)
+            code, err = run_cli(["align", "--config", str(root / "config.json"),
+                                 "--out", out])
+            after = listing(where)
+            published = os.path.relpath(os.path.realpath(out), where)
+        event(f"exit {code}")
+        assert not any(".partial-" in path for path in after), after
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert after == before
+        else:
+            assert code == 0 and err == "", err
+            new = {p: v for p, v in after.items() if p not in before}
+            assert new.pop(published) == "dir"
+            assert sorted(new) == [os.path.join(published, name) for name in
+                                   ("align_report.json", "aligned_000.pgm")]
+            assert all(after[p] == v for p, v in before.items())
 
 
 class TestSelftestCommand:

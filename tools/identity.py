@@ -322,6 +322,8 @@ def _check_tree(name: str, argv: list[str], sides: dict[str, str], work: str,
     and return whether they match."""
     outs = {side: os.path.join(work, f"{side}-out", name.replace(" ", "-"))
             for side in sides}
+    for out in outs.values():  # a command makes its --out, not the parents
+        os.makedirs(os.path.dirname(out), exist_ok=True)
     failed = [f"{side} {error}" for side, src in sides.items()
               if (error := _run(src, [*argv, "--out", outs[side]], preexec))]
     found = [] if failed else compare_trees(outs["base"], outs["head"], tolerance)
@@ -377,6 +379,7 @@ def check(rev: str, tolerance: tuple[float, float] | None,
                                        sides, work, tolerance, PREEXEC.get(label))
                 if seed == 1 and label in OP_COUNTED:
                     out = os.path.join(work, "ops-out", label)
+                    os.makedirs(out, exist_ok=True)
                     counted.append(op_line(label, {
                         side: op_count(src, [command, "--config", path, *flags,
                                              "--out", os.path.join(out, side)])
